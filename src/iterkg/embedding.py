@@ -10,6 +10,7 @@ the step.  All randomness flows through explicit numpy Generators.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -18,6 +19,8 @@ import numpy as np
 from . import kernels
 from .blocks import BlockDiagMatrix
 from .kg import KnowledgeGraph, Triple
+
+log = logging.getLogger(__name__)
 
 LOG_CLAMP = 1e-12  # floor for log arguments in the cross-entropy
 
@@ -143,8 +146,8 @@ def _gather(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray):
     vs = model.ent[s]
     vo = model.ent[o]
     msc = model.rel_scalars[r]
-    ma = np.ascontiguousarray(model.rel_rot[r, :, 0])
-    mb = np.ascontiguousarray(model.rel_rot[r, :, 1])
+    ma = model.rel_rot[r, :, 0]
+    mb = model.rel_rot[r, :, 1]
     return vs, vo, msc, ma, mb
 
 
@@ -232,27 +235,21 @@ def compute_loss_and_gradients(
     rel_ids, rel_inv = np.unique(r, return_inverse=True)
     es, eo = ent_inv[:B], ent_inv[B:]
 
-    grad_ent = np.zeros((len(ent_ids), model.dim))
-    grad_sc = np.zeros((len(rel_ids), model.n_scalars))
-    grad_a = np.zeros((len(rel_ids), model.n_blocks))
-    grad_b = np.zeros((len(rel_ids), model.n_blocks))
-    kernels.accumulate_grads(vs, vo, msc, ma, mb, rho, es, eo, rel_inv,
-                             grad_ent, grad_sc, grad_a, grad_b)
+    grad_ent, grad_sc, grad_rot = kernels.accumulate_grads(
+        vs, vo, msc, ma, mb, rho, es, eo, rel_inv, len(ent_ids), len(rel_ids))
 
     if l1_weight > 0:
         ent_rows = model.ent[ent_ids]
         sc_rows = model.rel_scalars[rel_ids]
         rot_rows = model.rel_rot[rel_ids]
         grad_ent += l1_weight * np.sign(ent_rows)
-        grad_sc += l1_weight * np.sign(sc_rows[:, :])
-        grad_a += l1_weight * np.sign(rot_rows[:, :, 0])
-        grad_b += l1_weight * np.sign(rot_rows[:, :, 1])
+        grad_sc += l1_weight * np.sign(sc_rows)
+        grad_rot += l1_weight * np.sign(rot_rows)
         loss += l1_weight * float(
             np.abs(ent_rows).sum() + np.abs(sc_rows).sum() + np.abs(rot_rows).sum()
         )
 
-    rot_grad = np.stack([grad_a, grad_b], axis=2)
-    return loss, SparseGrads(ent_ids, grad_ent, rel_ids, grad_sc, rot_grad)
+    return loss, SparseGrads(ent_ids, grad_ent, rel_ids, grad_sc, grad_rot)
 
 
 def adam_update(model: EmbeddingModel, grads: SparseGrads, config: TrainConfig) -> None:
@@ -293,21 +290,28 @@ def train_epoch(
 
     Inputs are the graph triples (label 1) plus any injected triples (label
     = axiom score).  Negatives are drawn on the fly for graph triples only;
-    injected triples train on their soft label alone.
+    injected triples train on their soft label alone.  Graph triples whose
+    retry budget ran out before ``n_negatives`` were found are counted and
+    logged as a warning.
     """
     if len(inputs) == 0:
         raise ValueError("no training inputs")
     order = rng.permutation(len(inputs))
     total, count = 0.0, 0
+    n_exhausted = 0
     for start in range(0, len(inputs), config.batch_size):
         chunk = [inputs[i] for i in order[start : start + config.batch_size]]
         expanded = list(chunk)
         for lt in chunk:
             if kg.contains(*lt.triple):
-                negs, _ = sample_negatives(kg, lt.triple, config.n_negatives, rng)
+                negs, exhausted = sample_negatives(kg, lt.triple, config.n_negatives, rng)
                 expanded.extend(negs)
+                n_exhausted += exhausted
         loss, grads = compute_loss_and_gradients(model, expanded, config.l1_weight)
         adam_update(model, grads, config)
         total += loss * len(expanded)
         count += len(expanded)
+    if n_exhausted:
+        log.warning("negative sampling ran out of retries for %d graph triples this epoch; "
+                    "they trained on fewer than %d negatives", n_exhausted, config.n_negatives)
     return total / count

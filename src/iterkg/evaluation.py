@@ -2,9 +2,11 @@
 
 For every test triple both entity positions are predicted: each candidate
 substitution is scored, and the true entity's rank counts strictly better
-candidates plus equal-scored candidates with a smaller id (pessimistic,
-reproducible tie-breaking).  The filtered setting removes candidates that
-form triples known true in train/valid/test, never the test triple itself.
+candidates plus equal-scored candidates with a smaller id.  Ties are thus
+broken by entity id, not pessimistically: the rank is the true entity's
+position after sorting the candidates by (-score, id).  The filtered
+setting removes candidates that form triples known true in
+train/valid/test, never the test triple itself.
 The headline MRR averages reciprocal ranks over all 2*|test| side
 observations; the reciprocal of the per-triple averaged rank is also
 reported since both conventions appear in practice.
@@ -17,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import kernels
 from .axioms import Axiom, AxiomType, ScoredAxiom
 from .embedding import EmbeddingModel
 from .injection import InferredTriple
@@ -60,19 +63,6 @@ class MetricsReport:
         }
 
 
-def _apply_block(model: EmbeddingModel, r: int, v: np.ndarray, transpose: bool) -> np.ndarray:
-    """M_r v (or M_r^T v), computed blockwise on a single vector."""
-    ns = model.n_scalars
-    out = np.empty_like(v)
-    out[:ns] = model.rel_scalars[r] * v[:ns]
-    a = model.rel_rot[r, :, 0]
-    b = model.rel_rot[r, :, 1] * (-1.0 if transpose else 1.0)
-    vx, vy = v[ns::2], v[ns + 1 :: 2]
-    out[ns::2] = a * vx - b * vy
-    out[ns + 1 :: 2] = b * vx + a * vy
-    return out
-
-
 def candidate_scores(model: EmbeddingModel, t: Triple, side: str) -> np.ndarray:
     """Pre-sigmoid scores of substituting every entity on one side of ``t``.
 
@@ -80,11 +70,13 @@ def candidate_scores(model: EmbeddingModel, t: Triple, side: str) -> np.ndarray:
     so each side reduces to one matrix-vector product over the entity table.
     """
     if side == "subject":
-        w = _apply_block(model, t.relation, model.ent[t.object], transpose=False)
+        v, transpose = model.ent[t.object], False
     elif side == "object":
-        w = _apply_block(model, t.relation, model.ent[t.subject], transpose=True)
+        v, transpose = model.ent[t.subject], True
     else:
         raise ValueError(f"side must be 'subject' or 'object', got {side!r}")
+    rot = model.rel_rot[t.relation]
+    w = kernels.relation_matvec(model.rel_scalars[t.relation], rot[:, 0], rot[:, 1], v, transpose)
     return model.ent @ w
 
 
@@ -242,19 +234,22 @@ def head_coverage(kg: KnowledgeGraph, axiom: Axiom) -> float:
 
 
 def summarize_rules(
-    kg: KnowledgeGraph,
+    hc_values: Sequence[float],
     scored: Sequence[ScoredAxiom],
     hc_threshold: float = 0.7,
     score_grid: Sequence[float] = tuple(np.round(np.arange(0.0, 1.01, 0.1), 2)),
 ) -> dict:
     """High-quality rule counts and score-threshold selection curves.
 
-    A rule is high quality when its head coverage exceeds ``hc_threshold``.
-    For each grid threshold the summary reports the fraction of the pool
-    selected (score strictly above) and the fraction of high-quality rules
-    among the selected ones' coverage of all high-quality rules.
+    ``hc_values[i]`` is the head coverage of ``scored[i]``.  A rule is high
+    quality when its head coverage exceeds ``hc_threshold``.  For each grid
+    threshold the summary reports the fraction of the pool selected (score
+    strictly above) and the fraction of all high-quality rules that the
+    selection contains.
     """
-    hcs = [head_coverage(kg, sa.axiom) for sa in scored]
+    if len(hc_values) != len(scored):
+        raise ValueError(f"{len(hc_values)} head-coverage values for {len(scored)} axioms")
+    hcs = list(hc_values)
     hq = [hc > hc_threshold for hc in hcs]
     n_hq = sum(hq)
     curve = []

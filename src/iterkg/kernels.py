@@ -1,33 +1,28 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels of the block-diagonal bilinear model, in numpy.
 
 Training spends nearly all of its time in two places: the blockwise bilinear
 form over a minibatch, and the scatter-accumulation of per-triple gradients
 into shared embedding rows (entities and relations repeat within a batch, so
-this is an indexed reduction).  numpy handles the former well but the latter
-needs ``np.add.at``, which is an order of magnitude slower than a compiled
-loop.  Both kernels exist in two variants:
-
-* ``*_numpy``  -- vectorized numpy, always available
-* ``*_jit``    -- numba ``@njit`` loops, compiled on first use
-
-The module-level names ``bilinear_scores`` and ``accumulate_grads`` point at
-the active variant.  Set ``ITERKG_NO_NUMBA=1`` (or install without numba) to
-force the numpy path; ``benchmarks/bench_kernels.py`` compares the two.
+this is an indexed reduction, done with ``np.add.at``).  Ranking and the
+entity gradients both apply a relation matrix, or its transpose, to a batch
+of vectors; ``relation_matvec`` is that product.
 
 Entity vectors are laid out to match the dense block pattern: coordinates
 ``[0, n_scalars)`` align with the scalar diagonal, then block j occupies the
 coordinate pair ``(n_scalars + 2j, n_scalars + 2j + 1)``.
+
+Batch-gathered inputs share one naming:
+  vs, vo : (B, d) subject / object vectors
+  msc    : (B, n_scalars) relation scalar diagonals
+  ma, mb : (B, n_blocks) relation rotation components
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _numba_requested() -> bool:
-    return os.environ.get("ITERKG_NO_NUMBA", "").strip().lower() not in {"1", "true", "yes"}
+# Benchmark host records carry this flag; the kernels have no numba variant.
+NUMBA_ACTIVE = False
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -41,16 +36,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# bilinear scores: f_i = v_s[i]^T M_r[i] v_o[i], computed blockwise.
-# Inputs are the batch-gathered arrays:
-#   vs, vo : (B, d) subject / object vectors
-#   msc    : (B, n_scalars) relation scalar diagonals
-#   ma, mb : (B, n_blocks) relation rotation components
-# ---------------------------------------------------------------------------
-
-
-def bilinear_scores_numpy(vs, vo, msc, ma, mb):
+def bilinear_scores(vs, vo, msc, ma, mb) -> np.ndarray:
+    """f_i = vs[i]^T M_r[i] vo[i], computed blockwise in one fused pass."""
     ns = msc.shape[1]
     sx, sy = vs[:, ns::2], vs[:, ns + 1 :: 2]
     ox, oy = vo[:, ns::2], vo[:, ns + 1 :: 2]
@@ -59,114 +46,46 @@ def bilinear_scores_numpy(vs, vo, msc, ma, mb):
     return f
 
 
-def _bilinear_scores_loops(vs, vo, msc, ma, mb):  # pragma: no cover - jit twin
-    B = vs.shape[0]
-    ns = msc.shape[1]
-    nb = ma.shape[1]
-    out = np.empty(B)
-    for i in range(B):
-        acc = 0.0
-        for j in range(ns):
-            acc += vs[i, j] * msc[i, j] * vo[i, j]
-        for k in range(nb):
-            x = ns + 2 * k
-            y = x + 1
-            acc += ma[i, k] * (vs[i, x] * vo[i, x] + vs[i, y] * vo[i, y])
-            acc += mb[i, k] * (vs[i, y] * vo[i, x] - vs[i, x] * vo[i, y])
-        out[i] = acc
+def relation_matvec(msc, ma, mb, v, transpose: bool = False) -> np.ndarray:
+    """M_r v (or M_r^T v) for rows of ``v`` of shape (..., d).
+
+    Each 2x2 block is [[a, -b], [b, a]], so its transpose is the same
+    block with b negated.  Relation arrays broadcast against ``v``: one
+    relation for many vectors, or one per row.
+    """
+    ns = msc.shape[-1]
+    b = -mb if transpose else mb
+    vx, vy = v[..., ns::2], v[..., ns + 1 :: 2]
+    out = np.empty_like(v)
+    out[..., :ns] = msc * v[..., :ns]
+    out[..., ns::2] = ma * vx - b * vy
+    out[..., ns + 1 :: 2] = b * vx + ma * vy
     return out
 
 
-# ---------------------------------------------------------------------------
-# gradient scatter: accumulate d(loss)/d(params) into compacted buffers.
-#   rho        : (B,) per-example residual (phi - label) / B
-#   es, eo, rr : (B,) int64 rows into grad_ent / grad_ent / grad_{sc,a,b}
-# grad buffers are zero-initialized by the caller and updated in place.
-# ---------------------------------------------------------------------------
+def accumulate_grads(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent: int, n_rel: int):
+    """Scatter d(loss)/d(params) into compacted per-batch gradient rows.
 
-
-def accumulate_grads_numpy(vs, vo, msc, ma, mb, rho, es, eo, rr, grad_ent, grad_sc, grad_a, grad_b):
+    ``rho`` (B,) is each example's residual (phi - label) / B; ``es``/``eo``
+    index rows of the (n_ent, d) entity gradient and ``rr`` rows of the
+    relation gradients.  Returns ``(grad_ent, grad_sc, grad_rot)`` with
+    ``grad_rot`` of shape (n_rel, n_blocks, 2), the layout of ``rel_rot``.
+    """
     ns = msc.shape[1]
     r = rho[:, None]
     sx, sy = vs[:, ns::2], vs[:, ns + 1 :: 2]
     ox, oy = vo[:, ns::2], vo[:, ns + 1 :: 2]
 
-    gs = np.empty_like(vs)
-    go = np.empty_like(vo)
-    gs[:, :ns] = r * msc * vo[:, :ns]
-    go[:, :ns] = r * msc * vs[:, :ns]
-    gs[:, ns::2] = r * (ma * ox - mb * oy)
-    gs[:, ns + 1 :: 2] = r * (ma * oy + mb * ox)
-    go[:, ns::2] = r * (ma * sx + mb * sy)
-    go[:, ns + 1 :: 2] = r * (ma * sy - mb * sx)
+    # d(rho v_s^T M v_o) is (rho M) v_o for v_s and (rho M)^T v_s for v_o
+    rm = (r * msc, r * ma, r * mb)
+    grad_ent = np.zeros((n_ent, vs.shape[1]))
+    np.add.at(grad_ent, es, relation_matvec(*rm, vo))
+    np.add.at(grad_ent, eo, relation_matvec(*rm, vs, transpose=True))
 
-    np.add.at(grad_ent, es, gs)
-    np.add.at(grad_ent, eo, go)
+    grad_sc = np.zeros((n_rel, ns))
     np.add.at(grad_sc, rr, r * vs[:, :ns] * vo[:, :ns])
-    np.add.at(grad_a, rr, r * (sx * ox + sy * oy))
-    np.add.at(grad_b, rr, r * (sy * ox - sx * oy))
 
-
-def _accumulate_grads_loops(vs, vo, msc, ma, mb, rho, es, eo, rr, grad_ent, grad_sc, grad_a, grad_b):  # pragma: no cover - jit twin
-    B = rho.shape[0]
-    ns = msc.shape[1]
-    nb = ma.shape[1]
-    for i in range(B):
-        e_s = es[i]
-        e_o = eo[i]
-        e_r = rr[i]
-        g = rho[i]
-        for j in range(ns):
-            grad_ent[e_s, j] += g * msc[i, j] * vo[i, j]
-            grad_ent[e_o, j] += g * msc[i, j] * vs[i, j]
-            grad_sc[e_r, j] += g * vs[i, j] * vo[i, j]
-        for k in range(nb):
-            x = ns + 2 * k
-            y = x + 1
-            a = ma[i, k]
-            b = mb[i, k]
-            sx = vs[i, x]
-            sy = vs[i, y]
-            ox = vo[i, x]
-            oy = vo[i, y]
-            grad_ent[e_s, x] += g * (a * ox - b * oy)
-            grad_ent[e_s, y] += g * (a * oy + b * ox)
-            grad_ent[e_o, x] += g * (a * sx + b * sy)
-            grad_ent[e_o, y] += g * (a * sy - b * sx)
-            grad_a[e_r, k] += g * (sx * ox + sy * oy)
-            grad_b[e_r, k] += g * (sy * ox - sx * oy)
-
-
-bilinear_scores_jit = None
-accumulate_grads_jit = None
-NUMBA_ACTIVE = False
-
-if _numba_requested():
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-    else:
-        bilinear_scores_jit = njit(cache=True)(_bilinear_scores_loops)
-        accumulate_grads_jit = njit(cache=True)(_accumulate_grads_loops)
-        NUMBA_ACTIVE = True
-
-if NUMBA_ACTIVE:
-    bilinear_scores = bilinear_scores_jit
-    accumulate_grads = accumulate_grads_jit
-else:
-    bilinear_scores = bilinear_scores_numpy
-    accumulate_grads = accumulate_grads_numpy
-
-
-def warmup() -> None:
-    """Trigger JIT compilation on a token batch (no-op on the numpy path)."""
-    vs = np.zeros((2, 4))
-    vo = np.zeros((2, 4))
-    msc = np.zeros((2, 2))
-    ma = np.zeros((2, 1))
-    mb = np.zeros((2, 1))
-    idx = np.zeros(2, dtype=np.int64)
-    bilinear_scores(vs, vo, msc, ma, mb)
-    accumulate_grads(vs, vo, msc, ma, mb, np.zeros(2), idx, idx, idx,
-                     np.zeros((1, 4)), np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 1)))
+    grad_rot = np.zeros((n_rel, ma.shape[1], 2))
+    np.add.at(grad_rot[..., 0], rr, r * (sx * ox + sy * oy))
+    np.add.at(grad_rot[..., 1], rr, r * (sy * ox - sx * oy))
+    return grad_ent, grad_sc, grad_rot

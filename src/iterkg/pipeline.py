@@ -17,7 +17,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from . import kernels
 from .axioms import (
     AxiomType, PoolConfig, PooledAxiom, ScoredAxiom, generate_pool, induce_axioms, write_axioms,
 )
@@ -274,7 +273,6 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
     known = set(kg.triples) | set(valid) | set(test)
 
     os.makedirs(config.out_dir, exist_ok=True)
-    kernels.warmup()
 
     pool = generate_pool(kg, config.pool, phase_rng(config.seed, 0, "pool"))
 
@@ -368,7 +366,7 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
         hybrid = link_prediction_with_axioms(model, known, test, axiom_set, table.freq)
         report["link_prediction"] = plain.to_dict()
         report["link_prediction_with_axioms"] = hybrid.to_dict()
-    report["rules"] = summarize_rules(kg, scored)
+    report["rules"] = summarize_rules(hc_values, scored)
     with open(os.path.join(config.out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -29,6 +29,37 @@ def dense_block_matrix(scalars, rotations):
     return out
 
 
+def accumulate_grads_loops(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent, n_rel):
+    """Gradient scatter one example and one coordinate at a time.
+
+    Same signature and result as ``iterkg.kernels.accumulate_grads``:
+    ``(grad_ent, grad_sc, grad_rot)``.
+    """
+    B, d = vs.shape
+    ns, nb = msc.shape[1], ma.shape[1]
+    grad_ent = np.zeros((n_ent, d))
+    grad_sc = np.zeros((n_rel, ns))
+    grad_rot = np.zeros((n_rel, nb, 2))
+    for i in range(B):
+        e_s, e_o, e_r, g = es[i], eo[i], rr[i], rho[i]
+        for j in range(ns):
+            grad_ent[e_s, j] += g * msc[i, j] * vo[i, j]
+            grad_ent[e_o, j] += g * msc[i, j] * vs[i, j]
+            grad_sc[e_r, j] += g * vs[i, j] * vo[i, j]
+        for k in range(nb):
+            x = ns + 2 * k
+            y = x + 1
+            a, b = ma[i, k], mb[i, k]
+            sx, sy, ox, oy = vs[i, x], vs[i, y], vo[i, x], vo[i, y]
+            grad_ent[e_s, x] += g * (a * ox - b * oy)
+            grad_ent[e_s, y] += g * (a * oy + b * ox)
+            grad_ent[e_o, x] += g * (a * sx + b * sy)
+            grad_ent[e_o, y] += g * (a * sy - b * sx)
+            grad_rot[e_r, k, 0] += g * (sx * ox + sy * oy)
+            grad_rot[e_r, k, 1] += g * (sy * ox - sx * oy)
+    return grad_ent, grad_sc, grad_rot
+
+
 def enumerate_supports(triples, axiom, n_entities):
     """Count supports by looping over every variable assignment."""
     tset = set(map(tuple, triples))

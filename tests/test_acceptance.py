@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-summary.  Numba JIT compilation is warmed up once beforehand so the stated
-runtime budgets measure the algorithms, not compiler latency.
+summary.
 """
 
 import json
@@ -13,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from iterkg import kernels
 from iterkg.axioms import (
     Axiom, AxiomType, PoolConfig, generate_pool, min_sample_size, sample_size_grid_sup,
 )
@@ -32,11 +30,6 @@ from oracles import (
     dense_block_matrix, enumerate_groundings, enumerate_head_coverage,
     enumerate_supports, random_graph, rank_by_sort,
 )
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    kernels.warmup()
 
 
 def report(name, elapsed, budget):

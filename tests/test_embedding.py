@@ -20,6 +20,12 @@ def tiny_kg(n_ent=5, n_rel=2):
     return KnowledgeGraph(triples, ents, rels)
 
 
+def complete_kg():
+    # complete graph over 2 entities and 1 relation: no negative exists
+    ents, rels = Vocabulary("ab"), Vocabulary("r")
+    return KnowledgeGraph([Triple(a, 0, b) for a in range(2) for b in range(2)], ents, rels)
+
+
 class TestConfig:
     def test_default_layout(self):
         cfg = TrainConfig(dim=200)
@@ -110,12 +116,29 @@ class TestNegatives:
             assert lt.triple != kg.triples[0]
 
     def test_exhaustion_flag_on_pathological_graph(self):
-        # complete graph over 2 entities and 1 relation: no negative exists
-        ents, rels = Vocabulary("ab"), Vocabulary("r")
-        triples = [Triple(a, 0, b) for a in range(2) for b in range(2)]
-        kg = KnowledgeGraph(triples, ents, rels)
+        kg = complete_kg()
         negs, exhausted = sample_negatives(kg, Triple(0, 0, 1), 4, np.random.default_rng(0))
         assert exhausted and len(negs) < 4
+
+    def test_epoch_warns_when_negatives_run_out(self, caplog):
+        kg = complete_kg()  # every graph triple exhausts its retries
+        cfg = TrainConfig(dim=4, n_negatives=2, batch_size=2, seed=0)
+        model = init_model(2, 1, cfg)
+        with caplog.at_level("WARNING", logger="iterkg.embedding"):
+            train_epoch(model, [LabeledTriple(t, 1.0) for t in kg.triples], kg, cfg,
+                        np.random.default_rng(0))
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "for 4 graph triples" in warnings[0].getMessage()
+
+    def test_epoch_silent_when_negatives_suffice(self, caplog):
+        kg = tiny_kg()
+        cfg = TrainConfig(dim=4, n_negatives=3, seed=0)
+        model = init_model(kg.n_entities, kg.n_relations, cfg)
+        with caplog.at_level("WARNING", logger="iterkg.embedding"):
+            train_epoch(model, [LabeledTriple(t, 1.0) for t in kg.triples], kg, cfg,
+                        np.random.default_rng(0))
+        assert not caplog.records
 
     def test_corrupted_position_roughly_uniform(self):
         # chi-square against uniform thirds at the 0.001 level (crit 13.8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iterkg.axioms import Axiom, AxiomType, ScoredAxiom
-from iterkg.embedding import TrainConfig, init_model
+from iterkg.embedding import TrainConfig, init_model, raw_scores
 from iterkg.evaluation import (
     candidate_scores, head_coverage, link_prediction, link_prediction_with_axioms,
     rank_entity_side, summarize_rules,
@@ -21,6 +21,24 @@ def graph(triples, n_ent=None, n_rel=None):
     ents = Vocabulary(f"e{i}" for i in range(n_ent))
     rels = Vocabulary(f"r{i}" for i in range(n_rel))
     return KnowledgeGraph([Triple(*t) for t in triples], ents, rels)
+
+
+@pytest.mark.parametrize("layout", [(8, 0), (0, 4), (2, 3)])
+def test_candidate_scores_equal_scores_of_substituted_triples(layout):
+    n_scalars, n_blocks = layout
+    n_ent = 7
+    cfg = TrainConfig(dim=n_scalars + 2 * n_blocks, n_scalars=n_scalars, seed=4)
+    model = init_model(n_ent, 3, cfg)
+    ents = np.arange(n_ent)
+    for t in (Triple(0, 1, 5), Triple(3, 2, 3), Triple(6, 0, 2)):
+        same = np.full(n_ent, t.relation)
+        subject_side = raw_scores(model, ents, same, np.full(n_ent, t.object))
+        object_side = raw_scores(model, np.full(n_ent, t.subject), same, ents)
+        # a dot product against the fused form: equal up to summation order
+        np.testing.assert_allclose(candidate_scores(model, t, "subject"), subject_side,
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(candidate_scores(model, t, "object"), object_side,
+                                   rtol=1e-12, atol=1e-15)
 
 
 def sort_oracle_rank(model, known, t, side, mode):
@@ -217,21 +235,29 @@ class TestSummarizeRules:
         return [ScoredAxiom(Axiom(AxiomType.SYMMETRIC, (0,)), 2, 2, 0.0, 1.0),
                 ScoredAxiom(Axiom(AxiomType.SYMMETRIC, (1,)), 2, 3, 1.0, 0.0)]
 
+    def hcs(self, kg):
+        return [head_coverage(kg, sa.axiom) for sa in self.scored_pool(kg)]
+
     def test_all_high_quality_counted(self):
         kg = graph([(0, 0, 1), (1, 0, 0), (2, 1, 3), (3, 1, 2)])
-        summary = summarize_rules(kg, self.scored_pool(kg), hc_threshold=0.7)
+        summary = summarize_rules(self.hcs(kg), self.scored_pool(kg), hc_threshold=0.7)
         assert summary["high_quality_count"] == 2
 
     def test_strict_threshold_at_one_selects_nothing(self):
         kg = graph([(0, 0, 1), (1, 0, 0), (2, 1, 3), (3, 1, 2)])
-        summary = summarize_rules(kg, self.scored_pool(kg), score_grid=[1.0])
+        summary = summarize_rules(self.hcs(kg), self.scored_pool(kg), score_grid=[1.0])
         assert summary["curve"][0]["selected_fraction"] == 0.0
 
     def test_curve_matches_hand_enumeration(self):
         kg = graph([(0, 0, 1), (1, 0, 0), (2, 1, 3), (3, 1, 2), (4, 1, 5)])
         # HC: symmetric(r0)=1.0 (HQ), symmetric(r1)=2/3 (not HQ at 0.7)
-        summary = summarize_rules(kg, self.scored_pool(kg), hc_threshold=0.7, score_grid=[0.5])
+        summary = summarize_rules(self.hcs(kg), self.scored_pool(kg), hc_threshold=0.7, score_grid=[0.5])
         assert summary["high_quality_count"] == 1
         point = summary["curve"][0]
         assert point["selected_fraction"] == 0.5  # only the score-1.0 axiom
         assert point["hq_coverage"] == 1.0        # and it is the HQ one
+
+    def test_head_coverage_count_must_match_pool(self):
+        kg = graph([(0, 0, 1), (1, 0, 0), (2, 1, 3), (3, 1, 2)])
+        with pytest.raises(ValueError):
+            summarize_rules([1.0], self.scored_pool(kg))

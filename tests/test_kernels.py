@@ -1,24 +1,25 @@
-"""The numba fast path and the numpy fallback must agree."""
+"""The numpy kernels against per-example loops and dense matrices."""
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterkg import kernels
 
+from oracles import accumulate_grads_loops, dense_block_matrix
 
-def make_batch(rng, B=64, n_ent=20, n_rel=5, ns=6, nb=3):
+# layouts (n_scalars, n_blocks) with at least one coordinate, pure scalar
+# and pure rotation included
+layouts = st.tuples(st.integers(0, 4), st.integers(0, 3)).filter(lambda l: sum(l) > 0)
+
+
+def make_batch(rng, B, ns, nb, n_rel):
     d = ns + 2 * nb
-    ent = rng.normal(size=(n_ent, d))
     sc = rng.normal(size=(n_rel, ns))
     rot = rng.normal(size=(n_rel, nb, 2))
-    s = rng.integers(n_ent, size=B)
     r = rng.integers(n_rel, size=B)
-    o = rng.integers(n_ent, size=B)
-    vs, vo = ent[s], ent[o]
-    msc = sc[r]
-    ma = np.ascontiguousarray(rot[r, :, 0])
-    mb = np.ascontiguousarray(rot[r, :, 1])
-    return vs, vo, msc, ma, mb, s, r, o, n_ent, n_rel
+    vs, vo = rng.normal(size=(B, d)), rng.normal(size=(B, d))
+    return vs, vo, sc[r], rot[r, :, 0], rot[r, :, 1], r
 
 
 def test_sigmoid_stable_and_bounded():
@@ -29,37 +30,33 @@ def test_sigmoid_stable_and_bounded():
     assert np.all(np.diff(y) >= 0)
 
 
-@pytest.mark.skipif(not kernels.NUMBA_ACTIVE, reason="numba path not active")
-def test_scores_jit_matches_numpy():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        vs, vo, msc, ma, mb, *_ = make_batch(rng)
-        np.testing.assert_allclose(
-            kernels.bilinear_scores_jit(vs, vo, msc, ma, mb),
-            kernels.bilinear_scores_numpy(vs, vo, msc, ma, mb),
-            rtol=1e-12, atol=1e-12,
-        )
+@settings(max_examples=60, deadline=None)
+@given(layout=layouts, B=st.integers(1, 24), n_ent=st.integers(1, 6), n_rel=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_accumulate_grads_matches_loops(layout, B, n_ent, n_rel, seed):
+    ns, nb = layout
+    rng = np.random.default_rng(seed)
+    vs, vo, msc, ma, mb, rr = make_batch(rng, B, ns, nb, n_rel)
+    rho = rng.normal(size=B) / B
+    es, eo = rng.integers(n_ent, size=B), rng.integers(n_ent, size=B)
+    args = (vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent, n_rel)
+    got = kernels.accumulate_grads(*args)
+    want = accumulate_grads_loops(*args)
+    assert [g.shape for g in got] == [(n_ent, ns + 2 * nb), (n_rel, ns), (n_rel, nb, 2)]
+    for g, w in zip(got, want):
+        # same products, summed in another order: a few ulp per added term
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.skipif(not kernels.NUMBA_ACTIVE, reason="numba path not active")
-def test_grads_jit_matches_numpy():
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        vs, vo, msc, ma, mb, s, r, o, n_ent, n_rel = make_batch(rng)
-        B = len(s)
-        rho = rng.normal(size=B) / B
-        ent_ids, inv = np.unique(np.concatenate([s, o]), return_inverse=True)
-        rel_ids, rinv = np.unique(r, return_inverse=True)
-        shapes = [(len(ent_ids), vs.shape[1]), (len(rel_ids), msc.shape[1]),
-                  (len(rel_ids), ma.shape[1]), (len(rel_ids), ma.shape[1])]
-        out_jit = [np.zeros(sh) for sh in shapes]
-        out_np = [np.zeros(sh) for sh in shapes]
-        kernels.accumulate_grads_jit(vs, vo, msc, ma, mb, rho, inv[:B], inv[B:], rinv, *out_jit)
-        kernels.accumulate_grads_numpy(vs, vo, msc, ma, mb, rho, inv[:B], inv[B:], rinv, *out_np)
-        for a, b in zip(out_jit, out_np):
-            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
-
-
-def test_env_flag_documented_name():
-    # the fallback switch promised in the module docs
-    assert "ITERKG_NO_NUMBA" in (kernels.__doc__ or "")
+@settings(max_examples=40, deadline=None)
+@given(layout=layouts, B=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_relation_matvec_matches_dense(layout, B, seed):
+    ns, nb = layout
+    rng = np.random.default_rng(seed)
+    _, v, msc, ma, mb, _ = make_batch(rng, B, ns, nb, 3)
+    for i in range(B):
+        dense = dense_block_matrix(msc[i], np.stack([ma[i], mb[i]], axis=1))
+        np.testing.assert_allclose(kernels.relation_matvec(msc[i], ma[i], mb[i], v[i]),
+                                   dense @ v[i], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(kernels.relation_matvec(msc, ma, mb, v, transpose=True)[i],
+                                   dense.T @ v[i], rtol=1e-12, atol=1e-12)
