@@ -7,8 +7,9 @@ from .kg import (
     build_graph, entity_sparsity, load_dataset, load_triples, sparse_entities, sparsify_eval_split,
 )
 from .embedding import (
-    EmbeddingModel, LabeledTriple, TrainConfig, adam_update, compute_loss_and_gradients,
-    init_model, sample_negatives, score_triple, score_triples, train_epoch,
+    EmbeddingModel, LabeledTriple, TrainConfig, TripleBatch, adam_update,
+    compute_loss_and_gradients, init_model, sample_negatives, score_triple, score_triples,
+    train_epoch,
 )
 from .axioms import (
     Axiom, AxiomType, PoolConfig, PooledAxiom, ScoredAxiom, count_support_and_head,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,6 +25,8 @@ import numpy as np
 from .blocks import BlockDiagMatrix
 from .embedding import EmbeddingModel
 from .kg import KnowledgeGraph, Vocabulary
+
+log = logging.getLogger(__name__)
 
 
 class AxiomType(enum.Enum):
@@ -297,7 +300,7 @@ def normalize_scores(pool_raws: Sequence[tuple[PooledAxiom, float]]) -> list[Sco
     The smallest distance of a type maps to score 1, the largest to 0.  A
     type with fewer than two distinct raw values is uncalibrated and scores
     0.5 across the board (below any injection threshold in practical use,
-    but still visible in reports).
+    but still visible in reports); those types are logged at INFO level.
     """
     by_type: dict[AxiomType, list[float]] = {}
     for pa, raw in pool_raws:
@@ -308,6 +311,9 @@ def normalize_scores(pool_raws: Sequence[tuple[PooledAxiom, float]]) -> list[Sco
     for t, raws in by_type.items():
         lo, hi = min(raws), max(raws)
         bounds[t] = (lo, hi) if hi > lo else None
+    uncalibrated = sorted(t.value for t, b in bounds.items() if b is None)
+    if uncalibrated:
+        log.info("uncalibrated axiom types score 0.5: %s", ", ".join(uncalibrated))
     out = []
     for pa, raw in pool_raws:
         b = bounds[pa.axiom.type]

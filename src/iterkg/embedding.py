@@ -5,7 +5,9 @@ block-diagonal matrix (see blocks.py).  Training minimizes the mean
 cross-entropy between triple scores and soft labels: 1 for graph triples,
 0 for sampled negatives, and the axiom score for injected triples.  An L1
 subgradient on batch-touched parameters and sparse Adam updates complete
-the step.  All randomness flows through explicit numpy Generators.
+the step.  Examples travel as int64 id arrays with a label array
+(``TripleBatch``), and negatives are drawn for a whole minibatch at once.
+All randomness flows through explicit numpy Generators.
 """
 
 from __future__ import annotations
@@ -28,6 +30,35 @@ LOG_CLAMP = 1e-12  # floor for log arguments in the cross-entropy
 class LabeledTriple(NamedTuple):
     triple: Triple
     label: float
+
+
+@dataclass(frozen=True)
+class TripleBatch:
+    """Labeled training examples as arrays: ``ids`` (B, 3) int64 rows of
+    (subject, relation, object) and ``labels`` (B,) float64."""
+
+    ids: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __add__(self, other: "TripleBatch") -> "TripleBatch":
+        return TripleBatch(np.concatenate([self.ids, other.ids]),
+                           np.concatenate([self.labels, other.labels]))
+
+    @classmethod
+    def of(cls, triples, labels) -> "TripleBatch":
+        """From any (B, 3) id sequence and B labels."""
+        return cls(np.asarray(triples, dtype=np.int64).reshape(-1, 3),
+                   np.asarray(labels, dtype=np.float64).reshape(-1))
+
+
+def as_batch(examples: TripleBatch | Sequence[LabeledTriple]) -> TripleBatch:
+    """``examples`` as a TripleBatch; a TripleBatch is returned as is."""
+    if isinstance(examples, TripleBatch):
+        return examples
+    return TripleBatch.of([lt.triple for lt in examples], [lt.label for lt in examples])
 
 
 @dataclass
@@ -166,35 +197,45 @@ def score_triple(model: EmbeddingModel, t: Triple) -> float:
 
 
 def sample_negatives(
-    kg: KnowledgeGraph, t: Triple, n: int, rng: np.random.Generator, max_retries: int = 100
-) -> tuple[list[LabeledTriple], bool]:
-    """Corrupt ``t`` into ``n`` negatives labeled 0.
+    kg: KnowledgeGraph, triples: np.ndarray, n: int, rng: np.random.Generator,
+    max_retries: int = 100,
+) -> tuple[np.ndarray, int]:
+    """Corrupt each row of ``triples`` (m, 3) into ``n`` negatives.
 
-    Each negative corrupts one position chosen uniformly from
-    {subject, relation, object}; replacements are uniform over the full
-    vocabulary.  Corruptions that land back in the graph (false negatives)
-    or reproduce ``t`` are resampled up to ``max_retries`` times.  Returns
-    the negatives plus a flag that is True when the retry budget ran out
-    and fewer than ``n`` were produced (pathological tiny graphs).
+    Each negative corrupts one position drawn uniformly from those that have
+    an alternative id (the relation only when the graph has more than one,
+    subject and object only when it has more than one entity); the
+    replacement is uniform over that vocabulary.  All positions and
+    replacements of the batch are drawn at once.  A candidate equal to its
+    source or present in the graph keeps its position and redraws its
+    replacement, together with every other such candidate, for at most
+    ``max_retries`` rounds; candidates still rejected then are dropped.
+
+    Returns ``(negatives, n_exhausted)``: the (k, 3) corruptions, grouped by
+    source row in input order, and the number of source rows that got fewer
+    than ``n``.
     """
-    n_ent, n_rel = kg.n_entities, kg.n_relations
-    negatives: list[LabeledTriple] = []
-    exhausted = False
-    for _ in range(n):
-        pos = int(rng.integers(3))
-        for _ in range(max_retries):
-            if pos == 0:
-                cand = Triple(int(rng.integers(n_ent)), t.relation, t.object)
-            elif pos == 1:
-                cand = Triple(t.subject, int(rng.integers(n_rel)), t.object)
-            else:
-                cand = Triple(t.subject, t.relation, int(rng.integers(n_ent)))
-            if cand != t and not kg.contains(*cand):
-                negatives.append(LabeledTriple(cand, 0.0))
-                break
-        else:
-            exhausted = True
-    return negatives, exhausted
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    src = np.repeat(triples, n, axis=0)
+    if len(src) == 0:
+        return src, 0
+    positions = [p for p, size in ((0, kg.n_entities), (1, kg.n_relations), (2, kg.n_entities))
+                 if size > 1]
+    if not positions:
+        return src[:0], len(triples)
+    pos = np.asarray(positions)[rng.integers(len(positions), size=len(src))]
+    high = np.where(pos == 1, kg.n_relations, kg.n_entities)
+    cand = src.copy()
+    pending = np.arange(len(src))
+    for _ in range(max_retries):
+        p = pos[pending]
+        repl = rng.integers(high[pending])
+        cand[pending, p] = repl
+        rejected = (repl == src[pending, p]) | kg.contains_many(*cand[pending].T)
+        pending = pending[rejected]
+        if len(pending) == 0:
+            break
+    return np.delete(cand, pending, axis=0), len(np.unique(pending // n))
 
 
 @dataclass
@@ -209,7 +250,7 @@ class SparseGrads:
 
 
 def compute_loss_and_gradients(
-    model: EmbeddingModel, batch: Sequence[LabeledTriple], l1_weight: float
+    model: EmbeddingModel, batch: TripleBatch | Sequence[LabeledTriple], l1_weight: float
 ) -> tuple[float, SparseGrads]:
     """Mean cross-entropy over the batch plus L1 on touched parameters.
 
@@ -219,9 +260,9 @@ def compute_loss_and_gradients(
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    arr = np.asarray([lt.triple for lt in batch], dtype=np.int64)
-    labels = np.asarray([lt.label for lt in batch], dtype=np.float64)
-    s, r, o = arr[:, 0], arr[:, 1], arr[:, 2]
+    batch = as_batch(batch)
+    labels = batch.labels
+    s, r, o = batch.ids.T
     B = len(batch)
 
     vs, vo, msc, ma, mb = _gather(model, s, r, o)
@@ -281,7 +322,7 @@ def adam_update(model: EmbeddingModel, grads: SparseGrads, config: TrainConfig) 
 
 def train_epoch(
     model: EmbeddingModel,
-    inputs: Sequence[LabeledTriple],
+    inputs: TripleBatch | Sequence[LabeledTriple],
     kg: KnowledgeGraph,
     config: TrainConfig,
     rng: np.random.Generator,
@@ -289,24 +330,24 @@ def train_epoch(
     """One pass over the labeled inputs; returns the mean batch loss.
 
     Inputs are the graph triples (label 1) plus any injected triples (label
-    = axiom score).  Negatives are drawn on the fly for graph triples only;
-    injected triples train on their soft label alone.  Graph triples whose
-    retry budget ran out before ``n_negatives`` were found are counted and
-    logged as a warning.
+    = axiom score).  Each minibatch draws ``n_negatives`` negatives per
+    graph triple in one ``sample_negatives`` call; injected triples train on
+    their soft label alone.  Graph triples whose retry budget ran out before
+    ``n_negatives`` were found are counted and logged as a warning.
     """
     if len(inputs) == 0:
         raise ValueError("no training inputs")
+    inputs = as_batch(inputs)
     order = rng.permutation(len(inputs))
+    in_graph = kg.contains_many(*inputs.ids.T)
     total, count = 0.0, 0
     n_exhausted = 0
     for start in range(0, len(inputs), config.batch_size):
-        chunk = [inputs[i] for i in order[start : start + config.batch_size]]
-        expanded = list(chunk)
-        for lt in chunk:
-            if kg.contains(*lt.triple):
-                negs, exhausted = sample_negatives(kg, lt.triple, config.n_negatives, rng)
-                expanded.extend(negs)
-                n_exhausted += exhausted
+        idx = order[start : start + config.batch_size]
+        chunk = TripleBatch(inputs.ids[idx], inputs.labels[idx])
+        negs, short = sample_negatives(kg, chunk.ids[in_graph[idx]], config.n_negatives, rng)
+        expanded = chunk + TripleBatch(negs, np.zeros(len(negs)))
+        n_exhausted += short
         loss, grads = compute_loss_and_gradients(model, expanded, config.l1_weight)
         adam_update(model, grads, config)
         total += loss * len(expanded)

@@ -11,11 +11,14 @@ pi(head) = s_axiom exactly.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .axioms import Axiom, AxiomType, ScoredAxiom
 from .kg import KnowledgeGraph, Triple, Vocabulary
+
+log = logging.getLogger(__name__)
 
 Expr = Union["Atom", "Not", "And", "Or", "Implies"]
 
@@ -178,7 +181,8 @@ def inject_triples(
 
     An axiom whose full grounding proposes more than ``max_inferred_per_axiom``
     distinct heads is skipped outright rather than truncated: a single axiom
-    flooding the input would skew the training distribution.  Heads are then
+    flooding the input would skew the training distribution; the number of
+    axioms skipped this way is logged at INFO level.  Heads are then
     filtered to those touching a sparse entity (disable via
     ``restrict_sparse`` to inspect the unfiltered inference), merged across
     axioms keeping the maximum score, and labeled through solve_head_truth.
@@ -186,12 +190,14 @@ def inject_triples(
     """
     best: dict[Triple, ScoredAxiom] = {}
     sources: dict[Triple, list[Axiom]] = {}
+    over_cap = 0
     for sa in scored_axioms:
         if sa.score <= config.score_threshold:
             continue
         groundings = ground_axiom(kg, sa.axiom)
         heads = {g.head for g in groundings}
         if len(heads) > config.max_inferred_per_axiom:
+            over_cap += 1
             continue
         if restrict_sparse:
             heads = {h for h in heads if h.subject in sparse or h.object in sparse}
@@ -199,6 +205,9 @@ def inject_triples(
             if h not in best or sa.score > best[h].score:
                 best[h] = sa
             sources.setdefault(h, []).append(sa.axiom)
+    if over_cap:
+        log.info("skipped %d axioms inferring more than max_inferred_per_axiom=%d heads",
+                 over_cap, config.max_inferred_per_axiom)
     out = []
     for triple in sorted(best):
         sa = best[triple]

@@ -1,11 +1,11 @@
 """Hot numeric kernels of the block-diagonal bilinear model, in numpy.
 
-Training spends nearly all of its time in two places: the blockwise bilinear
-form over a minibatch, and the scatter-accumulation of per-triple gradients
-into shared embedding rows (entities and relations repeat within a batch, so
-this is an indexed reduction, done with ``np.add.at``).  Ranking and the
-entity gradients both apply a relation matrix, or its transpose, to a batch
-of vectors; ``relation_matvec`` is that product.
+Training spends most of its time in two places: the blockwise bilinear form
+over a minibatch, and the scatter-accumulation of per-triple gradients into
+shared embedding rows (entities and relations repeat within a batch, so this
+is an indexed reduction, done with one ``np.bincount`` per gradient column).
+Ranking and the entity gradients both apply a relation matrix, or its
+transpose, to a batch of vectors; ``relation_matvec`` is that product.
 
 Entity vectors are laid out to match the dense block pattern: coordinates
 ``[0, n_scalars)`` align with the scalar diagonal, then block j occupies the
@@ -63,29 +63,37 @@ def relation_matvec(msc, ma, mb, v, transpose: bool = False) -> np.ndarray:
     return out
 
 
+def _scatter_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray, scale: np.ndarray) -> None:
+    """out[idx[i]] += scale[i] * rows[i] for every i, one ``np.bincount`` per
+    column.  Columns of ``rows`` are read where they lie, strided or not; no
+    array of the size of ``rows`` is built."""
+    n = out.shape[0]
+    for j in range(rows.shape[1]):
+        out[:, j] += np.bincount(idx, rows[:, j] * scale, n)
+
+
 def accumulate_grads(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent: int, n_rel: int):
     """Scatter d(loss)/d(params) into compacted per-batch gradient rows.
 
     ``rho`` (B,) is each example's residual (phi - label) / B; ``es``/``eo``
     index rows of the (n_ent, d) entity gradient and ``rr`` rows of the
     relation gradients.  Returns ``(grad_ent, grad_sc, grad_rot)`` with
-    ``grad_rot`` of shape (n_rel, n_blocks, 2), the layout of ``rel_rot``.
+    ``grad_rot`` of shape (n_rel, n_blocks, 2), the layout of ``rel_rot``;
+    ``grad_sc`` and ``grad_rot`` are views of one (n_rel, d) array.
     """
-    ns = msc.shape[1]
-    r = rho[:, None]
+    ns, d = msc.shape[1], vs.shape[1]
+    # d(rho v_s^T M v_o) is rho M v_o for v_s and rho M^T v_s for v_o
+    grad_ent = np.zeros((n_ent, d))
+    _scatter_rows(grad_ent, es, relation_matvec(msc, ma, mb, vo), rho)
+    _scatter_rows(grad_ent, eo, relation_matvec(msc, ma, mb, vs, transpose=True), rho)
+
+    # one row per example in the layout of (scalars, rot): the scalar
+    # slots' v_s * v_o, then each block's a and b components
     sx, sy = vs[:, ns::2], vs[:, ns + 1 :: 2]
     ox, oy = vo[:, ns::2], vo[:, ns + 1 :: 2]
-
-    # d(rho v_s^T M v_o) is (rho M) v_o for v_s and (rho M)^T v_s for v_o
-    rm = (r * msc, r * ma, r * mb)
-    grad_ent = np.zeros((n_ent, vs.shape[1]))
-    np.add.at(grad_ent, es, relation_matvec(*rm, vo))
-    np.add.at(grad_ent, eo, relation_matvec(*rm, vs, transpose=True))
-
-    grad_sc = np.zeros((n_rel, ns))
-    np.add.at(grad_sc, rr, r * vs[:, :ns] * vo[:, :ns])
-
-    grad_rot = np.zeros((n_rel, ma.shape[1], 2))
-    np.add.at(grad_rot[..., 0], rr, r * (sx * ox + sy * oy))
-    np.add.at(grad_rot[..., 1], rr, r * (sy * ox - sx * oy))
-    return grad_ent, grad_sc, grad_rot
+    rows = vs * vo
+    rows[:, ns::2] += rows[:, ns + 1 :: 2]  # a: sx*ox + sy*oy
+    rows[:, ns + 1 :: 2] = sy * ox - sx * oy  # b
+    grad_rel = np.zeros((n_rel, d))
+    _scatter_rows(grad_rel, rr, rows, rho)
+    return grad_ent, grad_rel[:, :ns], grad_rel[:, ns:].reshape(n_rel, ma.shape[1], 2)

@@ -8,9 +8,11 @@ generation are reproducible regardless of input file ordering.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -115,7 +117,9 @@ class KnowledgeGraph:
     Duplicate triples are removed at construction (first occurrence kept).
     Indices support the joins used by axiom support counting and grounding;
     they are plain dict-of-set structures rebuilt deterministically from the
-    triple list.  Do not mutate after construction.
+    triple list.  Batched membership (``contains_many``) searches a sorted
+    array of packed int64 keys, built on first use.  Do not mutate after
+    construction.
     """
 
     def __init__(self, triples: Sequence[Triple], entities: Vocabulary, relations: Vocabulary):
@@ -171,6 +175,38 @@ class KnowledgeGraph:
 
     def contains(self, s: int, r: int, o: int) -> bool:
         return Triple(s, r, o) in self._members
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """(n, 3) int64 array of the triples, one (s, r, o) row each, in order."""
+        flat = itertools.chain.from_iterable(self.triples)
+        return np.fromiter(flat, dtype=np.int64, count=3 * len(self.triples)).reshape(-1, 3)
+
+    @cached_property
+    def _sorted_keys(self) -> np.ndarray:
+        if self.n_entities ** 2 * self.n_relations > np.iinfo(np.int64).max:
+            raise OverflowError(
+                f"{self.n_entities} entities x {self.n_relations} relations overflow int64 triple keys")
+        return np.sort(self._pack(*self.ids.T))
+
+    def _pack(self, s: np.ndarray, r: np.ndarray, o: np.ndarray) -> np.ndarray:
+        return (s * self.n_relations + r) * self.n_entities + o
+
+    def contains_many(self, s: np.ndarray, r: np.ndarray, o: np.ndarray) -> np.ndarray:
+        """Boolean mask: which (s[i], r[i], o[i]) are graph triples.
+
+        One ``np.searchsorted`` of the packed keys ``(s*n_rel + r)*n_ent + o``
+        into the sorted key array; out-of-range ids are never members.
+        """
+        s, r, o = (np.asarray(a, dtype=np.int64) for a in (s, r, o))
+        keys = self._sorted_keys
+        valid = ((0 <= s) & (s < self.n_entities) & (0 <= o) & (o < self.n_entities)
+                 & (0 <= r) & (r < self.n_relations))
+        if len(keys) == 0:
+            return np.zeros(valid.shape, dtype=bool)
+        q = self._pack(s, r, o)
+        pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+        return valid & (keys[pos] == q)
 
     def objects_of(self, s: int, r: int) -> list[int]:
         return sorted(self._so.get((s, r), ()))

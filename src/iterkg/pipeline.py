@@ -20,7 +20,7 @@ import numpy as np
 from .axioms import (
     AxiomType, PoolConfig, PooledAxiom, ScoredAxiom, generate_pool, induce_axioms, write_axioms,
 )
-from .embedding import AdamState, EmbeddingModel, LabeledTriple, TrainConfig, init_model, train_epoch
+from .embedding import AdamState, EmbeddingModel, TrainConfig, TripleBatch, init_model, train_epoch
 from .evaluation import head_coverage, link_prediction, link_prediction_with_axioms, summarize_rules
 from .injection import InferredTriple, InjectionConfig, inject_triples, write_injected_tsv
 from .kg import KnowledgeGraph, Triple, entity_sparsity, load_dataset, sparse_entities
@@ -302,13 +302,14 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
         if start_iter > config.iterations:
             raise ValueError(f"checkpoint already covers all {config.iterations} iterations")
 
-    base_inputs = [LabeledTriple(t, 1.0) for t in kg.triples]
+    graph_batch = TripleBatch(kg.ids, np.ones(len(kg)))
     records: list[IterationRecord] = []
     scored: list[ScoredAxiom] = []
 
     for it in range(start_iter, config.iterations + 1):
         rng = phase_rng(config.seed, it, "train")
-        inputs = base_inputs + [LabeledTriple(inj.triple, inj.truth) for inj in injected]
+        inputs = graph_batch + TripleBatch.of([inj.triple for inj in injected],
+                                              [inj.truth for inj in injected])
         losses = [
             train_epoch(model, inputs, kg, config.train, rng)
             for _ in range(config.train.epochs_per_iteration)

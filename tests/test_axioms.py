@@ -207,6 +207,21 @@ class TestNormalization:
         scored = normalize_scores([(pooled(Axiom(AxiomType.SYMMETRIC, (0,))), 3.3)])
         assert scored[0].score == 0.5
 
+    def test_uncalibrated_types_are_logged(self, caplog):
+        entries = [(pooled(Axiom(AxiomType.SYMMETRIC, (0,))), 3.3),
+                   (pooled(Axiom(AxiomType.INVERSE, (0, 1))), 2.0),
+                   (pooled(Axiom(AxiomType.INVERSE, (1, 0))), 2.0),
+                   (pooled(Axiom(AxiomType.REFLEXIVE, (0,))), 1.0),
+                   (pooled(Axiom(AxiomType.REFLEXIVE, (1,))), 2.0)]
+        with caplog.at_level("INFO", logger="iterkg.axioms"):
+            normalize_scores(entries)
+        assert [r.getMessage() for r in caplog.records] == [
+            "uncalibrated axiom types score 0.5: inverse, symmetric"]
+        caplog.clear()
+        with caplog.at_level("INFO", logger="iterkg.axioms"):
+            normalize_scores(entries[3:])
+        assert not caplog.records
+
     def test_types_normalized_independently(self):
         ref = [(pooled(Axiom(AxiomType.REFLEXIVE, (r,))), raw) for r, raw in enumerate((1.0, 3.0))]
         inv = [(pooled(Axiom(AxiomType.INVERSE, (0, 1))), 10.0),

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from iterkg import embedding
 from iterkg.embedding import (
     LabeledTriple, SparseGrads, TrainConfig, adam_update, compute_loss_and_gradients,
     init_model, raw_scores, sample_negatives, score_triple, score_triples, train_epoch,
@@ -104,21 +107,42 @@ class TestScore:
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def single_relation_kg(n_ent=200, n_triples=1000, seed=3):
+    rng = np.random.default_rng(seed)
+    triples = [Triple(int(a), 0, int(b)) for a, b in rng.integers(n_ent, size=(n_triples, 2))]
+    return KnowledgeGraph(triples, Vocabulary(f"e{i}" for i in range(n_ent)), Vocabulary("r"))
+
+
+def recording(monkeypatch, name):
+    """Wrap ``embedding.<name>`` so every call's (args, result) is kept."""
+    calls = []
+    real = getattr(embedding, name)
+
+    def wrapper(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(embedding, name, wrapper)
+    return calls
+
+
 class TestNegatives:
     def test_count_and_membership(self):
         kg = tiny_kg()
         rng = np.random.default_rng(0)
-        negs, exhausted = sample_negatives(kg, kg.triples[0], 6, rng)
-        assert len(negs) == 6 and not exhausted
-        for lt in negs:
-            assert lt.label == 0.0
-            assert not kg.contains(*lt.triple)
-            assert lt.triple != kg.triples[0]
+        t = kg.triples[0]
+        negs, n_exhausted = sample_negatives(kg, np.array([t]), 6, rng)
+        assert negs.shape == (6, 3) and n_exhausted == 0
+        for row in negs:
+            assert not kg.contains(*row)
+            assert tuple(row) != t
 
     def test_exhaustion_flag_on_pathological_graph(self):
         kg = complete_kg()
-        negs, exhausted = sample_negatives(kg, Triple(0, 0, 1), 4, np.random.default_rng(0))
-        assert exhausted and len(negs) < 4
+        negs, n_exhausted = sample_negatives(kg, np.array([Triple(0, 0, 1)]), 4,
+                                             np.random.default_rng(0))
+        assert n_exhausted == 1 and len(negs) < 4
 
     def test_epoch_warns_when_negatives_run_out(self, caplog):
         kg = complete_kg()  # every graph triple exhausts its retries
@@ -140,6 +164,36 @@ class TestNegatives:
                         np.random.default_rng(0))
         assert not caplog.records
 
+    def test_single_relation_graph_never_exhausts(self, caplog, monkeypatch):
+        # corrupting the only relation can only reproduce the source triple
+        kg = single_relation_kg()
+        cfg = TrainConfig(dim=4, n_negatives=6, batch_size=256, seed=0)
+        calls = recording(monkeypatch, "sample_negatives")
+        with caplog.at_level("WARNING", logger="iterkg.embedding"):
+            train_epoch(init_model(kg.n_entities, 1, cfg),
+                        [LabeledTriple(t, 1.0) for t in kg.triples], kg, cfg,
+                        np.random.default_rng(0))
+        assert not caplog.records
+        assert calls and all(n_exhausted == 0 for _, (_, n_exhausted) in calls)
+        assert sum(len(negs) for _, (negs, _) in calls) == 6 * len(kg)
+        assert all((negs[:, 1] == 0).all() for _, (negs, _) in calls)
+
+    def test_epoch_trains_graph_triples_with_zero_labeled_negatives(self, monkeypatch):
+        kg = tiny_kg()
+        cfg = TrainConfig(dim=4, n_negatives=3, seed=0)
+        injected = LabeledTriple(Triple(3, 1, 0), 0.8)  # not a graph triple: no negatives
+        calls = recording(monkeypatch, "compute_loss_and_gradients")
+        inputs = [LabeledTriple(t, 1.0) for t in kg.triples] + [injected]
+        train_epoch(init_model(kg.n_entities, kg.n_relations, cfg), inputs, kg, cfg,
+                    np.random.default_rng(0))
+        (_, batch, _), _ = calls[0]
+        assert len(calls) == 1 and len(batch) == len(inputs) + 3 * len(kg)
+        inputs_seen = sorted(zip(map(tuple, batch.ids[: len(inputs)].tolist()),
+                                 batch.labels[: len(inputs)]))
+        assert inputs_seen == sorted((tuple(lt.triple), lt.label) for lt in inputs)
+        assert not any(kg.contains(*row) for row in batch.ids[len(inputs):].tolist())
+        assert np.all(batch.labels[len(inputs):] == 0.0)
+
     def test_corrupted_position_roughly_uniform(self):
         # chi-square against uniform thirds at the 0.001 level (crit 13.8)
         kg = tiny_kg(n_ent=30, n_rel=8)
@@ -147,16 +201,54 @@ class TestNegatives:
         counts = np.zeros(3)
         t = kg.triples[0]
         for _ in range(2500):
-            negs, _ = sample_negatives(kg, t, 4, rng)
-            for lt in negs:
-                changed = [lt.triple.subject != t.subject,
-                           lt.triple.relation != t.relation,
-                           lt.triple.object != t.object]
+            negs, _ = sample_negatives(kg, np.array([t]), 4, rng)
+            for row in negs:
+                changed = [row[0] != t.subject, row[1] != t.relation, row[2] != t.object]
                 assert sum(changed) == 1
                 counts[changed.index(True)] += 1
         total = counts.sum()
         chi2 = float(np.sum((counts - total / 3) ** 2 / (total / 3)))
         assert chi2 < 13.8
+
+
+@st.composite
+def sampler_case(draw):
+    """A random graph and sources that pairwise differ in all three ids, so
+    each one-position corruption has exactly one source it can come from."""
+    n_ent, n_rel = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    ids = st.tuples(st.integers(0, n_ent - 1), st.integers(0, n_rel - 1), st.integers(0, n_ent - 1))
+    triples = draw(st.lists(ids, max_size=60))
+    m = draw(st.integers(0, min(n_ent, n_rel)))
+
+    def distinct(k):
+        return draw(st.permutations(range(k)))[:m]
+
+    sources = np.array(list(zip(distinct(n_ent), distinct(n_rel), distinct(n_ent))), dtype=np.int64)
+    kg = KnowledgeGraph([Triple(*t) for t in triples],
+                        Vocabulary(f"e{i}" for i in range(n_ent)),
+                        Vocabulary(f"r{i}" for i in range(n_rel)))
+    return kg, sources.reshape(-1, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sampler_case(), n=st.integers(0, 5), max_retries=st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_sampler_rows_are_one_position_corruptions_outside_the_graph(
+        case, n, max_retries, seed):
+    kg, sources = case
+    negs, n_exhausted = sample_negatives(kg, sources, n, np.random.default_rng(seed), max_retries)
+    assert negs.shape[1:] == (3,) and negs.dtype == np.int64
+    assert not any(kg.contains(*row) for row in negs.tolist())
+    differs = negs[:, None, :] != sources[None, :, :]         # (k, m, 3)
+    one_off = differs.sum(axis=2) == 1                        # (k, m)
+    assert np.all(one_off.sum(axis=1) == 1), "each row corrupts exactly one source in one position"
+    owner = np.nonzero(one_off)[1]
+    assert np.all(np.diff(owner) >= 0), "rows are grouped by source in input order"
+    per_source = np.bincount(owner, minlength=len(sources))
+    assert np.all(per_source <= n)
+    assert n_exhausted == int(np.sum(per_source < n))
+    if kg.n_relations == 1:
+        assert not np.any(differs[np.arange(len(negs)), owner, 1])
 
 
 def finite_difference_check(model, batch, l1, h=1e-5, tol=1e-4):

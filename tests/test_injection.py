@@ -157,6 +157,21 @@ class TestInjection:
         assert inject_triples(kg, [ax], set(range(11)), self.config(cap=5)) == []
         assert len(inject_triples(kg, [ax], set(range(11)), self.config(cap=10))) == 10
 
+    def test_cap_skips_are_logged_once_per_call(self, caplog):
+        kg = graph([(i, 0, i + 1) for i in range(10)] + [(0, 1, 1)])
+        axioms = [scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.95),       # 10 heads: over
+                  scored(Axiom(AxiomType.TRANSITIVE, (0,)), 0.95),      # 9 heads: over
+                  scored(Axiom(AxiomType.SYMMETRIC, (1,)), 0.95)]       # 1 head: kept
+        with caplog.at_level("INFO", logger="iterkg.injection"):
+            out = inject_triples(kg, axioms, set(range(11)), self.config(cap=5))
+        assert [it.triple for it in out] == [Triple(1, 1, 0)]
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipped 2 axioms inferring more than max_inferred_per_axiom=5 heads"]
+        caplog.clear()
+        with caplog.at_level("INFO", logger="iterkg.injection"):
+            inject_triples(kg, axioms, set(range(11)), self.config(cap=10))
+        assert not caplog.records
+
     def test_sparse_filter(self):
         kg = graph([(0, 0, 1), (2, 0, 3)])
         ax = scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.95)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterkg.kg import (
-    ParseError, Triple, Vocabulary, VocabularyError,
+    KnowledgeGraph, ParseError, Triple, Vocabulary, VocabularyError,
     build_graph, entity_sparsity, load_triples, sparse_entities, sparsify_eval_split,
 )
 
@@ -87,6 +89,48 @@ class TestBuildGraph:
         kg = build_graph([Triple(0, 0, 1)], ents, rels)
         assert kg.objects_of(0, 1) == []
         assert kg.subjects_of(1, 0) == []
+
+
+@st.composite
+def graph_and_sizes(draw):
+    n_ent, n_rel = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    ids = st.tuples(st.integers(0, n_ent - 1), st.integers(0, n_rel - 1), st.integers(0, n_ent - 1))
+    triples = [Triple(*t) for t in draw(st.lists(ids, max_size=40))]
+    kg = build_graph(triples, Vocabulary(f"e{i}" for i in range(n_ent)),
+                     Vocabulary(f"r{i}" for i in range(n_rel)))
+    return kg, n_ent, n_rel
+
+
+class TestContainsMany:
+    @settings(max_examples=120, deadline=None)
+    @given(case=graph_and_sizes(), order_seed=st.integers(0, 2**32 - 1))
+    def test_matches_contains_on_every_id_triple(self, case, order_seed):
+        # every in-range id triple, so queries below the smallest and above
+        # the largest graph key are included, plus ids just out of range
+        kg, n_ent, n_rel = case
+        grid = np.array([(s, r, o) for s in range(-1, n_ent + 1) for r in range(-1, n_rel + 1)
+                         for o in range(-1, n_ent + 1)], dtype=np.int64)
+        grid = grid[np.random.default_rng(order_seed).permutation(len(grid))]
+        got = kg.contains_many(grid[:, 0], grid[:, 1], grid[:, 2])
+        assert got.dtype == bool and got.shape == (len(grid),)
+        assert got.tolist() == [kg.contains(*map(int, q)) for q in grid]
+
+    def test_empty_query(self):
+        kg = build_graph([Triple(0, 0, 1)], Vocabulary("ab"), Vocabulary("r"))
+        empty = np.zeros(0, dtype=np.int64)
+        assert kg.contains_many(empty, empty, empty).shape == (0,)
+
+    def test_ids_rows_follow_triples(self):
+        kg = build_graph([Triple(1, 0, 0), Triple(0, 0, 1), Triple(1, 0, 0)],
+                         Vocabulary("ab"), Vocabulary("r"))
+        assert kg.ids.dtype == np.int64
+        assert kg.ids.tolist() == [list(t) for t in kg.triples]
+
+    def test_key_overflow_refused(self):
+        # 2**32 entities squared times 3 relations passes int64
+        kg = KnowledgeGraph([Triple(0, 0, 1)], range(2**32), range(3))
+        with pytest.raises(OverflowError):
+            kg.contains_many(np.array([0]), np.array([0]), np.array([1]))
 
 
 def graph_with_pair_freqs(freqs):
