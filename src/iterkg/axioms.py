@@ -1,13 +1,19 @@
-"""Axiom pool generation and embedding-based axiom scoring.
+"""Axiom rules, their joins over the graph, pool generation and scoring.
 
 Seven OWL2 object-property axiom kinds are treated as inference rules over
-graph triples.  Candidate axioms are proposed by sampling a bounded number
-of head triples per relation and completing the rule body from relations
-incident to the sampled entities; candidates with at least two supporting
-groundings enter the pool.  Under the linear-map reading each axiom kind
-implies a matrix equation between relation embeddings, so a pooled axiom is
-scored by the Frobenius distance between the two sides, then min-max
-normalized within its kind (raw magnitudes differ wildly across kinds).
+graph triples.  ``RULES`` writes each kind's rule once, as atoms over the
+variables x, m, y, and two functions join it with the graph: ``rule_join``
+counts supports per triple of one atom (support counting pivots on the
+smallest relation, head coverage on the head), and ``body_assignments``
+enumerates the body instantiations that grounding and injection read.
+
+Candidate axioms are proposed by sampling a bounded number of head triples
+per relation and completing the rule body from relations incident to the
+sampled entities; candidates with at least two supports enter the pool.
+Under the linear-map reading each axiom kind implies a matrix equation
+between relation embeddings, so a pooled axiom is scored by the Frobenius
+distance between the two sides, then min-max normalized within its kind
+(raw magnitudes differ wildly across kinds).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,31 +46,38 @@ class AxiomType(enum.Enum):
 
     @property
     def arity(self) -> int:
+        """Number of relations the axiom names."""
         return _ARITY[self]
 
 
-_ARITY = {
-    AxiomType.REFLEXIVE: 1,
-    AxiomType.SYMMETRIC: 1,
-    AxiomType.TRANSITIVE: 1,
-    AxiomType.EQUIVALENT: 2,
-    AxiomType.SUB_PROPERTY: 2,
-    AxiomType.INVERSE: 2,
-    AxiomType.SUB_PROPERTY_CHAIN: 3,
+_TYPE_ORDER = {t: i for i, t in enumerate(AxiomType)}
+
+# variables of a rule atom, as indices into an assignment (x, m, y)
+X, M, Y = 0, 1, 2
+
+# The rule each axiom type encodes, as atoms (slot, u, v) that read
+# (u, relations[slot], v): the head (x, h, y) first, then the body, which
+# links x and y in either direction through one atom, or leads from x to y
+# through a middle entity m in two atoms, the first reading (x, b1, m).
+# The reflexive rule has no body: its head (x, r, x) ranges over the
+# entities of r.
+RULES = {
+    AxiomType.REFLEXIVE: ((0, X, X),),
+    AxiomType.SYMMETRIC: ((0, X, Y), (0, Y, X)),
+    AxiomType.TRANSITIVE: ((0, X, Y), (0, X, M), (0, M, Y)),
+    AxiomType.EQUIVALENT: ((1, X, Y), (0, X, Y)),
+    AxiomType.SUB_PROPERTY: ((1, X, Y), (0, X, Y)),
+    AxiomType.INVERSE: ((0, X, Y), (1, Y, X)),
+    AxiomType.SUB_PROPERTY_CHAIN: ((2, X, Y), (0, X, M), (1, M, Y)),
 }
 
-_TYPE_ORDER = {t: i for i, t in enumerate(AxiomType)}
+_ARITY = {t: 1 + max(slot for slot, _, _ in atoms) for t, atoms in RULES.items()}
 
 
 class Axiom(tuple):
-    """An axiom kind applied to concrete relations.
-
-    Relation slot conventions:
-      equivalent / sub_property: (body, head) -- rule (x, head, y) <- (x, body, y)
-      inverse:                   (head, body) -- rule (x, head, y) <- (y, body, x)
-      sub_property_chain:        (body1, body2, head)
-                                 -- rule (y0, head, y2) <- (y0, body1, y1), (y1, body2, y2)
-    """
+    """An axiom kind applied to concrete relations, in the slot order of
+    ``RULES``: equivalent / sub_property (body, head), inverse (head, body),
+    sub_property_chain (body1, body2, head)."""
 
     def __new__(cls, type: AxiomType, relations: Sequence[int]):
         relations = tuple(int(r) for r in relations)
@@ -83,14 +96,13 @@ class Axiom(tuple):
         return self[1]
 
     def head_relation(self) -> int:
-        t = self.type
-        if t in (AxiomType.EQUIVALENT, AxiomType.SUB_PROPERTY):
-            return self.relations[1]
-        if t is AxiomType.INVERSE:
-            return self.relations[0]
-        if t is AxiomType.SUB_PROPERTY_CHAIN:
-            return self.relations[2]
-        return self.relations[0]
+        return self.relations[RULES[self.type][0][0]]
+
+    def atoms(self) -> list[tuple[int, int, int]]:
+        """The rule as atoms ``(relation, u, v)`` over the variables X, M, Y,
+        each read ``(u, relation, v)``: the head first, then the body."""
+        rels = self.relations
+        return [(rels[slot], u, v) for slot, u, v in RULES[self.type]]
 
     def sort_key(self) -> tuple:
         return (_TYPE_ORDER[self.type], self.relations)
@@ -168,6 +180,67 @@ def sample_size_grid_sup(
 # ---------------------------------------------------------------------------
 
 
+def _view(kg: KnowledgeGraph, atom: tuple[int, int, int], w: int) -> Callable[[int, int], set[int]]:
+    """The set view, called as ``view(entity, relation)``, that gives the
+    values of variable ``w`` allowed by ``atom`` from its other variable."""
+    return kg.subjects_set if atom[1] == w else kg.objects_set
+
+
+def rule_join(kg: KnowledgeGraph, axiom: Axiom, pivot: int | None = None) -> Iterator[int]:
+    """Supports of the axiom's rule, per triple of one of its atoms.
+
+    A support is an assignment of the rule's variables under which every
+    atom, head included, is a graph triple.  For each triple of the pivot
+    atom (an index into ``axiom.atoms()``, 0 being the head; by default the
+    atom of the smallest relation) this yields the number of supports that
+    extend it: a one-atom body is an edge overlap tested with ``contains``, a
+    two-atom body a triangle whose third variable is the intersection of
+    two set views.
+    """
+    atoms = axiom.atoms()
+    if pivot is None:
+        sizes = [kg.relation_size(rel) for rel, _, _ in atoms]
+        pivot = sizes.index(min(sizes))
+    rel, u, v = atoms.pop(pivot)
+    triples = kg.triples_of(rel)
+    if not atoms:  # reflexive: the head (x, r, x) alone
+        return (s == o for s, _, o in triples)
+    contains = kg.contains
+    if len(atoms) == 1:  # the other atom links the same two variables
+        other, u2, _ = atoms[0]
+        if u2 == u:
+            return (contains(s, other, o) for s, _, o in triples)
+        return (contains(o, other, s) for s, _, o in triples)
+    w = X + M + Y - u - v
+    at_u, at_v = atoms if u in atoms[0][1:] else atoms[::-1]
+    view_u, view_v = _view(kg, at_u, w), _view(kg, at_v, w)
+    rel_u, rel_v = at_u[0], at_v[0]
+    return (len(view_u(s, rel_u) & view_v(o, rel_v)) for s, _, o in triples)
+
+
+def body_assignments(kg: KnowledgeGraph, axiom: Axiom) -> Iterator[tuple[int, int | None, int]]:
+    """Every assignment ``(x, m, y)`` under which the rule's body lies in the graph.
+
+    ``m`` is None for bodies of one atom; the reflexive rule yields
+    ``(e, None, e)`` for every entity e of its relation.  The head
+    ``(x, axiom.head_relation(), y)`` may or may not be in the graph.
+    """
+    body = axiom.atoms()[1:]
+    if not body:
+        for e in kg.entity_occurs_with(axiom.relations[0]):
+            yield e, None, e
+    elif len(body) == 1:
+        rel, u, _ = body[0]
+        for s, _, o in kg.triples_of(rel):
+            yield (s, None, o) if u == X else (o, None, s)
+    else:
+        (rel, _, _), second = body  # the first atom reads (x, rel, m)
+        view, rel2 = _view(kg, second, Y), second[0]
+        for x, _, m in kg.triples_of(rel):
+            for y in view(m, rel2):
+                yield x, m, y
+
+
 def count_support_and_head(kg: KnowledgeGraph, axiom: Axiom) -> tuple[int, int]:
     """(number of supports, number of head-relation triples).
 
@@ -175,49 +248,7 @@ def count_support_and_head(kg: KnowledgeGraph, axiom: Axiom) -> tuple[int, int]:
     axiom counts every intermediate path and a symmetric axiom counts both
     ordered directions of a mutual pair.
     """
-    t = axiom.type
-    rels = axiom.relations
-    head_n = kg.relation_size(axiom.head_relation())
-
-    if t is AxiomType.REFLEXIVE:
-        r = rels[0]
-        n = sum(1 for (s, _, o) in kg.triples_of(r) if s == o)
-    elif t is AxiomType.SYMMETRIC:
-        r = rels[0]
-        n = sum(1 for (s, _, o) in kg.triples_of(r) if kg.contains(o, r, s))
-    elif t is AxiomType.TRANSITIVE:
-        r = rels[0]
-        n = 0
-        for (x, _, y) in kg.triples_of(r):
-            n += len(kg.objects_set(y, r) & kg.objects_set(x, r))
-    elif t in (AxiomType.EQUIVALENT, AxiomType.SUB_PROPERTY):
-        body, head = rels
-        small = body if kg.relation_size(body) <= kg.relation_size(head) else head
-        other = head if small == body else body
-        n = sum(1 for (x, _, y) in kg.triples_of(small) if kg.contains(x, other, y))
-    elif t is AxiomType.INVERSE:
-        head, body = rels
-        if kg.relation_size(body) <= kg.relation_size(head):
-            n = sum(1 for (y, _, x) in kg.triples_of(body) if kg.contains(x, head, y))
-        else:
-            n = sum(1 for (x, _, y) in kg.triples_of(head) if kg.contains(y, body, x))
-    elif t is AxiomType.SUB_PROPERTY_CHAIN:
-        b1, b2, head = rels
-        sizes = {head: kg.relation_size(head), b1: kg.relation_size(b1), b2: kg.relation_size(b2)}
-        pivot = min((sizes[head], 0), (sizes[b1], 1), (sizes[b2], 2))[1]
-        n = 0
-        if pivot == 0:
-            for (y0, _, y2) in kg.triples_of(head):
-                n += len(kg.objects_set(y0, b1) & kg.subjects_set(b2, y2))
-        elif pivot == 1:
-            for (y0, _, y1) in kg.triples_of(b1):
-                n += len(kg.objects_set(y1, b2) & kg.objects_set(y0, head))
-        else:
-            for (y1, _, y2) in kg.triples_of(b2):
-                n += len(kg.subjects_set(b1, y1) & kg.subjects_set(head, y2))
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled axiom type {t}")
-    return n, head_n
+    return sum(rule_join(kg, axiom)), kg.relation_size(axiom.head_relation())
 
 
 # ---------------------------------------------------------------------------

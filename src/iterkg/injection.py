@@ -1,12 +1,15 @@
 """Grounding high-scoring axioms and labeling the inferred triples.
 
 An axiom whose normalized score clears the threshold is grounded over the
-graph: every body instantiation found in the triple set proposes a head
-triple not yet present.  Heads touching at least one sparse entity survive,
-duplicates across axioms merge onto the best contributing score, and each
-surviving triple receives a truth value derived through product t-norm
-fuzzy logic: solving pi(body => head) = s_axiom with unit body truths gives
-pi(head) = s_axiom exactly.
+graph: every body instantiation found in the triple set
+(``axioms.body_assignments``) proposes a head triple not yet present.
+Injection keeps only the distinct heads and builds no ``Grounding``;
+``ground_axiom`` lists every instantiation with its body, for audits.
+Heads touching at least one sparse entity survive, duplicates across axioms
+merge onto the best contributing score, and each surviving triple receives
+a truth value derived through product t-norm fuzzy logic: solving
+pi(body => head) = s_axiom with unit body truths gives pi(head) = s_axiom
+exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import logging
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .axioms import Axiom, AxiomType, ScoredAxiom
+from .axioms import RULES, Axiom, ScoredAxiom, body_assignments
 from .kg import KnowledgeGraph, Triple, Vocabulary
 
 log = logging.getLogger(__name__)
@@ -129,45 +132,30 @@ def ground_axiom(kg: KnowledgeGraph, axiom: Axiom) -> list[Grounding]:
     One grounding per variable assignment: a transitive or chain head
     reachable through several intermediates appears once per path.  Bodies
     range over original graph triples only; inferred triples are never
-    chained within one injection round.
+    chained within one injection round.  This is the audit form of the
+    enumeration ``inject_triples`` reads only the heads of.
     """
-    t = axiom.type
-    rels = axiom.relations
+    (head_rel, _, _), *body = axiom.atoms()
     out: list[Grounding] = []
-
-    def emit(head: Triple, body: tuple[Triple, ...]) -> None:
-        if not kg.contains(*head):
-            out.append(Grounding(head, body, axiom))
-
-    if t is AxiomType.REFLEXIVE:
-        r = rels[0]
-        for e in kg.entity_occurs_with(r):
-            emit(Triple(e, r, e), ())
-    elif t is AxiomType.SYMMETRIC:
-        r = rels[0]
-        for b in kg.triples_of(r):
-            emit(Triple(b.object, r, b.subject), (b,))
-    elif t is AxiomType.TRANSITIVE:
-        r = rels[0]
-        for b1 in kg.triples_of(r):
-            for z in kg.objects_of(b1.object, r):
-                emit(Triple(b1.subject, r, z), (b1, Triple(b1.object, r, z)))
-    elif t in (AxiomType.EQUIVALENT, AxiomType.SUB_PROPERTY):
-        body_rel, head_rel = rels
-        for b in kg.triples_of(body_rel):
-            emit(Triple(b.subject, head_rel, b.object), (b,))
-    elif t is AxiomType.INVERSE:
-        head_rel, body_rel = rels
-        for b in kg.triples_of(body_rel):
-            emit(Triple(b.object, head_rel, b.subject), (b,))
-    elif t is AxiomType.SUB_PROPERTY_CHAIN:
-        b1_rel, b2_rel, head_rel = rels
-        for b1 in kg.triples_of(b1_rel):
-            for y2 in kg.objects_of(b1.object, b2_rel):
-                emit(Triple(b1.subject, head_rel, y2), (b1, Triple(b1.object, b2_rel, y2)))
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled axiom type {t}")
+    for assignment in body_assignments(kg, axiom):
+        x, _, y = assignment
+        if not kg.contains(x, head_rel, y):
+            atoms = tuple(Triple(assignment[u], r, assignment[v]) for r, u, v in body)
+            out.append(Grounding(Triple(x, head_rel, y), atoms, axiom))
     return out
+
+
+def _new_heads(kg: KnowledgeGraph, axiom: Axiom, cap: int) -> set[tuple[int, int, int]] | None:
+    """Distinct heads the axiom infers, absent from the graph; None as soon
+    as there are more than ``cap`` of them."""
+    head_rel = axiom.head_relation()
+    heads: set[tuple[int, int, int]] = set()
+    for x, _, y in body_assignments(kg, axiom):
+        if not kg.contains(x, head_rel, y):
+            heads.add((x, head_rel, y))
+            if len(heads) > cap:
+                return None
+    return heads
 
 
 def inject_triples(
@@ -179,28 +167,32 @@ def inject_triples(
 ) -> list[InferredTriple]:
     """Infer soft-labeled triples from axioms above the score threshold.
 
-    An axiom whose full grounding proposes more than ``max_inferred_per_axiom``
-    distinct heads is skipped outright rather than truncated: a single axiom
-    flooding the input would skew the training distribution; the number of
-    axioms skipped this way is logged at INFO level.  Heads are then
-    filtered to those touching a sparse entity (disable via
-    ``restrict_sparse`` to inspect the unfiltered inference), merged across
-    axioms keeping the maximum score, and labeled through solve_head_truth.
-    Output is sorted by triple ids.
+    An axiom that proposes more than ``max_inferred_per_axiom`` distinct
+    heads is skipped outright rather than truncated: a single axiom flooding
+    the input would skew the training distribution.  Its enumeration stops
+    at the first head over the cap; the number of axioms skipped this way is
+    logged at INFO level.  Heads are then filtered to those touching a
+    sparse entity (disable via ``restrict_sparse`` to inspect the unfiltered
+    inference), merged across axioms keeping the maximum score, and labeled
+    through solve_head_truth.  One DEBUG line per call counts the axioms
+    grounded, the heads proposed and kept by the sparse filter (per axiom)
+    and the axioms over the cap.  Output is sorted by triple ids.
     """
-    best: dict[Triple, ScoredAxiom] = {}
-    sources: dict[Triple, list[Axiom]] = {}
-    over_cap = 0
+    best: dict[tuple[int, int, int], ScoredAxiom] = {}
+    sources: dict[tuple[int, int, int], list[Axiom]] = {}
+    grounded = proposed = kept = over_cap = 0
     for sa in scored_axioms:
         if sa.score <= config.score_threshold:
             continue
-        groundings = ground_axiom(kg, sa.axiom)
-        heads = {g.head for g in groundings}
-        if len(heads) > config.max_inferred_per_axiom:
+        grounded += 1
+        heads = _new_heads(kg, sa.axiom, config.max_inferred_per_axiom)
+        if heads is None:
             over_cap += 1
             continue
+        proposed += len(heads)
         if restrict_sparse:
-            heads = {h for h in heads if h.subject in sparse or h.object in sparse}
+            heads = {h for h in heads if h[0] in sparse or h[2] in sparse}
+        kept += len(heads)
         for h in heads:
             if h not in best or sa.score > best[h].score:
                 best[h] = sa
@@ -208,20 +200,14 @@ def inject_triples(
     if over_cap:
         log.info("skipped %d axioms inferring more than max_inferred_per_axiom=%d heads",
                  over_cap, config.max_inferred_per_axiom)
+    log.debug("axioms_grounded=%d heads_proposed=%d heads_kept=%d axioms_over_cap=%d",
+              grounded, proposed, kept, over_cap)
     out = []
     for triple in sorted(best):
         sa = best[triple]
-        truth = solve_head_truth([1.0] * _body_arity(sa.axiom), sa.score)
-        out.append(InferredTriple(triple, truth, tuple(sources[triple])))
+        truth = solve_head_truth([1.0] * (len(RULES[sa.axiom.type]) - 1), sa.score)
+        out.append(InferredTriple(Triple(*triple), truth, tuple(sources[triple])))
     return out
-
-
-def _body_arity(axiom: Axiom) -> int:
-    if axiom.type is AxiomType.REFLEXIVE:
-        return 0
-    if axiom.type in (AxiomType.TRANSITIVE, AxiomType.SUB_PROPERTY_CHAIN):
-        return 2
-    return 1
 
 
 def write_injected_tsv(

@@ -115,11 +115,15 @@ class KnowledgeGraph:
     """Immutable triple set with adjacency indices.
 
     Duplicate triples are removed at construction (first occurrence kept).
-    Indices support the joins used by axiom support counting and grounding;
-    they are plain dict-of-set structures rebuilt deterministically from the
-    triple list.  Batched membership (``contains_many``) searches a sorted
-    array of packed int64 keys, built on first use.  Do not mutate after
-    construction.
+    The indices are plain dict-of-set structures rebuilt deterministically
+    from the triple list.  The rule joins of ``iterkg.axioms`` read them
+    through ``triples_of`` (the pivot atom), ``contains`` (a one-atom body
+    against its head), ``objects_set``/``subjects_set`` (the middle or end
+    entity of a two-atom body, both keyed ``(entity, relation)``) and
+    ``entity_occurs_with`` (the reflexive rule); pool generation reads
+    ``pair_relations`` and ``out_edges``.  Batched membership
+    (``contains_many``) searches a sorted array of packed int64 keys, built
+    on first use.  Do not mutate after construction.
     """
 
     def __init__(self, triples: Sequence[Triple], entities: Vocabulary, relations: Vocabulary):
@@ -174,7 +178,7 @@ class KnowledgeGraph:
     # -- query API (sorted, set semantics) --------------------------------
 
     def contains(self, s: int, r: int, o: int) -> bool:
-        return Triple(s, r, o) in self._members
+        return (s, r, o) in self._members
 
     @cached_property
     def ids(self) -> np.ndarray:
@@ -228,7 +232,7 @@ class KnowledgeGraph:
     def objects_set(self, s: int, r: int) -> set[int]:
         return self._so.get((s, r), _EMPTY_SET)
 
-    def subjects_set(self, r: int, o: int) -> set[int]:
+    def subjects_set(self, o: int, r: int) -> set[int]:
         return self._os.get((o, r), _EMPTY_SET)
 
     def pair_relations(self, s: int, o: int) -> set[int]:
@@ -242,12 +246,6 @@ class KnowledgeGraph:
 
 
 _EMPTY_SET: set = set()
-
-
-def build_graph(
-    triples: Sequence[Triple], entities: Vocabulary, relations: Vocabulary
-) -> KnowledgeGraph:
-    return KnowledgeGraph(triples, entities, relations)
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,32 @@ class TestInjection:
             inject_triples(kg, axioms, set(range(11)), self.config(cap=10))
         assert not caplog.records
 
+    def test_cap_stops_enumeration_at_first_head_over(self, monkeypatch):
+        # a 200-node path: the transitive rule proposes 198 heads, each
+        # checked against the graph once; the cap ends the walk at the 6th
+        kg = graph([(i, 0, i + 1) for i in range(199)])
+        lookups = []
+        contains = kg.contains
+        monkeypatch.setattr(kg, "contains", lambda *t: lookups.append(t) or contains(*t))
+        ax = scored(Axiom(AxiomType.TRANSITIVE, (0,)), 0.95)
+        assert inject_triples(kg, [ax], set(range(200)), self.config(cap=5)) == []
+        assert len(lookups) == 6
+        lookups.clear()
+        assert len(inject_triples(kg, [ax], set(range(200)), self.config(cap=198))) == 198
+        assert len(lookups) == 198
+
+    def test_debug_line_counts_grounding(self, caplog):
+        kg = graph([(i, 0, i + 1) for i in range(10)] + [(0, 1, 1)])
+        axioms = [scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.95),       # 10 heads: over
+                  scored(Axiom(AxiomType.TRANSITIVE, (0,)), 0.95),      # 9 heads, 1 sparse
+                  scored(Axiom(AxiomType.SYMMETRIC, (1,)), 0.95),       # 1 head, sparse
+                  scored(Axiom(AxiomType.INVERSE, (1, 0)), 0.5)]        # below threshold
+        with caplog.at_level("DEBUG", logger="iterkg.injection"):
+            out = inject_triples(kg, axioms, {0}, self.config(cap=9))
+        assert [it.triple for it in out] == [Triple(0, 0, 2), Triple(1, 1, 0)]
+        debug = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
+        assert debug == ["axioms_grounded=3 heads_proposed=10 heads_kept=2 axioms_over_cap=1"]
+
     def test_sparse_filter(self):
         kg = graph([(0, 0, 1), (2, 0, 3)])
         ax = scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.95)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from iterkg.kg import (
     KnowledgeGraph, ParseError, Triple, Vocabulary, VocabularyError,
-    build_graph, entity_sparsity, load_triples, sparse_entities, sparsify_eval_split,
+    entity_sparsity, load_triples, sparse_entities, sparsify_eval_split,
 )
 
 from oracles import random_graph
@@ -52,18 +52,18 @@ class TestLoadTriples:
 class TestBuildGraph:
     def test_dedup(self):
         ents, rels = Vocabulary("ab"), Vocabulary("r")
-        kg = build_graph([Triple(0, 0, 1), Triple(0, 0, 1)], ents, rels)
+        kg = KnowledgeGraph([Triple(0, 0, 1), Triple(0, 0, 1)], ents, rels)
         assert len(kg) == 1
 
     def test_index_consistency_small(self):
         ents, rels = Vocabulary("ab"), Vocabulary("r")
-        kg = build_graph([Triple(0, 0, 1), Triple(1, 0, 0)], ents, rels)
+        kg = KnowledgeGraph([Triple(0, 0, 1), Triple(1, 0, 0)], ents, rels)
         assert kg.subjects_of(0, 0) == [1]
 
     def test_out_of_range_id(self):
         ents, rels = Vocabulary("ab"), Vocabulary("r")
         with pytest.raises(ValueError):
-            build_graph([Triple(0, 0, 5)], ents, rels)
+            KnowledgeGraph([Triple(0, 0, 5)], ents, rels)
 
     def test_all_queries_match_linear_scan(self):
         rng = np.random.default_rng(0)
@@ -71,7 +71,7 @@ class TestBuildGraph:
         ents = Vocabulary(f"e{i}" for i in range(n_ent))
         rels = Vocabulary(f"r{i}" for i in range(n_rel))
         triples = random_graph(rng, n_ent, n_rel, 500)
-        kg = build_graph(triples, ents, rels)
+        kg = KnowledgeGraph(triples, ents, rels)
         uniq = set(kg.triples)
         for _ in range(50):
             s, r, o = int(rng.integers(n_ent)), int(rng.integers(n_rel)), int(rng.integers(n_ent))
@@ -86,7 +86,7 @@ class TestBuildGraph:
 
     def test_empty_key_queries_empty(self):
         ents, rels = Vocabulary("ab"), Vocabulary(["r", "q"])
-        kg = build_graph([Triple(0, 0, 1)], ents, rels)
+        kg = KnowledgeGraph([Triple(0, 0, 1)], ents, rels)
         assert kg.objects_of(0, 1) == []
         assert kg.subjects_of(1, 0) == []
 
@@ -96,7 +96,7 @@ def graph_and_sizes(draw):
     n_ent, n_rel = draw(st.integers(1, 6)), draw(st.integers(1, 3))
     ids = st.tuples(st.integers(0, n_ent - 1), st.integers(0, n_rel - 1), st.integers(0, n_ent - 1))
     triples = [Triple(*t) for t in draw(st.lists(ids, max_size=40))]
-    kg = build_graph(triples, Vocabulary(f"e{i}" for i in range(n_ent)),
+    kg = KnowledgeGraph(triples, Vocabulary(f"e{i}" for i in range(n_ent)),
                      Vocabulary(f"r{i}" for i in range(n_rel)))
     return kg, n_ent, n_rel
 
@@ -116,12 +116,12 @@ class TestContainsMany:
         assert got.tolist() == [kg.contains(*map(int, q)) for q in grid]
 
     def test_empty_query(self):
-        kg = build_graph([Triple(0, 0, 1)], Vocabulary("ab"), Vocabulary("r"))
+        kg = KnowledgeGraph([Triple(0, 0, 1)], Vocabulary("ab"), Vocabulary("r"))
         empty = np.zeros(0, dtype=np.int64)
         assert kg.contains_many(empty, empty, empty).shape == (0,)
 
     def test_ids_rows_follow_triples(self):
-        kg = build_graph([Triple(1, 0, 0), Triple(0, 0, 1), Triple(1, 0, 0)],
+        kg = KnowledgeGraph([Triple(1, 0, 0), Triple(0, 0, 1), Triple(1, 0, 0)],
                          Vocabulary("ab"), Vocabulary("r"))
         assert kg.ids.dtype == np.int64
         assert kg.ids.tolist() == [list(t) for t in kg.triples]
@@ -139,7 +139,7 @@ def graph_with_pair_freqs(freqs):
     ents = Vocabulary(f"e{i}" for i in range(2 * len(freqs)))
     rels = Vocabulary(f"r{j}" for j in range(max(freqs)))
     triples = [Triple(2 * i, j, 2 * i + 1) for i, f in enumerate(freqs) for j in range(f)]
-    return build_graph(triples, ents, rels)
+    return KnowledgeGraph(triples, ents, rels)
 
 
 class TestSparsity:
@@ -155,12 +155,12 @@ class TestSparsity:
 
     def test_uniform_graph_all_zero(self):
         ents, rels = Vocabulary("ab"), Vocabulary("r")
-        kg = build_graph([Triple(0, 0, 1)], ents, rels)
+        kg = KnowledgeGraph([Triple(0, 0, 1)], ents, rels)
         table = entity_sparsity(kg)
         assert np.all(table.sparsity == 0.0)
 
     def test_empty_graph_errors(self):
-        kg = build_graph([], Vocabulary("a"), Vocabulary("r"))
+        kg = KnowledgeGraph([], Vocabulary("a"), Vocabulary("r"))
         with pytest.raises(ValueError):
             entity_sparsity(kg)
 
@@ -169,8 +169,8 @@ class TestSparsity:
         ents = Vocabulary(f"e{i}" for i in range(20))
         rels = Vocabulary(f"r{i}" for i in range(3))
         triples = random_graph(rng, 20, 3, 200)
-        t1 = entity_sparsity(build_graph(triples, ents, rels))
-        t2 = entity_sparsity(build_graph(triples[::-1], ents, rels))
+        t1 = entity_sparsity(KnowledgeGraph(triples, ents, rels))
+        t2 = entity_sparsity(KnowledgeGraph(triples[::-1], ents, rels))
         assert np.all(t1.sparsity >= 0) and np.all(t1.sparsity <= 1)
         np.testing.assert_array_equal(t1.sparsity, t2.sparsity)
 

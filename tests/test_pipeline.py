@@ -212,6 +212,24 @@ class TestCli:
                          "--with-axioms", str(out / "injected_iter1.tsv"),
                          "--out", str(eval_out)]) == 0
 
+    def test_rules_reproduces_train_axioms(self, tmp_path, dataset_dir, capsys):
+        # both entry points build the pool, score it and attach head coverage
+        out = tmp_path / "run"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"data_dir = {dataset_dir}\nout_dir = {out}\n"
+            "dim = 8\nn_scalars = 8\niterations = 1\nepochs_per_iteration = 1\n"
+            "sparsity_threshold = 0.9\nseed = 7\n",
+            encoding="utf-8",
+        )
+        assert cli_main(["train", "--config", str(cfg)]) == 0
+        rules_out = tmp_path / "rules.jsonl"
+        assert cli_main(["rules", "--ckpt", str(out / "ckpt_iter1.bin"), "--data", dataset_dir,
+                         "--out", str(rules_out), "--seed", "7"]) == 0
+        assert rules_out.read_bytes() == (out / "axioms.jsonl").read_bytes()
+        assert (tmp_path / "rules.csv").read_bytes() == (out / "axioms.csv").read_bytes()
+        assert len(rules_out.read_text().splitlines()) > 1
+
     def test_train_zero_iterations_fails(self, tmp_path, dataset_dir, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(
