@@ -11,9 +11,10 @@ Candidate axioms are proposed by sampling a bounded number of head triples
 per relation and completing the rule body from relations incident to the
 sampled entities; candidates with at least two supports enter the pool.
 Under the linear-map reading each axiom kind implies a matrix equation
-between relation embeddings, so a pooled axiom is scored by the Frobenius
-distance between the two sides, then min-max normalized within its kind
-(raw magnitudes differ wildly across kinds).
+between relation embeddings (``EQUATIONS``), so a pooled axiom is scored by
+the Frobenius distance between the two sides, over the stacked relation
+arrays, then min-max normalized within its kind (raw magnitudes differ
+wildly across kinds).
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ import enum
 import json
 import logging
 import math
+import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .blocks import BlockDiagMatrix
 from .embedding import EmbeddingModel
 from .kg import KnowledgeGraph, Vocabulary
 
@@ -72,6 +74,20 @@ RULES = {
 }
 
 _ARITY = {t: 1 + max(slot for slot, _, _ in atoms) for t, atoms in RULES.items()}
+
+# The matrix equation each rule implies, as relation slots (a, b, c) that
+# read M_a . M_b = M_c; None stands for the identity.
+EQUATIONS = {
+    AxiomType.REFLEXIVE: (0, None, None),
+    AxiomType.SYMMETRIC: (0, 0, None),
+    AxiomType.TRANSITIVE: (0, 0, 0),
+    AxiomType.EQUIVALENT: (0, None, 1),
+    AxiomType.SUB_PROPERTY: (0, None, 1),
+    AxiomType.INVERSE: (0, 1, None),
+    AxiomType.SUB_PROPERTY_CHAIN: (0, 1, 2),
+}
+
+SCORE_BLOCK = 512  # axioms scored per array pass; bounds the gathered rows
 
 
 class Axiom(tuple):
@@ -264,7 +280,8 @@ def generate_pool(kg: KnowledgeGraph, config: PoolConfig, rng: np.random.Generat
     for a sampled (e1, r, e2), body relations are those already linking e1
     and e2 (equivalent / sub-property), linking e2 to e1 (inverse), or
     forming a two-step path e1 -> y -> e2 (chain).  The pool depends only on
-    the seed and the graph, not on input file ordering.
+    the seed and the graph, not on input file ordering.  A DEBUG line counts
+    the candidates and the pool per type.
     """
     k = config.resolved_samples()
     candidates: set[Axiom] = set()
@@ -296,6 +313,9 @@ def generate_pool(kg: KnowledgeGraph, config: PoolConfig, rng: np.random.Generat
         n, head_n = count_support_and_head(kg, ax)
         if n >= 2:
             pool.append(PooledAxiom(ax, n, head_n))
+    per_type = Counter(pa.axiom.type for pa in pool)
+    log.debug("pool: %d candidates proposed, %d pooled (%s)", len(candidates), len(pool),
+              ", ".join(f"{t.value} {per_type[t]}" for t in AxiomType))
     return pool
 
 
@@ -304,25 +324,32 @@ def generate_pool(kg: KnowledgeGraph, config: PoolConfig, rng: np.random.Generat
 # ---------------------------------------------------------------------------
 
 
+def axiom_residuals(model: EmbeddingModel, axioms: Sequence[Axiom]) -> np.ndarray:
+    """Frobenius distance between the two sides of each axiom's matrix equation.
+
+    Reads ``EQUATIONS`` over the stacked relation arrays plus one identity
+    row, ``SCORE_BLOCK`` axioms at a time: scalars multiply, 2x2 blocks
+    compose like complex numbers, and each block's (a, b) deltas count
+    twice, as in its dense form [[a, -b], [b, a]].
+    """
+    n_rel, nb = model.n_relations, model.n_blocks
+    sc = np.concatenate([model.rel_scalars, np.ones((1, model.n_scalars))])
+    rot = np.concatenate([model.rel_rot, np.broadcast_to([1.0, 0.0], (1, nb, 2))])
+    slots = np.array([[n_rel if i is None else ax.relations[i] for i in EQUATIONS[ax.type]]
+                      for ax in axioms], dtype=np.int64).reshape(-1, 3)
+    out = np.empty(len(slots))
+    for lo in range(0, len(slots), SCORE_BLOCK):
+        a, b, c = slots[lo : lo + SCORE_BLOCK].T
+        ds = sc[a] * sc[b] - sc[c]
+        a1, b1, a2, b2 = rot[a, :, 0], rot[a, :, 1], rot[b, :, 0], rot[b, :, 1]
+        dr = np.stack([a1 * a2 - b1 * b2, a1 * b2 + b1 * a2], axis=-1) - rot[c]
+        out[lo : lo + SCORE_BLOCK] = np.sqrt(np.sum(ds * ds, axis=1) + 2.0 * np.sum(dr * dr, axis=(1, 2)))
+    return out
+
+
 def score_axiom_raw(model: EmbeddingModel, axiom: Axiom) -> float:
-    """Frobenius distance between the two sides of the axiom's matrix equation."""
-    t = axiom.type
-    rels = axiom.relations
-    mats = [model.relation_matrix(r) for r in rels]
-    identity = BlockDiagMatrix.identity(model.n_scalars, model.n_blocks)
-    if t is AxiomType.REFLEXIVE:
-        lhs, rhs = mats[0], identity
-    elif t is AxiomType.SYMMETRIC:
-        lhs, rhs = mats[0].multiply(mats[0]), identity
-    elif t is AxiomType.TRANSITIVE:
-        lhs, rhs = mats[0].multiply(mats[0]), mats[0]
-    elif t in (AxiomType.EQUIVALENT, AxiomType.SUB_PROPERTY):
-        lhs, rhs = mats[0], mats[1]
-    elif t is AxiomType.INVERSE:
-        lhs, rhs = mats[0].multiply(mats[1]), identity
-    else:
-        lhs, rhs = mats[0].multiply(mats[1]), mats[2]
-    return lhs.frobenius_diff(rhs)
+    """Frobenius distance between the two sides of one axiom's matrix equation."""
+    return float(axiom_residuals(model, [axiom])[0])
 
 
 def normalize_scores(pool_raws: Sequence[tuple[PooledAxiom, float]]) -> list[ScoredAxiom]:
@@ -359,7 +386,8 @@ def induce_axioms(model: EmbeddingModel, pool: Sequence[PooledAxiom]) -> list[Sc
     Ties are broken by (type, relation ids) so repeated runs on an
     unchanged model produce identical output.
     """
-    scored = normalize_scores([(pa, score_axiom_raw(model, pa.axiom)) for pa in pool])
+    raws = axiom_residuals(model, [pa.axiom for pa in pool])
+    scored = normalize_scores([(pa, float(raw)) for pa, raw in zip(pool, raws)])
     scored.sort(key=lambda sa: (-sa.score, sa.axiom.sort_key()))
     return scored
 
@@ -397,7 +425,7 @@ def write_axioms(
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    csv_path = str(path).rsplit(".", 1)[0] + ".csv"
+    csv_path = os.path.splitext(path)[0] + ".csv"
     cols = ["type", "relations", "support", "head_size", "raw", "score"]
     if hc_values is not None:
         cols.append("hc")

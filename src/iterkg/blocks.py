@@ -4,8 +4,9 @@ A matrix of layout (n_scalars, n_blocks) acts on R^d with
 d = n_scalars + 2 * n_blocks.  The first n_scalars diagonal entries are free
 reals; each following 2x2 diagonal block is [[a, -b], [b, a]], i.e. the real
 representation of the complex number a + bi.  Products and Frobenius norms
-therefore reduce to complex multiplication and componentwise sums, which is
-what makes axiom scoring against matrix-equation conclusions cheap.
+therefore reduce to complex multiplication and componentwise sums.  This is
+the reference algebra the tests check; the pipeline no longer uses it and
+scores axioms on stacked arrays (``iterkg.axioms.axiom_residuals``).
 """
 
 from __future__ import annotations

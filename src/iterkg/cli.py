@@ -13,7 +13,8 @@ from .evaluation import head_coverage, link_prediction, link_prediction_with_axi
 from .injection import read_injected_tsv
 from .kg import KnowledgeGraph, entity_sparsity, load_dataset, sparsify_eval_split
 from .pipeline import (
-    build_config, coerce_config_value, load_checkpoint, phase_rng, read_config_file, run_iterations,
+    build_config, check_graph_size, coerce_config_value, load_checkpoint, phase_rng,
+    read_config_file, run_iterations,
 )
 
 
@@ -52,6 +53,7 @@ def _cmd_rules(args) -> int:
     train, _, _, entities, relations = load_dataset(args.data)
     kg = KnowledgeGraph(train, entities, relations)
     model = load_checkpoint(args.ckpt)
+    check_graph_size(model, kg, args.ckpt)
     pool_cfg = PoolConfig(
         min_axiom_prob=args.min_axiom_prob, include_prob=args.include_prob, seed=args.seed
     )
@@ -67,6 +69,7 @@ def _cmd_eval(args) -> int:
     train, valid, test, entities, relations = load_dataset(args.data)
     kg = KnowledgeGraph(train, entities, relations)
     model = load_checkpoint(args.ckpt)
+    check_graph_size(model, kg, args.ckpt)
     table = entity_sparsity(kg)
     known = set(kg.triples) | set(valid) | set(test)
     if args.with_axioms:

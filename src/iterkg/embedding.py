@@ -1,9 +1,9 @@
 """Block-diagonal bilinear embedding model and its training loop.
 
-A triple (s, r, o) is scored as sigmoid(v_s^T M_r v_o) where M_r is a
-block-diagonal matrix (see blocks.py).  Training minimizes the mean
-cross-entropy between triple scores and soft labels: 1 for graph triples,
-0 for sampled negatives, and the axiom score for injected triples.  An L1
+A triple (s, r, o) is scored as sigmoid(v_s^T M_r v_o) where M_r is
+block-diagonal: reals, then 2x2 rotation-scale blocks.  Training minimizes
+the mean cross-entropy between triple scores and soft labels: 1 for graph
+triples, 0 for negatives, and the axiom score for injected triples.  An L1
 subgradient on batch-touched parameters and sparse Adam updates complete
 the step.  Examples travel as int64 id arrays with a label array
 (``TripleBatch``), and negatives are drawn for a whole minibatch at once.
@@ -19,7 +19,6 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .blocks import BlockDiagMatrix
 from .kg import KnowledgeGraph, Triple
 
 log = logging.getLogger(__name__)
@@ -139,13 +138,6 @@ class EmbeddingModel:
     @property
     def n_blocks(self) -> int:
         return self.rel_rot.shape[1]
-
-    @property
-    def layout(self) -> tuple[int, int]:
-        return (self.n_scalars, self.n_blocks)
-
-    def relation_matrix(self, r: int) -> BlockDiagMatrix:
-        return BlockDiagMatrix(self.rel_scalars[r].copy(), self.rel_rot[r].copy())
 
     def copy(self) -> "EmbeddingModel":
         o = self.opt

@@ -57,21 +57,29 @@ class PipelineConfig:
             raise ValueError("eval_every must be >= 0")
 
 
-# keys accepted in flat key=value config files and as CLI overrides
+# keys accepted in flat key=value config files and as CLI overrides, each as
+# (section of PipelineConfig, None for its own fields; field; parser)
 _CONFIG_KEYS = {
-    "data_dir": str, "out_dir": str, "iterations": int, "eval_every": int,
-    "seed": int, "axioms_union": lambda v: v.lower() in ("1", "true", "yes"),
-    "dim": int, "n_scalars": int, "negatives": int, "l1_weight": float,
-    "learning_rate": float, "batch_size": int, "epochs_per_iteration": int,
-    "min_axiom_prob": float, "include_prob": float, "samples_per_relation": int,
-    "score_threshold": float, "max_inferred_per_axiom": int, "sparsity_threshold": float,
+    "data_dir": (None, "data_dir", str), "out_dir": (None, "out_dir", str),
+    "iterations": (None, "iterations", int), "eval_every": (None, "eval_every", int),
+    "seed": (None, "seed", int),
+    "axioms_union": (None, "axioms_union", lambda v: v.lower() in ("1", "true", "yes")),
+    "dim": ("train", "dim", int), "n_scalars": ("train", "n_scalars", int),
+    "negatives": ("train", "n_negatives", int), "l1_weight": ("train", "l1_weight", float),
+    "learning_rate": ("train", "learning_rate", float), "batch_size": ("train", "batch_size", int),
+    "epochs_per_iteration": ("train", "epochs_per_iteration", int),
+    "min_axiom_prob": ("pool", "min_axiom_prob", float), "include_prob": ("pool", "include_prob", float),
+    "samples_per_relation": ("pool", "samples_per_relation", int),
+    "score_threshold": ("injection", "score_threshold", float),
+    "max_inferred_per_axiom": ("injection", "max_inferred_per_axiom", int),
+    "sparsity_threshold": ("injection", "sparsity_threshold", float),
 }
 
 
 def coerce_config_value(key: str, raw: str):
     if key not in _CONFIG_KEYS:
         raise ValueError(f"unknown config key {key!r}")
-    return _CONFIG_KEYS[key](raw)
+    return _CONFIG_KEYS[key][2](raw)
 
 
 def read_config_file(path: str) -> dict:
@@ -88,45 +96,28 @@ def read_config_file(path: str) -> dict:
             key, raw = key.strip(), raw.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CONFIG_KEYS[key](raw)
+            values[key] = coerce_config_value(key, raw)
     return values
 
 
 def build_config(values: dict) -> PipelineConfig:
+    """The config the given keys set, other fields at their defaults; ``seed``
+    also seeds training and the pool."""
     if "data_dir" not in values or "out_dir" not in values:
         raise ValueError("config needs data_dir and out_dir")
-    seed = values.get("seed", 0)
-    train = TrainConfig(
-        dim=values.get("dim", 200),
-        n_negatives=values.get("negatives", 6),
-        l1_weight=values.get("l1_weight", 1e-5),
-        learning_rate=values.get("learning_rate", 0.001),
-        batch_size=values.get("batch_size", 1024),
-        epochs_per_iteration=values.get("epochs_per_iteration", 10),
-        seed=seed,
-        n_scalars=values.get("n_scalars"),
-    )
-    pool = PoolConfig(
-        min_axiom_prob=values.get("min_axiom_prob", 0.5),
-        include_prob=values.get("include_prob", 0.95),
-        samples_per_relation=values.get("samples_per_relation"),
-        seed=seed,
-    )
-    injection = InjectionConfig(
-        score_threshold=values.get("score_threshold", 0.9),
-        max_inferred_per_axiom=values.get("max_inferred_per_axiom", 1000),
-        sparsity_threshold=values.get("sparsity_threshold", 0.995),
-    )
+    sections: dict = {None: {}, "train": {}, "pool": {}, "injection": {}}
+    for key, value in values.items():
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        section, name, _ = _CONFIG_KEYS[key]
+        sections[section][name] = value
+    if "seed" in values:
+        sections["train"]["seed"] = sections["pool"]["seed"] = values["seed"]
     return PipelineConfig(
-        data_dir=values["data_dir"],
-        out_dir=values["out_dir"],
-        iterations=values.get("iterations", 10),
-        eval_every=values.get("eval_every", 0),
-        seed=seed,
-        axioms_union=values.get("axioms_union", False),
-        train=train,
-        pool=pool,
-        injection=injection,
+        **sections[None],
+        train=TrainConfig(**sections["train"]),
+        pool=PoolConfig(**sections["pool"]),
+        injection=InjectionConfig(**sections["injection"]),
     )
 
 
@@ -135,32 +126,22 @@ def build_config(values: dict) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 
 
-def _param_blocks(model: EmbeddingModel) -> list[np.ndarray]:
-    blocks = [model.ent]
-    for r in range(model.n_relations):
-        blocks.append(model.rel_scalars[r])
-        blocks.append(model.rel_rot[r])
-    return blocks
-
-
 def save_checkpoint(model: EmbeddingModel, path: str) -> None:
-    """Header line, then little-endian float64: parameters, Adam first and
+    """Header line, then little-endian float64: parameters (entity rows, then
+    per relation the scalar diagonal and the rotation pairs), Adam first and
     second moments in the same layout, and the step counter."""
     header = (
         f"{CKPT_MAGIC} {model.dim} {model.n_scalars} {model.n_blocks} "
         f"{model.n_entities} {model.n_relations}\n"
     )
+    opt = model.opt
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        for arr in _param_blocks(model):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        opt = model.opt
-        for group in ((opt.m_ent, opt.m_sc, opt.m_rot), (opt.v_ent, opt.v_sc, opt.v_rot)):
-            m_ent, m_sc, m_rot = group
-            fh.write(np.ascontiguousarray(m_ent, dtype="<f8").tobytes())
-            for r in range(model.n_relations):
-                fh.write(np.ascontiguousarray(m_sc[r], dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(m_rot[r], dtype="<f8").tobytes())
+        for ent, sc, rot in ((model.ent, model.rel_scalars, model.rel_rot),
+                             (opt.m_ent, opt.m_sc, opt.m_rot), (opt.v_ent, opt.v_sc, opt.v_rot)):
+            rel = np.concatenate([sc, rot.reshape(len(sc), -1)], axis=1)
+            fh.write(np.ascontiguousarray(ent, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(rel, dtype="<f8").tobytes())
         fh.write(np.array([opt.step], dtype="<f8").tobytes())
 
 
@@ -181,29 +162,25 @@ def load_checkpoint(path: str, expect_layout: Optional[tuple[int, int]] = None) 
                 f"{path}: layout {(n_sc, n_bl)} does not match configured {tuple(expect_layout)}"
             )
         payload = fh.read()
-    n_params = n_ent * dim + n_rel * (n_sc + 2 * n_bl)
-    expected = (3 * n_params + 1) * 8
+    expected = (3 * (n_ent + n_rel) * dim + 1) * 8
     if len(payload) != expected:
         raise CheckpointError(f"{path}: expected {expected} payload bytes, found {len(payload)}")
     flat = np.frombuffer(payload, dtype="<f8")
+    arrays = []
+    for group in np.split(flat[:-1], 3):  # parameters, first moments, second moments
+        ent, rel = group[: n_ent * dim].reshape(n_ent, dim), group[n_ent * dim :].reshape(n_rel, dim)
+        arrays += [ent.copy(), rel[:, :n_sc].copy(), rel[:, n_sc:].reshape(n_rel, n_bl, 2).copy()]
+    ent, sc, rot, m_ent, m_sc, m_rot, v_ent, v_sc, v_rot = arrays
+    return EmbeddingModel(ent, sc, rot, AdamState(m_ent, v_ent, m_sc, v_sc, m_rot, v_rot, int(flat[-1])))
 
-    def take(off: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        ent = flat[off : off + n_ent * dim].reshape(n_ent, dim).copy()
-        off += n_ent * dim
-        sc = np.empty((n_rel, n_sc))
-        rot = np.empty((n_rel, n_bl, 2))
-        for r in range(n_rel):
-            sc[r] = flat[off : off + n_sc]
-            off += n_sc
-            rot[r] = flat[off : off + 2 * n_bl].reshape(n_bl, 2)
-            off += 2 * n_bl
-        return ent, sc, rot, off
 
-    ent, sc, rot, off = take(0)
-    m_ent, m_sc, m_rot, off = take(off)
-    v_ent, v_sc, v_rot, off = take(off)
-    step = int(flat[off])
-    return EmbeddingModel(ent, sc, rot, AdamState(m_ent, v_ent, m_sc, v_sc, m_rot, v_rot, step))
+def check_graph_size(model: EmbeddingModel, kg: KnowledgeGraph, path: str) -> None:
+    """Raise CheckpointError unless the model has one row per entity and relation of ``kg``."""
+    if model.n_entities != kg.n_entities or model.n_relations != kg.n_relations:
+        raise CheckpointError(
+            f"{path}: checkpoint covers {model.n_entities} entities / "
+            f"{model.n_relations} relations, dataset has {kg.n_entities} / {kg.n_relations}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +260,7 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
         injected_union: dict[Triple, float] = {}
     else:
         model = load_checkpoint(resume, (config.train.n_scalars, config.train.n_blocks))
-        if model.n_entities != kg.n_entities or model.n_relations != kg.n_relations:
-            raise CheckpointError(
-                f"{resume}: checkpoint covers {model.n_entities} entities / "
-                f"{model.n_relations} relations, dataset has {kg.n_entities} / {kg.n_relations}"
-            )
+        check_graph_size(model, kg, resume)
         base = os.path.basename(resume)
         try:
             done = int(base.replace("ckpt_iter", "").replace(".bin", ""))

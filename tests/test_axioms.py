@@ -1,14 +1,19 @@
 """Pool pruning bound, candidate generation, support counting, and scoring."""
 
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterkg.axioms import (
-    Axiom, AxiomType, PoolConfig, PooledAxiom, count_support_and_head, generate_pool,
-    induce_axioms, min_sample_size, normalize_scores, sample_size_grid_sup, score_axiom_raw,
+    SCORE_BLOCK, Axiom, AxiomType, PoolConfig, PooledAxiom, axiom_residuals,
+    count_support_and_head, generate_pool, induce_axioms, min_sample_size, normalize_scores,
+    sample_size_grid_sup, score_axiom_raw,
 )
 from iterkg.blocks import BlockDiagMatrix
-from iterkg.embedding import TrainConfig, init_model
+from iterkg.embedding import EmbeddingModel, TrainConfig, init_model
 from iterkg.kg import KnowledgeGraph, Triple, Vocabulary
 
 from oracles import dense_block_matrix, enumerate_supports, random_graph
@@ -128,6 +133,18 @@ class TestGeneratePool:
             assert pa.support == n and pa.head_size == head_n
             assert n >= 2
 
+    def test_pool_sizes_logged_at_debug(self, caplog):
+        kg = graph([(0, 0, 1), (1, 0, 0), (2, 0, 3), (3, 0, 2), (0, 1, 1), (2, 1, 3)])
+        with caplog.at_level("DEBUG", logger="iterkg.axioms"):
+            pool = generate_pool(kg, PoolConfig(), np.random.default_rng(0))
+        lines = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
+        assert len(lines) == 1
+        counts = {t: sum(pa.axiom.type is t for pa in pool) for t in AxiomType}
+        assert counts[AxiomType.SYMMETRIC] == 1
+        per_type = ", ".join(f"{t.value} {n}" for t, n in counts.items())
+        assert lines[0].startswith("pool: ") and lines[0].endswith(f" pooled ({per_type})")
+        assert f", {len(pool)} pooled" in lines[0]
+
     def test_deterministic_and_order_independent(self):
         rng_triples = np.random.default_rng(5)
         triples = random_graph(rng_triples, 15, 3, 80)
@@ -136,10 +153,6 @@ class TestGeneratePool:
         p1 = generate_pool(kg1, PoolConfig(), np.random.default_rng(42))
         p2 = generate_pool(kg2, PoolConfig(), np.random.default_rng(42))
         assert p1 == p2
-
-
-def identity_like(model):
-    return BlockDiagMatrix.identity(model.n_scalars, model.n_blocks)
 
 
 class TestRawScores:
@@ -191,6 +204,61 @@ class TestRawScores:
         perm = np.random.default_rng(0).permutation(m.n_scalars)
         m.rel_scalars = m.rel_scalars[:, perm]
         assert score_axiom_raw(m, ax) == pytest.approx(before, abs=1e-12)
+
+
+def equation_sides(ax, mats, mul, identity):
+    """The two sides of the axiom's matrix equation, written out per type,
+    with ``mats[r]`` the matrix of relation r and ``mul`` the product."""
+    t, m = ax.type, [mats[r] for r in ax.relations]
+    if t is AxiomType.REFLEXIVE:
+        return m[0], identity
+    if t is AxiomType.SYMMETRIC:
+        return mul(m[0], m[0]), identity
+    if t is AxiomType.TRANSITIVE:
+        return mul(m[0], m[0]), m[0]
+    if t in (AxiomType.EQUIVALENT, AxiomType.SUB_PROPERTY):
+        return m[0], m[1]
+    if t is AxiomType.INVERSE:
+        return mul(m[0], m[1]), identity
+    return mul(m[0], m[1]), m[2]
+
+
+def random_axiom(rng, t, n_rel):
+    while True:
+        rels = rng.integers(n_rel, size=t.arity)
+        if t is not AxiomType.EQUIVALENT or rels[0] != rels[1]:
+            return Axiom(t, rels)
+
+
+@settings(max_examples=20, deadline=None)
+@given(layout=st.tuples(st.integers(0, 4), st.integers(0, 3)).filter(lambda l: sum(l) > 0),
+       n_rel=st.integers(2, 5), extra=st.integers(1, SCORE_BLOCK), seed=st.integers(0, 2**32 - 1))
+def test_residuals_match_dense_and_block_algebra(layout, n_rel, extra, seed):
+    ns, nb = layout
+    rng = np.random.default_rng(seed)
+    m = EmbeddingModel(np.zeros((1, ns + 2 * nb)), rng.normal(size=(n_rel, ns)),
+                       rng.normal(size=(n_rel, nb, 2)))
+    # every type, then enough more axioms to fill more than one block
+    kinds = list(AxiomType)
+    types = kinds + [kinds[i] for i in rng.integers(len(kinds), size=SCORE_BLOCK + extra)]
+    axioms = [random_axiom(rng, t, n_rel) for t in types]
+
+    got = axiom_residuals(m, axioms)
+    assert got.shape == (len(axioms),)
+    dense = [dense_block_matrix(m.rel_scalars[r], m.rel_rot[r]) for r in range(n_rel)]
+    blocks = [BlockDiagMatrix(m.rel_scalars[r], m.rel_rot[r]) for r in range(n_rel)]
+    for ax, raw in zip(axioms, got):
+        lhs, rhs = equation_sides(ax, dense, operator.matmul, np.eye(m.dim))
+        assert raw == pytest.approx(np.linalg.norm(lhs - rhs), abs=1e-10), ax
+        lhs, rhs = equation_sides(ax, blocks, BlockDiagMatrix.multiply,
+                                  BlockDiagMatrix.identity(ns, nb))
+        assert raw == lhs.frobenius_diff(rhs), ax
+    assert score_axiom_raw(m, axioms[-1]) == got[-1]
+
+
+def test_residuals_of_empty_pool():
+    m = init_model(2, 2, TrainConfig(dim=8, seed=0))
+    assert axiom_residuals(m, []).shape == (0,)
 
 
 def pooled(ax, support=2, head=10):

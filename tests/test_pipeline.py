@@ -2,10 +2,12 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from iterkg.axioms import PoolConfig
 from iterkg.cli import main as cli_main
 from iterkg.embedding import TrainConfig, init_model
 from iterkg.injection import InjectionConfig, read_injected_tsv
@@ -34,22 +36,49 @@ def small_config(dataset_dir, out_dir, iterations=2, seed=11):
     )
 
 
+def randomize_adam(model, rng):
+    for name in ("m_ent", "v_ent", "m_sc", "v_sc", "m_rot", "v_rot"):
+        arr = getattr(model.opt, name)
+        arr[:] = rng.normal(size=arr.shape)
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         m = init_model(7, 3, TrainConfig(dim=8, seed=4))
         m.opt.step = 17
-        m.opt.m_ent[:] = np.random.default_rng(0).normal(size=m.opt.m_ent.shape)
+        randomize_adam(m, np.random.default_rng(0))
         path = tmp_path / "model.bin"
         save_checkpoint(m, path)
         back = load_checkpoint(path)
         assert np.array_equal(back.ent, m.ent)
         assert np.array_equal(back.rel_scalars, m.rel_scalars)
         assert np.array_equal(back.rel_rot, m.rel_rot)
-        assert np.array_equal(back.opt.m_ent, m.opt.m_ent)
+        for name in ("m_ent", "v_ent", "m_sc", "v_sc", "m_rot", "v_rot"):
+            assert np.array_equal(getattr(back.opt, name), getattr(m.opt, name)), name
         assert back.opt.step == 17
         # and the on-disk bytes are reproducible
         save_checkpoint(back, tmp_path / "model2.bin")
         assert (tmp_path / "model.bin").read_bytes() == (tmp_path / "model2.bin").read_bytes()
+
+    def test_bytes_follow_the_documented_layout(self, tmp_path):
+        # header, then little-endian float64: entity rows, per relation the
+        # scalar diagonal then the rotation pairs; the same for the Adam
+        # first and second moments; then the step counter
+        m = init_model(3, 2, TrainConfig(dim=10, n_scalars=4, seed=5))
+        randomize_adam(m, np.random.default_rng(1))
+        m.opt.step = 9
+        o = m.opt
+        values = []
+        for ent, sc, rot in ((m.ent, m.rel_scalars, m.rel_rot), (o.m_ent, o.m_sc, o.m_rot),
+                             (o.v_ent, o.v_sc, o.v_rot)):
+            values += [x for row in ent for x in row]
+            for r in range(2):
+                values += list(sc[r])
+                values += [x for a, b in rot[r] for x in (a, b)]
+        values.append(9.0)
+        want = b"ITERE-CKPT v1 10 4 3 3 2\n" + struct.pack(f"<{len(values)}d", *values)
+        save_checkpoint(m, tmp_path / "m.bin")
+        assert (tmp_path / "m.bin").read_bytes() == want
 
     def test_header_first_line(self, tmp_path):
         m = init_model(3, 2, TrainConfig(dim=8, seed=0))
@@ -105,6 +134,30 @@ class TestConfigFile:
         path.write_text("no_such_key = 1\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_config_file(path)
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert build_config({"data_dir": "d", "out_dir": "o"}) == PipelineConfig("d", "o")
+
+    def test_every_key_reaches_its_field(self):
+        values = {
+            "data_dir": "d", "out_dir": "o", "iterations": 3, "eval_every": 2, "seed": 5,
+            "axioms_union": True, "dim": 12, "n_scalars": 4, "negatives": 2, "l1_weight": 0.5,
+            "learning_rate": 0.25, "batch_size": 64, "epochs_per_iteration": 7,
+            "min_axiom_prob": 0.75, "include_prob": 0.8, "samples_per_relation": 9,
+            "score_threshold": 0.6, "max_inferred_per_axiom": 11, "sparsity_threshold": 0.7,
+        }
+        assert build_config(values) == PipelineConfig(
+            data_dir="d", out_dir="o", iterations=3, eval_every=2, seed=5, axioms_union=True,
+            train=TrainConfig(dim=12, n_negatives=2, l1_weight=0.5, learning_rate=0.25,
+                              batch_size=64, epochs_per_iteration=7, seed=5, n_scalars=4),
+            pool=PoolConfig(min_axiom_prob=0.75, include_prob=0.8, samples_per_relation=9, seed=5),
+            injection=InjectionConfig(score_threshold=0.6, max_inferred_per_axiom=11,
+                                      sparsity_threshold=0.7),
+        )
+
+    def test_unknown_key_rejected_when_building(self):
+        with pytest.raises(ValueError):
+            build_config({"data_dir": "d", "out_dir": "o", "no_such_key": 1})
 
     def test_zero_iterations_rejected(self, tmp_path, dataset_dir):
         values = {"data_dir": dataset_dir, "out_dir": str(tmp_path), "iterations": 0}
@@ -229,6 +282,29 @@ class TestCli:
         assert rules_out.read_bytes() == (out / "axioms.jsonl").read_bytes()
         assert (tmp_path / "rules.csv").read_bytes() == (out / "axioms.csv").read_bytes()
         assert len(rules_out.read_text().splitlines()) > 1
+
+    @pytest.mark.parametrize("n_ent,n_rel", [(500, 8), (50, 2)])
+    @pytest.mark.parametrize("command", ["rules", "eval"])
+    def test_checkpoint_of_another_graph_fails(self, tmp_path, dataset_dir, capsys,
+                                               command, n_ent, n_rel):
+        ckpt = tmp_path / "other.bin"
+        save_checkpoint(init_model(n_ent, n_rel, TrainConfig(dim=8, seed=0)), ckpt)
+        argv = [command, "--ckpt", str(ckpt), "--data", dataset_dir,
+                "--out", str(tmp_path / "out.jsonl")]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"checkpoint covers {n_ent} entities / {n_rel} relations" in err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_rules_csv_mirror_stays_in_a_dotted_directory(self, tmp_path, dataset_dir):
+        ckpt = tmp_path / "model.bin"
+        save_checkpoint(init_model(200, 8, TrainConfig(dim=8, seed=0)), ckpt)
+        out = tmp_path / "out.d"
+        out.mkdir()
+        assert cli_main(["rules", "--ckpt", str(ckpt), "--data", dataset_dir,
+                         "--out", str(out / "rules")]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["rules", "rules.csv"]
+        assert not (tmp_path / "out.csv").exists()
 
     def test_train_zero_iterations_fails(self, tmp_path, dataset_dir, capsys):
         cfg = tmp_path / "bad.cfg"
