@@ -2,10 +2,12 @@
 
 Seven OWL2 object-property axiom kinds are treated as inference rules over
 graph triples.  ``RULES`` writes each kind's rule once, as atoms over the
-variables x, m, y, and two functions join it with the graph: ``rule_join``
-counts supports per triple of one atom (support counting pivots on the
-smallest relation, head coverage on the head), and ``body_assignments``
-enumerates the body instantiations that grounding and injection read.
+variables x, m, y.  Candidate axioms travel as an integer table of rows
+(type, r0, r1, r2), and ``join_rules`` joins a whole table with the sorted
+graph arrays in a few array passes per body shape: it counts supports and
+covered head triples (head coverage), and lists the distinct new heads
+that injection reads, stopping at a per-axiom cap.  ``body_assignments``
+enumerates the body instantiations of one axiom for the audit grounding.
 
 Candidate axioms are proposed by sampling a bounded number of head triples
 per relation and completing the rule body from relations incident to the
@@ -26,13 +28,13 @@ import logging
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .embedding import EmbeddingModel
-from .kg import KnowledgeGraph, Vocabulary
+from .kg import KnowledgeGraph, Vocabulary, expand_ranges, lookup_sorted
 
 log = logging.getLogger(__name__)
 
@@ -52,7 +54,8 @@ class AxiomType(enum.Enum):
         return _ARITY[self]
 
 
-_TYPE_ORDER = {t: i for i, t in enumerate(AxiomType)}
+TYPES = tuple(AxiomType)  # the type codes of a candidate table
+_TYPE_ORDER = {t: i for i, t in enumerate(TYPES)}
 
 # variables of a rule atom, as indices into an assignment (x, m, y)
 X, M, Y = 0, 1, 2
@@ -60,7 +63,7 @@ X, M, Y = 0, 1, 2
 # The rule each axiom type encodes, as atoms (slot, u, v) that read
 # (u, relations[slot], v): the head (x, h, y) first, then the body, which
 # links x and y in either direction through one atom, or leads from x to y
-# through a middle entity m in two atoms, the first reading (x, b1, m).
+# through a middle entity m in two atoms read (x, b1, m), (m, b2, y).
 # The reflexive rule has no body: its head (x, r, x) ranges over the
 # entities of r.
 RULES = {
@@ -88,6 +91,7 @@ EQUATIONS = {
 }
 
 SCORE_BLOCK = 512  # axioms scored per array pass; bounds the gathered rows
+ROW_BUDGET = 1 << 20  # body rows per join pass; bounds the arrays of a rule join
 
 
 class Axiom(tuple):
@@ -192,69 +196,232 @@ def sample_size_grid_sup(
 
 
 # ---------------------------------------------------------------------------
-# support counting
+# rule joins over candidate tables
 # ---------------------------------------------------------------------------
 
 
-def _view(kg: KnowledgeGraph, atom: tuple[int, int, int], w: int) -> Callable[[int, int], set[int]]:
-    """The set view, called as ``view(entity, relation)``, that gives the
-    values of variable ``w`` allowed by ``atom`` from its other variable."""
-    return kg.subjects_set if atom[1] == w else kg.objects_set
+def axiom_table(axioms: Sequence[Axiom]) -> np.ndarray:
+    """Axioms as a candidate table: int64 rows ``(type, r0, r1, r2)`` with
+    ``type`` an index into ``TYPES`` and unused relation slots -1.  Sorting
+    the rows sorts the axioms by ``Axiom.sort_key``."""
+    rows = [(_TYPE_ORDER[t], *rels, *(-1,) * (3 - len(rels))) for t, rels in axioms]
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
-def rule_join(kg: KnowledgeGraph, axiom: Axiom, pivot: int | None = None) -> Iterator[int]:
-    """Supports of the axiom's rule, per triple of one of its atoms.
+def _axiom(row: Sequence[int]) -> Axiom:
+    t = TYPES[row[0]]
+    return Axiom(t, row[1 : 1 + t.arity])
 
-    A support is an assignment of the rule's variables under which every
-    atom, head included, is a graph triple.  For each triple of the pivot
-    atom (an index into ``axiom.atoms()``, 0 being the head; by default the
-    atom of the smallest relation) this yields the number of supports that
-    extend it: a one-atom body is an edge overlap tested with ``contains``, a
-    two-atom body a triangle whose third variable is the intersection of
-    two set views.
+
+def _rows(t: AxiomType, *rels: np.ndarray) -> np.ndarray:
+    """Candidate-table rows of type ``t`` over columns of relation ids."""
+    n = len(rels[0])
+    return np.stack([np.full(n, _TYPE_ORDER[t]), *rels, *[np.full(n, -1)] * (3 - len(rels))], axis=1)
+
+
+def _unique_rows(table: np.ndarray) -> np.ndarray:
+    """The distinct rows of a candidate table, in ascending order."""
+    table = table[np.lexsort(table.T[::-1])]
+    first = np.ones(len(table), dtype=bool)
+    first[1:] = (table[1:] != table[:-1]).any(axis=1)
+    return table[first]
+
+
+def _rule_columns(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per candidate, read from ``RULES``: the head relation, the body
+    relations b1 and b2 (-1 where the body is shorter), and whether a
+    one-atom body reads (y, b1, x)."""
+    head = np.empty(len(table), dtype=np.int64)
+    b1, b2 = np.full(len(table), -1), np.full(len(table), -1)
+    flip = np.zeros(len(table), dtype=bool)
+    for code, t in enumerate(TYPES):
+        rows = table[:, 0] == code
+        (slot, _, _), *body = RULES[t]
+        head[rows] = table[rows, 1 + slot]
+        for col, (slot, _, _) in zip((b1, b2), body):
+            col[rows] = table[rows, 1 + slot]
+        flip[rows] = len(body) == 1 and body[0][1] == Y
+    return head, b1, b2, flip
+
+
+def _slices(weights: np.ndarray, cuts: np.ndarray | None = None) -> list[slice]:
+    """Consecutive slices of ``range(len(weights))``, cut only where
+    ``cuts`` is True (everywhere by default), each weighing ``ROW_BUDGET``
+    or less unless its last uncut unit takes it over."""
+    starts = np.arange(len(weights)) if cuts is None else np.flatnonzero(cuts)
+    if len(starts) == 0:
+        return []
+    unit = np.add.reduceat(weights, starts)
+    window = (np.cumsum(unit) - unit) // ROW_BUDGET
+    bounds = np.append(starts[np.flatnonzero(np.diff(window, prepend=-1))], len(weights)).tolist()
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+@dataclass
+class RuleJoin:
+    """The rule joins of a candidate table, one entry per row.
+
+    ``support`` counts supports (assignments under which head and body are
+    graph triples) and ``covered`` the head triples some support extends.
+    When a cap was given, ``n_heads`` counts the distinct heads the body
+    proposes that are absent from the graph, and ``heads`` lists them as
+    rows ``(candidate, x, y)`` for the candidates with at most ``cap``.
     """
-    atoms = axiom.atoms()
-    if pivot is None:
-        sizes = [kg.relation_size(rel) for rel, _, _ in atoms]
-        pivot = sizes.index(min(sizes))
-    rel, u, v = atoms.pop(pivot)
-    triples = kg.triples_of(rel)
-    if not atoms:  # reflexive: the head (x, r, x) alone
-        return (s == o for s, _, o in triples)
-    contains = kg.contains
-    if len(atoms) == 1:  # the other atom links the same two variables
-        other, u2, _ = atoms[0]
-        if u2 == u:
-            return (contains(s, other, o) for s, _, o in triples)
-        return (contains(o, other, s) for s, _, o in triples)
-    w = X + M + Y - u - v
-    at_u, at_v = atoms if u in atoms[0][1:] else atoms[::-1]
-    view_u, view_v = _view(kg, at_u, w), _view(kg, at_v, w)
-    rel_u, rel_v = at_u[0], at_v[0]
-    return (len(view_u(s, rel_u) & view_v(o, rel_v)) for s, _, o in triples)
+
+    support: np.ndarray
+    covered: np.ndarray
+    n_heads: np.ndarray | None = None
+    heads: list[np.ndarray] | np.ndarray = field(default_factory=list)
+
+    def count_heads(self, cands: np.ndarray, counts: np.ndarray, cap: int) -> np.ndarray:
+        """Add ``counts`` new heads to ``cands``; True where one is still
+        within the cap."""
+        self.n_heads[cands] += counts
+        return self.n_heads[cands] <= cap
+
+    def list_heads(self, cand: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+        self.heads.append(np.stack([cand, x, y], axis=1))
+
+    def add_heads(self, cands: np.ndarray, own: np.ndarray, x: np.ndarray, y: np.ndarray,
+                  cap: int) -> None:
+        """Count the distinct new heads ``(x, y)`` of ``cands[own]`` and list
+        those of candidates still within the cap."""
+        keep = self.count_heads(cands, np.bincount(own, minlength=len(cands)), cap)[own]
+        self.list_heads(cands[own[keep]], x[keep], y[keep])
 
 
-def body_assignments(kg: KnowledgeGraph, axiom: Axiom) -> Iterator[tuple[int, int | None, int]]:
-    """Every assignment ``(x, m, y)`` under which the rule's body lies in the graph.
+def join_rules(kg: KnowledgeGraph, table: np.ndarray, cap: int | None = None) -> RuleJoin:
+    """Support, head coverage and (given ``cap``) new heads of every
+    candidate of ``table``, in array passes over the sorted graph.
 
-    ``m`` is None for bodies of one atom; the reflexive rule yields
-    ``(e, None, e)`` for every entity e of its relation.  The head
+    Each pass builds at most about ``ROW_BUDGET`` body rows:
+
+    - the reflexive rule counts ``s == o`` in its relation, and proposes
+      (e, r, e) for every entity e of r;
+    - a one-atom body is a key lookup of one relation's triples in the
+      other: from the smaller of head and body when only supports are
+      wanted, from the body when heads are;
+    - a two-atom body (x, b1, m), (m, b2, y) enumerates the paths of each
+      body pair once for every candidate sharing it, keyed by their end
+      pair and counted with ``np.unique``, and looks each candidate's head
+      triples up in them (pivoting on the head).  Passes split only between
+      first-atom subjects x, so every count adds up across passes.
+
+    A candidate whose new heads exceed ``cap`` keeps counting but stops
+    listing them; its earlier rows are dropped at the end.
+    """
+    n = len(table)
+    head, b1, b2, flip = _rule_columns(table)
+    out = RuleJoin(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
+                   None if cap is None else np.zeros(n, dtype=np.int64))
+    _join_loops(kg, np.flatnonzero(b1 < 0), head, out, cap)
+    _join_edges(kg, np.flatnonzero((b1 >= 0) & (b2 < 0)), head, b1, flip, out, cap)
+    _join_paths(kg, np.flatnonzero(b2 >= 0), head, b1, b2, out, cap)
+    if cap is not None:
+        heads = np.concatenate(out.heads) if out.heads else np.zeros((0, 3), dtype=np.int64)
+        out.heads = heads[out.n_heads[heads[:, 0]] <= cap]
+    return out
+
+
+def _join_loops(kg: KnowledgeGraph, rows: np.ndarray, rel: np.ndarray, out: RuleJoin,
+                cap: int | None) -> None:
+    n_ent = kg.n_entities
+    for part in _slices(kg.relation_sizes(rel[rows])):
+        cands, r = rows[part], rel[rows[part]]
+        own, pos = expand_ranges(kg.rel_start[r], kg.rel_start[r + 1])
+        s, o = kg.rel_s[pos], kg.rel_o[pos]
+        out.support[cands] = out.covered[cands] = np.bincount(own[s == o], minlength=len(cands))
+        if cap is not None:
+            own, e = np.divmod(np.unique(np.concatenate([own * n_ent + s, own * n_ent + o])), n_ent)
+            new = ~kg.contains_many(e, r[own], e)
+            out.add_heads(cands, own[new], e[new], e[new], cap)
+
+
+def _join_edges(kg: KnowledgeGraph, rows: np.ndarray, head: np.ndarray, body: np.ndarray,
+                flip: np.ndarray, out: RuleJoin, cap: int | None) -> None:
+    src, dst = body[rows], head[rows]
+    if cap is None:  # supports are the pairs of both relations: read the smaller
+        swap = kg.relation_sizes(dst) < kg.relation_sizes(src)
+        src, dst = np.where(swap, dst, src), np.where(swap, src, dst)
+    for part in _slices(kg.relation_sizes(src)):
+        cands = rows[part]
+        own, pos = expand_ranges(kg.rel_start[src[part]], kg.rel_start[src[part] + 1])
+        s, o, f = kg.rel_s[pos], kg.rel_o[pos], flip[cands][own]
+        x, y = np.where(f, o, s), np.where(f, s, o)
+        present = kg.contains_many(x, dst[part][own], y)
+        out.support[cands] = out.covered[cands] = np.bincount(own[present], minlength=len(cands))
+        if cap is not None:
+            out.add_heads(cands, own[~present], x[~present], y[~present], cap)
+
+
+def _join_paths(kg: KnowledgeGraph, rows: np.ndarray, head: np.ndarray, b1: np.ndarray,
+                b2: np.ndarray, out: RuleJoin, cap: int | None) -> None:
+    n_ent = kg.n_entities
+    # group the candidates by body pair: each group's paths are built once
+    rows = rows[np.lexsort((b2[rows], b1[rows]))]
+    group_start = np.flatnonzero(np.diff(b1[rows] * kg.n_relations + b2[rows], prepend=-1))
+    group_end = np.append(group_start[1:], len(rows))
+    g_b1, g_b2 = b1[rows[group_start]], b2[rows[group_start]]
+    for groups in _slices(kg.relation_sizes(g_b1)):
+        # first atoms (x, b1, m) of these groups, in (group, x, m) order
+        grp, pos = expand_ranges(kg.rel_start[g_b1[groups]], kg.rel_start[g_b1[groups] + 1])
+        grp += groups.start
+        lo, hi = kg.object_ranges(g_b2[grp], kg.rel_o[pos])
+        some = hi > lo  # first atoms that continue into a path
+        grp, x, lo, hi = grp[some], kg.rel_s[pos[some]], lo[some], hi[some]
+        new_seg = np.diff(grp * n_ent + x, prepend=-1) != 0
+        for part in _slices(hi - lo, new_seg):
+            own, pos2 = expand_ranges(lo[part], hi[part])
+            # segments: the (group, x) runs of this pass
+            seg_of = np.cumsum(new_seg[part]) - 1
+            seg_first = np.flatnonzero(new_seg[part]) + part.start
+            seg_x, seg_g = x[seg_first], grp[seg_first]
+            ends, n_paths = np.unique(seg_of[own] * n_ent + kg.rel_o[pos2], return_counts=True)
+            # every candidate of a segment's group probes its head triples (x, h, *)
+            pair_seg, at = expand_ranges(group_start[seg_g], group_end[seg_g])
+            probe, hpos = expand_ranges(*kg.object_ranges(head[rows[at]], seg_x[pair_seg]))
+            where, hit = lookup_sorted(ends, pair_seg[probe] * n_ent + kg.rel_o[hpos])
+            where, hit_pair = where[hit], probe[hit]
+            support = np.bincount(at[hit_pair], weights=n_paths[where], minlength=len(rows))
+            out.support[rows] += support.astype(np.int64)
+            out.covered[rows] += np.bincount(at[hit_pair], minlength=len(rows))
+            if cap is None:
+                continue
+            # distinct path ends per pair, less those the head relation holds
+            n_seg_ends = np.bincount(ends // n_ent, minlength=len(seg_first))
+            n_new = n_seg_ends[pair_seg] - np.bincount(hit_pair, minlength=len(pair_seg))
+            counts = np.bincount(at, weights=n_new, minlength=len(rows)).astype(np.int64)
+            emit = np.flatnonzero(out.count_heads(rows, counts, cap)[at] & (n_new > 0))
+            # list the ends of the emitted pairs that no head triple hit; both
+            # codes ascend (pairs in order, ends ascending within a pair)
+            seg_end0 = (np.cumsum(n_seg_ends) - n_seg_ends)[pair_seg[emit]]
+            e_own, upos = expand_ranges(seg_end0, seg_end0 + n_seg_ends[pair_seg[emit]])
+            pairs = emit[e_own]
+            new = ~lookup_sorted(hit_pair * len(ends) + where, pairs * len(ends) + upos)[1]
+            pairs, upos = pairs[new], upos[new]
+            out.list_heads(rows[at[pairs]], seg_x[pair_seg[pairs]], ends[upos] % n_ent)
+
+
+def body_assignments(kg: KnowledgeGraph, axiom: Axiom) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every assignment ``(x, m, y)`` under which the rule's body lies in
+    the graph, as three arrays, in the order of the first body atom's
+    sorted triples.
+
+    ``m`` is -1 for bodies of one atom; the reflexive rule yields
+    ``(e, -1, e)`` for every entity e of its relation.  The head
     ``(x, axiom.head_relation(), y)`` may or may not be in the graph.
     """
-    body = axiom.atoms()[1:]
-    if not body:
-        for e in kg.entity_occurs_with(axiom.relations[0]):
-            yield e, None, e
-    elif len(body) == 1:
-        rel, u, _ = body[0]
-        for s, _, o in kg.triples_of(rel):
-            yield (s, None, o) if u == X else (o, None, s)
-    else:
-        (rel, _, _), second = body  # the first atom reads (x, rel, m)
-        view, rel2 = _view(kg, second, Y), second[0]
-        for x, _, m in kg.triples_of(rel):
-            for y in view(m, rel2):
-                yield x, m, y
+    head, b1, b2, flip = (int(v[0]) for v in _rule_columns(axiom_table([axiom])))
+    if b1 < 0:
+        e = np.array(kg.entity_occurs_with(head), dtype=np.int64)
+        return e, np.full(len(e), -1), e
+    block = slice(kg.rel_start[b1], kg.rel_start[b1 + 1])
+    s, o = kg.rel_s[block], kg.rel_o[block]
+    if b2 < 0:
+        x, y = (o, s) if flip else (s, o)
+        return x, np.full(len(x), -1), y
+    own, pos = expand_ranges(*kg.object_ranges(np.full(len(o), b2), o))
+    return s[own], o[own], kg.rel_o[pos]
 
 
 def count_support_and_head(kg: KnowledgeGraph, axiom: Axiom) -> tuple[int, int]:
@@ -264,12 +431,44 @@ def count_support_and_head(kg: KnowledgeGraph, axiom: Axiom) -> tuple[int, int]:
     axiom counts every intermediate path and a symmetric axiom counts both
     ordered directions of a mutual pair.
     """
-    return sum(rule_join(kg, axiom)), kg.relation_size(axiom.head_relation())
+    return int(join_rules(kg, axiom_table([axiom])).support[0]), kg.relation_size(axiom.head_relation())
 
 
 # ---------------------------------------------------------------------------
 # pool generation
 # ---------------------------------------------------------------------------
+
+
+def candidate_table(kg: KnowledgeGraph, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The distinct candidate axioms proposed around at most ``k`` sampled
+    triples per relation, as a sorted candidate table (see ``generate_pool``)."""
+    sizes = kg.relation_sizes(np.arange(kg.n_relations))
+    nonempty = np.flatnonzero(sizes)
+    picks = [np.arange(sizes[r]) if sizes[r] <= k
+             else np.sort(rng.choice(int(sizes[r]), size=k, replace=False))
+             for r in nonempty.tolist()]
+    rel = np.repeat(nonempty, [len(p) for p in picks])
+    pos = kg.rel_start[rel] + (np.concatenate(picks) if picks else np.zeros(0, dtype=np.int64))
+    parts = [_rows(t, nonempty) for t in (AxiomType.REFLEXIVE, AxiomType.SYMMETRIC, AxiomType.TRANSITIVE)]
+    lo, hi = kg.out_ranges(kg.rel_s[pos])
+    for part in _slices(hi - lo):
+        e1, r, e2 = kg.rel_s[pos[part]], rel[part], kg.rel_o[pos[part]]
+        # relations linking e1 to e2: equivalent and sub-property bodies
+        own, p = expand_ranges(*kg.pair_ranges(e1, e2))
+        b = kg.pair_key(p)[1]
+        own, b = own[b != r[own]], b[b != r[own]]
+        parts += [_rows(AxiomType.EQUIVALENT, b, r[own]), _rows(AxiomType.SUB_PROPERTY, b, r[own])]
+        # relations linking e2 to e1: inverse bodies
+        own, p = expand_ranges(*kg.pair_ranges(e2, e1))
+        b = kg.pair_key(p)[1]
+        parts.append(_rows(AxiomType.INVERSE, r[own], b))
+        # paths e1 -b1-> mid -b2-> e2: chain bodies
+        own, p = expand_ranges(lo[part], hi[part])
+        mid, first = kg.pair_key(p)
+        own2, p2 = expand_ranges(*kg.pair_ranges(mid, e2[own]))
+        parts.append(_unique_rows(_rows(AxiomType.SUB_PROPERTY_CHAIN, first[own2], kg.pair_key(p2)[1],
+                                        r[own[own2]])))
+    return _unique_rows(np.concatenate(parts))
 
 
 def generate_pool(kg: KnowledgeGraph, config: PoolConfig, rng: np.random.Generator) -> list[PooledAxiom]:
@@ -279,42 +478,20 @@ def generate_pool(kg: KnowledgeGraph, config: PoolConfig, rng: np.random.Generat
     Binary and ternary candidates are completed around sampled head triples:
     for a sampled (e1, r, e2), body relations are those already linking e1
     and e2 (equivalent / sub-property), linking e2 to e1 (inverse), or
-    forming a two-step path e1 -> y -> e2 (chain).  The pool depends only on
-    the seed and the graph, not on input file ordering.  A DEBUG line counts
-    the candidates and the pool per type.
+    forming a two-step path e1 -> y -> e2 (chain).  The candidates are an
+    integer table; ``join_rules`` counts their supports, and only pooled
+    candidates become ``Axiom`` objects.  The pool depends only on the seed
+    and the graph, not on input file ordering.  A DEBUG line counts the
+    candidates and the pool per type.
     """
-    k = config.resolved_samples()
-    candidates: set[Axiom] = set()
-    for r in range(kg.n_relations):
-        triples_r = kg.triples_of(r)
-        if not triples_r:
-            continue
-        candidates.add(Axiom(AxiomType.REFLEXIVE, (r,)))
-        candidates.add(Axiom(AxiomType.SYMMETRIC, (r,)))
-        candidates.add(Axiom(AxiomType.TRANSITIVE, (r,)))
-        if len(triples_r) <= k:
-            sampled = triples_r
-        else:
-            idx = rng.choice(len(triples_r), size=k, replace=False)
-            sampled = [triples_r[i] for i in np.sort(idx)]
-        for (e1, _, e2) in sampled:
-            for body in kg.pair_relations(e1, e2):
-                if body != r:
-                    candidates.add(Axiom(AxiomType.EQUIVALENT, (body, r)))
-                    candidates.add(Axiom(AxiomType.SUB_PROPERTY, (body, r)))
-            for body in kg.pair_relations(e2, e1):
-                candidates.add(Axiom(AxiomType.INVERSE, (r, body)))
-            for (b1, mid) in kg.out_edges(e1):
-                for b2 in kg.pair_relations(mid, e2):
-                    candidates.add(Axiom(AxiomType.SUB_PROPERTY_CHAIN, (b1, b2, r)))
-
-    pool: list[PooledAxiom] = []
-    for ax in sorted(candidates, key=Axiom.sort_key):
-        n, head_n = count_support_and_head(kg, ax)
-        if n >= 2:
-            pool.append(PooledAxiom(ax, n, head_n))
+    table = candidate_table(kg, config.resolved_samples(), rng)
+    support = join_rules(kg, table).support
+    keep = np.flatnonzero(support >= 2)
+    head_size = kg.relation_sizes(_rule_columns(table[keep])[0])
+    pool = [PooledAxiom(_axiom(row), n, h)
+            for row, n, h in zip(table[keep].tolist(), support[keep].tolist(), head_size.tolist())]
     per_type = Counter(pa.axiom.type for pa in pool)
-    log.debug("pool: %d candidates proposed, %d pooled (%s)", len(candidates), len(pool),
+    log.debug("pool: %d candidates proposed, %d pooled (%s)", len(table), len(pool),
               ", ".join(f"{t.value} {per_type[t]}" for t in AxiomType))
     return pool
 
@@ -411,6 +588,17 @@ def axiom_record(sa: ScoredAxiom, relations: Vocabulary, hc: float | None = None
     return rec
 
 
+def csv_mirror_path(path: str) -> str:
+    """Where ``write_axioms`` puts the CSV mirror of ``path``: its extension
+    replaced by ``.csv``.  A ``.csv`` path would be its own mirror, and the
+    mirror would overwrite the JSONL, so it is refused."""
+    csv_path = os.path.splitext(path)[0] + ".csv"
+    if csv_path == path:
+        raise ValueError(f"{path}: the axiom dump needs a path whose CSV mirror is another file; "
+                         "use a .jsonl extension")
+    return csv_path
+
+
 def write_axioms(
     path: str,
     scored: Sequence[ScoredAxiom],
@@ -418,6 +606,7 @@ def write_axioms(
     hc_values: Sequence[float] | None = None,
 ) -> None:
     """Write one JSON object per axiom, plus a CSV mirror next to it."""
+    csv_path = csv_mirror_path(path)
     records = [
         axiom_record(sa, relations, hc_values[i] if hc_values is not None else None)
         for i, sa in enumerate(scored)
@@ -425,7 +614,6 @@ def write_axioms(
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    csv_path = os.path.splitext(path)[0] + ".csv"
     cols = ["type", "relations", "support", "head_size", "raw", "score"]
     if hc_values is not None:
         cols.append("hc")

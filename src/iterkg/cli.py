@@ -8,8 +8,10 @@ import os
 import shutil
 import sys
 
-from .axioms import PoolConfig, generate_pool, induce_axioms, write_axioms
-from .evaluation import head_coverage, link_prediction, link_prediction_with_axioms
+from .axioms import PoolConfig, csv_mirror_path, generate_pool, induce_axioms, write_axioms
+from .evaluation import (  # noqa: F401 (head_coverage: perfbench wraps this module's name)
+    head_coverage, head_coverages, link_prediction, link_prediction_with_axioms,
+)
 from .injection import read_injected_tsv
 from .kg import KnowledgeGraph, entity_sparsity, load_dataset, sparsify_eval_split
 from .pipeline import (
@@ -50,6 +52,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_rules(args) -> int:
+    csv_mirror_path(args.out)
     train, _, _, entities, relations = load_dataset(args.data)
     kg = KnowledgeGraph(train, entities, relations)
     model = load_checkpoint(args.ckpt)
@@ -59,7 +62,7 @@ def _cmd_rules(args) -> int:
     )
     pool = generate_pool(kg, pool_cfg, phase_rng(args.seed, 0, "pool"))
     scored = induce_axioms(model, pool)
-    hc = [head_coverage(kg, sa.axiom) for sa in scored]
+    hc = head_coverages(kg, [sa.axiom for sa in scored])
     write_axioms(args.out, scored, relations, hc)
     print(f"wrote {len(scored)} scored axioms to {args.out}")
     return 0

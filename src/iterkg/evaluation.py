@@ -12,8 +12,8 @@ observations; the reciprocal of the per-triple averaged rank is also
 reported since both conventions appear in practice.
 
 Head coverage (AMIE+'s measure) is the fraction of head-relation triples
-that some support of the rule extends; it reads ``axioms.rule_join``
-pivoted on the head atom.
+that some support of the rule extends; ``head_coverages`` reads it for a
+whole pool from one ``axioms.join_rules`` call.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .axioms import Axiom, ScoredAxiom, rule_join
+from .axioms import Axiom, ScoredAxiom, axiom_table, join_rules
 from .embedding import EmbeddingModel
 from .injection import InferredTriple
 from .kg import KnowledgeGraph, Triple
@@ -206,13 +206,20 @@ def link_prediction_with_axioms(
 # ---------------------------------------------------------------------------
 
 
+def head_coverages(kg: KnowledgeGraph, axioms: Sequence[Axiom]) -> list[float]:
+    """Fraction of head-relation pairs that participate in some support,
+    per axiom, from one batched join."""
+    head_rel = np.array([ax.head_relation() for ax in axioms], dtype=np.int64)
+    n_head = kg.relation_sizes(head_rel)
+    if not n_head.all():
+        raise ValueError(f"head coverage undefined: relation {head_rel[np.argmin(n_head)]} has no triples")
+    covered = join_rules(kg, axiom_table(axioms)).covered
+    return [c / n for c, n in zip(covered.tolist(), n_head.tolist())]
+
+
 def head_coverage(kg: KnowledgeGraph, axiom: Axiom) -> float:
     """Fraction of head-relation pairs that participate in some support."""
-    head_rel = axiom.head_relation()
-    n_head = kg.relation_size(head_rel)
-    if not n_head:
-        raise ValueError(f"head coverage undefined: relation {head_rel} has no triples")
-    return sum(map(bool, rule_join(kg, axiom, pivot=0))) / n_head
+    return head_coverages(kg, [axiom])[0]
 
 
 def summarize_rules(

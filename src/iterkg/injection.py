@@ -1,13 +1,14 @@
 """Grounding high-scoring axioms and labeling the inferred triples.
 
 An axiom whose normalized score clears the threshold is grounded over the
-graph: every body instantiation found in the triple set
-(``axioms.body_assignments``) proposes a head triple not yet present.
-Injection keeps only the distinct heads and builds no ``Grounding``;
-``ground_axiom`` lists every instantiation with its body, for audits.
-Heads touching at least one sparse entity survive, duplicates across axioms
-merge onto the best contributing score, and each surviving triple receives
-a truth value derived through product t-norm fuzzy logic: solving
+graph: every body instantiation found in the triple set proposes a head
+triple not yet present.  Injection joins all such axioms at once
+(``axioms.join_rules``), which counts each axiom's distinct heads before it
+lists any, and builds no ``Grounding``; ``ground_axiom`` lists every
+instantiation of one axiom with its body, for audits.  Heads touching at
+least one sparse entity survive, duplicates across axioms merge onto the
+best contributing score, and each surviving triple receives a truth value
+derived through product t-norm fuzzy logic: solving
 pi(body => head) = s_axiom with unit body truths gives pi(head) = s_axiom
 exactly.
 """
@@ -16,9 +17,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Sequence, Union
 
-from .axioms import RULES, Axiom, ScoredAxiom, body_assignments
+import numpy as np
+
+from .axioms import RULES, Axiom, ScoredAxiom, axiom_table, body_assignments, join_rules
 from .kg import KnowledgeGraph, Triple, Vocabulary
 
 log = logging.getLogger(__name__)
@@ -133,29 +137,16 @@ def ground_axiom(kg: KnowledgeGraph, axiom: Axiom) -> list[Grounding]:
     reachable through several intermediates appears once per path.  Bodies
     range over original graph triples only; inferred triples are never
     chained within one injection round.  This is the audit form of the
-    enumeration ``inject_triples`` reads only the heads of.
+    join whose distinct heads ``inject_triples`` reads.
     """
     (head_rel, _, _), *body = axiom.atoms()
+    x, m, y = body_assignments(kg, axiom)
+    absent = ~kg.contains_many(x, np.full(len(x), head_rel), y)
     out: list[Grounding] = []
-    for assignment in body_assignments(kg, axiom):
-        x, _, y = assignment
-        if not kg.contains(x, head_rel, y):
-            atoms = tuple(Triple(assignment[u], r, assignment[v]) for r, u, v in body)
-            out.append(Grounding(Triple(x, head_rel, y), atoms, axiom))
+    for assignment in zip(x[absent].tolist(), m[absent].tolist(), y[absent].tolist()):
+        atoms = tuple(Triple(assignment[u], r, assignment[v]) for r, u, v in body)
+        out.append(Grounding(Triple(assignment[0], head_rel, assignment[2]), atoms, axiom))
     return out
-
-
-def _new_heads(kg: KnowledgeGraph, axiom: Axiom, cap: int) -> set[tuple[int, int, int]] | None:
-    """Distinct heads the axiom infers, absent from the graph; None as soon
-    as there are more than ``cap`` of them."""
-    head_rel = axiom.head_relation()
-    heads: set[tuple[int, int, int]] = set()
-    for x, _, y in body_assignments(kg, axiom):
-        if not kg.contains(x, head_rel, y):
-            heads.add((x, head_rel, y))
-            if len(heads) > cap:
-                return None
-    return heads
 
 
 def inject_triples(
@@ -167,47 +158,59 @@ def inject_triples(
 ) -> list[InferredTriple]:
     """Infer soft-labeled triples from axioms above the score threshold.
 
-    An axiom that proposes more than ``max_inferred_per_axiom`` distinct
-    heads is skipped outright rather than truncated: a single axiom flooding
-    the input would skew the training distribution.  Its enumeration stops
-    at the first head over the cap; the number of axioms skipped this way is
-    logged at INFO level.  Heads are then filtered to those touching a
-    sparse entity (disable via ``restrict_sparse`` to inspect the unfiltered
-    inference), merged across axioms keeping the maximum score, and labeled
-    through solve_head_truth.  One DEBUG line per call counts the axioms
-    grounded, the heads proposed and kept by the sparse filter (per axiom)
-    and the axioms over the cap.  Output is sorted by triple ids.
+    The axioms above the threshold are joined with the graph together
+    (``axioms.join_rules``), which counts each one's distinct new heads
+    first.  An axiom that proposes more than ``max_inferred_per_axiom`` of
+    them is skipped outright rather than truncated: a single axiom flooding
+    the input would skew the training distribution.  Its heads are never
+    listed, and the number of axioms skipped this way is logged at INFO
+    level.  Heads are then filtered to those touching a sparse entity
+    (disable via ``restrict_sparse`` to inspect the unfiltered inference),
+    merged across axioms keeping the maximum score (the first such axiom in
+    input order labels the triple; ``sources`` lists every contributing
+    axiom in input order), and labeled through solve_head_truth.  One DEBUG
+    line per call counts the axioms grounded, the heads proposed and kept
+    by the sparse filter (per axiom) and the axioms over the cap.  Output is
+    sorted by triple ids.
     """
-    best: dict[tuple[int, int, int], ScoredAxiom] = {}
-    sources: dict[tuple[int, int, int], list[Axiom]] = {}
-    grounded = proposed = kept = over_cap = 0
-    for sa in scored_axioms:
-        if sa.score <= config.score_threshold:
-            continue
-        grounded += 1
-        heads = _new_heads(kg, sa.axiom, config.max_inferred_per_axiom)
-        if heads is None:
-            over_cap += 1
-            continue
-        proposed += len(heads)
-        if restrict_sparse:
-            heads = {h for h in heads if h[0] in sparse or h[2] in sparse}
-        kept += len(heads)
-        for h in heads:
-            if h not in best or sa.score > best[h].score:
-                best[h] = sa
-            sources.setdefault(h, []).append(sa.axiom)
-    if over_cap:
+    grounded = [sa for sa in scored_axioms if sa.score > config.score_threshold]
+    axioms = [sa.axiom for sa in grounded]
+    cap = config.max_inferred_per_axiom
+    join = join_rules(kg, axiom_table(axioms), cap)
+    over = join.n_heads > cap
+    cand, x, y = join.heads.T
+    if restrict_sparse:
+        is_sparse = np.zeros(kg.n_entities, dtype=bool)
+        is_sparse[[e for e in sparse if 0 <= e < kg.n_entities]] = True
+        near = is_sparse[x] | is_sparse[y]
+        cand, x, y = cand[near], x[near], y[near]
+    if over.any():
         log.info("skipped %d axioms inferring more than max_inferred_per_axiom=%d heads",
-                 over_cap, config.max_inferred_per_axiom)
+                 int(over.sum()), cap)
     log.debug("axioms_grounded=%d heads_proposed=%d heads_kept=%d axioms_over_cap=%d",
-              grounded, proposed, kept, over_cap)
-    out = []
-    for triple in sorted(best):
-        sa = best[triple]
-        truth = solve_head_truth([1.0] * (len(RULES[sa.axiom.type]) - 1), sa.score)
-        out.append(InferredTriple(Triple(*triple), truth, tuple(sources[triple])))
-    return out
+              len(grounded), int(join.n_heads[~over].sum()), len(cand), int(over.sum()))
+
+    # one run of rows per triple, runs sorted like (s, r, o) tuples and
+    # axioms in input order within a run; the run's first top-scoring axiom
+    # labels the triple
+    r = np.array([ax.head_relation() for ax in axioms], dtype=np.int64)[cand]
+    key = (x * kg.n_relations + r) * kg.n_entities + y
+    order = np.lexsort((cand, key))
+    cand, key = cand[order], key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    bounds = np.append(first, len(key))
+    score = np.array([sa.score for sa in grounded])[cand]
+    top = np.repeat(np.maximum.reduceat(score, first), np.diff(bounds))
+    best = cand[np.minimum.reduceat(np.where(score == top, np.arange(len(key)), len(key)), first)]
+    truth = [solve_head_truth([1.0] * (len(RULES[sa.axiom.type]) - 1), sa.score) for sa in grounded]
+    triples = np.stack([x[order], r[order], y[order]], axis=1)[first].tolist()
+    # most triples have one source: share its 1-tuple
+    one = [(ax,) for ax in axioms]
+    sources = [one[i] for i in cand[first].tolist()]
+    cands, shared = cand.tolist(), np.flatnonzero(np.diff(bounds) > 1)
+    for run, lo, hi in zip(shared.tolist(), bounds[shared].tolist(), bounds[shared + 1].tolist()):
+        sources[run] = tuple(axioms[i] for i in cands[lo:hi])
+    return list(map(InferredTriple, starmap(Triple, triples), [truth[i] for i in best.tolist()], sources))
 
 
 def write_injected_tsv(

@@ -1,9 +1,10 @@
-"""Triple store: vocabularies, adjacency indices, entity sparsity, eval splits.
+"""Triple store: vocabularies, sorted id arrays, entity sparsity, eval splits.
 
 Graphs are loaded from tab-separated files (subject TAB relation TAB object,
-one triple per line) and indexed once at construction.  All query methods
-return results in ascending-id order so downstream sampling and pool
-generation are reproducible regardless of input file ordering.
+one triple per line) and sorted into int64 arrays once at construction.
+All query methods return results in ascending-id order so downstream
+sampling and pool generation are reproducible regardless of input file
+ordering.
 """
 
 from __future__ import annotations
@@ -111,61 +112,77 @@ def load_triples(
     return triples, entities, relations
 
 
-class KnowledgeGraph:
-    """Immutable triple set with adjacency indices.
+def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every position of the ranges ``[lo[i], hi[i])``, range by range:
+    ``(owner, position)`` with ``owner`` the index ``i`` of its range."""
+    n = hi - lo
+    owner = np.repeat(np.arange(len(n)), n)
+    return owner, np.arange(len(owner)) + np.repeat(lo - (np.cumsum(n) - n), n)
 
-    Duplicate triples are removed at construction (first occurrence kept).
-    The indices are plain dict-of-set structures rebuilt deterministically
-    from the triple list.  The rule joins of ``iterkg.axioms`` read them
-    through ``triples_of`` (the pivot atom), ``contains`` (a one-atom body
-    against its head), ``objects_set``/``subjects_set`` (the middle or end
-    entity of a two-atom body, both keyed ``(entity, relation)``) and
-    ``entity_occurs_with`` (the reflexive rule); pool generation reads
-    ``pair_relations`` and ``out_edges``.  Batched membership
-    (``contains_many``) searches a sorted array of packed int64 keys, built
-    on first use.  Do not mutate after construction.
+
+def lookup_sorted(keys: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each query, a position in the sorted ``keys`` and whether the
+    query is the key there."""
+    if len(keys) == 0:
+        return np.zeros(len(q), dtype=np.int64), np.zeros(len(q), dtype=bool)
+    at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+    return at, keys[at] == q
+
+
+class KnowledgeGraph:
+    """Immutable triple set held as int64 arrays.
+
+    Duplicate triples are removed at construction (first occurrence kept);
+    ``ids`` holds the survivors in input order, ``triples`` the same as
+    ``Triple`` tuples.  The rule joins of ``iterkg.axioms`` read a second
+    copy sorted by (relation, subject, object): ``rel_s``/``rel_o`` are its
+    subject and object columns, and relation r's triples are the rows
+    ``rel_start[r]:rel_start[r + 1]``.  Three arrays are built on first use:
+
+    - the packed keys ``(r*n_ent + s)*n_ent + o`` of the sorted rows, which
+      are sorted as they stand, so membership (``contains_many``) is one
+      ``np.searchsorted``;
+    - a CSR over (relation, subject): offsets for all ``n_rel * n_ent``
+      pairs, so the objects of any (s, r) are a gather
+      (``object_ranges``);
+    - the sorted keys ``(s*n_ent + o)*n_rel + r``, whose runs are the
+      out-edges of a subject (``out_ranges``) and the relations linking two
+      entities (``pair_ranges``), for pool generation.
+
+    Building them on first use lets a graph whose keys overflow int64 be
+    constructed; its joins and membership queries refuse it.  The query
+    methods (``objects_of``, ``triples_of``, ...) return ascending-id lists.
+    Do not mutate after construction.
     """
 
     def __init__(self, triples: Sequence[Triple], entities: Vocabulary, relations: Vocabulary):
         n_ent, n_rel = len(entities), len(relations)
-        seen: set[Triple] = set()
-        kept: list[Triple] = []
-        for t in triples:
-            t = Triple(*t)
-            if not (0 <= t.subject < n_ent and 0 <= t.object < n_ent and 0 <= t.relation < n_rel):
-                raise ValueError(f"triple {t} out of vocabulary bounds ({n_ent} entities, {n_rel} relations)")
-            if t in seen:
-                continue
-            seen.add(t)
-            kept.append(t)
-        dropped = len(triples) - len(kept)
+        flat = itertools.chain.from_iterable(triples)
+        ids = np.fromiter(flat, dtype=np.int64, count=3 * len(triples)).reshape(-1, 3)
+        bad = ((ids < 0).any(axis=1) | (ids[:, 0] >= n_ent) | (ids[:, 1] >= n_rel)
+               | (ids[:, 2] >= n_ent))
+        if bad.any():
+            t = Triple(*ids[np.argmax(bad)].tolist())
+            raise ValueError(f"triple {t} out of vocabulary bounds ({n_ent} entities, {n_rel} relations)")
+        # stable: the first of equal rows is the earliest occurrence
+        order = np.lexsort((ids[:, 2], ids[:, 0], ids[:, 1]))
+        rows = ids[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        dropped = len(ids) - int(first.sum())
         if dropped:
             log.info("dropped %d duplicate triples", dropped)
 
         self.entities = entities
         self.relations = relations
-        self.triples: tuple[Triple, ...] = tuple(kept)
-        self._members = seen
-
-        self._by_rel: dict[int, list[Triple]] = {}
-        self._so: dict[tuple[int, int], set[int]] = {}
-        self._os: dict[tuple[int, int], set[int]] = {}
-        self._pair: dict[tuple[int, int], set[int]] = {}
-        self._out: dict[int, set[tuple[int, int]]] = {}
-        self._ents_of_rel: dict[int, set[int]] = {}
-        for t in kept:
-            s, r, o = t
-            self._by_rel.setdefault(r, []).append(t)
-            self._so.setdefault((s, r), set()).add(o)
-            self._os.setdefault((o, r), set()).add(s)
-            self._pair.setdefault((s, o), set()).add(r)
-            self._out.setdefault(s, set()).add((r, o))
-            self._ents_of_rel.setdefault(r, set()).update((s, o))
-        for r in self._by_rel:
-            self._by_rel[r].sort()
+        self.ids: np.ndarray = ids[np.sort(order[first])]
+        rows = rows[first]
+        self.rel_s: np.ndarray = rows[:, 0].copy()
+        self.rel_o: np.ndarray = rows[:, 2].copy()
+        self.rel_start: np.ndarray = np.searchsorted(rows[:, 1], np.arange(n_rel + 1))
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return len(self.ids)
 
     @property
     def n_entities(self) -> int:
@@ -175,77 +192,113 @@ class KnowledgeGraph:
     def n_relations(self) -> int:
         return len(self.relations)
 
-    # -- query API (sorted, set semantics) --------------------------------
-
-    def contains(self, s: int, r: int, o: int) -> bool:
-        return (s, r, o) in self._members
-
     @cached_property
-    def ids(self) -> np.ndarray:
-        """(n, 3) int64 array of the triples, one (s, r, o) row each, in order."""
-        flat = itertools.chain.from_iterable(self.triples)
-        return np.fromiter(flat, dtype=np.int64, count=3 * len(self.triples)).reshape(-1, 3)
+    def triples(self) -> tuple[Triple, ...]:
+        """The triples of ``ids``, in the same order."""
+        return tuple(map(Triple._make, self.ids.tolist()))
 
-    @cached_property
-    def _sorted_keys(self) -> np.ndarray:
+    def relation_sizes(self, r: np.ndarray) -> np.ndarray:
+        return self.rel_start[np.asarray(r) + 1] - self.rel_start[r]
+
+    def relation_size(self, r: int) -> int:
+        return int(self.relation_sizes(r)) if 0 <= r < self.n_relations else 0
+
+    # -- packed keys -------------------------------------------------------
+
+    def _check_keys(self) -> None:
         if self.n_entities ** 2 * self.n_relations > np.iinfo(np.int64).max:
             raise OverflowError(
                 f"{self.n_entities} entities x {self.n_relations} relations overflow int64 triple keys")
-        return np.sort(self._pack(*self.ids.T))
 
-    def _pack(self, s: np.ndarray, r: np.ndarray, o: np.ndarray) -> np.ndarray:
-        return (s * self.n_relations + r) * self.n_entities + o
+    def _pack(self, s, r, o):
+        return (r * self.n_entities + s) * self.n_entities + o
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        self._check_keys()
+        r = np.repeat(np.arange(self.n_relations), np.diff(self.rel_start))
+        return self._pack(self.rel_s, r, self.rel_o)
+
+    @cached_property
+    def _csr(self) -> np.ndarray:
+        pair = self._keys // self.n_entities  # r*n_ent + s
+        return np.concatenate([[0], np.cumsum(np.bincount(pair, minlength=self.n_relations * self.n_entities))])
+
+    @cached_property
+    def _pair_keys(self) -> np.ndarray:
+        self._check_keys()
+        s, r, o = self.ids.T
+        return np.sort((s * self.n_entities + o) * self.n_relations + r)
+
+    # -- batched access ----------------------------------------------------
 
     def contains_many(self, s: np.ndarray, r: np.ndarray, o: np.ndarray) -> np.ndarray:
         """Boolean mask: which (s[i], r[i], o[i]) are graph triples.
 
-        One ``np.searchsorted`` of the packed keys ``(s*n_rel + r)*n_ent + o``
-        into the sorted key array; out-of-range ids are never members.
+        One ``np.searchsorted`` of the packed keys into the sorted key
+        array; out-of-range ids are never members.
         """
         s, r, o = (np.asarray(a, dtype=np.int64) for a in (s, r, o))
-        keys = self._sorted_keys
         valid = ((0 <= s) & (s < self.n_entities) & (0 <= o) & (o < self.n_entities)
                  & (0 <= r) & (r < self.n_relations))
-        if len(keys) == 0:
-            return np.zeros(valid.shape, dtype=bool)
-        q = self._pack(s, r, o)
-        pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
-        return valid & (keys[pos] == q)
+        return valid & lookup_sorted(self._keys, self._pack(s, r, o))[1]
+
+    def object_ranges(self, r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``[lo, hi)`` of ``rel_s``/``rel_o`` holding the triples
+        (s[i], r[i], *), for in-range ids."""
+        at = r * self.n_entities + s
+        return self._csr[at], self._csr[at + 1]
+
+    def out_ranges(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Runs of ``pair_key`` holding the out-edges of each subject."""
+        first = s * (self.n_entities * self.n_relations)
+        return (np.searchsorted(self._pair_keys, first),
+                np.searchsorted(self._pair_keys, first + self.n_entities * self.n_relations))
+
+    def pair_ranges(self, s: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Runs of ``pair_key`` holding the relations that link s[i] to o[i]."""
+        first = (s * self.n_entities + o) * self.n_relations
+        return (np.searchsorted(self._pair_keys, first),
+                np.searchsorted(self._pair_keys, first + self.n_relations))
+
+    def pair_key(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(object, relation) of the sorted pair keys at ``pos``."""
+        k = self._pair_keys[pos]
+        return k // self.n_relations % self.n_entities, k % self.n_relations
+
+    # -- query API (sorted, set semantics) --------------------------------
+
+    def contains(self, s: int, r: int, o: int) -> bool:
+        return bool(self.contains_many([s], [r], [o])[0])
+
+    def _valid(self, e: int, r: int) -> bool:
+        return 0 <= e < self.n_entities and 0 <= r < self.n_relations
 
     def objects_of(self, s: int, r: int) -> list[int]:
-        return sorted(self._so.get((s, r), ()))
+        if not self._valid(s, r):
+            return []
+        lo, hi = self.object_ranges(np.int64(r), np.int64(s))
+        return self.rel_o[lo:hi].tolist()
 
     def subjects_of(self, r: int, o: int) -> list[int]:
-        return sorted(self._os.get((o, r), ()))
+        if not self._valid(o, r):
+            return []
+        block = slice(self.rel_start[r], self.rel_start[r + 1])
+        return self.rel_s[block][self.rel_o[block] == o].tolist()
 
     def relations_between(self, s: int, o: int) -> list[int]:
-        return sorted(self._pair.get((s, o), ()))
+        if not self._valid(s, 0) or not self._valid(o, 0):
+            return []
+        lo, hi = self.pair_ranges(np.int64(s), np.int64(o))
+        return self.pair_key(np.arange(lo, hi))[1].tolist()
 
     def triples_of(self, r: int) -> list[Triple]:
-        return list(self._by_rel.get(r, ()))
+        block = slice(self.rel_start[r], self.rel_start[r + 1])
+        return [Triple(s, r, o) for s, o in zip(self.rel_s[block].tolist(), self.rel_o[block].tolist())]
 
     def entity_occurs_with(self, r: int) -> list[int]:
-        return sorted(self._ents_of_rel.get(r, ()))
-
-    # -- raw set views for hot paths (do not mutate) -----------------------
-
-    def objects_set(self, s: int, r: int) -> set[int]:
-        return self._so.get((s, r), _EMPTY_SET)
-
-    def subjects_set(self, o: int, r: int) -> set[int]:
-        return self._os.get((o, r), _EMPTY_SET)
-
-    def pair_relations(self, s: int, o: int) -> set[int]:
-        return self._pair.get((s, o), _EMPTY_SET)
-
-    def out_edges(self, s: int) -> set[tuple[int, int]]:
-        return self._out.get(s, _EMPTY_SET)
-
-    def relation_size(self, r: int) -> int:
-        return len(self._by_rel.get(r, ()))
-
-
-_EMPTY_SET: set = set()
+        block = slice(self.rel_start[r], self.rel_start[r + 1])
+        return np.union1d(self.rel_s[block], self.rel_o[block]).tolist()
 
 
 @dataclass(frozen=True)
@@ -272,10 +325,8 @@ def entity_sparsity(kg: KnowledgeGraph) -> SparsityTable:
     """
     if len(kg) == 0:
         raise ValueError("cannot compute sparsity of an empty graph")
-    freq = np.zeros(kg.n_entities, dtype=np.int64)
-    for s, _, o in kg.triples:
-        freq[s] += 1
-        freq[o] += 1
+    freq = (np.bincount(kg.ids[:, 0], minlength=kg.n_entities)
+            + np.bincount(kg.ids[:, 2], minlength=kg.n_entities))
     fmin, fmax = int(freq.min()), int(freq.max())
     if fmax == fmin:
         sparsity = np.zeros(kg.n_entities, dtype=np.float64)

@@ -11,6 +11,7 @@ trajectory exactly.
 from __future__ import annotations
 
 import json
+import logging
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -21,9 +22,13 @@ from .axioms import (
     AxiomType, PoolConfig, PooledAxiom, ScoredAxiom, generate_pool, induce_axioms, write_axioms,
 )
 from .embedding import AdamState, EmbeddingModel, TrainConfig, TripleBatch, init_model, train_epoch
-from .evaluation import head_coverage, link_prediction, link_prediction_with_axioms, summarize_rules
+from .evaluation import (  # noqa: F401 (head_coverage: perfbench wraps this module's name)
+    head_coverage, head_coverages, link_prediction, link_prediction_with_axioms, summarize_rules,
+)
 from .injection import InferredTriple, InjectionConfig, inject_triples, write_injected_tsv
 from .kg import KnowledgeGraph, Triple, entity_sparsity, load_dataset, sparse_entities
+
+log = logging.getLogger(__name__)
 
 CKPT_MAGIC = "ITERE-CKPT v1"
 
@@ -236,6 +241,17 @@ def _injected_per_type(injected: list[InferredTriple]) -> dict[str, int]:
     return counts
 
 
+def _inject(kg: KnowledgeGraph, scored: list[ScoredAxiom], sparse: set[int],
+            config: InjectionConfig) -> list[InferredTriple]:
+    """``inject_triples``, with a WARNING when the injected triples outnumber
+    the graph's: the next epoch trains on every one of them."""
+    injected = inject_triples(kg, scored, sparse, config)
+    if len(injected) > len(kg):
+        log.warning("injected %d triples, more than the graph's %d; the next epoch trains on all of them",
+                    len(injected), len(kg))
+    return injected
+
+
 def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> PipelineResult:
     """Run the full loop and write all artifacts under ``config.out_dir``.
 
@@ -270,7 +286,7 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
             ) from None
         start_iter = done + 1
         scored = induce_axioms(model, pool)
-        injected = inject_triples(kg, scored, sparse, config.injection)
+        injected = _inject(kg, scored, sparse, config.injection)
         injected_union = {it.triple: it.truth for it in injected}
         if start_iter > config.iterations:
             raise ValueError(f"checkpoint already covers all {config.iterations} iterations")
@@ -288,7 +304,7 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
             for _ in range(config.train.epochs_per_iteration)
         ]
         scored = induce_axioms(model, pool)
-        injected = inject_triples(kg, scored, sparse, config.injection)
+        injected = _inject(kg, scored, sparse, config.injection)
         for inj in injected:
             prev = injected_union.get(inj.triple, -1.0)
             if inj.truth > prev:
@@ -315,7 +331,7 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
     with open(os.path.join(config.out_dir, "records.jsonl"), "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
-    hc_values = [head_coverage(kg, sa.axiom) for sa in scored]
+    hc_values = head_coverages(kg, [sa.axiom for sa in scored])
     write_axioms(os.path.join(config.out_dir, "axioms.jsonl"), scored, relations, hc_values)
 
     report: dict = {

@@ -7,7 +7,8 @@ library's indices, blockwise shortcuts, and join logic.
 
 import numpy as np
 
-from iterkg.axioms import Axiom, AxiomType
+from iterkg.axioms import RULES, AxiomType
+from iterkg.injection import InferredTriple, solve_head_truth
 from iterkg.kg import Triple
 
 
@@ -187,6 +188,29 @@ def enumerate_head_coverage(triples, axiom, n_entities):
     else:
         raise ValueError(t)
     return len(covered) / len(head_pairs)
+
+
+def inject_by_enumeration(triples, scored, sparse, threshold, cap, n_entities, restrict_sparse=True):
+    """Injection one axiom at a time from ``enumerate_groundings``: skip an
+    axiom above ``cap`` distinct heads, keep heads touching ``sparse``, and
+    label each head with its first top-scoring axiom, all sources in input
+    order, output sorted by triple."""
+    best, sources = {}, {}
+    for sa in scored:
+        if sa.score <= threshold:
+            continue
+        heads = {h for h, _ in enumerate_groundings(triples, sa.axiom, n_entities)}
+        if len(heads) > cap:
+            continue
+        for h in heads:
+            if restrict_sparse and h[0] not in sparse and h[2] not in sparse:
+                continue
+            if h not in best or sa.score > best[h].score:
+                best[h] = sa
+            sources.setdefault(h, []).append(sa.axiom)
+    return [InferredTriple(Triple(*h), solve_head_truth([1.0] * (len(RULES[best[h].axiom.type]) - 1),
+                                                        best[h].score), tuple(sources[h]))
+            for h in sorted(best)]
 
 
 def rank_by_sort(scores, true_id, excluded):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iterkg import axioms, injection
 from iterkg.axioms import Axiom, AxiomType, ScoredAxiom
 from iterkg.injection import (
     And, Atom, Implies, InjectionConfig, Not, Or, ground_axiom, inject_triples,
@@ -172,19 +173,27 @@ class TestInjection:
             inject_triples(kg, axioms, set(range(11)), self.config(cap=10))
         assert not caplog.records
 
-    def test_cap_stops_enumeration_at_first_head_over(self, monkeypatch):
-        # a 200-node path: the transitive rule proposes 198 heads, each
-        # checked against the graph once; the cap ends the walk at the 6th
+    def test_cap_applies_before_heads_are_materialized(self, monkeypatch):
+        # a 200-node path: the transitive rule proposes 198 heads, joined in
+        # passes of a few paths each; the join stops listing them once the
+        # count passes the cap, and none becomes a Triple or InferredTriple
+        monkeypatch.setattr(axioms, "ROW_BUDGET", 4)
         kg = graph([(i, 0, i + 1) for i in range(199)])
-        lookups = []
-        contains = kg.contains
-        monkeypatch.setattr(kg, "contains", lambda *t: lookups.append(t) or contains(*t))
+        listed, built = [], []
+        list_heads = axioms.RuleJoin.list_heads
+        monkeypatch.setattr(axioms.RuleJoin, "list_heads",
+                            lambda self, c, x, y: listed.append(len(c)) or list_heads(self, c, x, y))
+        for name in ("Triple", "InferredTriple"):
+            cls = getattr(injection, name)
+            monkeypatch.setattr(injection, name, lambda *a, cls=cls: built.append(cls) or cls(*a))
         ax = scored(Axiom(AxiomType.TRANSITIVE, (0,)), 0.95)
         assert inject_triples(kg, [ax], set(range(200)), self.config(cap=5)) == []
-        assert len(lookups) == 6
-        lookups.clear()
+        assert len(listed) > 1 and sum(listed) <= 5
+        assert built == []
+        listed.clear()
         assert len(inject_triples(kg, [ax], set(range(200)), self.config(cap=198))) == 198
-        assert len(lookups) == 198
+        assert sum(listed) == 198
+        assert len(built) == 2 * 198
 
     def test_debug_line_counts_grounding(self, caplog):
         kg = graph([(i, 0, i + 1) for i in range(10)] + [(0, 1, 1)])

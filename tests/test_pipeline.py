@@ -211,6 +211,26 @@ class TestRunIterations:
         assert res.report["injected_union"] >= res.report["injected_final"]
         assert "link_prediction_with_axioms" in res.report
 
+    def test_warns_when_injection_outgrows_the_graph(self, tmp_path, caplog):
+        # a 20-cycle with two mutual pairs and two self-loops: the symmetric,
+        # reflexive and transitive rules each propose about a head per edge
+        edges = [(i, (i + 1) % 20) for i in range(20)] + [(1, 0), (3, 2), (5, 5), (7, 7)]
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "train.txt").write_text("".join(f"e{s}\tr\te{o}\n" for s, o in edges))
+        (data / "valid.txt").write_text("")
+        (data / "test.txt").write_text("")
+        cfg = PipelineConfig(
+            data_dir=str(data), out_dir=str(tmp_path / "out"), iterations=2, seed=0,
+            train=TrainConfig(dim=8, n_scalars=8, epochs_per_iteration=1, seed=0),
+            injection=InjectionConfig(score_threshold=0.4, sparsity_threshold=0.5))
+        with caplog.at_level("WARNING", logger="iterkg.pipeline"):
+            res = run_iterations(cfg)
+        assert len(res.injected) > len(res.kg)
+        warning = (f"injected {len(res.injected)} triples, more than the graph's {len(res.kg)}; "
+                   "the next epoch trains on all of them")
+        assert [r.getMessage() for r in caplog.records] == [warning, warning]
+
     def test_input_files_untouched(self, tmp_path, dataset_dir):
         before = {n: (os.path.getsize(os.path.join(dataset_dir, n)),
                       open(os.path.join(dataset_dir, n), "rb").read())
@@ -305,6 +325,16 @@ class TestCli:
                          "--out", str(out / "rules")]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["rules", "rules.csv"]
         assert not (tmp_path / "out.csv").exists()
+
+    def test_rules_refuses_an_out_path_that_is_its_own_csv_mirror(self, tmp_path, dataset_dir,
+                                                                   capsys):
+        ckpt = tmp_path / "model.bin"
+        save_checkpoint(init_model(200, 8, TrainConfig(dim=8, seed=0)), ckpt)
+        out = tmp_path / "rules.csv"
+        assert cli_main(["rules", "--ckpt", str(ckpt), "--data", dataset_dir,
+                         "--out", str(out)]) == 1
+        assert "CSV mirror" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_zero_iterations_fails(self, tmp_path, dataset_dir, capsys):
         cfg = tmp_path / "bad.cfg"

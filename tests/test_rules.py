@@ -2,38 +2,75 @@
 
 Support counting, head coverage, the audit grounding and the heads that
 injection keeps all read one rule per axiom type; each must agree with the
-oracles on small random graphs with self-loops and repeated relations.
+oracles on small random graphs with self-loops and repeated relations,
+one axiom at a time and many axioms in one batched join, whatever the
+row budget of a join pass.
 """
 
+import itertools
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iterkg.axioms import Axiom, AxiomType, ScoredAxiom, count_support_and_head
-from iterkg.evaluation import head_coverage
+from iterkg import axioms as axioms_mod
+from iterkg.axioms import (
+    Axiom, AxiomType, PoolConfig, PooledAxiom, ScoredAxiom, axiom_table, count_support_and_head,
+    generate_pool, join_rules,
+)
+from iterkg.evaluation import head_coverage, head_coverages
 from iterkg.injection import InjectionConfig, ground_axiom, inject_triples
 from iterkg.kg import KnowledgeGraph, Triple, Vocabulary
 
-from oracles import enumerate_groundings, enumerate_head_coverage, enumerate_supports
+from oracles import (
+    enumerate_groundings, enumerate_head_coverage, enumerate_supports, inject_by_enumeration,
+)
 
 
 @st.composite
-def graphs_and_axioms(draw):
+def small_graphs(draw):
     n_ent = draw(st.integers(1, 6))
     n_rel = draw(st.integers(1, 3))
     ent, rel = st.integers(0, n_ent - 1), st.integers(0, n_rel - 1)
     edges = st.tuples(ent, rel, ent)
     loops = st.tuples(ent, rel).map(lambda er: (er[0], er[1], er[0]))
     triples = draw(st.lists(st.one_of(edges, loops), max_size=30))
+    return KnowledgeGraph([Triple(*t) for t in triples],
+                          Vocabulary(f"e{i}" for i in range(n_ent)),
+                          Vocabulary(f"r{i}" for i in range(n_rel)))
+
+
+def every_axiom(n_rel):
+    for t in AxiomType:
+        for rels in itertools.product(range(n_rel), repeat=t.arity):
+            if t is AxiomType.EQUIVALENT and rels[0] == rels[1]:
+                continue  # vacuous, refused by Axiom
+            yield Axiom(t, rels)
+
+
+@st.composite
+def graphs_and_axioms(draw):
+    kg = draw(small_graphs())
+    rel = st.integers(0, kg.n_relations - 1)
     axioms = []
     for t in AxiomType:
         rels = draw(st.tuples(*[rel] * t.arity))
         if t is AxiomType.EQUIVALENT and rels[0] == rels[1]:
             continue  # vacuous, refused by Axiom
         axioms.append(Axiom(t, rels))
-    kg = KnowledgeGraph([Triple(*t) for t in triples],
-                        Vocabulary(f"e{i}" for i in range(n_ent)),
-                        Vocabulary(f"r{i}" for i in range(n_rel)))
     return kg, axioms, draw(st.integers(1, 8))
+
+
+# row budgets of a join pass: one unit per pass up to everything in one
+budgets = st.sampled_from([1, 2, 3, 7, 1 << 20])
+
+
+def with_budget(budget, f, *args, **kwargs):
+    saved, axioms_mod.ROW_BUDGET = axioms_mod.ROW_BUDGET, budget
+    try:
+        return f(*args, **kwargs)
+    finally:
+        axioms_mod.ROW_BUDGET = saved
 
 
 @settings(max_examples=300, deadline=None)
@@ -53,3 +90,52 @@ def test_joins_match_enumeration(case):
                                   restrict_sparse=False)
         want_heads = oracle_heads if len(oracle_heads) <= cap else set()
         assert {tuple(it.triple) for it in injected} == want_heads, ax
+
+
+@st.composite
+def scored_batches(draw):
+    """A graph and many scored axioms in one list: repeats, shuffled order
+    and tied scores included, with a threshold, cap and sparse set."""
+    kg = draw(small_graphs())
+    pool = list(every_axiom(kg.n_relations))
+    picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=25))
+    scores = draw(st.lists(st.sampled_from([0.2, 0.6, 0.75, 0.9, 1.0]),
+                           min_size=len(picked), max_size=len(picked)))
+    scored = [ScoredAxiom(ax, 0, 0, 0.0, s) for ax, s in zip(picked, scores)]
+    sparse = draw(st.sets(st.integers(0, kg.n_entities - 1)))
+    return (kg, scored, sparse, draw(st.sampled_from([0.0, 0.5, 0.8])), draw(st.integers(1, 10)),
+            draw(st.booleans()), draw(budgets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_batches())
+def test_batched_joins_match_per_axiom_enumeration(case):
+    kg, scored, sparse, threshold, cap, restrict, budget = case
+    axs = [sa.axiom for sa in scored]
+    n_ent = kg.n_entities
+    join = with_budget(budget, join_rules, kg, axiom_table(axs))
+    assert join.support.tolist() == [enumerate_supports(kg.triples, ax, n_ent)[0] for ax in axs]
+    covered = [ax for ax in axs if kg.relation_size(ax.head_relation())]
+    assert with_budget(budget, head_coverages, kg, covered) == [
+        enumerate_head_coverage(kg.triples, ax, n_ent) for ax in covered]
+
+    config = InjectionConfig(score_threshold=threshold, max_inferred_per_axiom=cap)
+    got = with_budget(budget, inject_triples, kg, scored, sparse, config, restrict_sparse=restrict)
+    assert got == inject_by_enumeration(kg.triples, scored, sparse, threshold, cap, n_ent, restrict)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(), st.integers(0, 2**32 - 1), budgets)
+def test_pool_of_every_sampled_triple_is_every_axiom_with_two_supports(kg, seed, budget):
+    # with every head triple sampled, the walk proposes every axiom with a
+    # support, except a relation's equivalence or sub-property with itself
+    config = PoolConfig(samples_per_relation=max(1, len(kg)))
+    pool = with_budget(budget, generate_pool, kg, config, np.random.default_rng(seed))
+    want = []
+    for ax in every_axiom(kg.n_relations):
+        if ax.type is AxiomType.SUB_PROPERTY and ax.relations[0] == ax.relations[1]:
+            continue
+        n, head_n = enumerate_supports(kg.triples, ax, kg.n_entities)
+        if n >= 2:
+            want.append(PooledAxiom(ax, n, head_n))
+    assert pool == want
