@@ -20,7 +20,7 @@ from .injection import (
     solve_head_truth, truth_value,
 )
 from .evaluation import (
-    MetricsReport, RankResult, head_coverage, link_prediction,
+    MetricsReport, head_coverage, link_prediction,
     link_prediction_with_axioms, rank_entity_side, summarize_rules,
 )
 from .pipeline import (

@@ -8,6 +8,8 @@ import os
 import shutil
 import sys
 
+import numpy as np
+
 from .axioms import PoolConfig, csv_mirror_path, generate_pool, induce_axioms, write_axioms
 from .evaluation import (  # noqa: F401 (head_coverage: perfbench wraps this module's name)
     head_coverage, head_coverages, link_prediction, link_prediction_with_axioms,
@@ -74,7 +76,7 @@ def _cmd_eval(args) -> int:
     model = load_checkpoint(args.ckpt)
     check_graph_size(model, kg, args.ckpt)
     table = entity_sparsity(kg)
-    known = set(kg.triples) | set(valid) | set(test)
+    known = np.concatenate([kg.ids, np.array(valid + test, dtype=np.int64).reshape(-1, 3)])
     if args.with_axioms:
         injected = [t for (t, _, _) in read_injected_tsv(args.with_axioms, entities, relations)]
         report = link_prediction_with_axioms(model, known, test, injected, table.freq)

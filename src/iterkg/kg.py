@@ -194,7 +194,8 @@ class KnowledgeGraph:
 
     @cached_property
     def triples(self) -> tuple[Triple, ...]:
-        """The triples of ``ids``, in the same order."""
+        """The triples of ``ids``, in the same order.  Only tests and audits
+        read it; the pipeline, the CLI and ranking use the id arrays."""
         return tuple(map(Triple._make, self.ids.tolist()))
 
     def relation_sizes(self, r: np.ndarray) -> np.ndarray:

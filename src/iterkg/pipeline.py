@@ -62,13 +62,19 @@ class PipelineConfig:
             raise ValueError("eval_every must be >= 0")
 
 
+def _parse_axioms_union(raw: str) -> bool:
+    if raw.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"axioms_union must be true/false, 1/0 or yes/no, got {raw!r}")
+    return raw.lower() in ("1", "true", "yes")
+
+
 # keys accepted in flat key=value config files and as CLI overrides, each as
 # (section of PipelineConfig, None for its own fields; field; parser)
 _CONFIG_KEYS = {
     "data_dir": (None, "data_dir", str), "out_dir": (None, "out_dir", str),
     "iterations": (None, "iterations", int), "eval_every": (None, "eval_every", int),
     "seed": (None, "seed", int),
-    "axioms_union": (None, "axioms_union", lambda v: v.lower() in ("1", "true", "yes")),
+    "axioms_union": (None, "axioms_union", _parse_axioms_union),
     "dim": ("train", "dim", int), "n_scalars": ("train", "n_scalars", int),
     "negatives": ("train", "n_negatives", int), "l1_weight": ("train", "l1_weight", float),
     "learning_rate": ("train", "learning_rate", float), "batch_size": ("train", "batch_size", int),
@@ -263,7 +269,7 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
     kg = KnowledgeGraph(train, entities, relations)
     table = entity_sparsity(kg)
     sparse = sparse_entities(table, config.injection.sparsity_threshold)
-    known = set(kg.triples) | set(valid) | set(test)
+    known = np.concatenate([kg.ids, np.array(valid + test, dtype=np.int64).reshape(-1, 3)])
 
     os.makedirs(config.out_dir, exist_ok=True)
 
@@ -342,7 +348,7 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
             "score_threshold": config.injection.score_threshold,
             "sparsity_threshold": config.injection.sparsity_threshold,
         },
-        "n_train": len(kg.triples),
+        "n_train": len(kg),
         "n_valid": len(valid),
         "n_test": len(test),
         "n_sparse_entities": len(sparse),

@@ -1,18 +1,24 @@
 """Ranking against a sort oracle, MRR/Hit arithmetic, and rule quality."""
 
+import logging
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from iterkg import evaluation
 from iterkg.axioms import Axiom, AxiomType, ScoredAxiom
 from iterkg.embedding import TrainConfig, init_model, raw_scores
 from iterkg.evaluation import (
     candidate_scores, head_coverage, link_prediction, link_prediction_with_axioms,
-    rank_entity_side, summarize_rules,
+    rank_entity_side, rank_side, summarize_rules,
 )
 from iterkg.injection import InferredTriple
 from iterkg.kg import KnowledgeGraph, Triple, Vocabulary
 
-from oracles import enumerate_head_coverage, rank_by_sort, random_graph
+from oracles import dense_block_matrix, enumerate_head_coverage, rank_by_sort, random_graph
 
 
 def graph(triples, n_ent=None, n_rel=None):
@@ -104,6 +110,133 @@ class TestRanking:
             r1 = rank_entity_side(self.model, self.known, t, "object", "filter")
             r2 = rank_entity_side(model2, known2, t2, "object", "filter")
             assert r1 == r2
+
+
+@st.composite
+def integer_ranking_case(draw):
+    """A model with small-integer parameters, so every score is an exact
+    integer under any summation order and ties are real, plus a test split,
+    known triples that repeat rows and hold the test triples, a rank-one set,
+    train frequencies and a block size."""
+    n_ent, n_rel = draw(st.integers(2, 7)), draw(st.integers(1, 3))
+    n_scalars, n_blocks = draw(st.sampled_from([(2, 0), (0, 1), (2, 1), (2, 2)]))
+    dim = n_scalars + 2 * n_blocks
+    model = init_model(n_ent, n_rel, TrainConfig(dim=dim, n_scalars=n_scalars, seed=0))
+
+    def small(*shape):
+        values = draw(st.lists(st.integers(-2, 2), min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape))))
+        return np.array(values, dtype=float).reshape(shape)
+
+    model.ent[:] = small(n_ent, dim)
+    model.rel_scalars[:] = small(n_rel, n_scalars)
+    model.rel_rot[:] = small(n_rel, n_blocks, 2)
+    triple = st.builds(Triple, st.integers(0, n_ent - 1), st.integers(0, n_rel - 1),
+                       st.integers(0, n_ent - 1))
+    test = draw(st.lists(triple, min_size=1, max_size=9))
+    others = draw(st.lists(triple, max_size=25))
+    known = others + test + draw(st.lists(st.sampled_from(others + test), max_size=10))
+    rank_one = set(draw(st.lists(st.sampled_from(test + others), max_size=3)))
+    freq = np.array(draw(st.lists(st.integers(0, 9), min_size=n_ent, max_size=n_ent)))
+    block = draw(st.sampled_from([1, 2, len(test) + 1]))
+    as_array = draw(st.booleans())
+    return model, test, np.array(known) if as_array else known, rank_one, freq, block
+
+
+def oracle_side_ranks(model, known, t, side):
+    """(raw, filtered) rank of ``t`` on one side from dense matrices and a sort."""
+    m = dense_block_matrix(model.rel_scalars[t.relation], model.rel_rot[t.relation])
+    if side == "subject":
+        scores, true_id = model.ent @ m @ model.ent[t.object], t.subject
+        known_ids = {s for s, r, o in known if (r, o) == (t.relation, t.object)}
+    else:
+        scores, true_id = model.ent @ m.T @ model.ent[t.subject], t.object
+        known_ids = {o for s, r, o in known if (s, r) == (t.subject, t.relation)}
+    return rank_by_sort(scores, true_id, set()), rank_by_sort(scores, true_id, known_ids - {true_id})
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=integer_ranking_case())
+def test_block_ranking_matches_sort_oracle_and_report_arithmetic(case):
+    model, test, known, rank_one, freq, block = case
+    known_rows = np.asarray(known).reshape(-1, 3)
+    # oracle[i][j]: (raw, filtered) rank of test[i] on side j
+    oracle = [[oracle_side_ranks(model, known_rows.tolist(), t, side) for side in ("subject", "object")]
+              for t in test]
+    with mock.patch.object(evaluation, "BLOCK", block):
+        for j, side in enumerate(("subject", "object")):
+            raw_j, filt_j = rank_side(model, known_rows, np.array(test), side)
+            assert raw_j.tolist() == [o[j][0] for o in oracle]
+            assert filt_j.tolist() == [o[j][1] for o in oracle]
+        rep = link_prediction(model, known, test, freq, rank_one=rank_one)
+    for t, o in zip(test, oracle):
+        for j, side in enumerate(("subject", "object")):
+            assert rank_entity_side(model, known, t, side, "raw") == o[j][0]
+            assert rank_entity_side(model, known, t, side, "filter") == o[j][1]
+
+    raw, filt = [], []
+    for t, ((rs, fs), (ro, fo)) in zip(test, oracle):
+        credited = t in rank_one
+        raw += [1, 1] if credited else [rs, ro]
+        filt += [1, 1] if credited else [fs, fo]
+
+    def mean(xs):
+        return sum(xs) / len(xs)
+
+    pairs = [(raw[i], raw[i + 1], filt[i], filt[i + 1]) for i in range(0, len(raw), 2)]
+    assert rep.n_test == len(test)
+    assert rep.mrr_raw == pytest.approx(mean([1 / r for r in raw]), abs=1e-12)
+    assert rep.mrr_filter == pytest.approx(mean([1 / r for r in filt]), abs=1e-12)
+    assert rep.hits_raw == {n: pytest.approx(mean([r <= n for r in raw])) for n in (1, 3, 10)}
+    assert rep.hits_filter == {n: pytest.approx(mean([r <= n for r in filt])) for n in (1, 3, 10)}
+    assert rep.mrr_mean_rank_raw == pytest.approx(mean([2 / (a + b) for a, b, _, _ in pairs]), abs=1e-12)
+    assert rep.mrr_mean_rank_filter == pytest.approx(mean([2 / (c + d) for _, _, c, d in pairs]),
+                                                     abs=1e-12)
+    buckets: dict = {}
+    for t, (_, _, fs, fo) in zip(test, pairs):
+        for ent, rank in ((t.subject, fs), (t.object, fo)):
+            f = int(freq[ent])
+            lo = 1 << (f.bit_length() - 1) if f else 0
+            buckets.setdefault((lo, max(2 * lo, 1)), []).append(1 / rank)
+    want = [{"freq_lo": lo, "freq_hi": hi, "mrr": pytest.approx(mean(v), abs=1e-12), "count": len(v)}
+            for (lo, hi), v in sorted(buckets.items())]
+    assert rep.buckets == want
+
+
+class TestBlockRanking:
+    def setup_method(self):
+        # scalar model with scores e * e': on the object side of (0, r, 3)
+        # the true entity 3 trails 0, 1 and 2
+        self.model = init_model(4, 1, TrainConfig(dim=4, n_scalars=4, seed=0))
+        self.model.rel_scalars[0] = 1.0
+        self.model.ent[:] = [[4, 0, 0, 0], [3, 0, 0, 0], [2, 0, 0, 0], [1, 0, 0, 0]]
+
+    def test_no_triple_at_a_time_scoring(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("link_prediction scored one triple at a time")
+
+        monkeypatch.setattr(evaluation, "candidate_scores", refuse)
+        monkeypatch.setattr(evaluation, "rank_entity_side", refuse)
+        test = [Triple(0, 0, 3), Triple(1, 0, 2)]
+        rep = link_prediction(self.model, {Triple(0, 0, 1)}, test)
+        assert rep.n_test == 2
+        hybrid = link_prediction_with_axioms(self.model, np.array([[0, 0, 1]]), test,
+                                             [InferredTriple(test[0], 1.0, ())])
+        assert hybrid.mrr_filter >= rep.mrr_filter
+
+    def test_one_debug_line_per_call(self, monkeypatch, caplog):
+        monkeypatch.setattr(evaluation, "BLOCK", 2)
+        known = [Triple(0, 0, 1), Triple(0, 0, 2), Triple(0, 0, 3), Triple(0, 0, 2)]
+        with caplog.at_level(logging.DEBUG, logger="iterkg.evaluation"):
+            link_prediction(self.model, known, [Triple(0, 0, 3)] * 3 + [Triple(2, 0, 1)],
+                            rank_one={Triple(2, 0, 1)})
+        lines = [r.getMessage() for r in caplog.records if r.name == "iterkg.evaluation"]
+        # each (0, r, 3) has 1 and 2 ahead of 3 on the object side, both known
+        assert lines == ["ranked 3 test triples on both sides in 4 blocks; filtered out 6 known candidates"]
+
+    def test_known_ids_outside_the_model_rejected(self):
+        with pytest.raises(ValueError):
+            link_prediction(self.model, [Triple(0, 0, 4)], [Triple(0, 0, 3)])
 
 
 class TestMetricsArithmetic:

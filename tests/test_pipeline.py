@@ -11,7 +11,7 @@ from iterkg.axioms import PoolConfig
 from iterkg.cli import main as cli_main
 from iterkg.embedding import TrainConfig, init_model
 from iterkg.injection import InjectionConfig, read_injected_tsv
-from iterkg.kg import load_dataset
+from iterkg.kg import KnowledgeGraph, load_dataset
 from iterkg.pipeline import (
     CheckpointError, PipelineConfig, build_config, load_checkpoint, read_config_file,
     run_iterations, save_checkpoint,
@@ -159,6 +159,27 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             build_config({"data_dir": "d", "out_dir": "o", "no_such_key": 1})
 
+    @pytest.mark.parametrize("raw, want", [("true", True), ("TRUE", True), ("Yes", True), ("1", True),
+                                           ("false", False), ("No", False), ("0", False), ("fAlSe", False)])
+    def test_axioms_union_spellings(self, tmp_path, raw, want):
+        path = tmp_path / "union.cfg"
+        path.write_text(f"axioms_union = {raw}\n", encoding="utf-8")
+        assert read_config_file(path) == {"axioms_union": want}
+
+    @pytest.mark.parametrize("raw", ["ture", "on", "off", "2", "y", ""])
+    def test_axioms_union_rejects_other_values(self, tmp_path, raw):
+        path = tmp_path / "union.cfg"
+        path.write_text(f"axioms_union = {raw}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="axioms_union"):
+            read_config_file(path)
+
+    def test_train_exits_1_on_a_non_boolean_override(self, tmp_path, dataset_dir, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data_dir = {dataset_dir}\nout_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+        assert cli_main(["train", "--config", str(cfg), "--set", "axioms_union=on"]) == 1
+        assert "axioms_union" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_iterations_rejected(self, tmp_path, dataset_dir):
         values = {"data_dir": dataset_dir, "out_dir": str(tmp_path), "iterations": 0}
         with pytest.raises(ValueError):
@@ -230,6 +251,20 @@ class TestRunIterations:
         warning = (f"injected {len(res.injected)} triples, more than the graph's {len(res.kg)}; "
                    "the next epoch trains on all of them")
         assert [r.getMessage() for r in caplog.records] == [warning, warning]
+
+    def test_train_and_eval_never_read_kg_triples(self, tmp_path, dataset_dir, monkeypatch):
+        def refuse(self):
+            raise AssertionError("KnowledgeGraph.triples read")
+
+        monkeypatch.setattr(KnowledgeGraph, "triples", property(refuse))
+        for union in (False, True):
+            cfg = small_config(dataset_dir, tmp_path / f"run{union}", iterations=2)
+            cfg.eval_every, cfg.axioms_union = 1, union
+            assert "link_prediction_with_axioms" in run_iterations(cfg).report
+        ckpt = str(tmp_path / "runFalse" / "ckpt_iter2.bin")
+        for extra in ([], ["--with-axioms", str(tmp_path / "runFalse" / "injected_iter2.tsv")]):
+            assert cli_main(["eval", "--ckpt", ckpt, "--data", dataset_dir,
+                             "--out", str(tmp_path / "eval.json"), *extra]) == 0
 
     def test_input_files_untouched(self, tmp_path, dataset_dir):
         before = {n: (os.path.getsize(os.path.join(dataset_dir, n)),
