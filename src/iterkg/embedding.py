@@ -165,13 +165,58 @@ def init_model(n_entities: int, n_relations: int, config: TrainConfig) -> Embedd
     return EmbeddingModel(ent, sc, rot, opt)
 
 
-def _gather(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray):
-    vs = model.ent[s]
-    vo = model.ent[o]
-    msc = model.rel_scalars[r]
-    ma = model.rel_rot[r, :, 0]
-    mb = model.rel_rot[r, :, 1]
-    return vs, vo, msc, ma, mb
+class StepBuffers(NamedTuple):
+    """Work arrays of a training step, for minibatches of up to ``len(vs)``
+    examples.
+
+    ``train_epoch`` allocates one set per epoch and every minibatch reuses
+    it: ``_gather`` takes the examples' rows into the first B rows of
+    ``vs``, ``vo``, ``msc``, ``ma`` and ``mb``, the kernels carve their
+    intermediates and the gradients from ``work``, and the L1 term and Adam
+    theirs from ``scratch``.  A view of a buffer is valid until the next
+    minibatch.
+    """
+
+    vs: np.ndarray       # (rows, dim)
+    vo: np.ndarray       # (rows, dim)
+    msc: np.ndarray      # (rows, n_scalars)
+    ma: np.ndarray       # (rows, n_blocks)
+    mb: np.ndarray       # (rows, n_blocks)
+    work: np.ndarray     # flat: kernel intermediates, then the gradients
+    scratch: np.ndarray  # flat: three parameter-row planes for L1 and Adam
+
+    @classmethod
+    def empty(cls, model: EmbeddingModel, rows: int) -> StepBuffers:
+        """Buffers for minibatches of up to ``rows`` examples."""
+        d, nb = model.dim, model.n_blocks
+        ent_rows, rel_rows = min(model.n_entities, 2 * rows), min(model.n_relations, rows)
+        return cls(np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, model.n_scalars)),
+                   np.empty((rows, nb)), np.empty((rows, nb)),
+                   np.empty(kernels.work_size(rows, d, nb, ent_rows, rel_rows)),
+                   np.empty(3 * max(ent_rows, rel_rows) * d))
+
+
+def _check_ids(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray) -> None:
+    """Raise ValueError unless every subject and object id names an entity
+    of ``model`` and every relation id one of its relations."""
+    for ids, n, what in ((s, model.n_entities, "entities"), (o, model.n_entities, "entities"),
+                         (r, model.n_relations, "relations")):
+        if len(ids) and (ids.min() < 0 or ids.max() >= n):
+            raise ValueError(f"id outside the model's {n} {what}: {ids.min()}..{ids.max()}")
+
+
+def _gather(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray,
+            buffers: Optional[StepBuffers] = None):
+    """(vs, vo, msc, ma, mb) of the examples, after ``_check_ids``: new
+    arrays, or views of the first len(s) rows of ``buffers``."""
+    _check_ids(model, s, r, o)
+    # contiguous rotation planes, as the kernels read them fastest
+    tables = (model.ent, model.ent, model.rel_scalars, model.rel_rot[:, :, 0], model.rel_rot[:, :, 1])
+    outs = (None,) * 5 if buffers is None else tuple(
+        buf[: len(s)] for buf in (buffers.vs, buffers.vo, buffers.msc, buffers.ma, buffers.mb))
+    # the ids are in range, and "clip" (unlike "raise") takes straight into ``out``
+    return tuple(np.take(table, ids, axis=0, out=out, mode="clip")
+                 for table, ids, out in zip(tables, (s, o, r, r, r), outs))
 
 
 def raw_scores(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray) -> np.ndarray:
@@ -242,13 +287,17 @@ class SparseGrads:
 
 
 def compute_loss_and_gradients(
-    model: EmbeddingModel, batch: TripleBatch | Sequence[LabeledTriple], l1_weight: float
+    model: EmbeddingModel, batch: TripleBatch | Sequence[LabeledTriple], l1_weight: float,
+    *, buffers: Optional[StepBuffers] = None,
 ) -> tuple[float, SparseGrads]:
     """Mean cross-entropy over the batch plus L1 on touched parameters.
 
     Gradients are analytic; the L1 term contributes a sign subgradient on
     every parameter gathered by the batch (full entity rows and full
-    relation matrices).
+    relation matrices).  An id outside the model raises ValueError.  With
+    ``buffers`` (at least len(batch) rows) the step's arrays are written
+    there instead of allocated, and the returned gradients are views of
+    them, valid until the buffers' next use; every value is the same.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
@@ -257,8 +306,9 @@ def compute_loss_and_gradients(
     s, r, o = batch.ids.T
     B = len(batch)
 
-    vs, vo, msc, ma, mb = _gather(model, s, r, o)
-    phi = kernels.sigmoid(kernels.bilinear_scores(vs, vo, msc, ma, mb))
+    vs, vo, msc, ma, mb = _gather(model, s, r, o, buffers)
+    work = None if buffers is None else buffers.work
+    phi = kernels.sigmoid(kernels.bilinear_scores(vs, vo, msc, ma, mb, work=work))
     ce = -labels * np.log(np.maximum(phi, LOG_CLAMP)) \
          - (1.0 - labels) * np.log(np.maximum(1.0 - phi, LOG_CLAMP))
     loss = float(np.mean(ce))
@@ -269,31 +319,39 @@ def compute_loss_and_gradients(
     es, eo = ent_inv[:B], ent_inv[B:]
 
     grad_ent, grad_sc, grad_rot = kernels.accumulate_grads(
-        vs, vo, msc, ma, mb, rho, es, eo, rel_inv, len(ent_ids), len(rel_ids))
+        vs, vo, msc, ma, mb, rho, es, eo, rel_inv, len(ent_ids), len(rel_ids), work=work)
 
     if l1_weight > 0:
-        ent_rows = model.ent[ent_ids]
-        sc_rows = model.rel_scalars[rel_ids]
-        rot_rows = model.rel_rot[rel_ids]
-        grad_ent += l1_weight * np.sign(ent_rows)
-        grad_sc += l1_weight * np.sign(sc_rows)
-        grad_rot += l1_weight * np.sign(rot_rows)
-        loss += l1_weight * float(
-            np.abs(ent_rows).sum() + np.abs(sc_rows).sum() + np.abs(rot_rows).sum()
-        )
+        scratch = None if buffers is None else buffers.scratch
+        norm = 0.0
+        for param, ids, grad in ((model.ent, ent_ids, grad_ent), (model.rel_scalars, rel_ids, grad_sc),
+                                 (model.rel_rot, rel_ids, grad_rot)):
+            rows, sign = kernels.carve(scratch, grad.shape, grad.shape)
+            np.take(param, ids, axis=0, out=rows, mode="clip")
+            np.sign(rows, out=sign)
+            sign *= l1_weight
+            grad += sign
+            norm += np.abs(rows, out=rows).sum()
+        loss += l1_weight * float(norm)
 
     return loss, SparseGrads(ent_ids, grad_ent, rel_ids, grad_sc, grad_rot)
 
 
-def adam_update(model: EmbeddingModel, grads: SparseGrads, config: TrainConfig) -> None:
+def adam_update(model: EmbeddingModel, grads: SparseGrads, config: TrainConfig,
+                *, scratch: Optional[np.ndarray] = None) -> None:
     """One sparse Adam step in place; only touched parameters move.
 
     Moment accumulators of untouched parameters are left as-is; bias
     correction uses the global step counter, incremented once per call.
+    The row intermediates are carved from the flat ``scratch`` (three
+    planes of the largest gradient) when given, else allocated.
     """
     for g in (grads.ent_grad, grads.scalar_grad, grads.rot_grad):
         if not np.all(np.isfinite(g)):
             raise ValueError("non-finite gradient: refusing to update")
+    for ids, n in ((grads.ent_ids, model.n_entities), (grads.rel_ids, model.n_relations)):
+        if len(ids) and (ids.min() < 0 or ids.max() >= n):
+            raise ValueError(f"gradient rows outside the model's {n} rows")
     b1, b2, eps, lr = config.adam_beta1, config.adam_beta2, config.adam_eps, config.learning_rate
     opt = model.opt
     opt.step += 1
@@ -301,11 +359,27 @@ def adam_update(model: EmbeddingModel, grads: SparseGrads, config: TrainConfig) 
     c2 = 1.0 - b2 ** opt.step
 
     def _apply(param, m, v, ids, grad):
-        m_rows = b1 * m[ids] + (1 - b1) * grad
-        v_rows = b2 * v[ids] + (1 - b2) * grad * grad
+        # m' = b1*m + (1-b1)*g, v' = b2*v + (1-b2)*g*g, and
+        # param -= lr * (m'/c1) / (sqrt(v'/c2) + eps), one operation at a time
+        m_rows, v_rows, t = kernels.carve(scratch, grad.shape, grad.shape, grad.shape)
+        np.take(m, ids, axis=0, out=m_rows, mode="clip")
+        m_rows *= b1
+        m_rows += np.multiply(grad, 1 - b1, out=t)
+        np.take(v, ids, axis=0, out=v_rows, mode="clip")
+        v_rows *= b2
+        np.multiply(grad, 1 - b2, out=t)
+        v_rows += np.multiply(t, grad, out=t)
         m[ids] = m_rows
         v[ids] = v_rows
-        param[ids] -= lr * (m_rows / c1) / (np.sqrt(v_rows / c2) + eps)
+        np.divide(m_rows, c1, out=t)
+        t *= lr
+        np.divide(v_rows, c2, out=v_rows)
+        np.sqrt(v_rows, out=v_rows)
+        v_rows += eps
+        t /= v_rows
+        rows = np.take(param, ids, axis=0, out=m_rows, mode="clip")
+        rows -= t
+        param[ids] = rows
 
     _apply(model.ent, opt.m_ent, opt.v_ent, grads.ent_ids, grads.ent_grad)
     _apply(model.rel_scalars, opt.m_sc, opt.v_sc, grads.rel_ids, grads.scalar_grad)
@@ -325,11 +399,19 @@ def train_epoch(
     = axiom score).  Each minibatch draws ``n_negatives`` negatives per
     graph triple in one ``sample_negatives`` call; injected triples train on
     their soft label alone.  Graph triples whose retry budget ran out before
-    ``n_negatives`` were found are counted and logged as a warning.
+    ``n_negatives`` were found are counted and logged as a warning.  An
+    input id outside the model, or a graph with more entities or relations
+    than the model, raises ValueError before any parameter moves.  The
+    minibatches share one ``StepBuffers``.
     """
     if len(inputs) == 0:
         raise ValueError("no training inputs")
     inputs = as_batch(inputs)
+    if kg.n_entities > model.n_entities or kg.n_relations > model.n_relations:
+        raise ValueError(f"graph of {kg.n_entities} entities and {kg.n_relations} relations "
+                         f"is larger than the model's {model.n_entities} and {model.n_relations}")
+    _check_ids(model, *inputs.ids.T)
+    buffers = StepBuffers.empty(model, min(len(inputs), config.batch_size) * (1 + config.n_negatives))
     order = rng.permutation(len(inputs))
     in_graph = kg.contains_many(*inputs.ids.T)
     total, count = 0.0, 0
@@ -340,8 +422,8 @@ def train_epoch(
         negs, short = sample_negatives(kg, chunk.ids[in_graph[idx]], config.n_negatives, rng)
         expanded = chunk + TripleBatch(negs, np.zeros(len(negs)))
         n_exhausted += short
-        loss, grads = compute_loss_and_gradients(model, expanded, config.l1_weight)
-        adam_update(model, grads, config)
+        loss, grads = compute_loss_and_gradients(model, expanded, config.l1_weight, buffers=buffers)
+        adam_update(model, grads, config, scratch=buffers.scratch)
         total += loss * len(expanded)
         count += len(expanded)
     if n_exhausted:

@@ -74,12 +74,6 @@ def make_planted_dataset(
     def pick(pool):
         return pool[int(rng.integers(len(pool)))]
 
-    def pick_pair(pool):
-        while True:
-            a, b = pick(pool), pick(pool)
-            if a != b:
-                return a, b
-
     # inverse island (two layers): inv_of_base mirrors ~90% of base edges;
     # base_skew carries pairs in the mirror direction that mostly avoid
     # true mirrors (decoy), with a small sliver of mirrors for pool

@@ -1,5 +1,7 @@
 """Model init, scoring, gradients, Adam, negatives, and the epoch loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from iterkg import embedding
 from iterkg.embedding import (
-    LabeledTriple, SparseGrads, TrainConfig, adam_update, compute_loss_and_gradients,
+    LabeledTriple, SparseGrads, TrainConfig, TripleBatch, adam_update, compute_loss_and_gradients,
     init_model, raw_scores, sample_negatives, score_triple, score_triples, train_epoch,
 )
 from iterkg.kg import KnowledgeGraph, Triple, Vocabulary
@@ -114,12 +116,13 @@ def single_relation_kg(n_ent=200, n_triples=1000, seed=3):
 
 
 def recording(monkeypatch, name):
-    """Wrap ``embedding.<name>`` so every call's (args, result) is kept."""
+    """Wrap ``embedding.<name>`` so every call's (positional args, result)
+    is kept; keyword arguments are passed through."""
     calls = []
     real = getattr(embedding, name)
 
-    def wrapper(*args):
-        result = real(*args)
+    def wrapper(*args, **kwargs):
+        result = real(*args, **kwargs)
         calls.append((args, result))
         return result
 
@@ -324,6 +327,14 @@ class TestLossAndGradients:
         with pytest.raises(ValueError):
             compute_loss_and_gradients(m, [], 0.0)
 
+    @pytest.mark.parametrize("row", [[-1, 0, 1], [0, -1, 1], [1, 0, -1],
+                                     [3, 0, 1], [0, 2, 1], [1, 0, 3]])
+    def test_id_outside_the_model_rejected(self, row):
+        # 3 entities, 2 relations; a negative id would otherwise wrap to the last row
+        m = init_model(3, 2, TrainConfig(dim=4, seed=0))
+        with pytest.raises(ValueError, match="outside the model"):
+            compute_loss_and_gradients(m, TripleBatch.of([[0, 0, 1], row], [1.0, 1.0]), 0.0)
+
 
 class TestAdam:
     def cfg(self, lr=0.01):
@@ -364,6 +375,17 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_update(m, g, cfg)
 
+    @pytest.mark.parametrize("field, bad", [("ent_ids", -1), ("ent_ids", 3), ("rel_ids", 1)])
+    def test_rows_outside_the_model_rejected(self, field, bad):
+        cfg = self.cfg()
+        m = init_model(3, 1, cfg)
+        before = m.copy()
+        g = self.grads_for(m, ent_g=1.0, sc_g=1.0)
+        setattr(g, field, np.array([bad]))
+        with pytest.raises(ValueError, match="outside the model"):
+            adam_update(m, g, cfg)
+        assert np.array_equal(m.ent, before.ent) and np.array_equal(m.rel_scalars, before.rel_scalars)
+
     def test_identical_streams_identical_trajectories(self):
         cfg = self.cfg()
         m1, m2 = init_model(3, 1, cfg), init_model(3, 1, cfg)
@@ -403,3 +425,113 @@ class TestTrainEpoch:
         cfg = TrainConfig(dim=8, seed=1)
         with pytest.raises(ValueError):
             train_epoch(init_model(5, 2, cfg), [], kg, cfg, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("row", [[-1, 0, 1], [0, -1, 1], [1, 0, 5], [0, 2, 1]])
+    def test_bad_id_rejected_before_any_parameter_moves(self, row):
+        kg = tiny_kg()
+        cfg = TrainConfig(dim=8, seed=1, batch_size=2)
+        m = init_model(5, 2, cfg)
+        before = m.copy()
+        # batches of 2: the bad row's chunk comes after others have stepped Adam
+        inputs = TripleBatch.of([list(t) for t in kg.triples] + [row], [1.0] * (len(kg) + 1))
+        with pytest.raises(ValueError, match="outside the model"):
+            train_epoch(m, inputs, kg, cfg, np.random.default_rng(0))
+        assert m.opt.step == 0
+        for a, b in ((m.ent, before.ent), (m.rel_scalars, before.rel_scalars),
+                     (m.rel_rot, before.rel_rot), (m.opt.m_ent, before.opt.m_ent)):
+            assert np.array_equal(a, b)
+
+    def test_graph_larger_than_model_rejected(self):
+        kg = tiny_kg()
+        cfg = TrainConfig(dim=8, seed=1)
+        with pytest.raises(ValueError, match="larger than the model"):
+            train_epoch(init_model(4, 2, cfg), [LabeledTriple(Triple(0, 0, 1), 1.0)], kg, cfg,
+                        np.random.default_rng(0))
+
+
+def reference_epoch(model, inputs, kg, cfg, rng):
+    """``train_epoch`` spelled out: each minibatch through
+    ``compute_loss_and_gradients`` and ``adam_update`` without buffers.
+    Returns the mean loss and each chunk's (examples, negatives)."""
+    order = rng.permutation(len(inputs))
+    in_graph = kg.contains_many(*inputs.ids.T)
+    total, count, chunks = 0.0, 0, []
+    for start in range(0, len(inputs), cfg.batch_size):
+        idx = order[start : start + cfg.batch_size]
+        chunk = TripleBatch(inputs.ids[idx], inputs.labels[idx])
+        negs, _ = sample_negatives(kg, chunk.ids[in_graph[idx]], cfg.n_negatives, rng)
+        expanded = chunk + TripleBatch(negs, np.zeros(len(negs)))
+        loss, grads = compute_loss_and_gradients(model, expanded, cfg.l1_weight)
+        adam_update(model, grads, cfg)
+        total += loss * len(expanded)
+        count += len(expanded)
+        chunks.append((len(chunk), len(negs)))
+    return total / count, chunks
+
+
+@pytest.mark.parametrize("n_scalars", [0, 4, 8])
+def test_train_epoch_bit_identical_to_unbuffered_steps(n_scalars):
+    kg = tiny_kg(n_ent=7, n_rel=3)
+    cfg = TrainConfig(dim=8, n_scalars=n_scalars, n_negatives=2, batch_size=3,
+                      l1_weight=1e-3, learning_rate=0.05, seed=4)
+    rng = np.random.default_rng(5)
+    # injected triples (not in the graph) train on their soft label alone
+    injected = [row for row in map(tuple, rng.integers((7, 3, 7), size=(40, 3)).tolist())
+                if not kg.contains(*row)][:14]
+    inputs = TripleBatch.of([list(t) for t in kg.triples] + [list(t) for t in injected],
+                            [1.0] * len(kg) + list(rng.uniform(0.2, 0.9, len(injected))))
+    model, ref = init_model(7, 3, cfg), init_model(7, 3, cfg)
+    for epoch in range(3):
+        loss = train_epoch(model, inputs, kg, cfg, np.random.default_rng(epoch))
+        want, chunks = reference_epoch(ref, inputs, kg, cfg, np.random.default_rng(epoch))
+        assert loss == want
+    assert len(inputs) % cfg.batch_size and chunks[-1][0] < cfg.batch_size  # a short last chunk
+    assert any(n_negs == 0 for _, n_negs in chunks)  # a chunk made only of injected triples
+    assert model.opt.step == ref.opt.step
+    for name in ("ent", "rel_scalars", "rel_rot"):
+        assert getattr(model, name).tobytes() == getattr(ref, name).tobytes()
+    for name in ("m_ent", "v_ent", "m_sc", "v_sc", "m_rot", "v_rot"):
+        assert getattr(model.opt, name).tobytes() == getattr(ref.opt, name).tobytes()
+
+
+@pytest.mark.parametrize("n_scalars", [0, 32, 64])
+def test_training_step_allocates_less_than_one_batch_plane(monkeypatch, n_scalars):
+    """Inside ``train_epoch`` a full minibatch step keeps its per-example
+    arrays in the epoch's buffers: what it allocates and frees on the way
+    stays below one (B, dim) float64 array.  The same batch without buffers
+    allocates several."""
+    rng = np.random.default_rng(0)
+    n_ent, n_rel, dim = 60, 4, 64
+    rows = np.stack([rng.integers(n_ent, size=900), rng.integers(n_rel, size=900),
+                     rng.integers(n_ent, size=900)], axis=1)
+    kg = KnowledgeGraph([Triple(*t) for t in rows.tolist()], Vocabulary(f"e{i}" for i in range(n_ent)),
+                        Vocabulary(f"r{i}" for i in range(n_rel)))
+    cfg = TrainConfig(dim=dim, n_scalars=n_scalars, batch_size=128, n_negatives=6, l1_weight=1e-5)
+    model = init_model(n_ent, n_rel, cfg)
+    real = embedding.compute_loss_and_gradients
+    steps = []
+
+    def transient_peak(*args, **kwargs):
+        tracemalloc.reset_peak()
+        real(*args, **kwargs)
+        now, peak = tracemalloc.get_traced_memory()
+        return peak - now
+
+    def measured(*args, **kwargs):
+        steps.append((len(args[1]), transient_peak(*args, **kwargs),
+                      transient_peak(model.copy(), args[1], args[2])))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(embedding, "compute_loss_and_gradients", measured)
+    tracemalloc.start()
+    try:
+        train_epoch(model, [LabeledTriple(t, 1.0) for t in kg.triples], kg, cfg,
+                    np.random.default_rng(1))
+    finally:
+        tracemalloc.stop()
+    full = [(B, buffered, fresh) for B, buffered, fresh in steps[1:] if B == 128 * 7]
+    assert len(full) >= 3
+    for B, buffered, fresh in full:
+        plane = B * dim * 8
+        assert buffered < plane, (buffered / plane, fresh / plane)
+        assert fresh > 2 * plane  # the gathered (B, dim) subject and object rows alone
