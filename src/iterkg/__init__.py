@@ -16,12 +16,11 @@ from .axioms import (
     generate_pool, induce_axioms, min_sample_size, normalize_scores, score_axiom_raw,
 )
 from .injection import (
-    Grounding, InferredTriple, InjectionConfig, ground_axiom, inject_triples,
+    Grounding, InferredTriple, Injection, InjectionConfig, ground_axiom, inject_triples,
     solve_head_truth, truth_value,
 )
 from .evaluation import (
-    MetricsReport, head_coverage, link_prediction,
-    link_prediction_with_axioms, rank_entity_side, summarize_rules,
+    MetricsReport, head_coverage, link_prediction, rank_entity_side, summarize_rules,
 )
 from .pipeline import (
     CheckpointError, IterationRecord, PipelineConfig, PipelineResult,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .axioms import PoolConfig, csv_mirror_path, generate_pool, induce_axioms, write_axioms
 from .evaluation import (  # noqa: F401 (head_coverage: perfbench wraps this module's name)
-    head_coverage, head_coverages, link_prediction, link_prediction_with_axioms,
+    head_coverage, head_coverages, link_prediction,
 )
 from .injection import read_injected_tsv
 from .kg import KnowledgeGraph, entity_sparsity, load_dataset, sparsify_eval_split
@@ -77,11 +77,8 @@ def _cmd_eval(args) -> int:
     check_graph_size(model, kg, args.ckpt)
     table = entity_sparsity(kg)
     known = np.concatenate([kg.ids, np.array(valid + test, dtype=np.int64).reshape(-1, 3)])
-    if args.with_axioms:
-        injected = [t for (t, _, _) in read_injected_tsv(args.with_axioms, entities, relations)]
-        report = link_prediction_with_axioms(model, known, test, injected, table.freq)
-    else:
-        report = link_prediction(model, known, test, table.freq)
+    rank_one = read_injected_tsv(args.with_axioms, entities, relations) if args.with_axioms else None
+    report = link_prediction(model, known, test, table.freq, rank_one=rank_one)
     text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

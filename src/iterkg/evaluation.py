@@ -30,7 +30,6 @@ import numpy as np
 from . import kernels
 from .axioms import Axiom, ScoredAxiom, axiom_table, join_rules
 from .embedding import EmbeddingModel
-from .injection import InferredTriple
 from .kg import KnowledgeGraph, Triple, expand_ranges
 
 log = logging.getLogger(__name__)
@@ -180,15 +179,6 @@ def link_prediction(model: EmbeddingModel, known: Iterable[Triple] | np.ndarray,
         buckets=buckets,
         n_test=len(test),
     )
-
-
-def link_prediction_with_axioms(model: EmbeddingModel, known: Iterable[Triple] | np.ndarray,
-                                test: Sequence[Triple] | np.ndarray,
-                                injected: Iterable[InferredTriple | Triple],
-                                train_freq: np.ndarray | None = None) -> MetricsReport:
-    """Hybrid prediction: axiom-inferred test triples rank 1, rest by embedding."""
-    rank_one = [it.triple if isinstance(it, InferredTriple) else it for it in injected]
-    return link_prediction(model, known, test, train_freq, rank_one=rank_one)
 
 
 # ---------------------------------------------------------------------------

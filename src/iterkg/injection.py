@@ -10,15 +10,14 @@ least one sparse entity survive, duplicates across axioms merge onto the
 best contributing score, and each surviving triple receives a truth value
 derived through product t-norm fuzzy logic: solving
 pi(body => head) = s_axiom with unit body truths gives pi(head) = s_axiom
-exactly.
+exactly.  ``inject_triples`` returns them as one ``Injection`` of arrays.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import starmap
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -115,6 +114,33 @@ class InferredTriple:
     sources: tuple[Axiom, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class Injection:
+    """Injected triples as arrays, sorted by (subject, relation, object).
+
+    ``ids`` holds the (n, 3) int64 rows and ``truth`` their (n,) float64
+    truth values.  The source axioms of row i are ``axioms[j]`` for ``j`` in
+    ``sources[source_start[i]:source_start[i + 1]]``, in input order;
+    ``axioms`` are the grounded axioms.  Iterating yields one
+    ``InferredTriple`` per row, built on demand, for tests and audits.
+    """
+
+    ids: np.ndarray
+    truth: np.ndarray
+    sources: np.ndarray
+    source_start: np.ndarray
+    axioms: tuple[Axiom, ...]
+
+    def __len__(self) -> int:
+        return len(self.truth)
+
+    def __iter__(self) -> Iterator[InferredTriple]:
+        start, sources = self.source_start.tolist(), self.sources.tolist()
+        for i, (row, truth) in enumerate(zip(self.ids.tolist(), self.truth.tolist())):
+            yield InferredTriple(Triple(*row), truth,
+                                 tuple(self.axioms[j] for j in sources[start[i] : start[i + 1]]))
+
+
 @dataclass
 class InjectionConfig:
     score_threshold: float = 0.9       # axioms must score strictly above this
@@ -155,7 +181,7 @@ def inject_triples(
     sparse: set[int],
     config: InjectionConfig,
     restrict_sparse: bool = True,
-) -> list[InferredTriple]:
+) -> Injection:
     """Infer soft-labeled triples from axioms above the score threshold.
 
     The axioms above the threshold are joined with the graph together
@@ -167,11 +193,11 @@ def inject_triples(
     level.  Heads are then filtered to those touching a sparse entity
     (disable via ``restrict_sparse`` to inspect the unfiltered inference),
     merged across axioms keeping the maximum score (the first such axiom in
-    input order labels the triple; ``sources`` lists every contributing
+    input order labels the triple; its sources are every contributing
     axiom in input order), and labeled through solve_head_truth.  One DEBUG
     line per call counts the axioms grounded, the heads proposed and kept
-    by the sparse filter (per axiom) and the axioms over the cap.  Output is
-    sorted by triple ids.
+    by the sparse filter (per axiom) and the axioms over the cap.  The
+    result holds arrays sorted by triple ids and builds no ``Triple``.
     """
     grounded = [sa for sa in scored_axioms if sa.score > config.score_threshold]
     axioms = [sa.axiom for sa in grounded]
@@ -203,41 +229,28 @@ def inject_triples(
     top = np.repeat(np.maximum.reduceat(score, first), np.diff(bounds))
     best = cand[np.minimum.reduceat(np.where(score == top, np.arange(len(key)), len(key)), first)]
     truth = [solve_head_truth([1.0] * (len(RULES[sa.axiom.type]) - 1), sa.score) for sa in grounded]
-    triples = np.stack([x[order], r[order], y[order]], axis=1)[first].tolist()
-    # most triples have one source: share its 1-tuple
-    one = [(ax,) for ax in axioms]
-    sources = [one[i] for i in cand[first].tolist()]
-    cands, shared = cand.tolist(), np.flatnonzero(np.diff(bounds) > 1)
-    for run, lo, hi in zip(shared.tolist(), bounds[shared].tolist(), bounds[shared + 1].tolist()):
-        sources[run] = tuple(axioms[i] for i in cands[lo:hi])
-    return list(map(InferredTriple, starmap(Triple, triples), [truth[i] for i in best.tolist()], sources))
+    ids = np.stack([x[order], r[order], y[order]], axis=1)[first]
+    return Injection(ids, np.array(truth, dtype=np.float64)[best], cand, bounds, tuple(axioms))
 
 
-def write_injected_tsv(
-    path: str,
-    inferred: Sequence[InferredTriple],
-    entities: Vocabulary,
-    relations: Vocabulary,
-) -> None:
+def write_injected_tsv(path: str, inferred: Injection, entities: Vocabulary, relations: Vocabulary) -> None:
     """Audit dump: subject, relation, object, truth, source-axiom-count."""
+    counts = np.diff(inferred.source_start).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for it in inferred:
-            s, r, o = it.triple
+        for (s, r, o), truth, n in zip(inferred.ids.tolist(), inferred.truth.tolist(), counts):
             fh.write(
                 f"{entities.name_of(s)}\t{relations.name_of(r)}\t{entities.name_of(o)}"
-                f"\t{it.truth!r}\t{len(it.sources)}\n"
+                f"\t{truth!r}\t{n}\n"
             )
 
 
-def read_injected_tsv(
-    path: str, entities: Vocabulary, relations: Vocabulary
-) -> list[tuple[Triple, float, int]]:
-    out = []
+def read_injected_tsv(path: str, entities: Vocabulary, relations: Vocabulary) -> np.ndarray:
+    """The (n, 3) int64 ids of a ``write_injected_tsv`` dump, in file order."""
+    rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.rstrip("\n").split("\t")
             if len(fields) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-            s, r, o = entities.id_of(fields[0]), relations.id_of(fields[1]), entities.id_of(fields[2])
-            out.append((Triple(s, r, o), float(fields[3]), int(fields[4])))
-    return out
+            rows.append((entities.id_of(fields[0]), relations.id_of(fields[1]), entities.id_of(fields[2])))
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)

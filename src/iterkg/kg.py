@@ -150,8 +150,8 @@ class KnowledgeGraph:
       entities (``pair_ranges``), for pool generation.
 
     Building them on first use lets a graph whose keys overflow int64 be
-    constructed; its joins and membership queries refuse it.  The query
-    methods (``objects_of``, ``triples_of``, ...) return ascending-id lists.
+    constructed; its joins and membership queries refuse it.  ``triples_of``
+    and ``entity_occurs_with`` return ascending-id lists.
     Do not mutate after construction.
     """
 
@@ -271,27 +271,6 @@ class KnowledgeGraph:
 
     def contains(self, s: int, r: int, o: int) -> bool:
         return bool(self.contains_many([s], [r], [o])[0])
-
-    def _valid(self, e: int, r: int) -> bool:
-        return 0 <= e < self.n_entities and 0 <= r < self.n_relations
-
-    def objects_of(self, s: int, r: int) -> list[int]:
-        if not self._valid(s, r):
-            return []
-        lo, hi = self.object_ranges(np.int64(r), np.int64(s))
-        return self.rel_o[lo:hi].tolist()
-
-    def subjects_of(self, r: int, o: int) -> list[int]:
-        if not self._valid(o, r):
-            return []
-        block = slice(self.rel_start[r], self.rel_start[r + 1])
-        return self.rel_s[block][self.rel_o[block] == o].tolist()
-
-    def relations_between(self, s: int, o: int) -> list[int]:
-        if not self._valid(s, 0) or not self._valid(o, 0):
-            return []
-        lo, hi = self.pair_ranges(np.int64(s), np.int64(o))
-        return self.pair_key(np.arange(lo, hi))[1].tolist()
 
     def triples_of(self, r: int) -> list[Triple]:
         block = slice(self.rel_start[r], self.rel_start[r + 1])

@@ -14,19 +14,20 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .axioms import (
-    AxiomType, PoolConfig, PooledAxiom, ScoredAxiom, generate_pool, induce_axioms, write_axioms,
+    TYPES, AxiomType, PoolConfig, PooledAxiom, ScoredAxiom, axiom_table, generate_pool,
+    induce_axioms, write_axioms,
 )
 from .embedding import AdamState, EmbeddingModel, TrainConfig, TripleBatch, init_model, train_epoch
 from .evaluation import (  # noqa: F401 (head_coverage: perfbench wraps this module's name)
-    head_coverage, head_coverages, link_prediction, link_prediction_with_axioms, summarize_rules,
+    head_coverage, head_coverages, link_prediction, summarize_rules,
 )
-from .injection import InferredTriple, InjectionConfig, inject_triples, write_injected_tsv
-from .kg import KnowledgeGraph, Triple, entity_sparsity, load_dataset, sparse_entities
+from .injection import Injection, InjectionConfig, inject_triples, read_injected_tsv, write_injected_tsv
+from .kg import KnowledgeGraph, entity_sparsity, load_dataset, sparse_entities
 
 log = logging.getLogger(__name__)
 
@@ -223,8 +224,8 @@ class IterationRecord:
 class PipelineResult:
     model: EmbeddingModel
     records: list[IterationRecord]
-    injected: list[InferredTriple]
-    injected_union: dict[Triple, float]
+    injected: Injection
+    injected_union: np.ndarray  # the distinct (n, 3) ids injected in any iteration, sorted
     pool: list[PooledAxiom]
     scored: list[ScoredAxiom]
     report: dict
@@ -239,16 +240,25 @@ def _per_type_counts(scored: list[ScoredAxiom], threshold: float) -> dict[str, i
     return counts
 
 
-def _injected_per_type(injected: list[InferredTriple]) -> dict[str, int]:
-    counts = {t.value: 0 for t in AxiomType}
-    for it in injected:
-        for t in {ax.type for ax in it.sources}:
-            counts[t.value] += 1
-    return counts
+def _injected_per_type(injected: Injection) -> dict[str, int]:
+    """Per axiom type, the injected triples with a source of that type."""
+    has_type = np.zeros((len(injected), len(TYPES)), dtype=bool)
+    has_type[np.repeat(np.arange(len(injected)), np.diff(injected.source_start)),
+             axiom_table(injected.axioms)[injected.sources, 0]] = True
+    return dict(zip([t.value for t in TYPES], has_type.sum(axis=0).tolist()))
+
+
+def _distinct_rows(kg: KnowledgeGraph, rows: np.ndarray) -> np.ndarray:
+    """The distinct (s, r, o) rows of an id array of ``kg``, sorted, from sorted packed
+    keys: numpy 2.4's plain ``np.unique`` is tens of times slower on them."""
+    n_rel, n_ent = kg.n_relations, kg.n_entities
+    key = np.sort((rows[:, 0] * n_rel + rows[:, 1]) * n_ent + rows[:, 2])
+    s, rest = np.divmod(key[np.diff(key, prepend=-1) != 0], n_rel * n_ent)
+    return np.stack([s, *np.divmod(rest, n_ent)], axis=1)
 
 
 def _inject(kg: KnowledgeGraph, scored: list[ScoredAxiom], sparse: set[int],
-            config: InjectionConfig) -> list[InferredTriple]:
+            config: InjectionConfig) -> Injection:
     """``inject_triples``, with a WARNING when the injected triples outnumber
     the graph's: the next epoch trains on every one of them."""
     injected = inject_triples(kg, scored, sparse, config)
@@ -258,13 +268,36 @@ def _inject(kg: KnowledgeGraph, scored: list[ScoredAxiom], sparse: set[int],
     return injected
 
 
+def _read_union(kg: KnowledgeGraph, out_dir: str, iterations: int) -> np.ndarray:
+    """The distinct rows of ``injected_iter1..N.tsv`` in ``out_dir``, sorted;
+    none for N = 0."""
+    rows = [np.empty((0, 3), dtype=np.int64)]
+    for it in range(1, iterations + 1):
+        path = os.path.join(out_dir, f"injected_iter{it}.tsv")
+        if not os.path.exists(path):
+            raise CheckpointError(f"{path} is missing; resuming needs every earlier injected set")
+        rows.append(read_injected_tsv(path, kg.entities, kg.relations))
+    return _distinct_rows(kg, np.concatenate(rows))
+
+
 def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> PipelineResult:
     """Run the full loop and write all artifacts under ``config.out_dir``.
 
     ``resume`` names a checkpoint written by a previous run of the same
     config (ckpt_iter<N>.bin); training restarts at iteration N+1 after
-    re-deriving the injected set from the loaded model.
+    re-deriving the injected set from the loaded model, with the union
+    seeded from the ``injected_iter1..N.tsv`` dumps beside the checkpoint.
+    A checkpoint that already covers every iteration is refused first.
     """
+    done = 0
+    if resume is not None:
+        base = os.path.basename(resume)
+        try:
+            done = int(base.replace("ckpt_iter", "").replace(".bin", ""))
+        except ValueError:
+            raise CheckpointError(f"cannot infer iteration from {base!r}; expected ckpt_iter<N>.bin") from None
+    if done >= config.iterations:
+        raise ValueError(f"checkpoint already covers all {config.iterations} iterations")
     train, valid, test, entities, relations = load_dataset(config.data_dir)
     kg = KnowledgeGraph(train, entities, relations)
     table = entity_sparsity(kg)
@@ -275,46 +308,29 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
 
     pool = generate_pool(kg, config.pool, phase_rng(config.seed, 0, "pool"))
 
-    start_iter = 1
+    injected: Optional[Injection] = None
+    injected_union = _read_union(kg, os.path.dirname(resume or ""), done)
     if resume is None:
         model = init_model(kg.n_entities, kg.n_relations, config.train)
-        injected: list[InferredTriple] = []
-        injected_union: dict[Triple, float] = {}
     else:
         model = load_checkpoint(resume, (config.train.n_scalars, config.train.n_blocks))
         check_graph_size(model, kg, resume)
-        base = os.path.basename(resume)
-        try:
-            done = int(base.replace("ckpt_iter", "").replace(".bin", ""))
-        except ValueError:
-            raise CheckpointError(
-                f"cannot infer iteration from {base!r}; expected ckpt_iter<N>.bin"
-            ) from None
-        start_iter = done + 1
-        scored = induce_axioms(model, pool)
-        injected = _inject(kg, scored, sparse, config.injection)
-        injected_union = {it.triple: it.truth for it in injected}
-        if start_iter > config.iterations:
-            raise ValueError(f"checkpoint already covers all {config.iterations} iterations")
+        injected = _inject(kg, induce_axioms(model, pool), sparse, config.injection)
 
     graph_batch = TripleBatch(kg.ids, np.ones(len(kg)))
     records: list[IterationRecord] = []
     scored: list[ScoredAxiom] = []
 
-    for it in range(start_iter, config.iterations + 1):
+    for it in range(done + 1, config.iterations + 1):
         rng = phase_rng(config.seed, it, "train")
-        inputs = graph_batch + TripleBatch.of([inj.triple for inj in injected],
-                                              [inj.truth for inj in injected])
+        inputs = graph_batch + TripleBatch(injected.ids, injected.truth) if injected else graph_batch
         losses = [
             train_epoch(model, inputs, kg, config.train, rng)
             for _ in range(config.train.epochs_per_iteration)
         ]
         scored = induce_axioms(model, pool)
         injected = _inject(kg, scored, sparse, config.injection)
-        for inj in injected:
-            prev = injected_union.get(inj.triple, -1.0)
-            if inj.truth > prev:
-                injected_union[inj.triple] = inj.truth
+        injected_union = _distinct_rows(kg, np.concatenate([injected_union, injected.ids]))
 
         metrics = None
         if config.eval_every and it % config.eval_every == 0 and test:
@@ -358,8 +374,8 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
     }
     if test:
         plain = link_prediction(model, known, test, table.freq)
-        axiom_set: Iterable = injected_union.keys() if config.axioms_union else injected
-        hybrid = link_prediction_with_axioms(model, known, test, axiom_set, table.freq)
+        rank_one = injected_union if config.axioms_union else injected.ids
+        hybrid = link_prediction(model, known, test, table.freq, rank_one=rank_one)
         report["link_prediction"] = plain.to_dict()
         report["link_prediction_with_axioms"] = hybrid.to_dict()
     report["rules"] = summarize_rules(hc_values, scored)

@@ -12,10 +12,8 @@ from iterkg import evaluation
 from iterkg.axioms import Axiom, AxiomType, ScoredAxiom
 from iterkg.embedding import TrainConfig, init_model, raw_scores
 from iterkg.evaluation import (
-    candidate_scores, head_coverage, link_prediction, link_prediction_with_axioms,
-    rank_entity_side, rank_side, summarize_rules,
+    candidate_scores, head_coverage, link_prediction, rank_entity_side, rank_side, summarize_rules,
 )
-from iterkg.injection import InferredTriple
 from iterkg.kg import KnowledgeGraph, Triple, Vocabulary
 
 from oracles import dense_block_matrix, enumerate_head_coverage, rank_by_sort, random_graph
@@ -220,8 +218,7 @@ class TestBlockRanking:
         test = [Triple(0, 0, 3), Triple(1, 0, 2)]
         rep = link_prediction(self.model, {Triple(0, 0, 1)}, test)
         assert rep.n_test == 2
-        hybrid = link_prediction_with_axioms(self.model, np.array([[0, 0, 1]]), test,
-                                             [InferredTriple(test[0], 1.0, ())])
+        hybrid = link_prediction(self.model, np.array([[0, 0, 1]]), test, rank_one=np.array([test[0]]))
         assert hybrid.mrr_filter >= rep.mrr_filter
 
     def test_one_debug_line_per_call(self, monkeypatch, caplog):
@@ -310,19 +307,18 @@ class TestHybridMode:
         self.test = list(self.kg.triples[:8])
 
     def test_injected_test_triple_ranks_one(self):
-        injected = [InferredTriple(self.test[0], 0.95, ())]
-        report = link_prediction_with_axioms(self.model, self.known, self.test[:1], injected)
+        report = link_prediction(self.model, self.known, self.test[:1], rank_one=np.array([self.test[0]]))
         assert report.mrr_filter == 1.0
 
     def test_empty_injection_is_plain(self):
-        a = link_prediction_with_axioms(self.model, self.known, self.test, [])
+        a = link_prediction(self.model, self.known, self.test, rank_one=np.empty((0, 3), dtype=np.int64))
         b = link_prediction(self.model, self.known, self.test)
         assert a.to_dict() == b.to_dict()
 
     def test_half_covered_never_decreases_mrr(self):
-        injected = [InferredTriple(t, 0.95, ()) for t in self.test[: len(self.test) // 2]]
+        injected = np.array(self.test[: len(self.test) // 2])
         plain = link_prediction(self.model, self.known, self.test)
-        hybrid = link_prediction_with_axioms(self.model, self.known, self.test, injected)
+        hybrid = link_prediction(self.model, self.known, self.test, rank_one=injected)
         assert hybrid.mrr_filter >= plain.mrr_filter
         assert hybrid.mrr_raw >= plain.mrr_raw
 

@@ -137,7 +137,7 @@ class TestInjection:
     def test_below_threshold_contributes_nothing(self):
         kg = graph([(0, 0, 1)])
         out = inject_triples(kg, [scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.5)], {0, 1}, self.config())
-        assert out == []
+        assert len(out) == 0 and list(out) == []
 
     def test_duplicate_heads_merge_on_max_score(self):
         kg = graph([(0, 0, 1), (0, 1, 1)])
@@ -155,7 +155,7 @@ class TestInjection:
         triples = [(i, 0, i + 1) for i in range(10)]
         kg = graph(triples)
         ax = scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.95)
-        assert inject_triples(kg, [ax], set(range(11)), self.config(cap=5)) == []
+        assert len(inject_triples(kg, [ax], set(range(11)), self.config(cap=5))) == 0
         assert len(inject_triples(kg, [ax], set(range(11)), self.config(cap=10))) == 10
 
     def test_cap_skips_are_logged_once_per_call(self, caplog):
@@ -176,7 +176,8 @@ class TestInjection:
     def test_cap_applies_before_heads_are_materialized(self, monkeypatch):
         # a 200-node path: the transitive rule proposes 198 heads, joined in
         # passes of a few paths each; the join stops listing them once the
-        # count passes the cap, and none becomes a Triple or InferredTriple
+        # count passes the cap; inject_triples builds no Triple or
+        # InferredTriple, iterating its result builds one of each per head
         monkeypatch.setattr(axioms, "ROW_BUDGET", 4)
         kg = graph([(i, 0, i + 1) for i in range(199)])
         listed, built = [], []
@@ -187,12 +188,13 @@ class TestInjection:
             cls = getattr(injection, name)
             monkeypatch.setattr(injection, name, lambda *a, cls=cls: built.append(cls) or cls(*a))
         ax = scored(Axiom(AxiomType.TRANSITIVE, (0,)), 0.95)
-        assert inject_triples(kg, [ax], set(range(200)), self.config(cap=5)) == []
+        assert len(inject_triples(kg, [ax], set(range(200)), self.config(cap=5))) == 0
         assert len(listed) > 1 and sum(listed) <= 5
-        assert built == []
         listed.clear()
-        assert len(inject_triples(kg, [ax], set(range(200)), self.config(cap=198))) == 198
-        assert sum(listed) == 198
+        out = inject_triples(kg, [ax], set(range(200)), self.config(cap=198))
+        assert len(out) == 198 and sum(listed) == 198
+        assert built == []
+        assert len(list(out)) == 198
         assert len(built) == 2 * 198
 
     def test_debug_line_counts_grounding(self, caplog):
@@ -233,7 +235,7 @@ class TestInjection:
                   scored(Axiom(AxiomType.TRANSITIVE, (1,)), 0.97)]
         out1 = inject_triples(kg, axioms, set(range(15)), self.config())
         out2 = inject_triples(kg, axioms, set(range(15)), self.config())
-        assert out1 == out2
+        assert list(out1) == list(out2)
         for it in out1:
             assert not kg.contains(*it.triple)
             assert it.truth > 0.9
@@ -244,5 +246,6 @@ class TestInjection:
         out = inject_triples(kg, [ax], {0, 1}, self.config())
         path = tmp_path / "injected.tsv"
         write_injected_tsv(path, out, kg.entities, kg.relations)
+        assert path.read_text() == "e1\tr0\te0\t0.95\t1\n"
         back = read_injected_tsv(path, kg.entities, kg.relations)
-        assert [(t, tr) for t, tr, _ in back] == [(it.triple, it.truth) for it in out]
+        assert back.dtype == np.int64 and back.tolist() == out.ids.tolist() == [[1, 0, 0]]

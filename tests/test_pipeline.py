@@ -1,12 +1,15 @@
 """Checkpoints, config parsing, the iteration loop, and the CLI surface."""
 
+import dataclasses
 import json
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from iterkg import injection, pipeline
 from iterkg.axioms import PoolConfig
 from iterkg.cli import main as cli_main
 from iterkg.embedding import TrainConfig, init_model
@@ -198,7 +201,7 @@ class TestRunIterations:
         cfg.injection.score_threshold = 1.0
         res = run_iterations(cfg)
         assert res.records[0].injected_total == 0
-        assert res.injected == []
+        assert len(res.injected) == 0
 
     def test_artifacts_exist_and_counts_match(self, tmp_path, dataset_dir):
         import time
@@ -215,15 +218,39 @@ class TestRunIterations:
             assert len(rows) == rec.injected_total
 
     def test_resume_matches_uninterrupted(self, tmp_path, dataset_dir):
-        full = run_iterations(small_config(dataset_dir, tmp_path / "full", iterations=3))
-        part = small_config(dataset_dir, tmp_path / "part", iterations=3)
-        run_iterations(PipelineConfig(
-            data_dir=part.data_dir, out_dir=part.out_dir, iterations=2, seed=part.seed,
-            train=part.train, pool=part.pool, injection=part.injection))
-        resumed = run_iterations(part, resume=os.path.join(part.out_dir, "ckpt_iter2.bin"))
-        assert np.array_equal(resumed.model.ent, full.model.ent)
-        assert np.array_equal(resumed.model.rel_rot, full.model.rel_rot)
-        assert resumed.records[-1].to_dict() == full.records[-1].to_dict()
+        # with seed 0 iteration 1 injects triples that iterations 2 and 3 do
+        # not, so the union of a resumed run needs the iteration-1 dump
+        for union in (False, True):
+            full = small_config(dataset_dir, tmp_path / f"full{union}", iterations=3, seed=0)
+            full.axioms_union = union
+            part = dataclasses.replace(full, out_dir=str(tmp_path / f"part{union}"))
+            full_run = run_iterations(full)
+            run_iterations(dataclasses.replace(part, iterations=2))
+            resumed = run_iterations(part, resume=os.path.join(part.out_dir, "ckpt_iter2.bin"))
+            assert np.array_equal(resumed.model.ent, full_run.model.ent)
+            assert np.array_equal(resumed.model.rel_rot, full_run.model.rel_rot)
+            assert resumed.records[-1].to_dict() == full_run.records[-1].to_dict()
+            assert (tmp_path / f"part{union}" / "report.json").read_bytes() == \
+                (tmp_path / f"full{union}" / "report.json").read_bytes()
+
+    def test_resume_needs_every_earlier_injected_dump(self, tmp_path, dataset_dir):
+        cfg = small_config(dataset_dir, tmp_path / "gap", iterations=3)
+        run_iterations(dataclasses.replace(cfg, iterations=2))
+        missing = tmp_path / "gap" / "injected_iter1.tsv"
+        missing.unlink()
+        with pytest.raises(CheckpointError, match=re.escape(str(missing))):
+            run_iterations(cfg, resume=str(tmp_path / "gap" / "ckpt_iter2.bin"))
+
+    def test_finished_checkpoint_refused_before_any_work(self, tmp_path, dataset_dir, monkeypatch):
+        cfg = small_config(dataset_dir, tmp_path / "done", iterations=1)
+        run_iterations(cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("injected before refusing the checkpoint")
+
+        monkeypatch.setattr(pipeline, "inject_triples", refuse)
+        with pytest.raises(ValueError, match="already covers all 1 iterations"):
+            run_iterations(cfg, resume=str(tmp_path / "done" / "ckpt_iter1.bin"))
 
     def test_axioms_union_mode(self, tmp_path, dataset_dir):
         cfg = small_config(dataset_dir, tmp_path / "union")
@@ -253,14 +280,23 @@ class TestRunIterations:
         assert [r.getMessage() for r in caplog.records] == [warning, warning]
 
     def test_train_and_eval_never_read_kg_triples(self, tmp_path, dataset_dir, monkeypatch):
-        def refuse(self):
-            raise AssertionError("KnowledgeGraph.triples read")
+        # nor build a Triple or InferredTriple per injected triple: injection
+        # results travel as arrays from inject_triples to training, the
+        # union, the dumps, resume and hybrid ranking
+        def refuse(what):
+            def fail(*args):
+                raise AssertionError(what)
+            return fail
 
-        monkeypatch.setattr(KnowledgeGraph, "triples", property(refuse))
+        monkeypatch.setattr(KnowledgeGraph, "triples", property(refuse("KnowledgeGraph.triples read")))
+        monkeypatch.setattr(injection, "Triple", refuse("injected triple built as a Triple"))
+        monkeypatch.setattr(injection, "InferredTriple", refuse("InferredTriple built"))
         for union in (False, True):
             cfg = small_config(dataset_dir, tmp_path / f"run{union}", iterations=2)
             cfg.eval_every, cfg.axioms_union = 1, union
-            assert "link_prediction_with_axioms" in run_iterations(cfg).report
+            result = run_iterations(cfg)
+            assert len(result.injected) and "link_prediction_with_axioms" in result.report
+        run_iterations(cfg, resume=str(tmp_path / "runTrue" / "ckpt_iter1.bin"))
         ckpt = str(tmp_path / "runFalse" / "ckpt_iter2.bin")
         for extra in ([], ["--with-axioms", str(tmp_path / "runFalse" / "injected_iter2.tsv")]):
             assert cli_main(["eval", "--ckpt", ckpt, "--data", dataset_dir,

@@ -21,6 +21,7 @@ from iterkg.axioms import (
 from iterkg.evaluation import head_coverage, head_coverages
 from iterkg.injection import InjectionConfig, ground_axiom, inject_triples
 from iterkg.kg import KnowledgeGraph, Triple, Vocabulary
+from iterkg.pipeline import _distinct_rows, _injected_per_type
 
 from oracles import (
     enumerate_groundings, enumerate_head_coverage, enumerate_supports, inject_by_enumeration,
@@ -121,7 +122,13 @@ def test_batched_joins_match_per_axiom_enumeration(case):
 
     config = InjectionConfig(score_threshold=threshold, max_inferred_per_axiom=cap)
     got = with_budget(budget, inject_triples, kg, scored, sparse, config, restrict_sparse=restrict)
-    assert got == inject_by_enumeration(kg.triples, scored, sparse, threshold, cap, n_ent, restrict)
+    want = inject_by_enumeration(kg.triples, scored, sparse, threshold, cap, n_ent, restrict)
+    assert list(got) == want
+    # the pipeline's per-type counts and union read the arrays alone
+    assert _injected_per_type(got) == {
+        t.value: sum(any(ax.type is t for ax in it.sources) for it in want) for t in AxiomType}
+    doubled = np.concatenate([got.ids[::-1], got.ids])
+    assert _distinct_rows(kg, doubled).tolist() == [list(it.triple) for it in want]
 
 
 @settings(max_examples=200, deadline=None)
