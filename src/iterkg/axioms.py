@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .embedding import EmbeddingModel
-from .kg import KnowledgeGraph, Vocabulary, expand_ranges, lookup_sorted
+from .kg import KnowledgeGraph, Vocabulary, expand_ranges, lookup_sorted, sorted_distinct
 
 log = logging.getLogger(__name__)
 
@@ -332,7 +332,7 @@ def _join_loops(kg: KnowledgeGraph, rows: np.ndarray, rel: np.ndarray, out: Rule
         s, o = kg.rel_s[pos], kg.rel_o[pos]
         out.support[cands] = out.covered[cands] = np.bincount(own[s == o], minlength=len(cands))
         if cap is not None:
-            own, e = np.divmod(np.unique(np.concatenate([own * n_ent + s, own * n_ent + o])), n_ent)
+            own, e = np.divmod(sorted_distinct(np.concatenate([own * n_ent + s, own * n_ent + o])), n_ent)
             new = ~kg.contains_many(e, r[own], e)
             out.add_heads(cands, own[new], e[new], e[new], cap)
 
@@ -506,21 +506,20 @@ def axiom_residuals(model: EmbeddingModel, axioms: Sequence[Axiom]) -> np.ndarra
 
     Reads ``EQUATIONS`` over the stacked relation arrays plus one identity
     row, ``SCORE_BLOCK`` axioms at a time: scalars multiply, 2x2 blocks
-    compose like complex numbers, and each block's (a, b) deltas count
-    twice, as in its dense form [[a, -b], [b, a]].
+    multiply as the complex numbers a + ib of ``rel_blocks``, and each
+    block's (a, b) deltas count twice, as in its dense form [[a, -b], [b, a]].
     """
-    n_rel, nb = model.n_relations, model.n_blocks
+    n_rel = model.n_relations
     sc = np.concatenate([model.rel_scalars, np.ones((1, model.n_scalars))])
-    rot = np.concatenate([model.rel_rot, np.broadcast_to([1.0, 0.0], (1, nb, 2))])
+    rot = np.concatenate([model.rel_blocks, np.ones((1, model.n_blocks), dtype=np.complex128)])
     slots = np.array([[n_rel if i is None else ax.relations[i] for i in EQUATIONS[ax.type]]
                       for ax in axioms], dtype=np.int64).reshape(-1, 3)
     out = np.empty(len(slots))
     for lo in range(0, len(slots), SCORE_BLOCK):
         a, b, c = slots[lo : lo + SCORE_BLOCK].T
         ds = sc[a] * sc[b] - sc[c]
-        a1, b1, a2, b2 = rot[a, :, 0], rot[a, :, 1], rot[b, :, 0], rot[b, :, 1]
-        dr = np.stack([a1 * a2 - b1 * b2, a1 * b2 + b1 * a2], axis=-1) - rot[c]
-        out[lo : lo + SCORE_BLOCK] = np.sqrt(np.sum(ds * ds, axis=1) + 2.0 * np.sum(dr * dr, axis=(1, 2)))
+        dr = (rot[a] * rot[b] - rot[c]).view(np.float64)  # (a, b) deltas of each block
+        out[lo : lo + SCORE_BLOCK] = np.sqrt(np.sum(ds * ds, axis=1) + 2.0 * np.sum(dr * dr, axis=1))
     return out
 
 

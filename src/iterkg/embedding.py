@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .kg import KnowledgeGraph, Triple
+from .kg import KnowledgeGraph, Triple, sorted_distinct
 
 log = logging.getLogger(__name__)
 
@@ -111,7 +111,8 @@ class EmbeddingModel:
 
     Relation matrices are stored stacked: ``rel_scalars[r]`` is the scalar
     diagonal and ``rel_rot[r]`` the (n_blocks, 2) rotation components of
-    relation r.  Training is the single writer; scoring reads only.
+    relation r, which ``rel_blocks`` reads as complex numbers.  Training is
+    the single writer; scoring reads only.
     """
 
     ent: np.ndarray        # (n_entities, dim)
@@ -138,6 +139,11 @@ class EmbeddingModel:
     @property
     def n_blocks(self) -> int:
         return self.rel_rot.shape[1]
+
+    @property
+    def rel_blocks(self) -> np.ndarray:
+        """(n_relations, n_blocks) complex128 view a + ib of ``rel_rot``."""
+        return self.rel_rot.view(np.complex128)[..., 0]
 
     def copy(self) -> "EmbeddingModel":
         o = self.opt
@@ -171,7 +177,7 @@ class StepBuffers(NamedTuple):
 
     ``train_epoch`` allocates one set per epoch and every minibatch reuses
     it: ``_gather`` takes the examples' rows into the first B rows of
-    ``vs``, ``vo``, ``msc``, ``ma`` and ``mb``, the kernels carve their
+    ``vs``, ``vo``, ``msc`` and ``m``, the kernels carve their
     intermediates and the gradients from ``work``, and the L1 term and Adam
     theirs from ``scratch``.  A view of a buffer is valid until the next
     minibatch.
@@ -180,8 +186,7 @@ class StepBuffers(NamedTuple):
     vs: np.ndarray       # (rows, dim)
     vo: np.ndarray       # (rows, dim)
     msc: np.ndarray      # (rows, n_scalars)
-    ma: np.ndarray       # (rows, n_blocks)
-    mb: np.ndarray       # (rows, n_blocks)
+    m: np.ndarray        # (rows, n_blocks) complex128
     work: np.ndarray     # flat: kernel intermediates, then the gradients
     scratch: np.ndarray  # flat: three parameter-row planes for L1 and Adam
 
@@ -191,7 +196,7 @@ class StepBuffers(NamedTuple):
         d, nb = model.dim, model.n_blocks
         ent_rows, rel_rows = min(model.n_entities, 2 * rows), min(model.n_relations, rows)
         return cls(np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, model.n_scalars)),
-                   np.empty((rows, nb)), np.empty((rows, nb)),
+                   np.empty((rows, nb), dtype=np.complex128),
                    np.empty(kernels.work_size(rows, d, nb, ent_rows, rel_rows)),
                    np.empty(3 * max(ent_rows, rel_rows) * d))
 
@@ -207,16 +212,15 @@ def _check_ids(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarra
 
 def _gather(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray,
             buffers: Optional[StepBuffers] = None):
-    """(vs, vo, msc, ma, mb) of the examples, after ``_check_ids``: new
-    arrays, or views of the first len(s) rows of ``buffers``."""
+    """(vs, vo, msc, m) of the examples, after ``_check_ids``: new arrays,
+    or views of the first len(s) rows of ``buffers``."""
     _check_ids(model, s, r, o)
-    # contiguous rotation planes, as the kernels read them fastest
-    tables = (model.ent, model.ent, model.rel_scalars, model.rel_rot[:, :, 0], model.rel_rot[:, :, 1])
-    outs = (None,) * 5 if buffers is None else tuple(
-        buf[: len(s)] for buf in (buffers.vs, buffers.vo, buffers.msc, buffers.ma, buffers.mb))
+    tables = (model.ent, model.ent, model.rel_scalars, model.rel_blocks)
+    outs = (None,) * 4 if buffers is None else tuple(
+        buf[: len(s)] for buf in (buffers.vs, buffers.vo, buffers.msc, buffers.m))
     # the ids are in range, and "clip" (unlike "raise") takes straight into ``out``
     return tuple(np.take(table, ids, axis=0, out=out, mode="clip")
-                 for table, ids, out in zip(tables, (s, o, r, r, r), outs))
+                 for table, ids, out in zip(tables, (s, o, r, r), outs))
 
 
 def raw_scores(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray) -> np.ndarray:
@@ -272,7 +276,7 @@ def sample_negatives(
         pending = pending[rejected]
         if len(pending) == 0:
             break
-    return np.delete(cand, pending, axis=0), len(np.unique(pending // n))
+    return np.delete(cand, pending, axis=0), len(sorted_distinct(pending // n))
 
 
 @dataclass
@@ -306,9 +310,9 @@ def compute_loss_and_gradients(
     s, r, o = batch.ids.T
     B = len(batch)
 
-    vs, vo, msc, ma, mb = _gather(model, s, r, o, buffers)
+    vs, vo, msc, m = _gather(model, s, r, o, buffers)
     work = None if buffers is None else buffers.work
-    phi = kernels.sigmoid(kernels.bilinear_scores(vs, vo, msc, ma, mb, work=work))
+    phi = kernels.sigmoid(kernels.bilinear_scores(vs, vo, msc, m, work=work))
     ce = -labels * np.log(np.maximum(phi, LOG_CLAMP)) \
          - (1.0 - labels) * np.log(np.maximum(1.0 - phi, LOG_CLAMP))
     loss = float(np.mean(ce))
@@ -319,7 +323,7 @@ def compute_loss_and_gradients(
     es, eo = ent_inv[:B], ent_inv[B:]
 
     grad_ent, grad_sc, grad_rot = kernels.accumulate_grads(
-        vs, vo, msc, ma, mb, rho, es, eo, rel_inv, len(ent_ids), len(rel_ids), work=work)
+        vs, vo, msc, m, rho, es, eo, rel_inv, len(ent_ids), len(rel_ids), work=work)
 
     if l1_weight > 0:
         scratch = None if buffers is None else buffers.scratch

@@ -30,7 +30,7 @@ import numpy as np
 from . import kernels
 from .axioms import Axiom, ScoredAxiom, axiom_table, join_rules
 from .embedding import EmbeddingModel
-from .kg import KnowledgeGraph, Triple, expand_ranges
+from .kg import KnowledgeGraph, Triple, expand_ranges, sorted_distinct
 
 log = logging.getLogger(__name__)
 
@@ -64,9 +64,8 @@ def candidate_scores(model: EmbeddingModel, t: Triple, side: str) -> np.ndarray:
     score(e, r, o) = v_e . (M_r v_o) and score(s, r, e) = v_e . (M_r^T v_s),
     so each side reduces to one matrix-vector product over the entity table.
     """
-    v = model.ent[t[_columns(side)[0]]]
-    rot = model.rel_rot[t.relation]
-    w = kernels.relation_matvec(model.rel_scalars[t.relation], rot[:, 0], rot[:, 1], v, side == "object")
+    v, r = model.ent[t[_columns(side)[0]]], t.relation
+    w = kernels.relation_matvec(model.rel_scalars[r], model.rel_blocks[r], v, side == "object")
     return model.ent @ w
 
 
@@ -106,14 +105,13 @@ def rank_side(model: EmbeddingModel, known: np.ndarray, test: np.ndarray,
     """
     kept, ranked = _columns(side)
     n_ent = model.n_entities
-    keys = np.unique(_side_keys(known, side, n_ent))
+    keys = sorted_distinct(_side_keys(known, side, n_ent))
     ids = np.arange(n_ent)
     raw, filtered = np.empty(len(test), dtype=np.int64), np.empty(len(test), dtype=np.int64)
     for lo in range(0, len(test), BLOCK):
         block = test[lo : lo + BLOCK]
         r, true = block[:, 1], block[:, ranked]
-        rot = model.rel_rot[r]
-        w = kernels.relation_matvec(model.rel_scalars[r], rot[..., 0], rot[..., 1],
+        w = kernels.relation_matvec(model.rel_scalars[r], model.rel_blocks[r],
                                     model.ent[block[:, kept]], side == "object")
         scores = w @ model.ent.T
         true_score = scores[np.arange(len(block)), true][:, None]

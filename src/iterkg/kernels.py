@@ -11,10 +11,20 @@ Entity vectors are laid out to match the dense block pattern: coordinates
 ``[0, n_scalars)`` align with the scalar diagonal, then block j occupies the
 coordinate pair ``(n_scalars + 2j, n_scalars + 2j + 1)``.
 
+Complex views.  A block [[a, -b], [b, a]] maps the pair (x, y) as a + ib
+multiplies x + iy, and interleaved pairs are numpy's complex128 layout: the
+kernels read a vector's blocks as the zero-copy view
+``v[..., n_scalars:].view(np.complex128)``, and relations' (a, b) pairs as
+``EmbeddingModel.rel_blocks``, so a block product is one complex multiply,
+and M^T multiplies by the conjugate a - ib.  numpy may fuse its
+multiply-adds (FMA): last bits can differ from ``a*x - b*y`` (``blocks.py``,
+the reference) and between hosts, as BLAS products do, but not between
+runs on one host.
+
 Batch-gathered inputs share one naming:
   vs, vo : (B, d) subject / object vectors
   msc    : (B, n_scalars) relation scalar diagonals
-  ma, mb : (B, n_blocks) relation rotation components
+  m      : (B, n_blocks) complex128 relation blocks a + ib
 
 Work buffers.  ``bilinear_scores``, ``relation_matvec`` and
 ``accumulate_grads`` take an optional keyword ``work``: a flat, contiguous
@@ -55,9 +65,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def work_size(rows: int, dim: int, n_blocks: int, ent_rows: int, rel_rows: int) -> int:
     """Elements of ``work`` the kernels need for ``rows`` examples touching
     ``ent_rows`` entities and ``rel_rows`` relations: ``accumulate_grads``'
-    (rows, dim) example rows, two (rows, n_blocks) product planes and the
-    gradient rows.  ``bilinear_scores``' three (rows, n_blocks) planes fit
-    in the first two parts."""
+    (rows, dim) example rows, (rows, n_blocks) complex conjugates and the
+    gradient rows; ``bilinear_scores`` needs less."""
     return rows * (dim + 2 * n_blocks) + (ent_rows + rel_rows) * dim
 
 
@@ -74,51 +83,36 @@ def carve(work, *shapes) -> list[np.ndarray]:
     return arrays
 
 
-def bilinear_scores(vs, vo, msc, ma, mb, *, work=None) -> np.ndarray:
-    """f_i = vs[i]^T M_r[i] vo[i], computed blockwise in one fused pass:
-    the scalar slots' sum of products, plus the sum over blocks of
-    ma * (sx*ox + sy*oy) + mb * (sy*ox - sx*oy)."""
+def bilinear_scores(vs, vo, msc, m, *, work=None) -> np.ndarray:
+    """f_i = vs[i]^T M_r[i] vo[i]: the scalar slots' sum of products, plus
+    the real dot of the subject's block coordinates with the blocks of
+    M_r vo, the complex product m * vo."""
     ns = msc.shape[1]
-    sx, sy = vs[:, ns::2], vs[:, ns + 1 :: 2]
-    ox, oy = vo[:, ns::2], vo[:, ns + 1 :: 2]
     f = np.einsum("ij,ij,ij->i", vs[:, :ns], msc, vo[:, :ns])
-    t, u, p = carve(work, ma.shape, ma.shape, ma.shape)
-    np.multiply(sx, ox, out=t)
-    np.multiply(sy, oy, out=u)
-    t += u
-    t *= ma
-    np.multiply(sy, ox, out=u)
-    np.multiply(sx, oy, out=p)
-    u -= p
-    u *= mb
-    t += u
-    f += np.sum(t, axis=1)
+    (p,) = carve(work, vo[:, ns:].shape)
+    np.multiply(m, vo[:, ns:].view(np.complex128), out=p.view(np.complex128))
+    f += np.einsum("ij,ij->i", vs[:, ns:], p)
     return f
 
 
-def relation_matvec(msc, ma, mb, v, transpose: bool = False, out=None, *, work=None) -> np.ndarray:
+def relation_matvec(msc, m, v, transpose: bool = False, out=None, *, work=None) -> np.ndarray:
     """M_r v (or M_r^T v) for rows of ``v`` of shape (..., d).
 
-    Each 2x2 block is [[a, -b], [b, a]], so its transpose is the same
-    block with b negated: (a*x + b*y, a*y - b*x) in place of
-    (a*x - b*y, a*y + b*x).  Relation arrays broadcast against ``v``: one
-    relation for many vectors, or one per row.  The product goes to ``out``
-    (the shape of ``v``, not overlapping it) when given, else to a new
-    array; ``out`` is returned.  ``work`` holds two product planes of
-    B * n_blocks elements each.
+    The blocks of M_r v are ``m * v_c`` over the complex view v_c of the
+    block coordinates, those of M_r^T v ``conj(m) * v_c``, with the
+    conjugate in ``work`` (2 * m.size elements).  Relation arrays broadcast
+    against ``v``: one relation for many vectors, or one per row.  The
+    product goes to ``out`` (the shape of ``v``, not overlapping it) when
+    given, else to a new array; ``out`` is returned.
     """
     ns = msc.shape[-1]
-    vx, vy = v[..., ns::2], v[..., ns + 1 :: 2]
     if out is None:
         out = np.empty_like(v)
-    ox, oy = out[..., ns::2], out[..., ns + 1 :: 2]
-    # products go to contiguous planes; each strided output plane is
-    # written once, never read
-    p, q = carve(work, ox.shape, ox.shape)
     np.multiply(msc, v[..., :ns], out=out[..., :ns])
-    x_op, y_op = (np.add, np.subtract) if transpose else (np.subtract, np.add)
-    x_op(np.multiply(ma, vx, out=p), np.multiply(mb, vy, out=q), out=ox)
-    y_op(np.multiply(ma, vy, out=p), np.multiply(mb, vx, out=q), out=oy)
+    if transpose:
+        (conj,) = carve(work, (*m.shape, 2))
+        m = np.conjugate(m, out=conj.view(np.complex128)[..., 0])
+    np.multiply(m, v[..., ns:].view(np.complex128), out=out[..., ns:].view(np.complex128))
     return out
 
 
@@ -131,7 +125,7 @@ def _scatter_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray, scale: np.
         out[:, j] += np.bincount(idx, rows[:, j] * scale, n)
 
 
-def accumulate_grads(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent: int, n_rel: int, *, work=None):
+def accumulate_grads(vs, vo, msc, m, rho, es, eo, rr, n_ent: int, n_rel: int, *, work=None):
     """Scatter d(loss)/d(params) into compacted per-batch gradient rows.
 
     ``rho`` (B,) is each example's residual (phi - label) / B; ``es``/``eo``
@@ -143,20 +137,17 @@ def accumulate_grads(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent: int, n_rel: in
     ``grad_sc`` and ``grad_rot`` are views of one (n_rel, d) array.
     """
     ns, (B, d) = msc.shape[1], vs.shape
-    rows, pq, grad_ent, grad_rel = carve(work, (B, d), (2, *ma.shape), (n_ent, d), (n_rel, d))
+    rows, conj, grad_ent, grad_rel = carve(work, (B, d), (*m.shape, 2), (n_ent, d), (n_rel, d))
     grad_ent.fill(0.0)
     grad_rel.fill(0.0)
     # d(rho v_s^T M v_o) is rho M v_o for v_s and rho M^T v_s for v_o
-    _scatter_rows(grad_ent, es, relation_matvec(msc, ma, mb, vo, out=rows, work=pq), rho)
-    _scatter_rows(grad_ent, eo, relation_matvec(msc, ma, mb, vs, transpose=True, out=rows, work=pq), rho)
+    _scatter_rows(grad_ent, es, relation_matvec(msc, m, vo, out=rows), rho)
+    _scatter_rows(grad_ent, eo, relation_matvec(msc, m, vs, transpose=True, out=rows, work=conj), rho)
 
-    # one row per example in the layout of (scalars, rot): the scalar
-    # slots' v_s * v_o, then each block's a and b components
-    sx, sy = vs[:, ns::2], vs[:, ns + 1 :: 2]
-    ox, oy = vo[:, ns::2], vo[:, ns + 1 :: 2]
-    np.multiply(vs, vo, out=rows)
-    rows[:, ns::2] += rows[:, ns + 1 :: 2]  # a: sx*ox + sy*oy
-    np.subtract(np.multiply(sy, ox, out=pq[0]), np.multiply(sx, oy, out=pq[1]),
-                out=rows[:, ns + 1 :: 2])  # b: sy*ox - sx*oy
+    # one row per example in the layout of (scalars, rot): the scalar slots'
+    # v_s * v_o, then each block's (a, b), the complex vs_c * conj(vo_c)
+    np.multiply(vs[:, :ns], vo[:, :ns], out=rows[:, :ns])
+    blocks = np.conjugate(vo[:, ns:].view(np.complex128), out=rows[:, ns:].view(np.complex128))
+    blocks *= vs[:, ns:].view(np.complex128)
     _scatter_rows(grad_rel, rr, rows, rho)
-    return grad_ent, grad_rel[:, :ns], grad_rel[:, ns:].reshape(n_rel, ma.shape[1], 2)
+    return grad_ent, grad_rel[:, :ns], grad_rel[:, ns:].reshape(n_rel, m.shape[1], 2)

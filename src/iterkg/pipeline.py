@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -27,7 +27,7 @@ from .evaluation import (  # noqa: F401 (head_coverage: perfbench wraps this mod
     head_coverage, head_coverages, link_prediction, summarize_rules,
 )
 from .injection import Injection, InjectionConfig, inject_triples, read_injected_tsv, write_injected_tsv
-from .kg import KnowledgeGraph, entity_sparsity, load_dataset, sparse_entities
+from .kg import KnowledgeGraph, entity_sparsity, load_dataset, sorted_distinct, sparse_entities
 
 log = logging.getLogger(__name__)
 
@@ -210,14 +210,7 @@ class IterationRecord:
     metrics: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "mean_loss": self.mean_loss,
-            "axioms_above_threshold": self.axioms_above_threshold,
-            "injected_per_type": self.injected_per_type,
-            "injected_total": self.injected_total,
-            "metrics": self.metrics,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -249,11 +242,10 @@ def _injected_per_type(injected: Injection) -> dict[str, int]:
 
 
 def _distinct_rows(kg: KnowledgeGraph, rows: np.ndarray) -> np.ndarray:
-    """The distinct (s, r, o) rows of an id array of ``kg``, sorted, from sorted packed
-    keys: numpy 2.4's plain ``np.unique`` is tens of times slower on them."""
+    """The distinct (s, r, o) rows of an id array of ``kg``, sorted, from their packed keys."""
     n_rel, n_ent = kg.n_relations, kg.n_entities
-    key = np.sort((rows[:, 0] * n_rel + rows[:, 1]) * n_ent + rows[:, 2])
-    s, rest = np.divmod(key[np.diff(key, prepend=-1) != 0], n_rel * n_ent)
+    key = sorted_distinct((rows[:, 0] * n_rel + rows[:, 1]) * n_ent + rows[:, 2])
+    s, rest = np.divmod(key, n_rel * n_ent)
     return np.stack([s, *np.divmod(rest, n_ent)], axis=1)
 
 
@@ -268,26 +260,35 @@ def _inject(kg: KnowledgeGraph, scored: list[ScoredAxiom], sparse: set[int],
     return injected
 
 
-def _read_union(kg: KnowledgeGraph, out_dir: str, iterations: int) -> np.ndarray:
-    """The distinct rows of ``injected_iter1..N.tsv`` in ``out_dir``, sorted;
-    none for N = 0."""
-    rows = [np.empty((0, 3), dtype=np.int64)]
-    for it in range(1, iterations + 1):
-        path = os.path.join(out_dir, f"injected_iter{it}.tsv")
+def _read_earlier(kg: KnowledgeGraph, out_dir: str, iterations: int):
+    """Records 1..N of ``records.jsonl`` in ``out_dir``, and the distinct rows
+    of its ``injected_iter1..N.tsv``, sorted; none for N = 0."""
+    if iterations == 0:
+        return [], np.empty((0, 3), dtype=np.int64)
+    names = ["records.jsonl"] + [f"injected_iter{it}.tsv" for it in range(1, iterations + 1)]
+    paths = [os.path.join(out_dir, name) for name in names]
+    for path in paths:
         if not os.path.exists(path):
-            raise CheckpointError(f"{path} is missing; resuming needs every earlier injected set")
-        rows.append(read_injected_tsv(path, kg.entities, kg.relations))
-    return _distinct_rows(kg, np.concatenate(rows))
+            raise CheckpointError(f"{path} is missing; resuming needs what every earlier iteration wrote")
+    with open(paths[0], encoding="utf-8") as fh:
+        records = [IterationRecord(**json.loads(line)) for line in fh.readlines()[:iterations]]
+    if [rec.iteration for rec in records] != list(range(1, iterations + 1)):
+        raise CheckpointError(f"{paths[0]} does not hold the records of iterations 1..{iterations}")
+    rows = [read_injected_tsv(path, kg.entities, kg.relations) for path in paths[1:]]
+    return records, _distinct_rows(kg, np.concatenate(rows))
 
 
 def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> PipelineResult:
     """Run the full loop and write all artifacts under ``config.out_dir``.
 
-    ``resume`` names a checkpoint written by a previous run of the same
-    config (ckpt_iter<N>.bin); training restarts at iteration N+1 after
-    re-deriving the injected set from the loaded model, with the union
-    seeded from the ``injected_iter1..N.tsv`` dumps beside the checkpoint.
-    A checkpoint that already covers every iteration is refused first.
+    Each iteration appends its record to ``records.jsonl``, dumps its
+    injected set and then writes its checkpoint.  ``resume`` names a
+    checkpoint written by a previous run of the same config
+    (ckpt_iter<N>.bin); training restarts at iteration N+1 after
+    re-deriving the injected set from the loaded model, with the records
+    and the union taken from ``records.jsonl`` and the
+    ``injected_iter1..N.tsv`` dumps beside the checkpoint.  A checkpoint
+    that already covers every iteration is refused first.
     """
     done = 0
     if resume is not None:
@@ -300,6 +301,7 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
         raise ValueError(f"checkpoint already covers all {config.iterations} iterations")
     train, valid, test, entities, relations = load_dataset(config.data_dir)
     kg = KnowledgeGraph(train, entities, relations)
+    records, injected_union = _read_earlier(kg, os.path.dirname(resume or ""), done)
     table = entity_sparsity(kg)
     sparse = sparse_entities(table, config.injection.sparsity_threshold)
     known = np.concatenate([kg.ids, np.array(valid + test, dtype=np.int64).reshape(-1, 3)])
@@ -309,7 +311,6 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
     pool = generate_pool(kg, config.pool, phase_rng(config.seed, 0, "pool"))
 
     injected: Optional[Injection] = None
-    injected_union = _read_union(kg, os.path.dirname(resume or ""), done)
     if resume is None:
         model = init_model(kg.n_entities, kg.n_relations, config.train)
     else:
@@ -318,7 +319,9 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
         injected = _inject(kg, induce_axioms(model, pool), sparse, config.injection)
 
     graph_batch = TripleBatch(kg.ids, np.ones(len(kg)))
-    records: list[IterationRecord] = []
+    records_path = os.path.join(config.out_dir, "records.jsonl")
+    with open(records_path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(rec.to_dict(), sort_keys=True) + "\n" for rec in records)
     scored: list[ScoredAxiom] = []
 
     for it in range(done + 1, config.iterations + 1):
@@ -344,15 +347,15 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
             metrics=metrics,
         )
         records.append(record)
-        save_checkpoint(model, os.path.join(config.out_dir, f"ckpt_iter{it}.bin"))
+        with open(records_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
         write_injected_tsv(
             os.path.join(config.out_dir, f"injected_iter{it}.tsv"), injected, entities, relations
         )
+        # last, so that a checkpoint on disk finds what resuming from it reads
+        save_checkpoint(model, os.path.join(config.out_dir, f"ckpt_iter{it}.bin"))
 
     # final artifacts
-    with open(os.path.join(config.out_dir, "records.jsonl"), "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
     hc_values = head_coverages(kg, [sa.axiom for sa in scored])
     write_axioms(os.path.join(config.out_dir, "axioms.jsonl"), scored, relations, hc_values)
 

@@ -1,5 +1,11 @@
 """The numpy kernels against per-example loops and dense matrices."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,18 +14,25 @@ from iterkg import kernels
 
 from oracles import accumulate_grads_loops, dense_block_matrix
 
-# layouts (n_scalars, n_blocks) with at least one coordinate, pure scalar
-# and pure rotation included
-layouts = st.tuples(st.integers(0, 4), st.integers(0, 3)).filter(lambda l: sum(l) > 0)
+# layouts (n_scalars, n_blocks) with at least one coordinate: pure scalar
+# (n_blocks == 0), pure rotation (n_scalars == 0) and mixed
+layouts = st.one_of(st.tuples(st.integers(1, 4), st.just(0)), st.tuples(st.just(0), st.integers(1, 3)),
+                    st.tuples(st.integers(1, 4), st.integers(1, 3)))
 
 
 def make_batch(rng, B, ns, nb, n_rel):
+    """(vs, vo, msc, rot, r): ``rot`` (B, n_blocks, 2) holds the (a, b) pairs
+    the oracles read, and ``blocks(rot)`` the kernels' complex blocks."""
     d = ns + 2 * nb
     sc = rng.normal(size=(n_rel, ns))
     rot = rng.normal(size=(n_rel, nb, 2))
     r = rng.integers(n_rel, size=B)
     vs, vo = rng.normal(size=(B, d)), rng.normal(size=(B, d))
-    return vs, vo, sc[r], rot[r, :, 0], rot[r, :, 1], r
+    return vs, vo, sc[r], rot[r], r
+
+
+def blocks(rot):
+    return rot.view(np.complex128)[..., 0]
 
 
 def test_sigmoid_stable_and_bounded():
@@ -36,12 +49,11 @@ def test_sigmoid_stable_and_bounded():
 def test_accumulate_grads_matches_loops(layout, B, n_ent, n_rel, seed):
     ns, nb = layout
     rng = np.random.default_rng(seed)
-    vs, vo, msc, ma, mb, rr = make_batch(rng, B, ns, nb, n_rel)
+    vs, vo, msc, rot, rr = make_batch(rng, B, ns, nb, n_rel)
     rho = rng.normal(size=B) / B
     es, eo = rng.integers(n_ent, size=B), rng.integers(n_ent, size=B)
-    args = (vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent, n_rel)
-    got = kernels.accumulate_grads(*args)
-    want = accumulate_grads_loops(*args)
+    got = kernels.accumulate_grads(vs, vo, msc, blocks(rot), rho, es, eo, rr, n_ent, n_rel)
+    want = accumulate_grads_loops(vs, vo, msc, rot[..., 0], rot[..., 1], rho, es, eo, rr, n_ent, n_rel)
     assert [g.shape for g in got] == [(n_ent, ns + 2 * nb), (n_rel, ns), (n_rel, nb, 2)]
     for g, w in zip(got, want):
         # same products, summed in another order: a few ulp per added term
@@ -53,13 +65,40 @@ def test_accumulate_grads_matches_loops(layout, B, n_ent, n_rel, seed):
 def test_relation_matvec_matches_dense(layout, B, seed):
     ns, nb = layout
     rng = np.random.default_rng(seed)
-    _, v, msc, ma, mb, _ = make_batch(rng, B, ns, nb, 3)
+    _, v, msc, rot, _ = make_batch(rng, B, ns, nb, 3)
+    m = blocks(rot)
     for i in range(B):
-        dense = dense_block_matrix(msc[i], np.stack([ma[i], mb[i]], axis=1))
-        np.testing.assert_allclose(kernels.relation_matvec(msc[i], ma[i], mb[i], v[i]),
+        dense = dense_block_matrix(msc[i], rot[i])
+        np.testing.assert_allclose(kernels.relation_matvec(msc[i], m[i], v[i]),
                                    dense @ v[i], rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(kernels.relation_matvec(msc, ma, mb, v, transpose=True)[i],
+        np.testing.assert_allclose(kernels.relation_matvec(msc, m, v, transpose=True)[i],
                                    dense.T @ v[i], rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ns=st.integers(1, 6), B=st.integers(1, 16), n_ent=st.integers(1, 6), n_rel=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_all_scalar_layout_is_the_scalar_formula_bit_for_bit(ns, B, n_ent, n_rel, seed):
+    """Without blocks the kernels do the diagonal model's arithmetic and
+    nothing else: scores and gradients equal its plain formula byte for byte."""
+    rng = np.random.default_rng(seed)
+    vs, vo, msc, rot, rr = make_batch(rng, B, ns, 0, n_rel)
+    m = blocks(rot)
+    rho = rng.normal(size=B) / B
+    es, eo = rng.integers(n_ent, size=B), rng.integers(n_ent, size=B)
+    scores = kernels.bilinear_scores(vs, vo, msc, m)
+    assert scores.tobytes() == np.einsum("ij,ij,ij->i", vs, msc, vo).tobytes()
+
+    def scatter(idx, rows, n):
+        out = np.zeros((n, ns))
+        np.add.at(out, idx, rows * rho[:, None])
+        return out
+
+    grad_ent, grad_sc, grad_rot = kernels.accumulate_grads(vs, vo, msc, m, rho, es, eo, rr, n_ent, n_rel)
+    want_ent = scatter(es, msc * vo, n_ent) + scatter(eo, msc * vs, n_ent)
+    assert np.ascontiguousarray(grad_ent).tobytes() == want_ent.tobytes()
+    assert np.ascontiguousarray(grad_sc).tobytes() == scatter(rr, vs * vo, n_rel).tobytes()
+    assert grad_rot.shape == (n_rel, 0, 2)
 
 
 # layouts (n_scalars, n_blocks) at dim 4k: no scalars, half scalars, all scalars
@@ -78,14 +117,15 @@ def dirty(n):
 def test_relation_matvec_into_buffers_is_bit_identical(layout, B, extra, transpose, seed):
     ns, nb = layout
     rng = np.random.default_rng(seed)
-    _, v, msc, ma, mb, _ = make_batch(rng, B, ns, nb, 3)
-    fresh = kernels.relation_matvec(msc, ma, mb, v, transpose)
+    _, v, msc, rot, _ = make_batch(rng, B, ns, nb, 3)
+    m = blocks(rot)
+    fresh = kernels.relation_matvec(msc, m, v, transpose)
     out = dirty((B + extra) * v.shape[1]).reshape(B + extra, -1)
-    got = kernels.relation_matvec(msc, ma, mb, v, transpose, out=out[:B], work=dirty(2 * (B + extra) * nb))
+    got = kernels.relation_matvec(msc, m, v, transpose, out=out[:B], work=dirty(2 * (B + extra) * nb))
     assert np.shares_memory(got, out) and got.shape == v.shape
     assert got.tobytes() == fresh.tobytes()
     for i in range(B):
-        dense = dense_block_matrix(msc[i], np.stack([ma[i], mb[i]], axis=1))
+        dense = dense_block_matrix(msc[i], rot[i])
         np.testing.assert_allclose(got[i], (dense.T if transpose else dense) @ v[i],
                                    rtol=1e-12, atol=1e-12)
 
@@ -97,19 +137,20 @@ def test_kernels_with_work_buffer_are_bit_identical(layout, B, extra, n_ent, n_r
     ns, nb = layout
     d = ns + 2 * nb
     rng = np.random.default_rng(seed)
-    vs, vo, msc, ma, mb, rr = make_batch(rng, B, ns, nb, n_rel)
+    vs, vo, msc, rot, rr = make_batch(rng, B, ns, nb, n_rel)
+    m = blocks(rot)
     rho = rng.normal(size=B) / B
     es, eo = rng.integers(n_ent, size=B), rng.integers(n_ent, size=B)
-    args = (vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent, n_rel)
+    args = (vs, vo, msc, m, rho, es, eo, rr, n_ent, n_rel)
     # a buffer sized for a longer batch, dirty from a previous use
     work = dirty(kernels.work_size(B + extra, d, nb, n_ent + extra, n_rel + extra))
 
-    scores = kernels.bilinear_scores(vs, vo, msc, ma, mb, work=work)
-    assert scores.tobytes() == kernels.bilinear_scores(vs, vo, msc, ma, mb).tobytes()
+    scores = kernels.bilinear_scores(vs, vo, msc, m, work=work)
+    assert scores.tobytes() == kernels.bilinear_scores(vs, vo, msc, m).tobytes()
 
     got = kernels.accumulate_grads(*args, work=work)
     fresh = kernels.accumulate_grads(*args)
-    want = accumulate_grads_loops(*args)
+    want = accumulate_grads_loops(vs, vo, msc, rot[..., 0], rot[..., 1], rho, es, eo, rr, n_ent, n_rel)
     for g, f, w in zip(got, fresh, want):
         assert g.size == 0 or np.shares_memory(g, work)
         assert g.shape == f.shape and g.tobytes() == np.ascontiguousarray(f).tobytes()
@@ -122,3 +163,37 @@ def test_carve_lays_arrays_end_to_end():
     assert a.tolist() == [[0, 1, 2], [3, 4, 5]] and b.tolist() == [6, 7, 8, 9]
     assert all(np.shares_memory(x, work) and x.flags.c_contiguous for x in (a, b))
     assert [x.shape for x in kernels.carve(None, (2, 3), (0, 4))] == [(2, 3), (0, 4)]
+
+
+def test_training_and_ranking_import_nothing_beyond_numpy():
+    """A training step and link prediction load no third-party module but
+    numpy: scipy is undeclared, and importing ``scipy.sparse`` alone raises
+    a fresh interpreter's peak RSS from about 27 to 49 MB."""
+    script = textwrap.dedent("""
+        import json, sys
+        before = {name.split(".")[0] for name in sys.modules}
+        import numpy as np
+        from iterkg.embedding import TrainConfig, TripleBatch, init_model, train_epoch
+        from iterkg.evaluation import link_prediction
+        from iterkg.kg import KnowledgeGraph, Triple, Vocabulary
+
+        rng = np.random.default_rng(0)
+        rows = np.stack([rng.integers(20, size=200), rng.integers(3, size=200),
+                         rng.integers(20, size=200)], axis=1).tolist()
+        kg = KnowledgeGraph([Triple(*t) for t in rows], Vocabulary(f"e{i}" for i in range(20)),
+                            Vocabulary(f"r{i}" for i in range(3)))
+        cfg = TrainConfig(dim=8, n_scalars=4, batch_size=64)
+        model = init_model(20, 3, cfg)
+        train_epoch(model, TripleBatch(kg.ids, np.ones(len(kg))), kg, cfg, rng)
+        link_prediction(model, kg.ids, kg.ids[:10])
+        loaded = {name.split(".")[0] for name in sys.modules} - before - set(sys.stdlib_module_names)
+        print(json.dumps(sorted(loaded)))
+    """)
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    loaded = set(json.loads(done.stdout))
+    assert "scipy" not in loaded
+    # numpy's compiled modules bring cython's runtime modules with them
+    assert {m for m in loaded if not m.startswith(("numpy", "iterkg", "_cython_", "cython_runtime"))} == set()

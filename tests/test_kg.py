@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from iterkg.kg import (
     KnowledgeGraph, ParseError, Triple, Vocabulary, VocabularyError,
-    entity_sparsity, load_triples, sparse_entities, sparsify_eval_split,
+    entity_sparsity, load_triples, sorted_distinct, sparse_entities, sparsify_eval_split,
 )
 
 from oracles import random_graph
@@ -183,3 +183,12 @@ class TestSparseSplit:
     def test_unknown_entity_errors(self):
         with pytest.raises(VocabularyError):
             sparsify_eval_split(self.table(), [Triple(50, 0, 0)], 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.integers(-2**62, 2**62) | st.integers(-3, 3), max_size=40))
+def test_sorted_distinct_is_np_unique(values):
+    arr = np.array(values, dtype=np.int64)
+    got = sorted_distinct(arr)
+    assert got.dtype == np.int64 and got.tobytes() == np.unique(arr).tobytes()
+    assert sorted_distinct(arr.reshape(-1, 1)).tobytes() == got.tobytes()

@@ -230,8 +230,43 @@ class TestRunIterations:
             assert np.array_equal(resumed.model.ent, full_run.model.ent)
             assert np.array_equal(resumed.model.rel_rot, full_run.model.rel_rot)
             assert resumed.records[-1].to_dict() == full_run.records[-1].to_dict()
-            assert (tmp_path / f"part{union}" / "report.json").read_bytes() == \
-                (tmp_path / f"full{union}" / "report.json").read_bytes()
+            for name in ("report.json", "records.jsonl"):
+                assert (tmp_path / f"part{union}" / name).read_bytes() == \
+                    (tmp_path / f"full{union}" / name).read_bytes(), name
+
+    def test_interrupted_run_resumes_to_the_same_records(self, tmp_path, dataset_dir, monkeypatch):
+        full = small_config(dataset_dir, tmp_path / "full", iterations=3)
+        part = dataclasses.replace(full, out_dir=str(tmp_path / "part"))
+        run_iterations(full)
+        real = pipeline.save_checkpoint
+
+        def crash_at_iteration_2(model, path):
+            if path.endswith("ckpt_iter2.bin"):
+                raise KeyboardInterrupt
+            real(model, path)
+
+        monkeypatch.setattr(pipeline, "save_checkpoint", crash_at_iteration_2)
+        with pytest.raises(KeyboardInterrupt):
+            run_iterations(part)
+        monkeypatch.undo()
+        # the interrupted run kept the records of the iterations it finished
+        assert len((tmp_path / "part" / "records.jsonl").read_text().splitlines()) == 2
+        resumed = run_iterations(part, resume=str(tmp_path / "part" / "ckpt_iter1.bin"))
+        assert [rec.iteration for rec in resumed.records] == [1, 2, 3]
+        assert (tmp_path / "part" / "records.jsonl").read_bytes() == \
+            (tmp_path / "full" / "records.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("damage", ["missing", "short"])
+    def test_resume_needs_every_earlier_record(self, tmp_path, dataset_dir, damage):
+        cfg = small_config(dataset_dir, tmp_path / "gap", iterations=3)
+        run_iterations(dataclasses.replace(cfg, iterations=2))
+        path = tmp_path / "gap" / "records.jsonl"
+        if damage == "missing":
+            path.unlink()
+        else:
+            path.write_text(path.read_text().splitlines(keepends=True)[0])
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            run_iterations(cfg, resume=str(tmp_path / "gap" / "ckpt_iter2.bin"))
 
     def test_resume_needs_every_earlier_injected_dump(self, tmp_path, dataset_dir):
         cfg = small_config(dataset_dir, tmp_path / "gap", iterations=3)
