@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .kg import KnowledgeGraph, Triple, sorted_distinct
+from .kg import KnowledgeGraph, Triple, compact_ids, sorted_distinct
 
 log = logging.getLogger(__name__)
 
@@ -109,13 +109,17 @@ class AdamState:
 class EmbeddingModel:
     """Entity vectors plus one block-diagonal matrix per relation.
 
-    Relation matrices are stored stacked: ``rel_scalars[r]`` is the scalar
-    diagonal and ``rel_rot[r]`` the (n_blocks, 2) rotation components of
-    relation r, which ``rel_blocks`` reads as complex numbers.  Training is
-    the single writer; scoring reads only.
+    The entity table and its Adam moments are stored Fortran-ordered, so
+    training gathers and writes them column by column (see ``kernels``);
+    every constructor here keeps that layout.  An entity table of any other
+    layout gives the same values, only slower.  Relation matrices are
+    stored stacked: ``rel_scalars[r]`` is the scalar diagonal and
+    ``rel_rot[r]`` the (n_blocks, 2) rotation components of relation r,
+    which ``rel_blocks`` reads as complex numbers.  Training is the single
+    writer; scoring reads only.
     """
 
-    ent: np.ndarray        # (n_entities, dim)
+    ent: np.ndarray        # (n_entities, dim), Fortran-ordered
     rel_scalars: np.ndarray  # (n_relations, n_scalars)
     rel_rot: np.ndarray      # (n_relations, n_blocks, 2)
     opt: AdamState = field(repr=False, default=None)
@@ -148,19 +152,20 @@ class EmbeddingModel:
     def copy(self) -> "EmbeddingModel":
         o = self.opt
         return EmbeddingModel(
-            self.ent.copy(), self.rel_scalars.copy(), self.rel_rot.copy(),
-            AdamState(o.m_ent.copy(), o.v_ent.copy(), o.m_sc.copy(), o.v_sc.copy(),
-                      o.m_rot.copy(), o.v_rot.copy(), o.step),
+            np.array(self.ent, order="F"), self.rel_scalars.copy(), self.rel_rot.copy(),
+            AdamState(np.array(o.m_ent, order="F"), np.array(o.v_ent, order="F"), o.m_sc.copy(),
+                      o.v_sc.copy(), o.m_rot.copy(), o.v_rot.copy(), o.step),
         )
 
 
 def init_model(n_entities: int, n_relations: int, config: TrainConfig) -> EmbeddingModel:
-    """Initialize all parameters i.i.d. uniform on (-0.1, 0.1), seeded."""
+    """Initialize all parameters i.i.d. uniform on (-0.1, 0.1), seeded; the
+    entity table is Fortran-ordered."""
     if n_entities < 1 or n_relations < 1:
         raise ValueError("need at least one entity and one relation")
     rng = np.random.default_rng(config.seed)
     ns, nb = config.n_scalars, config.n_blocks
-    ent = rng.uniform(-0.1, 0.1, size=(n_entities, config.dim))
+    ent = np.asfortranarray(rng.uniform(-0.1, 0.1, size=(n_entities, config.dim)))
     sc = rng.uniform(-0.1, 0.1, size=(n_relations, ns))
     rot = rng.uniform(-0.1, 0.1, size=(n_relations, nb, 2))
     opt = AdamState(
@@ -172,32 +177,28 @@ def init_model(n_entities: int, n_relations: int, config: TrainConfig) -> Embedd
 
 
 class StepBuffers(NamedTuple):
-    """Work arrays of a training step, for minibatches of up to ``len(vs)``
-    examples.
+    """Work arrays of training steps, for minibatches of up to ``rows``
+    examples of one model's shape.
 
-    ``train_epoch`` allocates one set per epoch and every minibatch reuses
-    it: ``_gather`` takes the examples' rows into the first B rows of
-    ``vs``, ``vo``, ``msc`` and ``m``, the kernels carve their
-    intermediates and the gradients from ``work``, and the L1 term and Adam
-    theirs from ``scratch``.  A view of a buffer is valid until the next
-    minibatch.
+    Every minibatch reuses them, across epochs when the caller keeps them
+    (``run_iterations`` keeps one set per run): ``_gather`` carves the
+    examples' (dim, B) subject, object and relation columns from the front
+    of ``planes``, the kernels carve their intermediates and the gradients
+    from ``work``, and the L1 term and Adam theirs from ``scratch``.  A
+    view of a buffer is valid until the next minibatch.
     """
 
-    vs: np.ndarray       # (rows, dim)
-    vo: np.ndarray       # (rows, dim)
-    msc: np.ndarray      # (rows, n_scalars)
-    m: np.ndarray        # (rows, n_blocks) complex128
+    rows: int
+    planes: np.ndarray   # flat: three (dim, rows) planes of gathered columns
     work: np.ndarray     # flat: kernel intermediates, then the gradients
     scratch: np.ndarray  # flat: three parameter-row planes for L1 and Adam
 
     @classmethod
     def empty(cls, model: EmbeddingModel, rows: int) -> StepBuffers:
         """Buffers for minibatches of up to ``rows`` examples."""
-        d, nb = model.dim, model.n_blocks
+        d = model.dim
         ent_rows, rel_rows = min(model.n_entities, 2 * rows), min(model.n_relations, rows)
-        return cls(np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, model.n_scalars)),
-                   np.empty((rows, nb), dtype=np.complex128),
-                   np.empty(kernels.work_size(rows, d, nb, ent_rows, rel_rows)),
+        return cls(rows, np.empty(3 * rows * d), np.empty(kernels.work_size(rows, d, ent_rows, rel_rows)),
                    np.empty(3 * max(ent_rows, rel_rows) * d))
 
 
@@ -211,16 +212,24 @@ def _check_ids(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarra
 
 
 def _gather(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray,
-            buffers: Optional[StepBuffers] = None):
-    """(vs, vo, msc, m) of the examples, after ``_check_ids``: new arrays,
-    or views of the first len(s) rows of ``buffers``."""
+            planes: Optional[np.ndarray] = None):
+    """(vs, vo, msc, ma, mb) of the examples, after ``_check_ids``.
+
+    Each is a column-major (B, ·) view of a (·, B) array gathered column by
+    column from the transposed tables, new or carved from the front of the
+    flat ``planes``; the relation columns lie in the layout of a relation
+    row, scalars then each block's (a, b).
+    """
     _check_ids(model, s, r, o)
-    tables = (model.ent, model.ent, model.rel_scalars, model.rel_blocks)
-    outs = (None,) * 4 if buffers is None else tuple(
-        buf[: len(s)] for buf in (buffers.vs, buffers.vo, buffers.msc, buffers.m))
-    # the ids are in range, and "clip" (unlike "raise") takes straight into ``out``
-    return tuple(np.take(table, ids, axis=0, out=out, mode="clip")
-                 for table, ids, out in zip(tables, (s, o, r, r), outs))
+    d, ns = model.dim, model.n_scalars
+    vs, vo, rel = kernels.carve_columns(planes, *[(len(s), d)] * 3)
+    # the ids are in range, and "wrap" (unlike "raise") takes straight into
+    # ``out``; it measured a little faster than "clip"
+    for table, ids, out in ((model.ent.T, s, vs.T), (model.ent.T, o, vo.T),
+                            (model.rel_scalars.T, r, rel.T[:ns]),
+                            (model.rel_rot.reshape(model.n_relations, -1).T, r, rel.T[ns:])):
+        np.take(table, ids, axis=1, out=out, mode="wrap")
+    return vs, vo, rel[:, :ns], rel[:, ns::2], rel[:, ns + 1 :: 2]
 
 
 def raw_scores(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray) -> np.ndarray:
@@ -290,6 +299,43 @@ class SparseGrads:
     rot_grad: np.ndarray     # (nr, n_blocks, 2)
 
 
+def _column_major(table: np.ndarray) -> bool:
+    """Whether ``table`` is a Fortran-ordered (and not also C-ordered)
+    matrix, whose rows are read and written column by column."""
+    return table.ndim == 2 and table.flags.f_contiguous and not table.flags.c_contiguous
+
+
+def _row_buffers(scratch: Optional[np.ndarray], table: np.ndarray, k: int, count: int) -> list[np.ndarray]:
+    """``count`` arrays for ``k`` rows of ``table``, laid out like it, carved
+    from the flat ``scratch`` (new arrays when it is None)."""
+    shape = (k, *table.shape[1:])
+    return (kernels.carve_columns if _column_major(table) else kernels.carve)(scratch, *[shape] * count)
+
+
+def _take_rows(table: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``table[ids]`` for in-range ``ids``, into ``out`` (returned)."""
+    if _column_major(table):
+        np.take(table.T, ids, axis=1, out=out.T, mode="wrap")
+    else:
+        np.take(table, ids, axis=0, out=out, mode="wrap")
+    return out
+
+
+def _put_rows(table: np.ndarray, ids: np.ndarray, rows: np.ndarray,
+              flat: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+    """``table[ids] = rows``.  A Fortran-ordered table's columns are written
+    through flat indices into its memory, four times faster than numpy's
+    fancy column assignment; the indices are returned, and ``flat`` reuses
+    them for another table of the same shape."""
+    if not _column_major(table):
+        table[ids] = rows
+        return flat
+    if flat is None:
+        flat = ids + table.shape[0] * np.arange(table.shape[1])[:, None]
+    table.T.reshape(-1)[flat] = rows.T
+    return flat
+
+
 def compute_loss_and_gradients(
     model: EmbeddingModel, batch: TripleBatch | Sequence[LabeledTriple], l1_weight: float,
     *, buffers: Optional[StepBuffers] = None,
@@ -310,28 +356,28 @@ def compute_loss_and_gradients(
     s, r, o = batch.ids.T
     B = len(batch)
 
-    vs, vo, msc, m = _gather(model, s, r, o, buffers)
+    vs, vo, msc, ma, mb = _gather(model, s, r, o, None if buffers is None else buffers.planes)
     work = None if buffers is None else buffers.work
-    phi = kernels.sigmoid(kernels.bilinear_scores(vs, vo, msc, m, work=work))
+    phi = kernels.sigmoid(kernels.bilinear_scores(vs, vo, msc, ma, mb, work=work))
     ce = -labels * np.log(np.maximum(phi, LOG_CLAMP)) \
          - (1.0 - labels) * np.log(np.maximum(1.0 - phi, LOG_CLAMP))
     loss = float(np.mean(ce))
     rho = (phi - labels) / B
 
-    ent_ids, ent_inv = np.unique(np.concatenate([s, o]), return_inverse=True)
-    rel_ids, rel_inv = np.unique(r, return_inverse=True)
+    ent_ids, ent_inv = compact_ids(np.concatenate([s, o]), model.n_entities)
+    rel_ids, rel_inv = compact_ids(r, model.n_relations)
     es, eo = ent_inv[:B], ent_inv[B:]
 
     grad_ent, grad_sc, grad_rot = kernels.accumulate_grads(
-        vs, vo, msc, m, rho, es, eo, rel_inv, len(ent_ids), len(rel_ids), work=work)
+        vs, vo, msc, ma, mb, rho, es, eo, rel_inv, len(ent_ids), len(rel_ids), work=work)
 
     if l1_weight > 0:
         scratch = None if buffers is None else buffers.scratch
         norm = 0.0
         for param, ids, grad in ((model.ent, ent_ids, grad_ent), (model.rel_scalars, rel_ids, grad_sc),
                                  (model.rel_rot, rel_ids, grad_rot)):
-            rows, sign = kernels.carve(scratch, grad.shape, grad.shape)
-            np.take(param, ids, axis=0, out=rows, mode="clip")
+            rows, sign = _row_buffers(scratch, param, len(ids), 2)
+            _take_rows(param, ids, rows)
             np.sign(rows, out=sign)
             sign *= l1_weight
             grad += sign
@@ -348,7 +394,8 @@ def adam_update(model: EmbeddingModel, grads: SparseGrads, config: TrainConfig,
     Moment accumulators of untouched parameters are left as-is; bias
     correction uses the global step counter, incremented once per call.
     The row intermediates are carved from the flat ``scratch`` (three
-    planes of the largest gradient) when given, else allocated.
+    planes of the largest gradient) when given, else allocated.  A
+    Fortran-ordered table is read and written column by column.
     """
     for g in (grads.ent_grad, grads.scalar_grad, grads.rot_grad):
         if not np.all(np.isfinite(g)):
@@ -365,25 +412,25 @@ def adam_update(model: EmbeddingModel, grads: SparseGrads, config: TrainConfig,
     def _apply(param, m, v, ids, grad):
         # m' = b1*m + (1-b1)*g, v' = b2*v + (1-b2)*g*g, and
         # param -= lr * (m'/c1) / (sqrt(v'/c2) + eps), one operation at a time
-        m_rows, v_rows, t = kernels.carve(scratch, grad.shape, grad.shape, grad.shape)
-        np.take(m, ids, axis=0, out=m_rows, mode="clip")
+        m_rows, v_rows, t = _row_buffers(scratch, param, len(ids), 3)
+        _take_rows(m, ids, m_rows)
         m_rows *= b1
         m_rows += np.multiply(grad, 1 - b1, out=t)
-        np.take(v, ids, axis=0, out=v_rows, mode="clip")
+        _take_rows(v, ids, v_rows)
         v_rows *= b2
         np.multiply(grad, 1 - b2, out=t)
         v_rows += np.multiply(t, grad, out=t)
-        m[ids] = m_rows
-        v[ids] = v_rows
+        flat = _put_rows(m, ids, m_rows)
+        flat = _put_rows(v, ids, v_rows, flat)
         np.divide(m_rows, c1, out=t)
         t *= lr
         np.divide(v_rows, c2, out=v_rows)
         np.sqrt(v_rows, out=v_rows)
         v_rows += eps
         t /= v_rows
-        rows = np.take(param, ids, axis=0, out=m_rows, mode="clip")
+        rows = _take_rows(param, ids, m_rows)
         rows -= t
-        param[ids] = rows
+        _put_rows(param, ids, rows, flat)
 
     _apply(model.ent, opt.m_ent, opt.v_ent, grads.ent_ids, grads.ent_grad)
     _apply(model.rel_scalars, opt.m_sc, opt.v_sc, grads.rel_ids, grads.scalar_grad)
@@ -396,6 +443,7 @@ def train_epoch(
     kg: KnowledgeGraph,
     config: TrainConfig,
     rng: np.random.Generator,
+    buffers: Optional[StepBuffers] = None,
 ) -> float:
     """One pass over the labeled inputs; returns the mean batch loss.
 
@@ -406,7 +454,9 @@ def train_epoch(
     ``n_negatives`` were found are counted and logged as a warning.  An
     input id outside the model, or a graph with more entities or relations
     than the model, raises ValueError before any parameter moves.  The
-    minibatches share one ``StepBuffers``.
+    minibatches share one ``StepBuffers``: ``buffers`` when given (a
+    caller keeps them across epochs; they must hold a full minibatch with
+    its negatives), else a set allocated for this call.
     """
     if len(inputs) == 0:
         raise ValueError("no training inputs")
@@ -415,7 +465,11 @@ def train_epoch(
         raise ValueError(f"graph of {kg.n_entities} entities and {kg.n_relations} relations "
                          f"is larger than the model's {model.n_entities} and {model.n_relations}")
     _check_ids(model, *inputs.ids.T)
-    buffers = StepBuffers.empty(model, min(len(inputs), config.batch_size) * (1 + config.n_negatives))
+    rows = min(len(inputs), config.batch_size) * (1 + config.n_negatives)
+    if buffers is None:
+        buffers = StepBuffers.empty(model, rows)
+    elif buffers.rows < rows:
+        raise ValueError(f"step buffers for {buffers.rows} examples; a minibatch needs {rows}")
     order = rng.permutation(len(inputs))
     in_graph = kg.contains_many(*inputs.ids.T)
     total, count = 0.0, 0

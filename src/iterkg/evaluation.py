@@ -64,9 +64,16 @@ def candidate_scores(model: EmbeddingModel, t: Triple, side: str) -> np.ndarray:
     score(e, r, o) = v_e . (M_r v_o) and score(s, r, e) = v_e . (M_r^T v_s),
     so each side reduces to one matrix-vector product over the entity table.
     """
-    v, r = model.ent[t[_columns(side)[0]]], t.relation
-    w = kernels.relation_matvec(model.rel_scalars[r], model.rel_blocks[r], v, side == "object")
+    w = kernels.relation_matvec(*_relation(model, t.relation), model.ent[t[_columns(side)[0]]],
+                                side == "object")
     return model.ent @ w
+
+
+def _relation(model: EmbeddingModel, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(scalars, a, b) of relation ``r``, an id or an id array, as
+    ``kernels.relation_matvec`` reads them."""
+    rot = model.rel_rot[r]
+    return model.rel_scalars[r], rot[..., 0], rot[..., 1]
 
 
 def _columns(side: str) -> tuple[int, int]:
@@ -111,8 +118,7 @@ def rank_side(model: EmbeddingModel, known: np.ndarray, test: np.ndarray,
     for lo in range(0, len(test), BLOCK):
         block = test[lo : lo + BLOCK]
         r, true = block[:, 1], block[:, ranked]
-        w = kernels.relation_matvec(model.rel_scalars[r], model.rel_blocks[r],
-                                    model.ent[block[:, kept]], side == "object")
+        w = kernels.relation_matvec(*_relation(model, r), model.ent[block[:, kept]], side == "object")
         scores = w @ model.ent.T
         true_score = scores[np.arange(len(block)), true][:, None]
         ahead = (scores > true_score) | ((scores == true_score) & (ids < true[:, None]))

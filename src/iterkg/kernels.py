@@ -4,41 +4,48 @@ Training spends most of its time in two places: the blockwise bilinear form
 over a minibatch, and the scatter-accumulation of per-triple gradients into
 shared embedding rows (entities and relations repeat within a batch, so this
 is an indexed reduction, done with one ``np.bincount`` per gradient column).
-Ranking and the entity gradients both apply a relation matrix, or its
-transpose, to a batch of vectors; ``relation_matvec`` is that product.
+Ranking applies a relation matrix, or its transpose, to a batch of vectors;
+``relation_matvec`` is that product.
 
 Entity vectors are laid out to match the dense block pattern: coordinates
 ``[0, n_scalars)`` align with the scalar diagonal, then block j occupies the
 coordinate pair ``(n_scalars + 2j, n_scalars + 2j + 1)``.
 
-Complex views.  A block [[a, -b], [b, a]] maps the pair (x, y) as a + ib
-multiplies x + iy, and interleaved pairs are numpy's complex128 layout: the
-kernels read a vector's blocks as the zero-copy view
-``v[..., n_scalars:].view(np.complex128)``, and relations' (a, b) pairs as
-``EmbeddingModel.rel_blocks``, so a block product is one complex multiply,
-and M^T multiplies by the conjugate a - ib.  numpy may fuse its
-multiply-adds (FMA): last bits can differ from ``a*x - b*y`` (``blocks.py``,
-the reference) and between hosts, as BLAS products do, but not between
-runs on one host.
+Column-major planes.  Training hands the kernels its per-example arrays as
+(B, ·) views of C-ordered (·, B) arrays (Fortran order), gathered column by
+column from the Fortran-ordered entity table (``EmbeddingModel.ent``).  The
+kernels work one column at a time: ``accumulate_grads`` computes each of
+the 3·dim gradient columns of the batch into a (B,) temporary, multiplies
+it by ``rho`` and sums it into its rows with one ``np.bincount``.  Every
+operand is then a contiguous column, and the temporaries stay in cache,
+where a C-ordered (B, dim) plane gives each ``np.bincount`` a strided
+column and every pass over a plane goes to memory.  Any layout gives the
+same values; this one is faster.
+
+Blocks.  A block [[a, -b], [b, a]] maps the pair (x, y) to
+(a x - b y, a y + b x), and its transpose to (a x + b y, a y - b x): the
+formulas of ``blocks.py``, applied to the columns ``v[:, ns::2]`` and
+``v[:, ns+1::2]`` one block column at a time (``_block``).  These real
+products replaced complex128 views of the (x, y) pairs, which need each
+pair adjacent in memory, as a column-major plane does not have it; ranking
+calls ``relation_matvec`` with the same formulas on its row-major arrays.
+All-scalar layouts do the diagonal model's arithmetic bit for bit.
 
 Batch-gathered inputs share one naming:
   vs, vo : (B, d) subject / object vectors
   msc    : (B, n_scalars) relation scalar diagonals
-  m      : (B, n_blocks) complex128 relation blocks a + ib
+  ma, mb : (B, n_blocks) relation block components a and b
 
-Work buffers.  ``bilinear_scores``, ``relation_matvec`` and
-``accumulate_grads`` take an optional keyword ``work``: a flat, contiguous
-float64 array that the caller owns and the kernel carves its per-example
-intermediates from, front to back (``carve``; ``work_size`` elements for
-a batch).  ``relation_matvec`` also takes ``out`` for its product, and
-``accumulate_grads`` builds its example rows and its gradients in
-``work`` and returns views of them.  A kernel keeps no reference to a
-buffer, and the next call overwrites what it left there.  Training
-allocates one set of buffers per epoch (``embedding.StepBuffers``) and
-every minibatch reuses their front, so a view of a buffer is valid only
-until the next minibatch.  Without buffers each call allocates fresh
-arrays; the arithmetic, and so every bit of every result, is the same
-either way.
+Work buffers.  ``bilinear_scores`` and ``accumulate_grads`` take an
+optional keyword ``work``: a flat, contiguous float64 array that the caller
+owns and the kernel carves its temporaries from, front to back (``carve``;
+``work_size`` elements for a batch).  ``accumulate_grads`` builds its
+gradients in ``work`` and returns views of them.  A kernel keeps no reference to a buffer, and the next call
+overwrites what it left there.  Training keeps one set of buffers per run
+(``embedding.StepBuffers``, kept by ``pipeline.run_iterations``) and every
+minibatch reuses their front, so a view of a buffer is valid only until
+the next minibatch.  Without buffers each call allocates fresh arrays; the
+arithmetic, and so every bit of every result, is the same either way.
 """
 
 from __future__ import annotations
@@ -62,12 +69,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def work_size(rows: int, dim: int, n_blocks: int, ent_rows: int, rel_rows: int) -> int:
+def work_size(rows: int, dim: int, ent_rows: int, rel_rows: int) -> int:
     """Elements of ``work`` the kernels need for ``rows`` examples touching
-    ``ent_rows`` entities and ``rel_rows`` relations: ``accumulate_grads``'
-    (rows, dim) example rows, (rows, n_blocks) complex conjugates and the
-    gradient rows; ``bilinear_scores`` needs less."""
-    return rows * (dim + 2 * n_blocks) + (ent_rows + rel_rows) * dim
+    ``ent_rows`` entities and ``rel_rows`` relations: four (rows,) columns,
+    then ``accumulate_grads``' gradient rows."""
+    return 4 * rows + (ent_rows + rel_rows) * dim
 
 
 def carve(work, *shapes) -> list[np.ndarray]:
@@ -83,71 +89,92 @@ def carve(work, *shapes) -> list[np.ndarray]:
     return arrays
 
 
-def bilinear_scores(vs, vo, msc, m, *, work=None) -> np.ndarray:
+def carve_columns(work, *shapes) -> list[np.ndarray]:
+    """``carve``, Fortran-ordered: the transposes of C arrays of the
+    reversed shapes, so that each column is contiguous."""
+    return [a.T for a in carve(work, *(shape[::-1] for shape in shapes))]
+
+
+def _block(a, b, x, y, ox, oy, transpose: bool, t) -> None:
+    """(ox, oy) = the blocks [[a, -b], [b, a]] applied to the pairs (x, y),
+    or their transposes: ``blocks.py``'s product formulas, for one block
+    column.  ``t`` is a temporary of the broadcast shape; the outputs must
+    not overlap the inputs."""
+    first, second = (np.add, np.subtract) if transpose else (np.subtract, np.add)
+    first(np.multiply(a, x, out=ox), np.multiply(b, y, out=t), out=ox)
+    second(np.multiply(a, y, out=oy), np.multiply(b, x, out=t), out=oy)
+
+
+def bilinear_scores(vs, vo, msc, ma, mb, *, work=None) -> np.ndarray:
     """f_i = vs[i]^T M_r[i] vo[i]: the scalar slots' sum of products, plus
-    the real dot of the subject's block coordinates with the blocks of
-    M_r vo, the complex product m * vo."""
+    the subject's block coordinates times those of M_r vo, summed block
+    column by block column."""
     ns = msc.shape[1]
     f = np.einsum("ij,ij,ij->i", vs[:, :ns], msc, vo[:, :ns])
-    (p,) = carve(work, vo[:, ns:].shape)
-    np.multiply(m, vo[:, ns:].view(np.complex128), out=p.view(np.complex128))
-    f += np.einsum("ij,ij->i", vs[:, ns:], p)
+    px, py, t, blocks = carve(work, *[f.shape] * 4)
+    blocks.fill(0.0)
+    for k in range(ma.shape[1]):
+        x, y = ns + 2 * k, ns + 2 * k + 1
+        _block(ma[:, k], mb[:, k], vo[:, x], vo[:, y], px, py, False, t)
+        blocks += np.multiply(vs[:, x], px, out=px)
+        blocks += np.multiply(vs[:, y], py, out=py)
+    f += blocks
     return f
 
 
-def relation_matvec(msc, m, v, transpose: bool = False, out=None, *, work=None) -> np.ndarray:
-    """M_r v (or M_r^T v) for rows of ``v`` of shape (..., d).
-
-    The blocks of M_r v are ``m * v_c`` over the complex view v_c of the
-    block coordinates, those of M_r^T v ``conj(m) * v_c``, with the
-    conjugate in ``work`` (2 * m.size elements).  Relation arrays broadcast
-    against ``v``: one relation for many vectors, or one per row.  The
-    product goes to ``out`` (the shape of ``v``, not overlapping it) when
-    given, else to a new array; ``out`` is returned.
-    """
+def relation_matvec(msc, ma, mb, v, transpose: bool = False) -> np.ndarray:
+    """M_r v (or M_r^T v) for rows of ``v`` of shape (..., d), as a new
+    array.  Relation arrays broadcast against ``v``: one relation for many
+    vectors, or one per row."""
     ns = msc.shape[-1]
-    if out is None:
-        out = np.empty_like(v)
+    out = np.empty_like(v)
     np.multiply(msc, v[..., :ns], out=out[..., :ns])
-    if transpose:
-        (conj,) = carve(work, (*m.shape, 2))
-        m = np.conjugate(m, out=conj.view(np.complex128)[..., 0])
-    np.multiply(m, v[..., ns:].view(np.complex128), out=out[..., ns:].view(np.complex128))
+    t = np.empty(np.broadcast_shapes(ma.shape, v[..., ns::2].shape)[:-1])
+    for k in range(ma.shape[-1]):
+        x, y = ns + 2 * k, ns + 2 * k + 1
+        _block(ma[..., k], mb[..., k], v[..., x], v[..., y], out[..., x], out[..., y], transpose, t)
     return out
 
 
-def _scatter_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray, scale: np.ndarray) -> None:
-    """out[idx[i]] += scale[i] * rows[i] for every i, one ``np.bincount`` per
-    column.  Columns of ``rows`` are read where they lie, strided or not; no
-    array of the size of ``rows`` is built."""
-    n = out.shape[0]
-    for j in range(rows.shape[1]):
-        out[:, j] += np.bincount(idx, rows[:, j] * scale, n)
-
-
-def accumulate_grads(vs, vo, msc, m, rho, es, eo, rr, n_ent: int, n_rel: int, *, work=None):
+def accumulate_grads(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent: int, n_rel: int, *, work=None):
     """Scatter d(loss)/d(params) into compacted per-batch gradient rows.
 
     ``rho`` (B,) is each example's residual (phi - label) / B; ``es``/``eo``
     index rows of the (n_ent, d) entity gradient and ``rr`` rows of the
-    relation gradients.  The per-example rows and the gradients are built
-    in ``work`` (at least ``work_size(B, d, n_blocks, n_ent, n_rel)``
-    elements) when given.  Returns ``(grad_ent, grad_sc, grad_rot)`` with
-    ``grad_rot`` of shape (n_rel, n_blocks, 2), the layout of ``rel_rot``;
-    ``grad_sc`` and ``grad_rot`` are views of one (n_rel, d) array.
+    relation gradients.  Each gradient column is computed for the whole
+    batch into a (B,) temporary, multiplied by ``rho`` and summed into its
+    rows by one ``np.bincount``: for each column the subject's, then the
+    object's, then the relation's.  The temporaries and the gradients are carved from
+    ``work`` (at least ``work_size(B, d, n_ent, n_rel)`` elements) when
+    given.  Returns ``(grad_ent, grad_sc, grad_rot)``: ``grad_ent`` is
+    Fortran-ordered, like the entity table; ``grad_rot`` has shape
+    (n_rel, n_blocks, 2), the layout of ``rel_rot``, and ``grad_sc`` and
+    ``grad_rot`` are views of one C-ordered (n_rel, d) array.
     """
     ns, (B, d) = msc.shape[1], vs.shape
-    rows, conj, grad_ent, grad_rel = carve(work, (B, d), (*m.shape, 2), (n_ent, d), (n_rel, d))
+    cx, cy, t, grad_ent, grad_rel = carve(work, (B,), (B,), (B,), (d, n_ent), (n_rel, d))
+    grad_ent = grad_ent.T
     grad_ent.fill(0.0)
     grad_rel.fill(0.0)
-    # d(rho v_s^T M v_o) is rho M v_o for v_s and rho M^T v_s for v_o
-    _scatter_rows(grad_ent, es, relation_matvec(msc, m, vo, out=rows), rho)
-    _scatter_rows(grad_ent, eo, relation_matvec(msc, m, vs, transpose=True, out=rows, work=conj), rho)
 
-    # one row per example in the layout of (scalars, rot): the scalar slots'
-    # v_s * v_o, then each block's (a, b), the complex vs_c * conj(vo_c)
-    np.multiply(vs[:, :ns], vo[:, :ns], out=rows[:, :ns])
-    blocks = np.conjugate(vo[:, ns:].view(np.complex128), out=rows[:, ns:].view(np.complex128))
-    blocks *= vs[:, ns:].view(np.complex128)
-    _scatter_rows(grad_rel, rr, rows, rho)
-    return grad_ent, grad_rel[:, :ns], grad_rel[:, ns:].reshape(n_rel, m.shape[1], 2)
+    def scatter(grad, idx, j, col):
+        col *= rho
+        grad[:, j] += np.bincount(idx, col, len(grad))
+
+    # d(rho v_s^T M v_o) is rho M v_o for v_s, rho M^T v_s for v_o, and for
+    # M the scalar slots' rho v_s * v_o and each block's rho (a, b) with
+    # (a, b) = (sx ox + sy oy, sy ox - sx oy), the transposed block product
+    # with v_o's pair in the relation's place
+    for j in range(ns):
+        scatter(grad_ent, es, j, np.multiply(msc[:, j], vo[:, j], out=t))
+        scatter(grad_ent, eo, j, np.multiply(msc[:, j], vs[:, j], out=t))
+        scatter(grad_rel, rr, j, np.multiply(vs[:, j], vo[:, j], out=t))
+    for k in range(ma.shape[1]):
+        x, y = ns + 2 * k, ns + 2 * k + 1
+        for a, b, v, grad, idx, transpose in ((ma[:, k], mb[:, k], vo, grad_ent, es, False),
+                                              (ma[:, k], mb[:, k], vs, grad_ent, eo, True),
+                                              (vo[:, x], vo[:, y], vs, grad_rel, rr, True)):
+            _block(a, b, v[:, x], v[:, y], cx, cy, transpose, t)
+            scatter(grad, idx, x, cx)
+            scatter(grad, idx, y, cy)
+    return grad_ent, grad_rel[:, :ns], grad_rel[:, ns:].reshape(n_rel, ma.shape[1], 2)

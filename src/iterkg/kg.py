@@ -127,6 +127,18 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
     return values[np.diff(values, prepend=values[:1] - 1) != 0]
 
 
+def compact_ids(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True)`` for ids in [0, n), from a
+    mark table over ``n`` instead of a sort: the sorted distinct ids, and
+    each id's position among them."""
+    mark = np.zeros(n, dtype=bool)
+    mark[ids] = True
+    distinct = np.flatnonzero(mark)
+    position = np.empty(n, dtype=np.int64)
+    position[distinct] = np.arange(len(distinct))
+    return distinct, position[ids]
+
+
 def lookup_sorted(keys: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each query, a position in the sorted ``keys`` and whether the
     query is the key there."""

@@ -22,7 +22,9 @@ from .axioms import (
     TYPES, AxiomType, PoolConfig, PooledAxiom, ScoredAxiom, axiom_table, generate_pool,
     induce_axioms, write_axioms,
 )
-from .embedding import AdamState, EmbeddingModel, TrainConfig, TripleBatch, init_model, train_epoch
+from .embedding import (
+    AdamState, EmbeddingModel, StepBuffers, TrainConfig, TripleBatch, init_model, train_epoch,
+)
 from .evaluation import (  # noqa: F401 (head_coverage: perfbench wraps this module's name)
     head_coverage, head_coverages, link_prediction, summarize_rules,
 )
@@ -158,6 +160,9 @@ def save_checkpoint(model: EmbeddingModel, path: str) -> None:
 
 
 def load_checkpoint(path: str, expect_layout: Optional[tuple[int, int]] = None) -> EmbeddingModel:
+    """The model ``save_checkpoint`` wrote, its entity table and moments
+    Fortran-ordered as ``init_model`` makes them; a malformed file, or a
+    layout other than ``expect_layout``, raises ``CheckpointError``."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").rstrip("\n")
         fields = header.split(" ")
@@ -181,7 +186,7 @@ def load_checkpoint(path: str, expect_layout: Optional[tuple[int, int]] = None) 
     arrays = []
     for group in np.split(flat[:-1], 3):  # parameters, first moments, second moments
         ent, rel = group[: n_ent * dim].reshape(n_ent, dim), group[n_ent * dim :].reshape(n_rel, dim)
-        arrays += [ent.copy(), rel[:, :n_sc].copy(), rel[:, n_sc:].reshape(n_rel, n_bl, 2).copy()]
+        arrays += [np.array(ent, order="F"), rel[:, :n_sc].copy(), rel[:, n_sc:].reshape(n_rel, n_bl, 2).copy()]
     ent, sc, rot, m_ent, m_sc, m_rot, v_ent, v_sc, v_rot = arrays
     return EmbeddingModel(ent, sc, rot, AdamState(m_ent, v_ent, m_sc, v_sc, m_rot, v_rot, int(flat[-1])))
 
@@ -319,6 +324,8 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
         injected = _inject(kg, induce_axioms(model, pool), sparse, config.injection)
 
     graph_batch = TripleBatch(kg.ids, np.ones(len(kg)))
+    # every epoch of the run reuses one set: a full minibatch with its negatives
+    buffers = StepBuffers.empty(model, config.train.batch_size * (1 + config.train.n_negatives))
     records_path = os.path.join(config.out_dir, "records.jsonl")
     with open(records_path, "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(rec.to_dict(), sort_keys=True) + "\n" for rec in records)
@@ -328,7 +335,7 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
         rng = phase_rng(config.seed, it, "train")
         inputs = graph_batch + TripleBatch(injected.ids, injected.truth) if injected else graph_batch
         losses = [
-            train_epoch(model, inputs, kg, config.train, rng)
+            train_epoch(model, inputs, kg, config.train, rng, buffers)
             for _ in range(config.train.epochs_per_iteration)
         ]
         scored = induce_axioms(model, pool)

@@ -30,35 +30,87 @@ def dense_block_matrix(scalars, rotations):
     return out
 
 
+def bilinear_scores_loops(vs, vo, msc, ma, mb):
+    """vs[i]^T M_r[i] vo[i] one example and one coordinate at a time:
+    the scalar slots' (vs * m) * vo summed in order, plus the block
+    coordinates' vs * (M vo) summed in order."""
+    B, ns, nb = len(vs), msc.shape[1], ma.shape[1]
+    out = np.zeros(B)
+    for i in range(B):
+        scalar = 0.0
+        for j in range(ns):
+            scalar += vs[i, j] * msc[i, j] * vo[i, j]
+        block = 0.0
+        for k in range(nb):
+            x, y = ns + 2 * k, ns + 2 * k + 1
+            a, b = ma[i, k], mb[i, k]
+            block += vs[i, x] * (a * vo[i, x] - b * vo[i, y])
+            block += vs[i, y] * (a * vo[i, y] + b * vo[i, x])
+        out[i] = scalar + block
+    return out
+
+
+def relation_matvec_loops(msc, ma, mb, v, transpose=False):
+    """M_r[i] v[i] (or M_r[i]^T v[i]) one example and one coordinate at a
+    time, each 2x2 block written out as [[a, -b], [b, a]]."""
+    B, ns, nb = len(v), msc.shape[1], ma.shape[1]
+    out = np.zeros(v.shape)
+    for i in range(B):
+        for j in range(ns):
+            out[i, j] = msc[i, j] * v[i, j]
+        for k in range(nb):
+            x, y = ns + 2 * k, ns + 2 * k + 1
+            a, b = ma[i, k], mb[i, k]
+            if transpose:
+                out[i, x] = a * v[i, x] + b * v[i, y]
+                out[i, y] = a * v[i, y] - b * v[i, x]
+            else:
+                out[i, x] = a * v[i, x] - b * v[i, y]
+                out[i, y] = a * v[i, y] + b * v[i, x]
+    return out
+
+
 def accumulate_grads_loops(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent, n_rel):
     """Gradient scatter one example and one coordinate at a time.
 
     Same signature and result as ``iterkg.kernels.accumulate_grads``:
-    ``(grad_ent, grad_sc, grad_rot)``.
+    ``(grad_ent, grad_sc, grad_rot)``.  Each term is the model's factors
+    times rho, added in example order, and the entity gradient is the
+    subject part plus the object part: the kernels' additions and
+    multiplications, so an all-scalar layout matches them bit for bit.
     """
     B, d = vs.shape
     ns, nb = msc.shape[1], ma.shape[1]
-    grad_ent = np.zeros((n_ent, d))
+    grad_subj = np.zeros((n_ent, d))
+    grad_obj = np.zeros((n_ent, d))
     grad_sc = np.zeros((n_rel, ns))
     grad_rot = np.zeros((n_rel, nb, 2))
     for i in range(B):
-        e_s, e_o, e_r, g = es[i], eo[i], rr[i], rho[i]
+        e_s, e_r, g = es[i], rr[i], rho[i]
         for j in range(ns):
-            grad_ent[e_s, j] += g * msc[i, j] * vo[i, j]
-            grad_ent[e_o, j] += g * msc[i, j] * vs[i, j]
-            grad_sc[e_r, j] += g * vs[i, j] * vo[i, j]
+            grad_subj[e_s, j] += msc[i, j] * vo[i, j] * g
+            grad_sc[e_r, j] += vs[i, j] * vo[i, j] * g
         for k in range(nb):
             x = ns + 2 * k
             y = x + 1
             a, b = ma[i, k], mb[i, k]
             sx, sy, ox, oy = vs[i, x], vs[i, y], vo[i, x], vo[i, y]
-            grad_ent[e_s, x] += g * (a * ox - b * oy)
-            grad_ent[e_s, y] += g * (a * oy + b * ox)
-            grad_ent[e_o, x] += g * (a * sx + b * sy)
-            grad_ent[e_o, y] += g * (a * sy - b * sx)
-            grad_rot[e_r, k, 0] += g * (sx * ox + sy * oy)
-            grad_rot[e_r, k, 1] += g * (sy * ox - sx * oy)
-    return grad_ent, grad_sc, grad_rot
+            grad_subj[e_s, x] += (a * ox - b * oy) * g
+            grad_subj[e_s, y] += (a * oy + b * ox) * g
+            grad_rot[e_r, k, 0] += (sx * ox + sy * oy) * g
+            grad_rot[e_r, k, 1] += (sy * ox - sx * oy) * g
+    for i in range(B):
+        e_o, g = eo[i], rho[i]
+        for j in range(ns):
+            grad_obj[e_o, j] += msc[i, j] * vs[i, j] * g
+        for k in range(nb):
+            x = ns + 2 * k
+            y = x + 1
+            a, b = ma[i, k], mb[i, k]
+            sx, sy = vs[i, x], vs[i, y]
+            grad_obj[e_o, x] += (a * sx + b * sy) * g
+            grad_obj[e_o, y] += (a * sy - b * sx) * g
+    return grad_subj + grad_obj, grad_sc, grad_rot
 
 
 def enumerate_supports(triples, axiom, n_entities):

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iterkg import embedding
+from iterkg import embedding, kernels
 from iterkg.embedding import (
-    LabeledTriple, SparseGrads, TrainConfig, TripleBatch, adam_update, compute_loss_and_gradients,
-    init_model, raw_scores, sample_negatives, score_triple, score_triples, train_epoch,
+    LabeledTriple, SparseGrads, StepBuffers, TrainConfig, TripleBatch, adam_update,
+    compute_loss_and_gradients, init_model, raw_scores, sample_negatives, score_triple, score_triples,
+    train_epoch,
 )
+from iterkg.evaluation import rank_side
 from iterkg.kg import KnowledgeGraph, Triple, Vocabulary
 
 from oracles import dense_block_matrix
@@ -62,6 +64,23 @@ class TestInit:
         m = init_model(4, 2, TrainConfig(dim=8, seed=0))
         assert m.opt.step == 0
         assert not m.opt.m_ent.any() and not m.opt.v_rot.any()
+
+    def test_entity_table_fortran_ordered_from_the_same_stream(self):
+        cfg = TrainConfig(dim=8, n_scalars=4, seed=3)
+        m = init_model(6, 3, cfg)
+        rng = np.random.default_rng(3)
+        for arr, shape in ((m.ent, (6, 8)), (m.rel_scalars, (3, 4)), (m.rel_rot, (3, 2, 2))):
+            assert arr.tobytes() == rng.uniform(-0.1, 0.1, size=shape).tobytes()
+        assert all(a.flags.f_contiguous and not a.flags.c_contiguous for a in (m.ent, m.opt.m_ent, m.opt.v_ent))
+
+    def test_copy_is_fortran_ordered_and_independent(self):
+        m = init_model(6, 3, TrainConfig(dim=8, seed=3))
+        m.ent = np.ascontiguousarray(m.ent)  # a caller's C-ordered table
+        for c in (m.copy(), m.copy().copy()):
+            for name, got, was in (("ent", c.ent, m.ent), ("m_ent", c.opt.m_ent, m.opt.m_ent),
+                                   ("v_ent", c.opt.v_ent, m.opt.v_ent)):
+                assert got.flags.f_contiguous and not got.flags.c_contiguous, name
+                assert np.array_equal(got, was) and not np.shares_memory(got, was), name
 
 
 class TestScore:
@@ -441,6 +460,14 @@ class TestTrainEpoch:
                      (m.rel_rot, before.rel_rot), (m.opt.m_ent, before.opt.m_ent)):
             assert np.array_equal(a, b)
 
+    def test_buffers_smaller_than_a_minibatch_rejected(self):
+        kg = tiny_kg()
+        cfg = TrainConfig(dim=8, seed=1, batch_size=4, n_negatives=2)
+        m = init_model(5, 2, cfg)
+        with pytest.raises(ValueError, match="step buffers"):
+            train_epoch(m, [LabeledTriple(t, 1.0) for t in kg.triples], kg, cfg,
+                        np.random.default_rng(0), StepBuffers.empty(m, 11))
+
     def test_graph_larger_than_model_rejected(self):
         kg = tiny_kg()
         cfg = TrainConfig(dim=8, seed=1)
@@ -481,8 +508,10 @@ def test_train_epoch_bit_identical_to_unbuffered_steps(n_scalars):
     inputs = TripleBatch.of([list(t) for t in kg.triples] + [list(t) for t in injected],
                             [1.0] * len(kg) + list(rng.uniform(0.2, 0.9, len(injected))))
     model, ref = init_model(7, 3, cfg), init_model(7, 3, cfg)
+    # one set of buffers, larger than a minibatch, dirty from the epoch before
+    buffers = StepBuffers.empty(model, 4 * cfg.batch_size * (1 + cfg.n_negatives))
     for epoch in range(3):
-        loss = train_epoch(model, inputs, kg, cfg, np.random.default_rng(epoch))
+        loss = train_epoch(model, inputs, kg, cfg, np.random.default_rng(epoch), buffers)
         want, chunks = reference_epoch(ref, inputs, kg, cfg, np.random.default_rng(epoch))
         assert loss == want
     assert len(inputs) % cfg.batch_size and chunks[-1][0] < cfg.batch_size  # a short last chunk
@@ -535,3 +564,80 @@ def test_training_step_allocates_less_than_one_batch_plane(monkeypatch, n_scalar
         plane = B * dim * 8
         assert buffered < plane, (buffered / plane, fresh / plane)
         assert fresh > 2 * plane  # the gathered (B, dim) subject and object rows alone
+
+
+def random_kg(rng, n_ent, n_rel, n_triples):
+    rows = np.stack([rng.integers(n_ent, size=n_triples), rng.integers(n_rel, size=n_triples),
+                     rng.integers(n_ent, size=n_triples)], axis=1)
+    return KnowledgeGraph([Triple(*t) for t in rows.tolist()], Vocabulary(f"e{i}" for i in range(n_ent)),
+                          Vocabulary(f"r{i}" for i in range(n_rel)))
+
+
+def strided(a):
+    """``a``'s values in a view that is neither C- nor Fortran-ordered."""
+    wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+    wide[:, ::2] = a
+    return wide[:, ::2]
+
+
+@pytest.mark.parametrize("n_scalars", [0, 4, 8])
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, strided])
+def test_other_entity_table_layouts_give_the_same_results(n_scalars, layout):
+    """A caller may assign a C-ordered or a strided entity table (and
+    moments): losses, gradients, trained parameters and ranks come out the
+    same, bit for bit, and training writes into the caller's arrays."""
+    rng = np.random.default_rng(0)
+    kg = random_kg(rng, 12, 3, 60)
+    cfg = TrainConfig(dim=8, n_scalars=n_scalars, batch_size=16, n_negatives=2, l1_weight=1e-3,
+                      learning_rate=0.05, seed=2)
+    model, other = init_model(12, 3, cfg), init_model(12, 3, cfg)
+    other.ent, other.opt.m_ent, other.opt.v_ent = (layout(a) for a in
+                                                   (other.ent, other.opt.m_ent, other.opt.v_ent))
+    tables = (other.ent, other.opt.m_ent, other.opt.v_ent)
+    batch = TripleBatch(kg.ids, rng.uniform(size=len(kg)))
+    (loss, grads), (other_loss, other_grads) = (compute_loss_and_gradients(m, batch, cfg.l1_weight)
+                                                for m in (model, other))
+    assert loss == other_loss
+    for name in ("ent_ids", "ent_grad", "rel_ids", "scalar_grad", "rot_grad"):
+        assert getattr(grads, name).tobytes() == getattr(other_grads, name).tobytes(), name
+    for m in (model, other):
+        for epoch in range(2):
+            train_epoch(m, TripleBatch(kg.ids, np.ones(len(kg))), kg, cfg, np.random.default_rng(epoch))
+    assert all(a is b for a, b in zip(tables, (other.ent, other.opt.m_ent, other.opt.v_ent)))
+    for get in (lambda m: m.ent, lambda m: m.opt.m_ent, lambda m: m.opt.v_ent, lambda m: m.rel_rot):
+        assert get(model).tobytes() == get(other).tobytes()
+    for side in ("subject", "object"):
+        for a, b in zip(rank_side(model, kg.ids, kg.ids, side), rank_side(other, kg.ids, kg.ids, side)):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n_scalars", [0, 4, 8])
+def test_kernel_arguments_keep_the_benchmark_instrumentation_contract(monkeypatch, n_scalars):
+    """perfbench wraps ``kernels.bilinear_scores`` and ``kernels.accumulate_grads``
+    and counts rows and scatter operations from the shapes of their
+    positional arguments: 0 as (B, dim), 2 as (B, n_scalars) and 3 as
+    (B, n_blocks)."""
+    rng = np.random.default_rng(0)
+    kg = random_kg(rng, 10, 2, 40)
+    cfg = TrainConfig(dim=8, n_scalars=n_scalars, batch_size=16, n_negatives=2)
+    model = init_model(10, 2, cfg)
+    seen = {"bilinear_scores": [], "accumulate_grads": [], "compute_loss_and_gradients": []}
+
+    def recording(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            seen[name].append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    recording(kernels, "bilinear_scores")
+    recording(kernels, "accumulate_grads")
+    recording(embedding, "compute_loss_and_gradients")
+    train_epoch(model, TripleBatch(kg.ids, np.ones(len(kg))), kg, cfg, rng)
+    batches = [len(args[1]) for args in seen["compute_loss_and_gradients"]]
+    assert len(batches) == 3
+    for name in ("bilinear_scores", "accumulate_grads"):
+        assert [args[0].shape[0] for args in seen[name]] == batches
+    for args, B in zip(seen["accumulate_grads"], batches):
+        assert (args[0].shape, args[2].shape, args[3].shape) == ((B, 8), (B, n_scalars), (B, cfg.n_blocks))

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from iterkg import kernels
 
-from oracles import accumulate_grads_loops, dense_block_matrix
+from oracles import (
+    accumulate_grads_loops, bilinear_scores_loops, dense_block_matrix, relation_matvec_loops,
+)
 
 # layouts (n_scalars, n_blocks) with at least one coordinate: pure scalar
 # (n_blocks == 0), pure rotation (n_scalars == 0) and mixed
@@ -20,19 +22,41 @@ layouts = st.one_of(st.tuples(st.integers(1, 4), st.just(0)), st.tuples(st.just(
                     st.tuples(st.integers(1, 4), st.integers(1, 3)))
 
 
+def columns(a):
+    """``a`` Fortran-ordered, as training gathers its per-example arrays."""
+    return np.asfortranarray(a)
+
+
 def make_batch(rng, B, ns, nb, n_rel):
-    """(vs, vo, msc, rot, r): ``rot`` (B, n_blocks, 2) holds the (a, b) pairs
-    the oracles read, and ``blocks(rot)`` the kernels' complex blocks."""
+    """(vs, vo, msc, ma, mb, r) as training hands them to the kernels:
+    column-major (B, ·) arrays, the relation's scalars and block components
+    views of one plane in the layout of a relation row."""
     d = ns + 2 * nb
-    sc = rng.normal(size=(n_rel, ns))
-    rot = rng.normal(size=(n_rel, nb, 2))
+    rel = rng.normal(size=(n_rel, d))
     r = rng.integers(n_rel, size=B)
-    vs, vo = rng.normal(size=(B, d)), rng.normal(size=(B, d))
-    return vs, vo, sc[r], rot[r], r
+    if B > 1:
+        r[1] = r[0]  # a repeated relation
+    rows = columns(rel[r])
+    vs, vo = columns(rng.normal(size=(B, d))), columns(rng.normal(size=(B, d)))
+    return vs, vo, rows[:, :ns], rows[:, ns::2], rows[:, ns + 1 :: 2], r
 
 
-def blocks(rot):
-    return rot.view(np.complex128)[..., 0]
+def entity_ids(rng, B, n_ent):
+    """Subject and object rows with repeats: within each side, and an
+    entity on both sides."""
+    es, eo = rng.integers(n_ent, size=B), rng.integers(n_ent, size=B)
+    if B > 1:
+        es[1], eo[1] = es[0], es[0]
+    return es, eo
+
+
+def assert_matches(got, want, bitwise):
+    """Equal bit for bit, or within 1e-12: the same products, summed in
+    another order, differ by a few ulp per added term."""
+    if bitwise:
+        assert got.shape == want.shape and np.ascontiguousarray(got).tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_sigmoid_stable_and_bounded():
@@ -44,35 +68,41 @@ def test_sigmoid_stable_and_bounded():
 
 
 @settings(max_examples=60, deadline=None)
+@given(layout=layouts, B=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+def test_scores_and_matvecs_match_loops(layout, B, seed):
+    """Scores and both matrix-vector products against the per-example
+    loops, on column-major inputs with a repeated relation; all-scalar
+    layouts bit for bit."""
+    ns, nb = layout
+    rng = np.random.default_rng(seed)
+    vs, vo, msc, ma, mb, _ = make_batch(rng, B, ns, nb, 3)
+    bitwise = nb == 0
+    assert_matches(kernels.bilinear_scores(vs, vo, msc, ma, mb), bilinear_scores_loops(vs, vo, msc, ma, mb),
+                   bitwise)
+    for transpose in (False, True):
+        got = kernels.relation_matvec(msc, ma, mb, vo, transpose)
+        assert got.flags.f_contiguous
+        assert_matches(got, relation_matvec_loops(msc, ma, mb, vo, transpose), bitwise)
+
+
+@settings(max_examples=60, deadline=None)
 @given(layout=layouts, B=st.integers(1, 24), n_ent=st.integers(1, 6), n_rel=st.integers(1, 4),
        seed=st.integers(0, 2**32 - 1))
 def test_accumulate_grads_matches_loops(layout, B, n_ent, n_rel, seed):
+    """All three gradients against the per-example loops, on column-major
+    inputs with repeated subject, object and relation ids; all-scalar
+    layouts bit for bit."""
     ns, nb = layout
     rng = np.random.default_rng(seed)
-    vs, vo, msc, rot, rr = make_batch(rng, B, ns, nb, n_rel)
+    vs, vo, msc, ma, mb, rr = make_batch(rng, B, ns, nb, n_rel)
     rho = rng.normal(size=B) / B
-    es, eo = rng.integers(n_ent, size=B), rng.integers(n_ent, size=B)
-    got = kernels.accumulate_grads(vs, vo, msc, blocks(rot), rho, es, eo, rr, n_ent, n_rel)
-    want = accumulate_grads_loops(vs, vo, msc, rot[..., 0], rot[..., 1], rho, es, eo, rr, n_ent, n_rel)
+    es, eo = entity_ids(rng, B, n_ent)
+    got = kernels.accumulate_grads(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent, n_rel)
+    want = accumulate_grads_loops(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent, n_rel)
     assert [g.shape for g in got] == [(n_ent, ns + 2 * nb), (n_rel, ns), (n_rel, nb, 2)]
+    assert got[0].flags.f_contiguous
     for g, w in zip(got, want):
-        # same products, summed in another order: a few ulp per added term
-        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
-
-
-@settings(max_examples=40, deadline=None)
-@given(layout=layouts, B=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-def test_relation_matvec_matches_dense(layout, B, seed):
-    ns, nb = layout
-    rng = np.random.default_rng(seed)
-    _, v, msc, rot, _ = make_batch(rng, B, ns, nb, 3)
-    m = blocks(rot)
-    for i in range(B):
-        dense = dense_block_matrix(msc[i], rot[i])
-        np.testing.assert_allclose(kernels.relation_matvec(msc[i], m[i], v[i]),
-                                   dense @ v[i], rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(kernels.relation_matvec(msc, m, v, transpose=True)[i],
-                                   dense.T @ v[i], rtol=1e-12, atol=1e-12)
+        assert_matches(g, w, nb == 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -82,23 +112,59 @@ def test_all_scalar_layout_is_the_scalar_formula_bit_for_bit(ns, B, n_ent, n_rel
     """Without blocks the kernels do the diagonal model's arithmetic and
     nothing else: scores and gradients equal its plain formula byte for byte."""
     rng = np.random.default_rng(seed)
-    vs, vo, msc, rot, rr = make_batch(rng, B, ns, 0, n_rel)
-    m = blocks(rot)
+    vs, vo, msc, ma, mb, rr = make_batch(rng, B, ns, 0, n_rel)
     rho = rng.normal(size=B) / B
-    es, eo = rng.integers(n_ent, size=B), rng.integers(n_ent, size=B)
-    scores = kernels.bilinear_scores(vs, vo, msc, m)
-    assert scores.tobytes() == np.einsum("ij,ij,ij->i", vs, msc, vo).tobytes()
+    es, eo = entity_ids(rng, B, n_ent)
+    scores = kernels.bilinear_scores(vs, vo, msc, ma, mb)
+    assert scores.tobytes() == np.einsum("ij,ij,ij->i", *map(np.ascontiguousarray, (vs, msc, vo))).tobytes()
 
     def scatter(idx, rows, n):
         out = np.zeros((n, ns))
         np.add.at(out, idx, rows * rho[:, None])
         return out
 
-    grad_ent, grad_sc, grad_rot = kernels.accumulate_grads(vs, vo, msc, m, rho, es, eo, rr, n_ent, n_rel)
+    grad_ent, grad_sc, grad_rot = kernels.accumulate_grads(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent, n_rel)
     want_ent = scatter(es, msc * vo, n_ent) + scatter(eo, msc * vs, n_ent)
     assert np.ascontiguousarray(grad_ent).tobytes() == want_ent.tobytes()
     assert np.ascontiguousarray(grad_sc).tobytes() == scatter(rr, vs * vo, n_rel).tobytes()
     assert grad_rot.shape == (n_rel, 0, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(layout=layouts, B=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_relation_matvec_matches_dense(layout, B, seed):
+    """One relation per row, or one for all rows, or one row alone."""
+    ns, nb = layout
+    rng = np.random.default_rng(seed)
+    _, v, msc, ma, mb, _ = make_batch(rng, B, ns, nb, 3)
+    for i in range(B):
+        dense = dense_block_matrix(msc[i], np.stack([ma[i], mb[i]], axis=1))
+        np.testing.assert_allclose(kernels.relation_matvec(msc[i], ma[i], mb[i], v[i]),
+                                   dense @ v[i], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(kernels.relation_matvec(msc[i], ma[i], mb[i], v)[i],
+                                   dense @ v[i], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(kernels.relation_matvec(msc, ma, mb, v, transpose=True)[i],
+                                   dense.T @ v[i], rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(layout=layouts, B=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_row_major_inputs_give_the_same_bits(layout, B, seed):
+    """The layout changes where values lie, not one bit of a result."""
+    ns, nb = layout
+    rng = np.random.default_rng(seed)
+    vs, vo, msc, ma, mb, rr = make_batch(rng, B, ns, nb, 3)
+    rho = rng.normal(size=B) / B
+    es, eo = entity_ids(rng, B, 4)
+    args = (vs, vo, msc, ma, mb)
+    rows = tuple(np.ascontiguousarray(a) for a in args)
+    assert kernels.bilinear_scores(*rows).tobytes() == kernels.bilinear_scores(*args).tobytes()
+    for transpose in (False, True):
+        assert (kernels.relation_matvec(*rows[2:], vo.copy(order="C"), transpose).tobytes()
+                == kernels.relation_matvec(msc, ma, mb, vo, transpose).tobytes())
+    for g, f in zip(kernels.accumulate_grads(*rows, rho, es, eo, rr, 4, 3),
+                    kernels.accumulate_grads(*args, rho, es, eo, rr, 4, 3)):
+        assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(f).tobytes()
 
 
 # layouts (n_scalars, n_blocks) at dim 4k: no scalars, half scalars, all scalars
@@ -112,49 +178,27 @@ def dirty(n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(layout=split_layouts, B=st.integers(1, 12), extra=st.integers(0, 5),
-       transpose=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_relation_matvec_into_buffers_is_bit_identical(layout, B, extra, transpose, seed):
-    ns, nb = layout
-    rng = np.random.default_rng(seed)
-    _, v, msc, rot, _ = make_batch(rng, B, ns, nb, 3)
-    m = blocks(rot)
-    fresh = kernels.relation_matvec(msc, m, v, transpose)
-    out = dirty((B + extra) * v.shape[1]).reshape(B + extra, -1)
-    got = kernels.relation_matvec(msc, m, v, transpose, out=out[:B], work=dirty(2 * (B + extra) * nb))
-    assert np.shares_memory(got, out) and got.shape == v.shape
-    assert got.tobytes() == fresh.tobytes()
-    for i in range(B):
-        dense = dense_block_matrix(msc[i], rot[i])
-        np.testing.assert_allclose(got[i], (dense.T if transpose else dense) @ v[i],
-                                   rtol=1e-12, atol=1e-12)
-
-
-@settings(max_examples=60, deadline=None)
 @given(layout=split_layouts, B=st.integers(1, 16), extra=st.integers(0, 5),
        n_ent=st.integers(1, 6), n_rel=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_kernels_with_work_buffer_are_bit_identical(layout, B, extra, n_ent, n_rel, seed):
     ns, nb = layout
     d = ns + 2 * nb
     rng = np.random.default_rng(seed)
-    vs, vo, msc, rot, rr = make_batch(rng, B, ns, nb, n_rel)
-    m = blocks(rot)
+    vs, vo, msc, ma, mb, rr = make_batch(rng, B, ns, nb, n_rel)
     rho = rng.normal(size=B) / B
-    es, eo = rng.integers(n_ent, size=B), rng.integers(n_ent, size=B)
-    args = (vs, vo, msc, m, rho, es, eo, rr, n_ent, n_rel)
+    es, eo = entity_ids(rng, B, n_ent)
+    args = (vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent, n_rel)
     # a buffer sized for a longer batch, dirty from a previous use
-    work = dirty(kernels.work_size(B + extra, d, nb, n_ent + extra, n_rel + extra))
+    work = dirty(kernels.work_size(B + extra, d, n_ent + extra, n_rel + extra))
 
-    scores = kernels.bilinear_scores(vs, vo, msc, m, work=work)
-    assert scores.tobytes() == kernels.bilinear_scores(vs, vo, msc, m).tobytes()
+    scores = kernels.bilinear_scores(vs, vo, msc, ma, mb, work=work)
+    assert scores.tobytes() == kernels.bilinear_scores(vs, vo, msc, ma, mb).tobytes()
 
     got = kernels.accumulate_grads(*args, work=work)
     fresh = kernels.accumulate_grads(*args)
-    want = accumulate_grads_loops(vs, vo, msc, rot[..., 0], rot[..., 1], rho, es, eo, rr, n_ent, n_rel)
-    for g, f, w in zip(got, fresh, want):
+    for g, f in zip(got, fresh):
         assert g.size == 0 or np.shares_memory(g, work)
-        assert g.shape == f.shape and g.tobytes() == np.ascontiguousarray(f).tobytes()
-        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+        assert g.shape == f.shape and g.tobytes() == f.tobytes()
 
 
 def test_carve_lays_arrays_end_to_end():
@@ -163,6 +207,9 @@ def test_carve_lays_arrays_end_to_end():
     assert a.tolist() == [[0, 1, 2], [3, 4, 5]] and b.tolist() == [6, 7, 8, 9]
     assert all(np.shares_memory(x, work) and x.flags.c_contiguous for x in (a, b))
     assert [x.shape for x in kernels.carve(None, (2, 3), (0, 4))] == [(2, 3), (0, 4)]
+    c, e = kernels.carve_columns(work, (2, 3), (4,))
+    assert c.tolist() == [[0, 2, 4], [1, 3, 5]] and e.tolist() == [6, 7, 8, 9]
+    assert c.flags.f_contiguous and not c.flags.c_contiguous and np.shares_memory(c, work)
 
 
 def test_training_and_ranking_import_nothing_beyond_numpy():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from iterkg.kg import (
     KnowledgeGraph, ParseError, Triple, Vocabulary, VocabularyError,
-    entity_sparsity, load_triples, sorted_distinct, sparse_entities, sparsify_eval_split,
+    compact_ids, entity_sparsity, load_triples, sorted_distinct, sparse_entities, sparsify_eval_split,
 )
 
 from oracles import random_graph
@@ -192,3 +192,15 @@ def test_sorted_distinct_is_np_unique(values):
     got = sorted_distinct(arr)
     assert got.dtype == np.int64 and got.tobytes() == np.unique(arr).tobytes()
     assert sorted_distinct(arr.reshape(-1, 1)).tobytes() == got.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_compact_ids_is_np_unique_with_inverse(n, data):
+    """Repeated ids, a batch of one id, and ids that leave most of [0, n)
+    unmarked."""
+    ids = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=30)), dtype=np.int64)
+    for batch in (ids, ids[:1], np.repeat(ids[:1], 3)):
+        got, want = compact_ids(batch, n), np.unique(batch, return_inverse=True)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

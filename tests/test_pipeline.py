@@ -12,7 +12,7 @@ import pytest
 from iterkg import injection, pipeline
 from iterkg.axioms import PoolConfig
 from iterkg.cli import main as cli_main
-from iterkg.embedding import TrainConfig, init_model
+from iterkg.embedding import StepBuffers, TrainConfig, init_model
 from iterkg.injection import InjectionConfig, read_injected_tsv
 from iterkg.kg import KnowledgeGraph, load_dataset
 from iterkg.pipeline import (
@@ -53,6 +53,8 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         save_checkpoint(m, path)
         back = load_checkpoint(path)
+        for arr in (back.ent, back.opt.m_ent, back.opt.v_ent):
+            assert arr.flags.f_contiguous and not arr.flags.c_contiguous and arr.flags.writeable
         assert np.array_equal(back.ent, m.ent)
         assert np.array_equal(back.rel_scalars, m.rel_scalars)
         assert np.array_equal(back.rel_rot, m.rel_rot)
@@ -195,6 +197,18 @@ class TestRunIterations:
         r2 = run_iterations(small_config(dataset_dir, tmp_path / "b"))
         assert [rec.to_dict() for rec in r1.records] == [rec.to_dict() for rec in r2.records]
         assert (tmp_path / "a/report.json").read_bytes() == (tmp_path / "b/report.json").read_bytes()
+
+    def test_one_set_of_step_buffers_per_run(self, tmp_path, dataset_dir, monkeypatch):
+        made, empty = [], StepBuffers.empty.__func__
+
+        def counting(cls, model, rows):
+            made.append(rows)
+            return empty(cls, model, rows)
+
+        monkeypatch.setattr(StepBuffers, "empty", classmethod(counting))
+        cfg = small_config(dataset_dir, tmp_path / "bufs")
+        run_iterations(cfg)
+        assert made == [cfg.train.batch_size * (1 + cfg.train.n_negatives)]
 
     def test_threshold_one_disables_injection(self, tmp_path, dataset_dir):
         cfg = small_config(dataset_dir, tmp_path / "noinj", iterations=1)
