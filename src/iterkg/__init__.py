@@ -12,7 +12,7 @@ from .embedding import (
     train_epoch,
 )
 from .axioms import (
-    Axiom, AxiomType, PoolConfig, PooledAxiom, ScoredAxiom, count_support_and_head,
+    Axiom, AxiomType, Pool, PoolConfig, PooledAxiom, ScoredAxiom, ScoredPool, count_support_and_head,
     generate_pool, induce_axioms, min_sample_size, normalize_scores, score_axiom_raw,
 )
 from .injection import (

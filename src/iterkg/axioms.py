@@ -11,12 +11,13 @@ enumerates the body instantiations of one axiom for the audit grounding.
 
 Candidate axioms are proposed by sampling a bounded number of head triples
 per relation and completing the rule body from relations incident to the
-sampled entities; candidates with at least two supports enter the pool.
-Under the linear-map reading each axiom kind implies a matrix equation
-between relation embeddings (``EQUATIONS``), so a pooled axiom is scored by
-the Frobenius distance between the two sides, over the stacked relation
-arrays, then min-max normalized within its kind (raw magnitudes differ
-wildly across kinds).
+sampled entities; candidates with at least two supports enter the pool,
+one ``Pool`` of arrays that keeps the counts of that one join, head
+coverage included.  Under the linear-map reading each axiom kind implies a
+matrix equation between relation embeddings (``EQUATIONS``), so a pooled
+axiom is scored by the Frobenius distance between the two sides, over the
+stacked relation arrays, then min-max normalized within its kind (raw
+magnitudes differ wildly across kinds).
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ import json
 import logging
 import math
 import os
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -90,6 +90,13 @@ EQUATIONS = {
     AxiomType.SUB_PROPERTY_CHAIN: (0, 1, 2),
 }
 
+# per type code: the relation slots of the head and body atoms, and of the
+# sides of EQUATIONS (-1: none, or the identity), and whether a one-atom
+# body reads (y, b1, x)
+_RULE_SLOTS = np.array([[slot for slot, _, _ in RULES[t]] + [-1] * (3 - len(RULES[t])) for t in TYPES])
+_EQUATION_SLOTS = np.array([[-1 if i is None else i for i in EQUATIONS[t]] for t in TYPES])
+_FLIP = np.array([len(RULES[t]) == 2 and RULES[t][1][1] == Y for t in TYPES])
+
 SCORE_BLOCK = 512  # axioms scored per array pass; bounds the gathered rows
 ROW_BUDGET = 1 << 20  # body rows per join pass; bounds the arrays of a rule join
 
@@ -127,6 +134,12 @@ class Axiom(tuple):
     def sort_key(self) -> tuple:
         return (_TYPE_ORDER[self.type], self.relations)
 
+    @classmethod
+    def from_row(cls, row: Sequence[int]) -> "Axiom":
+        """The axiom of one candidate-table row (``axiom_table``)."""
+        t = TYPES[row[0]]
+        return cls(t, row[1 : 1 + t.arity])
+
 
 @dataclass(frozen=True)
 class PooledAxiom:
@@ -142,6 +155,53 @@ class ScoredAxiom:
     head_size: int
     raw: float    # Frobenius distance of the rule-conclusion sides
     score: float  # min-max normalized within the axiom's type, in [0, 1]
+
+
+@dataclass(frozen=True, eq=False)
+class Pool:
+    """Pooled axioms as arrays, one entry per row of ``table``.
+
+    ``table`` holds candidate-table rows ``(type, r0, r1, r2)``
+    (``axiom_table``); ``support`` and ``covered`` are their counts from the
+    pool's ``join_rules`` call, and ``head_size`` counts the triples of each
+    head relation.  Indexing and iteration build ``PooledAxiom`` objects on
+    demand.
+    """
+
+    table: np.ndarray
+    support: np.ndarray
+    head_size: np.ndarray
+    covered: np.ndarray
+
+    _item, _item_fields = PooledAxiom, ("support", "head_size")
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, i: int):
+        return self._item(Axiom.from_row(self.table[i].tolist()),
+                          *(getattr(self, f)[i].item() for f in self._item_fields))
+
+    def __iter__(self) -> Iterator:
+        columns = [getattr(self, f).tolist() for f in self._item_fields]
+        for row, *values in zip(self.table.tolist(), *columns):
+            yield self._item(Axiom.from_row(row), *values)
+
+    def head_coverage(self) -> np.ndarray:
+        """Per axiom, the fraction of head-relation triples that some support
+        extends: AMIE+'s head coverage."""
+        return self.covered / self.head_size
+
+
+@dataclass(frozen=True, eq=False)
+class ScoredPool(Pool):
+    """A scored pool, best first: ``raw`` and ``score`` as in ``ScoredAxiom``.
+    Indexing and iteration build ``ScoredAxiom`` objects on demand."""
+
+    raw: np.ndarray
+    score: np.ndarray
+
+    _item, _item_fields = ScoredAxiom, ("support", "head_size", "raw", "score")
 
 
 @dataclass
@@ -208,11 +268,6 @@ def axiom_table(axioms: Sequence[Axiom]) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
-def _axiom(row: Sequence[int]) -> Axiom:
-    t = TYPES[row[0]]
-    return Axiom(t, row[1 : 1 + t.arity])
-
-
 def _rows(t: AxiomType, *rels: np.ndarray) -> np.ndarray:
     """Candidate-table rows of type ``t`` over columns of relation ids."""
     n = len(rels[0])
@@ -227,21 +282,24 @@ def _unique_rows(table: np.ndarray) -> np.ndarray:
     return table[first]
 
 
+def _read_slots(table: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Per candidate, the relations in the three slots ``slots[type]``
+    names, as an (n, 3) array; -1 where a slot code is -1."""
+    codes = slots[table[:, 0]]
+    return np.where(codes < 0, -1, np.take_along_axis(table[:, 1:], np.maximum(codes, 0), axis=1))
+
+
 def _rule_columns(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per candidate, read from ``RULES``: the head relation, the body
     relations b1 and b2 (-1 where the body is shorter), and whether a
     one-atom body reads (y, b1, x)."""
-    head = np.empty(len(table), dtype=np.int64)
-    b1, b2 = np.full(len(table), -1), np.full(len(table), -1)
-    flip = np.zeros(len(table), dtype=bool)
-    for code, t in enumerate(TYPES):
-        rows = table[:, 0] == code
-        (slot, _, _), *body = RULES[t]
-        head[rows] = table[rows, 1 + slot]
-        for col, (slot, _, _) in zip((b1, b2), body):
-            col[rows] = table[rows, 1 + slot]
-        flip[rows] = len(body) == 1 and body[0][1] == Y
-    return head, b1, b2, flip
+    head, b1, b2 = _read_slots(table, _RULE_SLOTS).T
+    return head, b1, b2, _FLIP[table[:, 0]]
+
+
+def head_relations(table: np.ndarray) -> np.ndarray:
+    """The head relation of every candidate of ``table``."""
+    return _rule_columns(table)[0]
 
 
 def _slices(weights: np.ndarray, cuts: np.ndarray | None = None) -> list[slice]:
@@ -471,7 +529,7 @@ def candidate_table(kg: KnowledgeGraph, k: int, rng: np.random.Generator) -> np.
     return _unique_rows(np.concatenate(parts))
 
 
-def generate_pool(kg: KnowledgeGraph, config: PoolConfig, rng: np.random.Generator) -> list[PooledAxiom]:
+def generate_pool(kg: KnowledgeGraph, config: PoolConfig, rng: np.random.Generator) -> Pool:
     """Propose candidate axioms per relation and keep those with support >= 2.
 
     Unary candidates (reflexive, symmetric, transitive) are always proposed.
@@ -479,20 +537,19 @@ def generate_pool(kg: KnowledgeGraph, config: PoolConfig, rng: np.random.Generat
     for a sampled (e1, r, e2), body relations are those already linking e1
     and e2 (equivalent / sub-property), linking e2 to e1 (inverse), or
     forming a two-step path e1 -> y -> e2 (chain).  The candidates are an
-    integer table; ``join_rules`` counts their supports, and only pooled
-    candidates become ``Axiom`` objects.  The pool depends only on the seed
-    and the graph, not on input file ordering.  A DEBUG line counts the
-    candidates and the pool per type.
+    integer table; one ``join_rules`` call counts their supports and covered
+    head triples, and the pool keeps both, in table order.  The pool depends
+    only on the seed and the graph, not on input file ordering.  A DEBUG
+    line counts the candidates and the pool per type.
     """
     table = candidate_table(kg, config.resolved_samples(), rng)
-    support = join_rules(kg, table).support
-    keep = np.flatnonzero(support >= 2)
-    head_size = kg.relation_sizes(_rule_columns(table[keep])[0])
-    pool = [PooledAxiom(_axiom(row), n, h)
-            for row, n, h in zip(table[keep].tolist(), support[keep].tolist(), head_size.tolist())]
-    per_type = Counter(pa.axiom.type for pa in pool)
+    join = join_rules(kg, table)
+    keep = join.support >= 2
+    pooled = table[keep]
+    pool = Pool(pooled, join.support[keep], kg.relation_sizes(head_relations(pooled)), join.covered[keep])
+    per_type = np.bincount(pooled[:, 0], minlength=len(TYPES)).tolist()
     log.debug("pool: %d candidates proposed, %d pooled (%s)", len(table), len(pool),
-              ", ".join(f"{t.value} {per_type[t]}" for t in AxiomType))
+              ", ".join(f"{t.value} {n}" for t, n in zip(TYPES, per_type)))
     return pool
 
 
@@ -501,19 +558,21 @@ def generate_pool(kg: KnowledgeGraph, config: PoolConfig, rng: np.random.Generat
 # ---------------------------------------------------------------------------
 
 
-def axiom_residuals(model: EmbeddingModel, axioms: Sequence[Axiom]) -> np.ndarray:
-    """Frobenius distance between the two sides of each axiom's matrix equation.
+def axiom_residuals(model: EmbeddingModel, table: np.ndarray) -> np.ndarray:
+    """Frobenius distance between the two sides of each axiom's matrix
+    equation, per row of a candidate table.
 
-    Reads ``EQUATIONS`` over the stacked relation arrays plus one identity
-    row, ``SCORE_BLOCK`` axioms at a time: scalars multiply, 2x2 blocks
-    multiply as the complex numbers a + ib of ``rel_blocks``, and each
-    block's (a, b) deltas count twice, as in its dense form [[a, -b], [b, a]].
+    Reads the ``EQUATIONS`` slots of each row over the stacked relation
+    arrays plus one identity row, ``SCORE_BLOCK`` axioms at a time: scalars
+    multiply, 2x2 blocks multiply as the complex numbers a + ib of
+    ``rel_blocks``, and each block's (a, b) deltas count twice, as in its
+    dense form [[a, -b], [b, a]].
     """
     n_rel = model.n_relations
     sc = np.concatenate([model.rel_scalars, np.ones((1, model.n_scalars))])
     rot = np.concatenate([model.rel_blocks, np.ones((1, model.n_blocks), dtype=np.complex128)])
-    slots = np.array([[n_rel if i is None else ax.relations[i] for i in EQUATIONS[ax.type]]
-                      for ax in axioms], dtype=np.int64).reshape(-1, 3)
+    slots = _read_slots(table, _EQUATION_SLOTS)
+    slots[slots < 0] = n_rel
     out = np.empty(len(slots))
     for lo in range(0, len(slots), SCORE_BLOCK):
         a, b, c = slots[lo : lo + SCORE_BLOCK].T
@@ -525,66 +584,51 @@ def axiom_residuals(model: EmbeddingModel, axioms: Sequence[Axiom]) -> np.ndarra
 
 def score_axiom_raw(model: EmbeddingModel, axiom: Axiom) -> float:
     """Frobenius distance between the two sides of one axiom's matrix equation."""
-    return float(axiom_residuals(model, [axiom])[0])
+    return float(axiom_residuals(model, axiom_table([axiom]))[0])
 
 
-def normalize_scores(pool_raws: Sequence[tuple[PooledAxiom, float]]) -> list[ScoredAxiom]:
-    """Min-max normalize raw distances within each axiom type.
+def normalize_scores(types: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Min-max normalize raw distances within each axiom type; ``types``
+    holds the type codes (indices into ``TYPES``).
 
     The smallest distance of a type maps to score 1, the largest to 0.  A
     type with fewer than two distinct raw values is uncalibrated and scores
     0.5 across the board (below any injection threshold in practical use,
     but still visible in reports); those types are logged at INFO level.
     """
-    by_type: dict[AxiomType, list[float]] = {}
-    for pa, raw in pool_raws:
-        if not math.isfinite(raw):
-            raise ValueError(f"non-finite raw score for {pa.axiom}")
-        by_type.setdefault(pa.axiom.type, []).append(raw)
-    bounds = {}
-    for t, raws in by_type.items():
-        lo, hi = min(raws), max(raws)
-        bounds[t] = (lo, hi) if hi > lo else None
-    uncalibrated = sorted(t.value for t, b in bounds.items() if b is None)
+    bad = ~np.isfinite(raw)
+    if bad.any():
+        raise ValueError(f"non-finite raw score for a {TYPES[types[bad][0]].value} axiom")
+    score = np.full(len(raw), 0.5)
+    uncalibrated = []
+    for code in sorted_distinct(types).tolist():
+        rows = types == code
+        lo, hi = raw[rows].min(), raw[rows].max()
+        if hi > lo:
+            score[rows] = (hi - raw[rows]) / (hi - lo)
+        else:
+            uncalibrated.append(TYPES[code].value)
     if uncalibrated:
-        log.info("uncalibrated axiom types score 0.5: %s", ", ".join(uncalibrated))
-    out = []
-    for pa, raw in pool_raws:
-        b = bounds[pa.axiom.type]
-        score = 0.5 if b is None else (b[1] - raw) / (b[1] - b[0])
-        out.append(ScoredAxiom(pa.axiom, pa.support, pa.head_size, raw, score))
-    return out
+        log.info("uncalibrated axiom types score 0.5: %s", ", ".join(sorted(uncalibrated)))
+    return score
 
 
-def induce_axioms(model: EmbeddingModel, pool: Sequence[PooledAxiom]) -> list[ScoredAxiom]:
+def induce_axioms(model: EmbeddingModel, pool: Pool) -> ScoredPool:
     """Score the fixed pool against the current model, best first.
 
-    Ties are broken by (type, relation ids) so repeated runs on an
-    unchanged model produce identical output.
+    Ties are broken by (type, relation ids), the order of ``Axiom.sort_key``,
+    so repeated runs on an unchanged model produce identical output.
     """
-    raws = axiom_residuals(model, [pa.axiom for pa in pool])
-    scored = normalize_scores([(pa, float(raw)) for pa, raw in zip(pool, raws)])
-    scored.sort(key=lambda sa: (-sa.score, sa.axiom.sort_key()))
-    return scored
+    raw = axiom_residuals(model, pool.table)
+    score = normalize_scores(pool.table[:, 0], raw)
+    type_, r0, r1, r2 = pool.table.T
+    order = np.lexsort((r2, r1, r0, type_, -score))
+    return ScoredPool(*(getattr(pool, f.name)[order] for f in fields(Pool)), raw[order], score[order])
 
 
 # ---------------------------------------------------------------------------
 # dumps
 # ---------------------------------------------------------------------------
-
-
-def axiom_record(sa: ScoredAxiom, relations: Vocabulary, hc: float | None = None) -> dict:
-    rec = {
-        "type": sa.axiom.type.value,
-        "relations": [relations.name_of(r) for r in sa.axiom.relations],
-        "support": sa.support,
-        "head_size": sa.head_size,
-        "raw": sa.raw,
-        "score": sa.score,
-    }
-    if hc is not None:
-        rec["hc"] = hc
-    return rec
 
 
 def csv_mirror_path(path: str) -> str:
@@ -598,27 +642,20 @@ def csv_mirror_path(path: str) -> str:
     return csv_path
 
 
-def write_axioms(
-    path: str,
-    scored: Sequence[ScoredAxiom],
-    relations: Vocabulary,
-    hc_values: Sequence[float] | None = None,
-) -> None:
-    """Write one JSON object per axiom, plus a CSV mirror next to it."""
+def write_axioms(path: str, scored: ScoredPool, relations: Vocabulary) -> None:
+    """Write one JSON object per axiom, its head coverage ``hc`` included,
+    plus a CSV mirror next to it."""
     csv_path = csv_mirror_path(path)
-    records = [
-        axiom_record(sa, relations, hc_values[i] if hc_values is not None else None)
-        for i, sa in enumerate(scored)
-    ]
+    names = relations.names
+    cols = ["type", "relations", "support", "head_size", "raw", "score", "hc"]
+    rows = list(zip([TYPES[code].value for code in scored.table[:, 0].tolist()],
+                    [[names[r] for r in row if r >= 0] for row in scored.table[:, 1:].tolist()],
+                    *(v.tolist() for v in (scored.support, scored.head_size, scored.raw, scored.score,
+                                           scored.head_coverage()))))
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    cols = ["type", "relations", "support", "head_size", "raw", "score"]
-    if hc_values is not None:
-        cols.append("hc")
+        fh.writelines(encode(dict(zip(cols, row))) + "\n" for row in rows)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
-        for rec in records:
-            row = dict(rec, relations="|".join(rec["relations"]))
-            writer.writerow([row[c] for c in cols])
+        writer.writerows((kind, "|".join(rels), *rest) for kind, rels, *rest in rows)

@@ -11,9 +11,7 @@ import sys
 import numpy as np
 
 from .axioms import PoolConfig, csv_mirror_path, generate_pool, induce_axioms, write_axioms
-from .evaluation import (  # noqa: F401 (head_coverage: perfbench wraps this module's name)
-    head_coverage, head_coverages, link_prediction,
-)
+from .evaluation import head_coverage, link_prediction  # noqa: F401 (perfbench wraps head_coverage here)
 from .injection import read_injected_tsv
 from .kg import KnowledgeGraph, entity_sparsity, load_dataset, sparsify_eval_split
 from .pipeline import (
@@ -64,8 +62,7 @@ def _cmd_rules(args) -> int:
     )
     pool = generate_pool(kg, pool_cfg, phase_rng(args.seed, 0, "pool"))
     scored = induce_axioms(model, pool)
-    hc = head_coverages(kg, [sa.axiom for sa in scored])
-    write_axioms(args.out, scored, relations, hc)
+    write_axioms(args.out, scored, relations)  # head coverage from the pool's own join
     print(f"wrote {len(scored)} scored axioms to {args.out}")
     return 0
 

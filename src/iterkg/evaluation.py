@@ -15,8 +15,9 @@ observations; the reciprocal of the per-triple averaged rank is also
 reported since both conventions appear in practice.
 
 Head coverage (AMIE+'s measure) is the fraction of head-relation triples
-that some support of the rule extends; ``head_coverages`` reads it for a
-whole pool from one ``axioms.join_rules`` call.
+that some support of the rule extends.  A pool carries it from the join
+that built it (``axioms.Pool.head_coverage``); ``head_coverages`` reads it
+for any list of axioms from one ``axioms.join_rules`` call.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .axioms import Axiom, ScoredAxiom, axiom_table, join_rules
+from .axioms import Axiom, axiom_table, head_relations, join_rules
 from .embedding import EmbeddingModel
 from .kg import KnowledgeGraph, Triple, expand_ranges, sorted_distinct
 
@@ -193,12 +194,12 @@ def link_prediction(model: EmbeddingModel, known: Iterable[Triple] | np.ndarray,
 def head_coverages(kg: KnowledgeGraph, axioms: Sequence[Axiom]) -> list[float]:
     """Fraction of head-relation pairs that participate in some support,
     per axiom, from one batched join."""
-    head_rel = np.array([ax.head_relation() for ax in axioms], dtype=np.int64)
+    table = axiom_table(axioms)
+    head_rel = head_relations(table)
     n_head = kg.relation_sizes(head_rel)
     if not n_head.all():
         raise ValueError(f"head coverage undefined: relation {head_rel[np.argmin(n_head)]} has no triples")
-    covered = join_rules(kg, axiom_table(axioms)).covered
-    return [c / n for c, n in zip(covered.tolist(), n_head.tolist())]
+    return (join_rules(kg, table).covered / n_head).tolist()
 
 
 def head_coverage(kg: KnowledgeGraph, axiom: Axiom) -> float:
@@ -207,38 +208,36 @@ def head_coverage(kg: KnowledgeGraph, axiom: Axiom) -> float:
 
 
 def summarize_rules(
-    hc_values: Sequence[float],
-    scored: Sequence[ScoredAxiom],
+    hc_values: Sequence[float] | np.ndarray,
+    scores: Sequence[float] | np.ndarray,
     hc_threshold: float = 0.7,
     score_grid: Sequence[float] = tuple(np.round(np.arange(0.0, 1.01, 0.1), 2)),
 ) -> dict:
     """High-quality rule counts and score-threshold selection curves.
 
-    ``hc_values[i]`` is the head coverage of ``scored[i]``.  A rule is high
-    quality when its head coverage exceeds ``hc_threshold``.  For each grid
-    threshold the summary reports the fraction of the pool selected (score
-    strictly above) and the fraction of all high-quality rules that the
-    selection contains.
+    ``hc_values[i]`` is the head coverage and ``scores[i]`` the score of
+    pooled axiom i.  A rule is high quality when its head coverage exceeds
+    ``hc_threshold``.  For each grid threshold the summary reports the
+    fraction of the pool selected (score strictly above) and the fraction of
+    all high-quality rules that the selection contains.
     """
-    if len(hc_values) != len(scored):
-        raise ValueError(f"{len(hc_values)} head-coverage values for {len(scored)} axioms")
-    hcs = list(hc_values)
-    hq = [hc > hc_threshold for hc in hcs]
-    n_hq = sum(hq)
+    if len(hc_values) != len(scores):
+        raise ValueError(f"{len(hc_values)} head-coverage values for {len(scores)} axioms")
+    hcs, scores = np.asarray(hc_values, dtype=np.float64), np.asarray(scores, dtype=np.float64)
+    hq = hcs > hc_threshold
+    n_hq = int(hq.sum())
     curve = []
     for theta in score_grid:
-        sel = [sa.score > theta for sa in scored]
-        n_sel = sum(sel)
-        hq_cov = sum(1 for s, h in zip(sel, hq) if s and h) / n_hq if n_hq else 0.0
+        sel = scores > theta
         curve.append({
             "threshold": float(theta),
-            "selected_fraction": n_sel / len(scored) if scored else 0.0,
-            "hq_coverage": hq_cov,
+            "selected_fraction": int(sel.sum()) / len(scores) if len(scores) else 0.0,
+            "hq_coverage": int((sel & hq).sum()) / n_hq if n_hq else 0.0,
         })
     return {
-        "pool_size": len(scored),
+        "pool_size": len(scores),
         "hc_threshold": hc_threshold,
         "high_quality_count": n_hq,
-        "head_coverage": hcs,
+        "head_coverage": hcs.tolist(),
         "curve": curve,
     }

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .axioms import RULES, Axiom, ScoredAxiom, axiom_table, body_assignments, join_rules
+from .axioms import Axiom, ScoredPool, body_assignments, head_relations, join_rules
 from .kg import KnowledgeGraph, Triple, Vocabulary
 
 log = logging.getLogger(__name__)
@@ -119,26 +119,28 @@ class Injection:
     """Injected triples as arrays, sorted by (subject, relation, object).
 
     ``ids`` holds the (n, 3) int64 rows and ``truth`` their (n,) float64
-    truth values.  The source axioms of row i are ``axioms[j]`` for ``j`` in
-    ``sources[source_start[i]:source_start[i + 1]]``, in input order;
-    ``axioms`` are the grounded axioms.  Iterating yields one
-    ``InferredTriple`` per row, built on demand, for tests and audits.
+    truth values.  The source axioms of row i are the rows ``table[j]`` for
+    ``j`` in ``sources[source_start[i]:source_start[i + 1]]``, in input
+    order; ``table`` holds the grounded axioms as candidate-table rows
+    (``axioms.axiom_table``).  Iterating yields one ``InferredTriple`` per
+    row, built on demand, for tests and audits.
     """
 
     ids: np.ndarray
     truth: np.ndarray
     sources: np.ndarray
     source_start: np.ndarray
-    axioms: tuple[Axiom, ...]
+    table: np.ndarray
 
     def __len__(self) -> int:
         return len(self.truth)
 
     def __iter__(self) -> Iterator[InferredTriple]:
         start, sources = self.source_start.tolist(), self.sources.tolist()
+        axioms = [Axiom.from_row(row) for row in self.table.tolist()]
         for i, (row, truth) in enumerate(zip(self.ids.tolist(), self.truth.tolist())):
             yield InferredTriple(Triple(*row), truth,
-                                 tuple(self.axioms[j] for j in sources[start[i] : start[i + 1]]))
+                                 tuple(axioms[j] for j in sources[start[i] : start[i + 1]]))
 
 
 @dataclass
@@ -177,32 +179,34 @@ def ground_axiom(kg: KnowledgeGraph, axiom: Axiom) -> list[Grounding]:
 
 def inject_triples(
     kg: KnowledgeGraph,
-    scored_axioms: Sequence[ScoredAxiom],
+    scored: ScoredPool,
     sparse: set[int],
     config: InjectionConfig,
     restrict_sparse: bool = True,
 ) -> Injection:
     """Infer soft-labeled triples from axioms above the score threshold.
 
-    The axioms above the threshold are joined with the graph together
-    (``axioms.join_rules``), which counts each one's distinct new heads
-    first.  An axiom that proposes more than ``max_inferred_per_axiom`` of
-    them is skipped outright rather than truncated: a single axiom flooding
-    the input would skew the training distribution.  Its heads are never
-    listed, and the number of axioms skipped this way is logged at INFO
-    level.  Heads are then filtered to those touching a sparse entity
-    (disable via ``restrict_sparse`` to inspect the unfiltered inference),
-    merged across axioms keeping the maximum score (the first such axiom in
-    input order labels the triple; its sources are every contributing
-    axiom in input order), and labeled through solve_head_truth.  One DEBUG
+    Reads the table and score arrays of ``scored`` (``induce_axioms``'
+    result): the axioms above the threshold are joined with the graph
+    together (``axioms.join_rules``), which counts each one's distinct new
+    heads first.  An axiom that proposes more than
+    ``max_inferred_per_axiom`` of them is skipped outright rather than
+    truncated: a single axiom flooding the input would skew the training
+    distribution.  Its heads are never listed, and the number of axioms
+    skipped this way is logged at INFO level.  Heads are then filtered to
+    those touching a sparse entity (disable via ``restrict_sparse`` to
+    inspect the unfiltered inference), merged across axioms keeping the
+    maximum score (the first such axiom in input order labels the triple;
+    its sources are every contributing axiom in input order), and labeled
+    with ``solve_head_truth``'s expression, applied to the scores.  One DEBUG
     line per call counts the axioms grounded, the heads proposed and kept
     by the sparse filter (per axiom) and the axioms over the cap.  The
     result holds arrays sorted by triple ids and builds no ``Triple``.
     """
-    grounded = [sa for sa in scored_axioms if sa.score > config.score_threshold]
-    axioms = [sa.axiom for sa in grounded]
+    grounded = scored.score > config.score_threshold
+    table, score = scored.table[grounded], scored.score[grounded]
     cap = config.max_inferred_per_axiom
-    join = join_rules(kg, axiom_table(axioms), cap)
+    join = join_rules(kg, table, cap)
     over = join.n_heads > cap
     cand, x, y = join.heads.T
     if restrict_sparse:
@@ -214,34 +218,32 @@ def inject_triples(
         log.info("skipped %d axioms inferring more than max_inferred_per_axiom=%d heads",
                  int(over.sum()), cap)
     log.debug("axioms_grounded=%d heads_proposed=%d heads_kept=%d axioms_over_cap=%d",
-              len(grounded), int(join.n_heads[~over].sum()), len(cand), int(over.sum()))
+              len(table), int(join.n_heads[~over].sum()), len(cand), int(over.sum()))
 
     # one run of rows per triple, runs sorted like (s, r, o) tuples and
     # axioms in input order within a run; the run's first top-scoring axiom
     # labels the triple
-    r = np.array([ax.head_relation() for ax in axioms], dtype=np.int64)[cand]
+    r = head_relations(table)[cand]
     key = (x * kg.n_relations + r) * kg.n_entities + y
     order = np.lexsort((cand, key))
     cand, key = cand[order], key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))
     bounds = np.append(first, len(key))
-    score = np.array([sa.score for sa in grounded])[cand]
-    top = np.repeat(np.maximum.reduceat(score, first), np.diff(bounds))
-    best = cand[np.minimum.reduceat(np.where(score == top, np.arange(len(key)), len(key)), first)]
-    truth = [solve_head_truth([1.0] * (len(RULES[sa.axiom.type]) - 1), sa.score) for sa in grounded]
+    top = np.repeat(np.maximum.reduceat(score[cand], first), np.diff(bounds))
+    best = cand[np.minimum.reduceat(np.where(score[cand] == top, np.arange(len(key)), len(key)), first)]
+    p = 1.0  # solve_head_truth element-wise; body triples are graph triples, of truth 1
+    truth = np.clip((score - 1.0 + p) / p, 0.0, 1.0)
     ids = np.stack([x[order], r[order], y[order]], axis=1)[first]
-    return Injection(ids, np.array(truth, dtype=np.float64)[best], cand, bounds, tuple(axioms))
+    return Injection(ids, truth[best], cand, bounds, table)
 
 
 def write_injected_tsv(path: str, inferred: Injection, entities: Vocabulary, relations: Vocabulary) -> None:
     """Audit dump: subject, relation, object, truth, source-axiom-count."""
+    ent, rel = entities.names, relations.names
     counts = np.diff(inferred.source_start).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for (s, r, o), truth, n in zip(inferred.ids.tolist(), inferred.truth.tolist(), counts):
-            fh.write(
-                f"{entities.name_of(s)}\t{relations.name_of(r)}\t{entities.name_of(o)}"
-                f"\t{truth!r}\t{n}\n"
-            )
+        fh.writelines(f"{ent[s]}\t{rel[r]}\t{ent[o]}\t{truth!r}\t{n}\n"
+                      for (s, r, o), truth, n in zip(inferred.ids.tolist(), inferred.truth.tolist(), counts))
 
 
 def read_injected_tsv(path: str, entities: Vocabulary, relations: Vocabulary) -> np.ndarray:

@@ -58,6 +58,11 @@ class Vocabulary:
         except KeyError:
             raise VocabularyError(f"unknown name: {name!r}") from None
 
+    @property
+    def names(self) -> list[str]:
+        """The names in id order; name ``i`` is ``names[i]``.  Read-only."""
+        return self._names
+
     def name_of(self, idx: int) -> str:
         if not 0 <= idx < len(self._names):
             raise VocabularyError(f"id {idx} out of range (size {len(self._names)})")

@@ -18,15 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .axioms import (
-    TYPES, AxiomType, PoolConfig, PooledAxiom, ScoredAxiom, axiom_table, generate_pool,
-    induce_axioms, write_axioms,
-)
+from .axioms import TYPES, Pool, PoolConfig, ScoredPool, generate_pool, induce_axioms, write_axioms
 from .embedding import (
     AdamState, EmbeddingModel, StepBuffers, TrainConfig, TripleBatch, init_model, train_epoch,
 )
 from .evaluation import (  # noqa: F401 (head_coverage: perfbench wraps this module's name)
-    head_coverage, head_coverages, link_prediction, summarize_rules,
+    head_coverage, link_prediction, summarize_rules,
 )
 from .injection import Injection, InjectionConfig, inject_triples, read_injected_tsv, write_injected_tsv
 from .kg import KnowledgeGraph, entity_sparsity, load_dataset, sorted_distinct, sparse_entities
@@ -224,25 +221,23 @@ class PipelineResult:
     records: list[IterationRecord]
     injected: Injection
     injected_union: np.ndarray  # the distinct (n, 3) ids injected in any iteration, sorted
-    pool: list[PooledAxiom]
-    scored: list[ScoredAxiom]
+    pool: Pool
+    scored: ScoredPool
     report: dict
     kg: KnowledgeGraph
 
 
-def _per_type_counts(scored: list[ScoredAxiom], threshold: float) -> dict[str, int]:
-    counts = {t.value: 0 for t in AxiomType}
-    for sa in scored:
-        if sa.score > threshold:
-            counts[sa.axiom.type.value] += 1
-    return counts
+def _per_type_counts(scored: ScoredPool, threshold: float) -> dict[str, int]:
+    """Per axiom type, the pooled axioms scoring above ``threshold``."""
+    counts = np.bincount(scored.table[scored.score > threshold, 0], minlength=len(TYPES))
+    return dict(zip([t.value for t in TYPES], counts.tolist()))
 
 
 def _injected_per_type(injected: Injection) -> dict[str, int]:
     """Per axiom type, the injected triples with a source of that type."""
     has_type = np.zeros((len(injected), len(TYPES)), dtype=bool)
     has_type[np.repeat(np.arange(len(injected)), np.diff(injected.source_start)),
-             axiom_table(injected.axioms)[injected.sources, 0]] = True
+             injected.table[injected.sources, 0]] = True
     return dict(zip([t.value for t in TYPES], has_type.sum(axis=0).tolist()))
 
 
@@ -254,7 +249,7 @@ def _distinct_rows(kg: KnowledgeGraph, rows: np.ndarray) -> np.ndarray:
     return np.stack([s, *np.divmod(rest, n_ent)], axis=1)
 
 
-def _inject(kg: KnowledgeGraph, scored: list[ScoredAxiom], sparse: set[int],
+def _inject(kg: KnowledgeGraph, scored: ScoredPool, sparse: set[int],
             config: InjectionConfig) -> Injection:
     """``inject_triples``, with a WARNING when the injected triples outnumber
     the graph's: the next epoch trains on every one of them."""
@@ -329,7 +324,6 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
     records_path = os.path.join(config.out_dir, "records.jsonl")
     with open(records_path, "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(rec.to_dict(), sort_keys=True) + "\n" for rec in records)
-    scored: list[ScoredAxiom] = []
 
     for it in range(done + 1, config.iterations + 1):
         rng = phase_rng(config.seed, it, "train")
@@ -362,9 +356,8 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
         # last, so that a checkpoint on disk finds what resuming from it reads
         save_checkpoint(model, os.path.join(config.out_dir, f"ckpt_iter{it}.bin"))
 
-    # final artifacts
-    hc_values = head_coverages(kg, [sa.axiom for sa in scored])
-    write_axioms(os.path.join(config.out_dir, "axioms.jsonl"), scored, relations, hc_values)
+    # final artifacts; head coverage comes from the pool's own join
+    write_axioms(os.path.join(config.out_dir, "axioms.jsonl"), scored, relations)
 
     report: dict = {
         "config": {
@@ -388,7 +381,7 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
         hybrid = link_prediction(model, known, test, table.freq, rank_one=rank_one)
         report["link_prediction"] = plain.to_dict()
         report["link_prediction_with_axioms"] = hybrid.to_dict()
-    report["rules"] = summarize_rules(hc_values, scored)
+    report["rules"] = summarize_rules(scored.head_coverage(), scored.score)
     with open(os.path.join(config.out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")

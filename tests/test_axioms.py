@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iterkg.axioms import (
-    SCORE_BLOCK, Axiom, AxiomType, PoolConfig, PooledAxiom, axiom_residuals,
+    SCORE_BLOCK, TYPES, Axiom, AxiomType, Pool, PoolConfig, axiom_residuals, axiom_table,
     count_support_and_head, generate_pool, induce_axioms, min_sample_size, normalize_scores,
     sample_size_grid_sup, score_axiom_raw,
 )
@@ -152,7 +152,7 @@ class TestGeneratePool:
         kg2 = graph(triples[::-1], 15, 3)
         p1 = generate_pool(kg1, PoolConfig(), np.random.default_rng(42))
         p2 = generate_pool(kg2, PoolConfig(), np.random.default_rng(42))
-        assert p1 == p2
+        assert list(p1) == list(p2) and p1.covered.tolist() == p2.covered.tolist()
 
 
 class TestRawScores:
@@ -243,7 +243,7 @@ def test_residuals_match_dense_and_block_algebra(layout, n_rel, extra, seed):
     types = kinds + [kinds[i] for i in rng.integers(len(kinds), size=SCORE_BLOCK + extra)]
     axioms = [random_axiom(rng, t, n_rel) for t in types]
 
-    got = axiom_residuals(m, axioms)
+    got = axiom_residuals(m, axiom_table(axioms))
     assert got.shape == (len(axioms),)
     dense = [dense_block_matrix(m.rel_scalars[r], m.rel_rot[r]) for r in range(n_rel)]
     blocks = [BlockDiagMatrix(m.rel_scalars[r], m.rel_rot[r]) for r in range(n_rel)]
@@ -261,54 +261,87 @@ def test_residuals_match_dense_and_block_algebra(layout, n_rel, extra, seed):
 
 def test_residuals_of_empty_pool():
     m = init_model(2, 2, TrainConfig(dim=8, seed=0))
-    assert axiom_residuals(m, []).shape == (0,)
+    assert axiom_residuals(m, axiom_table([])).shape == (0,)
 
 
-def pooled(ax, support=2, head=10):
-    return PooledAxiom(ax, support, head)
+def pool_of(axioms, support=2, head=10):
+    n = len(axioms)
+    return Pool(axiom_table(axioms), np.full(n, support), np.full(n, head), np.full(n, support))
+
+
+def codes(*types):
+    return np.array([TYPES.index(t) for t in types], dtype=np.int64)
 
 
 class TestNormalization:
     def test_three_raws_map_to_unit_interval_ends(self):
-        entries = [(pooled(Axiom(AxiomType.REFLEXIVE, (r,))), raw) for r, raw in enumerate((2.0, 4.0, 6.0))]
-        scored = normalize_scores(entries)
-        assert [sa.score for sa in scored] == [1.0, 0.5, 0.0]
+        scores = normalize_scores(codes(*[AxiomType.REFLEXIVE] * 3), np.array([2.0, 4.0, 6.0]))
+        assert scores.tolist() == [1.0, 0.5, 0.0]
 
     def test_single_axiom_gets_half(self):
-        scored = normalize_scores([(pooled(Axiom(AxiomType.SYMMETRIC, (0,))), 3.3)])
-        assert scored[0].score == 0.5
+        assert normalize_scores(codes(AxiomType.SYMMETRIC), np.array([3.3])).tolist() == [0.5]
 
     def test_uncalibrated_types_are_logged(self, caplog):
-        entries = [(pooled(Axiom(AxiomType.SYMMETRIC, (0,))), 3.3),
-                   (pooled(Axiom(AxiomType.INVERSE, (0, 1))), 2.0),
-                   (pooled(Axiom(AxiomType.INVERSE, (1, 0))), 2.0),
-                   (pooled(Axiom(AxiomType.REFLEXIVE, (0,))), 1.0),
-                   (pooled(Axiom(AxiomType.REFLEXIVE, (1,))), 2.0)]
+        types = codes(AxiomType.SYMMETRIC, AxiomType.INVERSE, AxiomType.INVERSE,
+                      AxiomType.REFLEXIVE, AxiomType.REFLEXIVE)
+        raws = np.array([3.3, 2.0, 2.0, 1.0, 2.0])
         with caplog.at_level("INFO", logger="iterkg.axioms"):
-            normalize_scores(entries)
+            normalize_scores(types, raws)
         assert [r.getMessage() for r in caplog.records] == [
             "uncalibrated axiom types score 0.5: inverse, symmetric"]
         caplog.clear()
         with caplog.at_level("INFO", logger="iterkg.axioms"):
-            normalize_scores(entries[3:])
+            normalize_scores(types[3:], raws[3:])
         assert not caplog.records
 
     def test_types_normalized_independently(self):
-        ref = [(pooled(Axiom(AxiomType.REFLEXIVE, (r,))), raw) for r, raw in enumerate((1.0, 3.0))]
-        inv = [(pooled(Axiom(AxiomType.INVERSE, (0, 1))), 10.0),
-               (pooled(Axiom(AxiomType.INVERSE, (1, 0))), 30.0)]
-        a = normalize_scores(ref + inv)
-        b = normalize_scores(ref + inv[::-1])
-        ref_scores_a = [sa.score for sa in a if sa.axiom.type is AxiomType.REFLEXIVE]
-        ref_scores_b = [sa.score for sa in b if sa.axiom.type is AxiomType.REFLEXIVE]
-        assert ref_scores_a == ref_scores_b == [1.0, 0.0]
+        types = codes(AxiomType.REFLEXIVE, AxiomType.REFLEXIVE, AxiomType.INVERSE, AxiomType.INVERSE)
+        a = normalize_scores(types, np.array([1.0, 3.0, 10.0, 30.0]))
+        b = normalize_scores(types, np.array([1.0, 3.0, 30.0, 10.0]))
+        assert a[:2].tolist() == b[:2].tolist() == [1.0, 0.0]
+
+    def test_non_finite_raw_refused(self):
+        with pytest.raises(ValueError, match="non-finite raw score for a symmetric axiom"):
+            normalize_scores(codes(AxiomType.REFLEXIVE, AxiomType.SYMMETRIC), np.array([1.0, np.nan]))
+
+
+def object_path_scores(pool, raws):
+    """The per-axiom path the arrays replace: per-type min-max over Python
+    floats, uncalibrated types at 0.5, sorted by (-score, Axiom.sort_key())."""
+    by_type = {}
+    for pa, raw in zip(pool, raws):
+        by_type.setdefault(pa.axiom.type, []).append(raw)
+    bounds = {t: (min(r), max(r)) for t, r in by_type.items()}
+    out = []
+    for pa, raw in zip(pool, raws):
+        lo, hi = bounds[pa.axiom.type]
+        out.append((pa.axiom, raw, 0.5 if hi == lo else (hi - raw) / (hi - lo)))
+    return sorted(out, key=lambda e: (-e[2], e[0].sort_key()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_rel=st.integers(2, 4), picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+       levels=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_array_scores_and_order_match_the_object_path(n_rel, picks, levels, seed):
+    # distinct axioms of every type; few relation values make tied raws,
+    # one-axiom and all-equal types uncalibrated, and tied scores
+    rng = np.random.default_rng(seed)
+    axioms = sorted({random_axiom(np.random.default_rng(p), TYPES[p % len(TYPES)], n_rel) for p in picks},
+                    key=Axiom.sort_key)
+    m = EmbeddingModel(np.zeros((1, 4)), rng.integers(levels, size=(n_rel, 2)).astype(float),
+                       rng.integers(levels, size=(n_rel, 1, 2)).astype(float))
+    pool = pool_of(axioms)
+    scored = induce_axioms(m, pool)
+    want = object_path_scores(pool, axiom_residuals(m, pool.table).tolist())
+    assert [(sa.axiom, sa.raw, sa.score) for sa in scored] == want
+    assert scored.score.tolist() == [score for _, _, score in want]
 
 
 class TestInduce:
     def test_one_axiom_per_type_all_half(self):
         m = init_model(4, 6, TrainConfig(dim=8, seed=1))
-        pool = [pooled(Axiom(AxiomType.REFLEXIVE, (0,))), pooled(Axiom(AxiomType.INVERSE, (0, 1))),
-                pooled(Axiom(AxiomType.SUB_PROPERTY_CHAIN, (0, 1, 2)))]
+        pool = pool_of([Axiom(AxiomType.REFLEXIVE, (0,)), Axiom(AxiomType.INVERSE, (0, 1)),
+                        Axiom(AxiomType.SUB_PROPERTY_CHAIN, (0, 1, 2))])
         assert all(sa.score == 0.5 for sa in induce_axioms(m, pool))
 
     def test_planted_matrix_ranks_first_in_type(self):
@@ -316,12 +349,12 @@ class TestInduce:
         m.rel_scalars[3] = 1.0
         m.rel_rot[3, :, 0] = 1.0
         m.rel_rot[3, :, 1] = 0.0
-        pool = [pooled(Axiom(AxiomType.REFLEXIVE, (r,))) for r in range(6)]
+        pool = pool_of([Axiom(AxiomType.REFLEXIVE, (r,)) for r in range(6)])
         best = induce_axioms(m, pool)[0]
         assert best.axiom == Axiom(AxiomType.REFLEXIVE, (3,))
         assert best.score == 1.0
 
     def test_rerun_is_identical(self):
         m = init_model(4, 6, TrainConfig(dim=8, seed=3))
-        pool = [pooled(Axiom(AxiomType.EQUIVALENT, (a, b))) for a in range(3) for b in range(3) if a != b]
-        assert induce_axioms(m, pool) == induce_axioms(m, pool)
+        pool = pool_of([Axiom(AxiomType.EQUIVALENT, (a, b)) for a in range(3) for b in range(3) if a != b])
+        assert list(induce_axioms(m, pool)) == list(induce_axioms(m, pool))

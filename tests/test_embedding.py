@@ -641,3 +641,26 @@ def test_kernel_arguments_keep_the_benchmark_instrumentation_contract(monkeypatc
         assert [args[0].shape[0] for args in seen[name]] == batches
     for args, B in zip(seen["accumulate_grads"], batches):
         assert (args[0].shape, args[2].shape, args[3].shape) == ((B, 8), (B, n_scalars), (B, cfg.n_blocks))
+
+
+@pytest.mark.parametrize("dim", [8, 40])
+def test_adam_writes_a_fortran_table_like_a_c_ordered_one(dim):
+    """Adam writes a Fortran-ordered table ``COLUMN_BLOCK`` columns at a
+    time; with one partial block or several blocks and a partial last one,
+    every bit equals the update of a C-ordered table."""
+    rng = np.random.default_rng(dim)
+    cfg = TrainConfig(dim=dim, n_scalars=dim // 2, learning_rate=0.05, seed=1)
+    model = init_model(30, 3, cfg)
+    other = model.copy()
+    other.ent, other.opt.m_ent, other.opt.v_ent = (np.ascontiguousarray(a) for a in
+                                                   (other.ent, other.opt.m_ent, other.opt.v_ent))
+    for _ in range(3):
+        ids = np.sort(rng.choice(30, size=17, replace=False))
+        grads = SparseGrads(ids, rng.normal(size=(17, dim)), np.arange(3), rng.normal(size=(3, dim // 2)),
+                            rng.normal(size=(3, dim // 4, 2)))
+        for m in (model, other):
+            adam_update(m, grads, cfg)
+    assert model.ent.flags.f_contiguous and other.ent.flags.c_contiguous
+    for get in (lambda m: m.ent, lambda m: m.opt.m_ent, lambda m: m.opt.v_ent):
+        assert get(model).tobytes() == get(other).tobytes()
+        assert not np.array_equal(get(model), get(init_model(30, 3, cfg)))

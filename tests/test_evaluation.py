@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iterkg import evaluation
-from iterkg.axioms import Axiom, AxiomType, ScoredAxiom
+from iterkg.axioms import Axiom, AxiomType
 from iterkg.embedding import TrainConfig, init_model, raw_scores
 from iterkg.evaluation import (
     candidate_scores, head_coverage, link_prediction, rank_entity_side, rank_side, summarize_rules,
@@ -360,27 +360,26 @@ class TestHeadCoverage:
 
 
 class TestSummarizeRules:
-    def scored_pool(self, kg):
-        return [ScoredAxiom(Axiom(AxiomType.SYMMETRIC, (0,)), 2, 2, 0.0, 1.0),
-                ScoredAxiom(Axiom(AxiomType.SYMMETRIC, (1,)), 2, 3, 1.0, 0.0)]
+    axioms = [Axiom(AxiomType.SYMMETRIC, (0,)), Axiom(AxiomType.SYMMETRIC, (1,))]
+    scores = [1.0, 0.0]
 
     def hcs(self, kg):
-        return [head_coverage(kg, sa.axiom) for sa in self.scored_pool(kg)]
+        return [head_coverage(kg, ax) for ax in self.axioms]
 
     def test_all_high_quality_counted(self):
         kg = graph([(0, 0, 1), (1, 0, 0), (2, 1, 3), (3, 1, 2)])
-        summary = summarize_rules(self.hcs(kg), self.scored_pool(kg), hc_threshold=0.7)
+        summary = summarize_rules(self.hcs(kg), self.scores, hc_threshold=0.7)
         assert summary["high_quality_count"] == 2
 
     def test_strict_threshold_at_one_selects_nothing(self):
         kg = graph([(0, 0, 1), (1, 0, 0), (2, 1, 3), (3, 1, 2)])
-        summary = summarize_rules(self.hcs(kg), self.scored_pool(kg), score_grid=[1.0])
+        summary = summarize_rules(self.hcs(kg), self.scores, score_grid=[1.0])
         assert summary["curve"][0]["selected_fraction"] == 0.0
 
     def test_curve_matches_hand_enumeration(self):
         kg = graph([(0, 0, 1), (1, 0, 0), (2, 1, 3), (3, 1, 2), (4, 1, 5)])
         # HC: symmetric(r0)=1.0 (HQ), symmetric(r1)=2/3 (not HQ at 0.7)
-        summary = summarize_rules(self.hcs(kg), self.scored_pool(kg), hc_threshold=0.7, score_grid=[0.5])
+        summary = summarize_rules(self.hcs(kg), self.scores, hc_threshold=0.7, score_grid=[0.5])
         assert summary["high_quality_count"] == 1
         point = summary["curve"][0]
         assert point["selected_fraction"] == 0.5  # only the score-1.0 axiom
@@ -389,4 +388,4 @@ class TestSummarizeRules:
     def test_head_coverage_count_must_match_pool(self):
         kg = graph([(0, 0, 1), (1, 0, 0), (2, 1, 3), (3, 1, 2)])
         with pytest.raises(ValueError):
-            summarize_rules([1.0], self.scored_pool(kg))
+            summarize_rules([1.0], self.scores)

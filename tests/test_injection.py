@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iterkg import axioms, injection
-from iterkg.axioms import Axiom, AxiomType, ScoredAxiom
+from iterkg.axioms import Axiom, AxiomType, ScoredAxiom, ScoredPool, axiom_table
 from iterkg.injection import (
     And, Atom, Implies, InjectionConfig, Not, Or, ground_axiom, inject_triples,
     read_injected_tsv, solve_head_truth, truth_value, write_injected_tsv,
@@ -129,6 +129,15 @@ def scored(ax, score, support=5, head=10, raw=0.0):
     return ScoredAxiom(ax, support, head, raw, score)
 
 
+def scored_pool(scored):
+    """``ScoredAxiom`` objects, in order, as the ``ScoredPool`` that
+    ``inject_triples`` reads; no covered counts."""
+    support, head, raw, score = (np.array([getattr(sa, f) for sa in scored])
+                                 for f in ("support", "head_size", "raw", "score"))
+    table = axiom_table([sa.axiom for sa in scored])
+    return ScoredPool(table, support, head, np.zeros(len(scored)), raw, score)
+
+
 class TestInjection:
     def config(self, threshold=0.9, cap=1000):
         return InjectionConfig(score_threshold=threshold, max_inferred_per_axiom=cap,
@@ -136,7 +145,8 @@ class TestInjection:
 
     def test_below_threshold_contributes_nothing(self):
         kg = graph([(0, 0, 1)])
-        out = inject_triples(kg, [scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.5)], {0, 1}, self.config())
+        ax = scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.5)
+        out = inject_triples(kg, scored_pool([ax]), {0, 1}, self.config())
         assert len(out) == 0 and list(out) == []
 
     def test_duplicate_heads_merge_on_max_score(self):
@@ -145,7 +155,7 @@ class TestInjection:
         # inverse of (r0 <- r1)
         axioms = [scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.92),
                   scored(Axiom(AxiomType.INVERSE, (0, 1)), 0.96)]
-        out = inject_triples(kg, axioms, {0, 1}, self.config())
+        out = inject_triples(kg, scored_pool(axioms), {0, 1}, self.config())
         merged = [it for it in out if it.triple == Triple(1, 0, 0)]
         assert len(merged) == 1
         assert merged[0].truth == pytest.approx(0.96)
@@ -155,8 +165,8 @@ class TestInjection:
         triples = [(i, 0, i + 1) for i in range(10)]
         kg = graph(triples)
         ax = scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.95)
-        assert len(inject_triples(kg, [ax], set(range(11)), self.config(cap=5))) == 0
-        assert len(inject_triples(kg, [ax], set(range(11)), self.config(cap=10))) == 10
+        assert len(inject_triples(kg, scored_pool([ax]), set(range(11)), self.config(cap=5))) == 0
+        assert len(inject_triples(kg, scored_pool([ax]), set(range(11)), self.config(cap=10))) == 10
 
     def test_cap_skips_are_logged_once_per_call(self, caplog):
         kg = graph([(i, 0, i + 1) for i in range(10)] + [(0, 1, 1)])
@@ -164,13 +174,13 @@ class TestInjection:
                   scored(Axiom(AxiomType.TRANSITIVE, (0,)), 0.95),      # 9 heads: over
                   scored(Axiom(AxiomType.SYMMETRIC, (1,)), 0.95)]       # 1 head: kept
         with caplog.at_level("INFO", logger="iterkg.injection"):
-            out = inject_triples(kg, axioms, set(range(11)), self.config(cap=5))
+            out = inject_triples(kg, scored_pool(axioms), set(range(11)), self.config(cap=5))
         assert [it.triple for it in out] == [Triple(1, 1, 0)]
         assert [r.getMessage() for r in caplog.records] == [
             "skipped 2 axioms inferring more than max_inferred_per_axiom=5 heads"]
         caplog.clear()
         with caplog.at_level("INFO", logger="iterkg.injection"):
-            inject_triples(kg, axioms, set(range(11)), self.config(cap=10))
+            inject_triples(kg, scored_pool(axioms), set(range(11)), self.config(cap=10))
         assert not caplog.records
 
     def test_cap_applies_before_heads_are_materialized(self, monkeypatch):
@@ -188,10 +198,10 @@ class TestInjection:
             cls = getattr(injection, name)
             monkeypatch.setattr(injection, name, lambda *a, cls=cls: built.append(cls) or cls(*a))
         ax = scored(Axiom(AxiomType.TRANSITIVE, (0,)), 0.95)
-        assert len(inject_triples(kg, [ax], set(range(200)), self.config(cap=5))) == 0
+        assert len(inject_triples(kg, scored_pool([ax]), set(range(200)), self.config(cap=5))) == 0
         assert len(listed) > 1 and sum(listed) <= 5
         listed.clear()
-        out = inject_triples(kg, [ax], set(range(200)), self.config(cap=198))
+        out = inject_triples(kg, scored_pool([ax]), set(range(200)), self.config(cap=198))
         assert len(out) == 198 and sum(listed) == 198
         assert built == []
         assert len(list(out)) == 198
@@ -204,7 +214,7 @@ class TestInjection:
                   scored(Axiom(AxiomType.SYMMETRIC, (1,)), 0.95),       # 1 head, sparse
                   scored(Axiom(AxiomType.INVERSE, (1, 0)), 0.5)]        # below threshold
         with caplog.at_level("DEBUG", logger="iterkg.injection"):
-            out = inject_triples(kg, axioms, {0}, self.config(cap=9))
+            out = inject_triples(kg, scored_pool(axioms), {0}, self.config(cap=9))
         assert [it.triple for it in out] == [Triple(0, 0, 2), Triple(1, 1, 0)]
         debug = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
         assert debug == ["axioms_grounded=3 heads_proposed=10 heads_kept=2 axioms_over_cap=1"]
@@ -212,9 +222,9 @@ class TestInjection:
     def test_sparse_filter(self):
         kg = graph([(0, 0, 1), (2, 0, 3)])
         ax = scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.95)
-        out = inject_triples(kg, [ax], {0}, self.config())
+        out = inject_triples(kg, scored_pool([ax]), {0}, self.config())
         assert [it.triple for it in out] == [Triple(1, 0, 0)]
-        unfiltered = inject_triples(kg, [ax], {0}, self.config(), restrict_sparse=False)
+        unfiltered = inject_triples(kg, scored_pool([ax]), {0}, self.config(), restrict_sparse=False)
         assert len(unfiltered) == 2
 
     def test_planted_inverse_recovers_ten_held_out_pairs(self):
@@ -223,7 +233,7 @@ class TestInjection:
         train += [(b, 1, a) for a, b in pairs[:10]]    # half the mirrors present
         kg = graph(train)
         ax = scored(Axiom(AxiomType.INVERSE, (1, 0)), 0.93)
-        out = inject_triples(kg, [ax], set(range(40)), self.config())
+        out = inject_triples(kg, scored_pool([ax]), set(range(40)), self.config())
         assert {it.triple for it in out} == {Triple(b, 1, a) for a, b in pairs[10:]}
         assert len(out) == 10
         assert all(it.truth == 0.93 for it in out)
@@ -233,8 +243,8 @@ class TestInjection:
         kg = graph(random_graph(rng, 15, 3, 70), 15, 3)
         axioms = [scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.95),
                   scored(Axiom(AxiomType.TRANSITIVE, (1,)), 0.97)]
-        out1 = inject_triples(kg, axioms, set(range(15)), self.config())
-        out2 = inject_triples(kg, axioms, set(range(15)), self.config())
+        out1 = inject_triples(kg, scored_pool(axioms), set(range(15)), self.config())
+        out2 = inject_triples(kg, scored_pool(axioms), set(range(15)), self.config())
         assert list(out1) == list(out2)
         for it in out1:
             assert not kg.contains(*it.triple)
@@ -243,7 +253,7 @@ class TestInjection:
     def test_tsv_round_trip(self, tmp_path):
         kg = graph([(0, 0, 1)])
         ax = scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.95)
-        out = inject_triples(kg, [ax], {0, 1}, self.config())
+        out = inject_triples(kg, scored_pool([ax]), {0, 1}, self.config())
         path = tmp_path / "injected.tsv"
         write_injected_tsv(path, out, kg.entities, kg.relations)
         assert path.read_text() == "e1\tr0\te0\t0.95\t1\n"

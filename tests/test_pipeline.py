@@ -9,10 +9,11 @@ import struct
 import numpy as np
 import pytest
 
-from iterkg import injection, pipeline
-from iterkg.axioms import PoolConfig
+from iterkg import axioms, evaluation, injection, pipeline
+from iterkg.axioms import Axiom, AxiomType, PoolConfig
 from iterkg.cli import main as cli_main
 from iterkg.embedding import StepBuffers, TrainConfig, init_model
+from iterkg.evaluation import head_coverages
 from iterkg.injection import InjectionConfig, read_injected_tsv
 from iterkg.kg import KnowledgeGraph, load_dataset
 from iterkg.pipeline import (
@@ -351,6 +352,37 @@ class TestRunIterations:
             assert cli_main(["eval", "--ckpt", ckpt, "--data", dataset_dir,
                              "--out", str(tmp_path / "eval.json"), *extra]) == 0
 
+    def test_train_and_rules_join_the_pool_once(self, tmp_path, dataset_dir, monkeypatch):
+        # head coverage comes from the pool's own join: a run makes one
+        # uncapped join (the pool) and one capped join per injection round,
+        # `iterkg rules` the pool's join alone
+        calls = []
+        join_rules = axioms.join_rules
+
+        def counting(kg, table, cap=None):
+            calls.append(cap)
+            return join_rules(kg, table, cap)
+
+        for mod in (axioms, injection, evaluation):
+            monkeypatch.setattr(mod, "join_rules", counting)
+        cfg = small_config(dataset_dir, tmp_path / "run", iterations=2)
+        run_iterations(cfg)
+        assert calls == [None, 2000, 2000]
+        calls.clear()
+        assert cli_main(["rules", "--ckpt", str(tmp_path / "run" / "ckpt_iter2.bin"), "--data", dataset_dir,
+                         "--out", str(tmp_path / "rules.jsonl")]) == 0
+        assert calls == [None]
+
+    def test_train_and_rules_build_no_axiom_objects(self, tmp_path, dataset_dir, monkeypatch):
+        # the pool, its scores, injection and the dumps travel as arrays
+        def refuse(*args):
+            raise AssertionError("Axiom built")
+
+        monkeypatch.setattr(Axiom, "__new__", refuse)
+        run_iterations(small_config(dataset_dir, tmp_path / "run", iterations=2))
+        assert cli_main(["rules", "--ckpt", str(tmp_path / "run" / "ckpt_iter2.bin"), "--data", dataset_dir,
+                         "--out", str(tmp_path / "rules.jsonl")]) == 0
+
     def test_input_files_untouched(self, tmp_path, dataset_dir):
         before = {n: (os.path.getsize(os.path.join(dataset_dir, n)),
                       open(os.path.join(dataset_dir, n), "rb").read())
@@ -404,6 +436,20 @@ class TestCli:
         assert cli_main(["eval", "--ckpt", str(out / "ckpt_iter1.bin"), "--data", dataset_dir,
                          "--with-axioms", str(out / "injected_iter1.tsv"),
                          "--out", str(eval_out)]) == 0
+
+    def test_rules_head_coverage_equals_a_join_of_the_written_axioms(self, tmp_path, dataset_dir, capsys):
+        train, _, _, entities, relations = load_dataset(dataset_dir)
+        kg = KnowledgeGraph(train, entities, relations)
+        ckpt = tmp_path / "model.bin"
+        save_checkpoint(init_model(kg.n_entities, kg.n_relations, TrainConfig(dim=8, seed=3)), str(ckpt))
+        rules_out = tmp_path / "rules.jsonl"
+        assert cli_main(["rules", "--ckpt", str(ckpt), "--data", dataset_dir, "--out", str(rules_out),
+                         "--seed", "3"]) == 0
+        rows = [json.loads(line) for line in rules_out.read_text().splitlines()]
+        written = [Axiom(AxiomType(row["type"]), [relations.id_of(r) for r in row["relations"]])
+                   for row in rows]
+        assert len(rows) > 1
+        assert [row["hc"] for row in rows] == head_coverages(kg, written)
 
     def test_rules_reproduces_train_axioms(self, tmp_path, dataset_dir, capsys):
         # both entry points build the pool, score it and attach head coverage

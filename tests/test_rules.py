@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from iterkg import axioms as axioms_mod
 from iterkg.axioms import (
-    Axiom, AxiomType, PoolConfig, PooledAxiom, ScoredAxiom, axiom_table, count_support_and_head,
-    generate_pool, join_rules,
+    Axiom, AxiomType, PoolConfig, PooledAxiom, ScoredPool, axiom_table,
+    count_support_and_head, generate_pool, join_rules,
 )
 from iterkg.evaluation import head_coverage, head_coverages
 from iterkg.injection import InjectionConfig, ground_axiom, inject_triples
@@ -25,6 +25,7 @@ from iterkg.pipeline import _distinct_rows, _injected_per_type
 
 from oracles import (
     enumerate_groundings, enumerate_head_coverage, enumerate_supports, inject_by_enumeration,
+    random_graph,
 )
 
 
@@ -87,22 +88,22 @@ def test_joins_match_enumeration(case):
         oracle_heads = {h for h, _ in enumerate_groundings(kg.triples, ax, kg.n_entities)}
         assert {tuple(g.head) for g in ground_axiom(kg, ax)} == oracle_heads, ax
         config = InjectionConfig(score_threshold=0.5, max_inferred_per_axiom=cap)
-        injected = inject_triples(kg, [ScoredAxiom(ax, 0, 0, 0.0, 1.0)], set(), config,
-                                  restrict_sparse=False)
+        one = ScoredPool(axiom_table([ax]), *np.zeros((4, 1)), np.ones(1))
+        injected = inject_triples(kg, one, set(), config, restrict_sparse=False)
         want_heads = oracle_heads if len(oracle_heads) <= cap else set()
         assert {tuple(it.triple) for it in injected} == want_heads, ax
 
 
 @st.composite
 def scored_batches(draw):
-    """A graph and many scored axioms in one list: repeats, shuffled order
+    """A graph and many scored axioms in one pool: repeats, shuffled order
     and tied scores included, with a threshold, cap and sparse set."""
     kg = draw(small_graphs())
     pool = list(every_axiom(kg.n_relations))
     picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=25))
     scores = draw(st.lists(st.sampled_from([0.2, 0.6, 0.75, 0.9, 1.0]),
                            min_size=len(picked), max_size=len(picked)))
-    scored = [ScoredAxiom(ax, 0, 0, 0.0, s) for ax, s in zip(picked, scores)]
+    scored = ScoredPool(axiom_table(picked), *np.zeros((4, len(picked))), np.array(scores))
     sparse = draw(st.sets(st.integers(0, kg.n_entities - 1)))
     return (kg, scored, sparse, draw(st.sampled_from([0.0, 0.5, 0.8])), draw(st.integers(1, 10)),
             draw(st.booleans()), draw(budgets))
@@ -122,7 +123,7 @@ def test_batched_joins_match_per_axiom_enumeration(case):
 
     config = InjectionConfig(score_threshold=threshold, max_inferred_per_axiom=cap)
     got = with_budget(budget, inject_triples, kg, scored, sparse, config, restrict_sparse=restrict)
-    want = inject_by_enumeration(kg.triples, scored, sparse, threshold, cap, n_ent, restrict)
+    want = inject_by_enumeration(kg.triples, list(scored), sparse, threshold, cap, n_ent, restrict)
     assert list(got) == want
     # the pipeline's per-type counts and union read the arrays alone
     assert _injected_per_type(got) == {
@@ -145,4 +146,21 @@ def test_pool_of_every_sampled_triple_is_every_axiom_with_two_supports(kg, seed,
         n, head_n = enumerate_supports(kg.triples, ax, kg.n_entities)
         if n >= 2:
             want.append(PooledAxiom(ax, n, head_n))
-    assert pool == want
+    assert list(pool) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 25), st.integers(1, 4), st.integers(0, 150), st.integers(0, 2**32 - 1), budgets)
+def test_pool_counts_and_head_coverage_match_enumeration(n_ent, n_rel, n_triples, seed, budget):
+    # every pooled axiom carries the counts of the pool's one join: support
+    # and head size, and head coverage as covered / head_size
+    rng = np.random.default_rng(seed)
+    kg = KnowledgeGraph(random_graph(rng, n_ent, n_rel, n_triples),
+                        Vocabulary(f"e{i}" for i in range(n_ent)),
+                        Vocabulary(f"r{i}" for i in range(n_rel)))
+    pool = with_budget(budget, generate_pool, kg, PoolConfig(), rng)
+    hc = pool.head_coverage().tolist()
+    for i, pa in enumerate(pool):
+        assert pool[i] == pa
+        assert (pa.support, pa.head_size) == enumerate_supports(kg.triples, pa.axiom, n_ent), pa
+        assert hc[i] == enumerate_head_coverage(kg.triples, pa.axiom, n_ent), pa
