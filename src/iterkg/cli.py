@@ -74,8 +74,9 @@ def _cmd_eval(args) -> int:
     check_graph_size(model, kg, args.ckpt)
     table = entity_sparsity(kg)
     known = np.concatenate([kg.ids, np.array(valid + test, dtype=np.int64).reshape(-1, 3)])
-    rank_one = read_injected_tsv(args.with_axioms, entities, relations) if args.with_axioms else None
-    report = link_prediction(model, known, test, table.freq, rank_one=rank_one)
+    report = link_prediction(model, known, test, table.freq)
+    if args.with_axioms:
+        report = report.credit(read_injected_tsv(args.with_axioms, entities, relations))
     text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -14,22 +14,26 @@ The headline MRR averages reciprocal ranks over all 2*|test| side
 observations; the reciprocal of the per-triple averaged rank is also
 reported since both conventions appear in practice.
 
+``link_prediction`` ranks each test triple once; its report keeps the ranks,
+and ``MetricsReport.credit`` aggregates them again with both sides of each
+axiom-inferred test triple set to 1, ranking nothing.
+
 Head coverage (AMIE+'s measure) is the fraction of head-relation triples
 that some support of the rule extends.  A pool carries it from the join
-that built it (``axioms.Pool.head_coverage``); ``head_coverages`` reads it
-for any list of axioms from one ``axioms.join_rules`` call.
+that built it (``axioms.Pool.head_coverage``); ``head_coverage`` reads it
+for one axiom from one ``axioms.join_rules`` call.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import kernels
-from .axioms import Axiom, axiom_table, head_relations, join_rules
+from .axioms import Axiom, axiom_table, join_rules
 from .embedding import EmbeddingModel
 from .kg import KnowledgeGraph, Triple, expand_ranges, sorted_distinct
 
@@ -51,9 +55,49 @@ class MetricsReport:
     mrr_mean_rank_filter: float
     buckets: list[dict]         # per train-frequency bucket, filtered side ranks
     n_test: int
+    # left out of to_dict: (n, 2) raw and filtered (subject, object) ranks, the
+    # (n, 3) test rows and, if bucketed, the train frequencies of their entities
+    raw: np.ndarray = field(repr=False, compare=False)
+    filtered: np.ndarray = field(repr=False, compare=False)
+    rows: np.ndarray = field(repr=False, compare=False)
+    freq: np.ndarray | None = field(repr=False, compare=False)
+
+    @classmethod
+    def of(cls, raw: np.ndarray, filtered: np.ndarray, rows: np.ndarray,
+           freq: np.ndarray | None) -> MetricsReport:
+        """The report of (n, 2) side ranks; each mean sums in (triple, side) order, or triple order."""
+        raw_sides, fil_sides = raw.ravel().astype(float), filtered.ravel().astype(float)
+        buckets = []
+        if freq is not None:
+            # the bucket [lo, 2*lo) of a frequency f > 0 has lo = 2**(bit length of f - 1)
+            floors = np.where(freq > 0, 1 << np.maximum(np.frexp(freq)[1] - 1, 0), 0).ravel()
+            for lo in np.unique(floors).tolist():
+                vals = 1.0 / fil_sides[floors == lo]
+                buckets.append({"freq_lo": lo, "freq_hi": max(2 * lo, 1), "mrr": float(np.mean(vals)),
+                                "count": len(vals)})
+        return cls(
+            mrr_raw=float(np.mean(1.0 / raw_sides)),
+            mrr_filter=float(np.mean(1.0 / fil_sides)),
+            hits_raw={n: float(np.mean(raw_sides <= n)) for n in HIT_LEVELS},
+            hits_filter={n: float(np.mean(fil_sides <= n)) for n in HIT_LEVELS},
+            mrr_mean_rank_raw=float(np.mean(1.0 / (raw.sum(axis=1) / 2.0))),
+            mrr_mean_rank_filter=float(np.mean(1.0 / (filtered.sum(axis=1) / 2.0))),
+            buckets=buckets,
+            n_test=len(rows), raw=raw, filtered=filtered, rows=rows, freq=freq,
+        )
+
+    def credit(self, rows: Iterable[Triple] | np.ndarray) -> MetricsReport:
+        """The report of the same ranks with both sides of every test triple
+        listed in ``rows`` (axiom-inferred) set to rank 1 in both settings."""
+        rows = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), np.int64).reshape(-1, 3)
+        dims = np.maximum(self.rows.max(axis=0), rows.max(axis=0, initial=0)) + 1  # negative ids raise
+        hit = np.isin(np.ravel_multi_index(self.rows.T, dims), np.ravel_multi_index(rows.T, dims))
+        raw, filtered = self.raw.copy(), self.filtered.copy()
+        raw[hit] = filtered[hit] = 1
+        return MetricsReport.of(raw, filtered, self.rows, self.freq)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
         for key in ("hits_raw", "hits_filter"):
             out[key] = {str(k): v for k, v in out[key].items()}
         return out
@@ -141,49 +185,21 @@ def rank_entity_side(model: EmbeddingModel, known: Iterable[Triple] | np.ndarray
 
 
 def link_prediction(model: EmbeddingModel, known: Iterable[Triple] | np.ndarray,
-                    test: Sequence[Triple] | np.ndarray, train_freq: np.ndarray | None = None,
-                    rank_one: Iterable[Triple] | np.ndarray | None = None) -> MetricsReport:
-    """Rank every test triple on both sides and aggregate MRR / Hit@n.
+                    test: Sequence[Triple] | np.ndarray, train_freq: np.ndarray | None = None) -> MetricsReport:
+    """Rank every test triple on both sides once and aggregate MRR / Hit@n.
 
     ``known`` holds the train, valid and test triples the filtered setting
-    removes, repeats allowed.  Test triples in ``rank_one`` (axiom-inferred)
-    are credited rank 1 on both sides in both settings, without scoring.
-    Every mean sums its terms in (triple, side) order, or triple order.
+    removes, repeats allowed.  ``MetricsReport.credit`` turns the report
+    into the axiom-assisted one without ranking again.
     """
     if len(test) == 0:
         raise ValueError("empty test split")
-    test, known, n_ent = _rows(model, test), _rows(model, known), model.n_entities
-    todo = np.ones(len(test), dtype=bool)
-    if rank_one is not None:
-        credited = _side_keys(_rows(model, rank_one), "object", n_ent)
-        todo = ~np.isin(_side_keys(test, "object", n_ent), credited)
-    raw, filt = np.ones((len(test), 2), dtype=np.int64), np.ones((len(test), 2), dtype=np.int64)
-    for j, side in enumerate(("subject", "object")):
-        raw[todo, j], filt[todo, j] = rank_side(model, known, test[todo], side)
-    n_ranked = int(todo.sum())
+    test, known = _rows(model, test), _rows(model, known)
+    raw, filt = np.stack([rank_side(model, known, test, side) for side in ("subject", "object")], axis=-1)
     log.debug("ranked %d test triples on both sides in %d blocks; filtered out %d known candidates",
-              n_ranked, 2 * -(-n_ranked // BLOCK), (raw - filt).sum())
-
-    raw_sides, fil_sides = raw.ravel().astype(float), filt.ravel().astype(float)
-    buckets = []
-    if train_freq is not None:
-        # the bucket [lo, 2*lo) of a frequency f > 0 has lo = 2**(bit length of f - 1)
-        freq = np.asarray(train_freq)[test[:, [0, 2]]].ravel()
-        floors = np.where(freq > 0, 1 << np.maximum(np.frexp(freq)[1] - 1, 0), 0)
-        for lo in np.unique(floors).tolist():
-            vals = 1.0 / fil_sides[floors == lo]
-            buckets.append({"freq_lo": lo, "freq_hi": max(2 * lo, 1), "mrr": float(np.mean(vals)),
-                            "count": len(vals)})
-    return MetricsReport(
-        mrr_raw=float(np.mean(1.0 / raw_sides)),
-        mrr_filter=float(np.mean(1.0 / fil_sides)),
-        hits_raw={n: float(np.mean(raw_sides <= n)) for n in HIT_LEVELS},
-        hits_filter={n: float(np.mean(fil_sides <= n)) for n in HIT_LEVELS},
-        mrr_mean_rank_raw=float(np.mean(1.0 / (raw.sum(axis=1) / 2.0))),
-        mrr_mean_rank_filter=float(np.mean(1.0 / (filt.sum(axis=1) / 2.0))),
-        buckets=buckets,
-        n_test=len(test),
-    )
+              len(test), 2 * -(-len(test) // BLOCK), (raw - filt).sum())
+    freq = None if train_freq is None else np.asarray(train_freq)[test[:, [0, 2]]]
+    return MetricsReport.of(raw, filt, test, freq)
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +207,13 @@ def link_prediction(model: EmbeddingModel, known: Iterable[Triple] | np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def head_coverages(kg: KnowledgeGraph, axioms: Sequence[Axiom]) -> list[float]:
-    """Fraction of head-relation pairs that participate in some support,
-    per axiom, from one batched join."""
-    table = axiom_table(axioms)
-    head_rel = head_relations(table)
-    n_head = kg.relation_sizes(head_rel)
-    if not n_head.all():
-        raise ValueError(f"head coverage undefined: relation {head_rel[np.argmin(n_head)]} has no triples")
-    return (join_rules(kg, table).covered / n_head).tolist()
-
-
 def head_coverage(kg: KnowledgeGraph, axiom: Axiom) -> float:
-    """Fraction of head-relation pairs that participate in some support."""
-    return head_coverages(kg, [axiom])[0]
+    """Fraction of head-relation pairs that participate in some support,
+    from one ``axioms.join_rules`` call."""
+    n_head = kg.relation_size(axiom.head_relation())
+    if not n_head:
+        raise ValueError(f"head coverage undefined: relation {axiom.head_relation()} has no triples")
+    return int(join_rules(kg, axiom_table([axiom])).covered[0]) / n_head
 
 
 def summarize_rules(

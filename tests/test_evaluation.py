@@ -114,8 +114,8 @@ class TestRanking:
 def integer_ranking_case(draw):
     """A model with small-integer parameters, so every score is an exact
     integer under any summation order and ties are real, plus a test split,
-    known triples that repeat rows and hold the test triples, a rank-one set,
-    train frequencies and a block size."""
+    known triples that repeat rows and hold the test triples, a set of
+    triples to credit, train frequencies and a block size."""
     n_ent, n_rel = draw(st.integers(2, 7)), draw(st.integers(1, 3))
     n_scalars, n_blocks = draw(st.sampled_from([(2, 0), (0, 1), (2, 1), (2, 2)]))
     dim = n_scalars + 2 * n_blocks
@@ -134,11 +134,11 @@ def integer_ranking_case(draw):
     test = draw(st.lists(triple, min_size=1, max_size=9))
     others = draw(st.lists(triple, max_size=25))
     known = others + test + draw(st.lists(st.sampled_from(others + test), max_size=10))
-    rank_one = set(draw(st.lists(st.sampled_from(test + others), max_size=3)))
+    credited = set(draw(st.lists(st.sampled_from(test + others), max_size=3)))
     freq = np.array(draw(st.lists(st.integers(0, 9), min_size=n_ent, max_size=n_ent)))
     block = draw(st.sampled_from([1, 2, len(test) + 1]))
     as_array = draw(st.booleans())
-    return model, test, np.array(known) if as_array else known, rank_one, freq, block
+    return model, test, np.array(known) if as_array else known, credited, freq, block
 
 
 def oracle_side_ranks(model, known, t, side):
@@ -156,7 +156,7 @@ def oracle_side_ranks(model, known, t, side):
 @settings(max_examples=150, deadline=None)
 @given(case=integer_ranking_case())
 def test_block_ranking_matches_sort_oracle_and_report_arithmetic(case):
-    model, test, known, rank_one, freq, block = case
+    model, test, known, credited, freq, block = case
     known_rows = np.asarray(known).reshape(-1, 3)
     # oracle[i][j]: (raw, filtered) rank of test[i] on side j
     oracle = [[oracle_side_ranks(model, known_rows.tolist(), t, side) for side in ("subject", "object")]
@@ -166,17 +166,26 @@ def test_block_ranking_matches_sort_oracle_and_report_arithmetic(case):
             raw_j, filt_j = rank_side(model, known_rows, np.array(test), side)
             assert raw_j.tolist() == [o[j][0] for o in oracle]
             assert filt_j.tolist() == [o[j][1] for o in oracle]
-        rep = link_prediction(model, known, test, freq, rank_one=rank_one)
+        plain = link_prediction(model, known, test, freq)
     for t, o in zip(test, oracle):
         for j, side in enumerate(("subject", "object")):
             assert rank_entity_side(model, known, t, side, "raw") == o[j][0]
             assert rank_entity_side(model, known, t, side, "filter") == o[j][1]
+    # crediting ranks nothing: the report of the same ranks, credited sides set to 1
+    with mock.patch.object(evaluation, "rank_side", None):
+        hybrid = plain.credit(credited)
+    for rep, ones in ((plain, set()), (hybrid, credited)):
+        check_report_arithmetic(rep, test, oracle, ones, freq)
 
+
+def check_report_arithmetic(rep, test, oracle, credited, freq):
+    """``rep`` against the oracle's side ranks, both sides of each test
+    triple in ``credited`` ranked 1."""
     raw, filt = [], []
     for t, ((rs, fs), (ro, fo)) in zip(test, oracle):
-        credited = t in rank_one
-        raw += [1, 1] if credited else [rs, ro]
-        filt += [1, 1] if credited else [fs, fo]
+        raw += [1, 1] if t in credited else [rs, ro]
+        filt += [1, 1] if t in credited else [fs, fo]
+    assert rep.raw.ravel().tolist() == raw and rep.filtered.ravel().tolist() == filt
 
     def mean(xs):
         return sum(xs) / len(xs)
@@ -218,18 +227,19 @@ class TestBlockRanking:
         test = [Triple(0, 0, 3), Triple(1, 0, 2)]
         rep = link_prediction(self.model, {Triple(0, 0, 1)}, test)
         assert rep.n_test == 2
-        hybrid = link_prediction(self.model, np.array([[0, 0, 1]]), test, rank_one=np.array([test[0]]))
+        hybrid = rep.credit(np.array([test[0]]))
         assert hybrid.mrr_filter >= rep.mrr_filter
 
     def test_one_debug_line_per_call(self, monkeypatch, caplog):
         monkeypatch.setattr(evaluation, "BLOCK", 2)
         known = [Triple(0, 0, 1), Triple(0, 0, 2), Triple(0, 0, 3), Triple(0, 0, 2)]
         with caplog.at_level(logging.DEBUG, logger="iterkg.evaluation"):
-            link_prediction(self.model, known, [Triple(0, 0, 3)] * 3 + [Triple(2, 0, 1)],
-                            rank_one={Triple(2, 0, 1)})
+            rep = link_prediction(self.model, known, [Triple(0, 0, 3)] * 3 + [Triple(2, 0, 1)])
+            rep.credit({Triple(2, 0, 1)})
         lines = [r.getMessage() for r in caplog.records if r.name == "iterkg.evaluation"]
-        # each (0, r, 3) has 1 and 2 ahead of 3 on the object side, both known
-        assert lines == ["ranked 3 test triples on both sides in 4 blocks; filtered out 6 known candidates"]
+        # each (0, r, 3) has 1 and 2 ahead of 3 on the object side, both
+        # known; (2, r, 1) has 0 and 1 ahead of 2 on the subject side, 0 known
+        assert lines == ["ranked 4 test triples on both sides in 4 blocks; filtered out 7 known candidates"]
 
     def test_known_ids_outside_the_model_rejected(self):
         with pytest.raises(ValueError):
@@ -307,18 +317,20 @@ class TestHybridMode:
         self.test = list(self.kg.triples[:8])
 
     def test_injected_test_triple_ranks_one(self):
-        report = link_prediction(self.model, self.known, self.test[:1], rank_one=np.array([self.test[0]]))
+        report = link_prediction(self.model, self.known, self.test[:1]).credit(np.array([self.test[0]]))
         assert report.mrr_filter == 1.0
 
     def test_empty_injection_is_plain(self):
-        a = link_prediction(self.model, self.known, self.test, rank_one=np.empty((0, 3), dtype=np.int64))
         b = link_prediction(self.model, self.known, self.test)
+        a = b.credit(np.empty((0, 3), dtype=np.int64))
         assert a.to_dict() == b.to_dict()
 
     def test_half_covered_never_decreases_mrr(self):
         injected = np.array(self.test[: len(self.test) // 2])
         plain = link_prediction(self.model, self.known, self.test)
-        hybrid = link_prediction(self.model, self.known, self.test, rank_one=injected)
+        hybrid = plain.credit(injected)
+        with pytest.raises(ValueError):
+            plain.credit(np.array([[-1, 0, 2]]))
         assert hybrid.mrr_filter >= plain.mrr_filter
         assert hybrid.mrr_raw >= plain.mrr_raw
 

@@ -13,7 +13,7 @@ from iterkg import axioms, evaluation, injection, pipeline
 from iterkg.axioms import Axiom, AxiomType, PoolConfig
 from iterkg.cli import main as cli_main
 from iterkg.embedding import StepBuffers, TrainConfig, init_model
-from iterkg.evaluation import head_coverages
+from iterkg.evaluation import head_coverage
 from iterkg.injection import InjectionConfig, read_injected_tsv
 from iterkg.kg import KnowledgeGraph, load_dataset
 from iterkg.pipeline import (
@@ -373,6 +373,34 @@ class TestRunIterations:
                          "--out", str(tmp_path / "rules.jsonl")]) == 0
         assert calls == [None]
 
+    def test_each_model_state_is_ranked_once(self, tmp_path, dataset_dir, monkeypatch):
+        # the +axioms report credits the plain report's ranks, and the final
+        # plain report is the last iteration's evaluation when it made one:
+        # one rank_side call per side and model state
+        calls = []
+        rank_side = evaluation.rank_side
+
+        def counting(model, known, test, side):
+            calls.append(side)
+            return rank_side(model, known, test, side)
+
+        monkeypatch.setattr(evaluation, "rank_side", counting)
+        readme_demo = {
+            "data_dir": dataset_dir, "dim": 32, "n_scalars": 32, "iterations": 2, "epochs_per_iteration": 1,
+            "learning_rate": 0.02, "l1_weight": 0.0, "batch_size": 512, "max_inferred_per_axiom": 2000,
+            "sparsity_threshold": 0.9, "seed": 11,
+        }
+        for eval_every, want in ((0, 2), (1, 4)):
+            calls.clear()
+            out = tmp_path / f"every{eval_every}"
+            run_iterations(build_config({**readme_demo, "out_dir": str(out), "eval_every": eval_every}))
+            assert calls == ["subject", "object"] * (want // 2)
+        calls.clear()
+        assert cli_main(["eval", "--ckpt", str(out / "ckpt_iter2.bin"), "--data", dataset_dir,
+                         "--with-axioms", str(out / "injected_iter2.tsv"),
+                         "--out", str(tmp_path / "eval.json")]) == 0
+        assert calls == ["subject", "object"]
+
     def test_train_and_rules_build_no_axiom_objects(self, tmp_path, dataset_dir, monkeypatch):
         # the pool, its scores, injection and the dumps travel as arrays
         def refuse(*args):
@@ -449,7 +477,7 @@ class TestCli:
         written = [Axiom(AxiomType(row["type"]), [relations.id_of(r) for r in row["relations"]])
                    for row in rows]
         assert len(rows) > 1
-        assert [row["hc"] for row in rows] == head_coverages(kg, written)
+        assert [row["hc"] for row in rows] == [head_coverage(kg, ax) for ax in written]
 
     def test_rules_reproduces_train_axioms(self, tmp_path, dataset_dir, capsys):
         # both entry points build the pool, score it and attach head coverage
