@@ -58,7 +58,8 @@ def _cmd_rules(args) -> int:
     model = load_checkpoint(args.ckpt)
     check_graph_size(model, kg, args.ckpt)
     pool_cfg = PoolConfig(
-        min_axiom_prob=args.min_axiom_prob, include_prob=args.include_prob, seed=args.seed
+        min_axiom_prob=args.min_axiom_prob, include_prob=args.include_prob,
+        samples_per_relation=args.samples_per_relation, seed=args.seed,
     )
     pool = generate_pool(kg, pool_cfg, phase_rng(args.seed, 0, "pool"))
     scored = induce_axioms(model, pool)
@@ -116,6 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output .jsonl path (a .csv mirror is written too)")
     p.add_argument("--min-axiom-prob", type=float, default=0.5)
     p.add_argument("--include-prob", type=float, default=0.95)
+    p.add_argument("--samples-per-relation", type=int, metavar="N",
+                   help="head triples sampled per relation for the pool, as the run's "
+                        "samples_per_relation key (default: derived from the two probabilities)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_rules)
 

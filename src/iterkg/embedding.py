@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .kg import KnowledgeGraph, Triple, compact_ids, sorted_distinct
+from .kg import KnowledgeGraph, Triple, compact_ids
 
 log = logging.getLogger(__name__)
 
@@ -254,42 +254,69 @@ def sample_negatives(
     kg: KnowledgeGraph, triples: np.ndarray, n: int, rng: np.random.Generator,
     max_retries: int = 100,
 ) -> tuple[np.ndarray, int]:
-    """Corrupt each row of ``triples`` (m, 3) into ``n`` negatives.
+    """Corrupt each row of ``triples`` (m, 3), in-range id triples, into
+    ``n`` negatives.
 
     Each negative corrupts one position drawn uniformly from those that have
     an alternative id (the relation only when the graph has more than one,
     subject and object only when it has more than one entity); the
-    replacement is uniform over that vocabulary.  All positions and
-    replacements of the batch are drawn at once.  A candidate equal to its
+    replacement is uniform over that vocabulary.  A candidate equal to its
     source or present in the graph keeps its position and redraws its
     replacement, together with every other such candidate, for at most
     ``max_retries`` rounds; candidates still rejected then are dropped.
+
+    RNG contract: one ``rng.integers(len(positions), size=m * n)`` for the
+    positions (skipped when ``m * n`` is 0 or no position has an
+    alternative), then one ``rng.integers(high[pending])`` per round while
+    candidates are pending, where ``high`` is each candidate's vocabulary
+    size and ``pending`` lists the candidates still rejected, ascending
+    (every candidate in the first round).
+
+    Candidates are tested as packed keys (``kg.pack``): a source's key is
+    packed once, and a candidate's key is its source's plus
+    ``(new - old) * w`` for the corrupted position's weight ``w``
+    (``n_ent``, ``n_ent**2`` and 1 for subject, relation and object).
 
     Returns ``(negatives, n_exhausted)``: the (k, 3) corruptions, grouped by
     source row in input order, and the number of source rows that got fewer
     than ``n``.
     """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    src = np.repeat(triples, n, axis=0)
-    if len(src) == 0:
-        return src, 0
-    positions = [p for p, size in ((0, kg.n_entities), (1, kg.n_relations), (2, kg.n_entities))
-                 if size > 1]
+    cand = np.repeat(triples, n, axis=0)
+    if len(cand) == 0:
+        return cand, 0
+    n_ent, n_rel = kg.n_entities, kg.n_relations
+    positions = [p for p, size in ((0, n_ent), (1, n_rel), (2, n_ent)) if size > 1]
     if not positions:
-        return src[:0], len(triples)
-    pos = np.asarray(positions)[rng.integers(len(positions), size=len(src))]
-    high = np.where(pos == 1, kg.n_relations, kg.n_entities)
-    cand = src.copy()
-    pending = np.arange(len(src))
-    for _ in range(max_retries):
-        p = pos[pending]
-        repl = rng.integers(high[pending])
-        cand[pending, p] = repl
-        rejected = (repl == src[pending, p]) | kg.contains_many(*cand[pending].T)
-        pending = pending[rejected]
+        return cand[:0], len(triples)
+    pos = np.asarray(positions)[rng.integers(len(positions), size=len(cand))]
+    if max_retries < 1:
+        return cand[:0], len(triples)
+    # each candidate's key is `base + repl * weight`: its source's key with
+    # the corrupted position's id taken out
+    flat = cand.reshape(-1)
+    cell = np.arange(0, len(flat), 3) + pos
+    old = flat[cell]
+    base = np.repeat(kg.pack(*triples.T), n)
+    weight = np.array([n_ent, n_ent * n_ent, 1])[pos]
+    base -= old * weight
+    high = np.array([n_ent, n_rel, n_ent])[pos]
+    repl = rng.integers(high)
+    pending = np.flatnonzero((repl == old) | kg.contains_keys(base + repl * weight))
+    for _ in range(max_retries - 1):
         if len(pending) == 0:
             break
-    return np.delete(cand, pending, axis=0), len(sorted_distinct(pending // n))
+        redraw = rng.integers(high[pending])
+        repl[pending] = redraw
+        rejected = (redraw == old[pending]) | kg.contains_keys(base[pending] + redraw * weight[pending])
+        pending = pending[rejected]
+    flat[cell] = repl
+    if len(pending) == 0:
+        return cand, 0
+    keep = np.ones(len(cand), dtype=bool)
+    keep[pending] = False
+    source = pending // n
+    return cand[keep], 1 + int(np.count_nonzero(source[1:] != source[:-1]))
 
 
 @dataclass

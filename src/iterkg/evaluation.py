@@ -158,19 +158,22 @@ def rank_side(model: EmbeddingModel, known: np.ndarray, test: np.ndarray,
     kept, ranked = _columns(side)
     n_ent = model.n_entities
     keys = sorted_distinct(_side_keys(known, side, n_ent))
-    ids = np.arange(n_ent)
     raw, filtered = np.empty(len(test), dtype=np.int64), np.empty(len(test), dtype=np.int64)
     for lo in range(0, len(test), BLOCK):
         block = test[lo : lo + BLOCK]
         r, true = block[:, 1], block[:, ranked]
         w = kernels.relation_matvec(*_relation(model, r), model.ent[block[:, kept]], side == "object")
         scores = w @ model.ent.T
-        true_score = scores[np.arange(len(block)), true][:, None]
-        ahead = (scores > true_score) | ((scores == true_score) & (ids < true[:, None]))
+        true_score = scores[np.arange(len(block)), true]
+        # a candidate is ahead when it scores higher, or the same with a smaller id
+        tie_row, tie_id = np.divmod(np.flatnonzero(scores == true_score[:, None]), n_ent)
+        ties = np.bincount(tie_row[tie_id < true[tie_row]], minlength=len(block))
+        raw[lo : lo + BLOCK] = 1 + np.count_nonzero(scores > true_score[:, None], axis=1) + ties
         base = _side_keys(block, side, n_ent) - true
         owner, pos = expand_ranges(np.searchsorted(keys, base), np.searchsorted(keys, base + n_ent))
-        dropped = owner[ahead[owner, keys[pos] - base[owner]]]
-        raw[lo : lo + BLOCK] = 1 + ahead.sum(axis=1)
+        known_id = keys[pos] - base[owner]
+        known_score, score = scores[owner, known_id], true_score[owner]
+        dropped = owner[(known_score > score) | ((known_score == score) & (known_id < true[owner]))]
         filtered[lo : lo + BLOCK] = raw[lo : lo + BLOCK] - np.bincount(dropped, minlength=len(block))
     return raw, filtered
 

@@ -163,8 +163,9 @@ class KnowledgeGraph:
     subject and object columns, and relation r's triples are the rows
     ``rel_start[r]:rel_start[r + 1]``.  Three arrays are built on first use:
 
-    - the packed keys ``(r*n_ent + s)*n_ent + o`` of the sorted rows, which
-      are sorted as they stand, so membership (``contains_many``) is one
+    - the packed keys ``(r*n_ent + s)*n_ent + o`` (``pack``) of the sorted
+      rows, which are sorted as they stand, so membership of packed keys
+      (``contains_keys``, and ``contains_many`` for id triples) is one
       ``np.searchsorted``;
     - a CSR over (relation, subject): offsets for all ``n_rel * n_ent``
       pairs, so the objects of any (s, r) are a gather
@@ -235,14 +236,17 @@ class KnowledgeGraph:
             raise OverflowError(
                 f"{self.n_entities} entities x {self.n_relations} relations overflow int64 triple keys")
 
-    def _pack(self, s, r, o):
+    def pack(self, s, r, o):
+        """Packed keys ``(r*n_ent + s)*n_ent + o`` of in-range id triples,
+        ordered as the triples sort by (relation, subject, object).  Raises
+        ``OverflowError`` when the graph's keys overflow int64."""
+        self._check_keys()
         return (r * self.n_entities + s) * self.n_entities + o
 
     @cached_property
     def _keys(self) -> np.ndarray:
-        self._check_keys()
         r = np.repeat(np.arange(self.n_relations), np.diff(self.rel_start))
-        return self._pack(self.rel_s, r, self.rel_o)
+        return self.pack(self.rel_s, r, self.rel_o)
 
     @cached_property
     def _csr(self) -> np.ndarray:
@@ -257,16 +261,29 @@ class KnowledgeGraph:
 
     # -- batched access ----------------------------------------------------
 
-    def contains_many(self, s: np.ndarray, r: np.ndarray, o: np.ndarray) -> np.ndarray:
-        """Boolean mask: which (s[i], r[i], o[i]) are graph triples.
+    def contains_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Boolean mask: which packed keys (``pack``) are graph triples.
 
-        One ``np.searchsorted`` of the packed keys into the sorted key
-        array; out-of-range ids are never members.
+        One ``np.searchsorted`` into the sorted key array, probed in
+        ascending order: queries not already ascending are probed through
+        their argsort, since ascending probes walk the key array forward
+        and random ones miss the cache and the branch predictor.
         """
+        keys = np.asarray(keys, dtype=np.int64)
+        if len(keys) < 2 or (keys[1:] >= keys[:-1]).all():
+            return lookup_sorted(self._keys, keys)[1]
+        order = np.argsort(keys)
+        found = np.empty(len(keys), dtype=bool)
+        found[order] = lookup_sorted(self._keys, keys[order])[1]
+        return found
+
+    def contains_many(self, s: np.ndarray, r: np.ndarray, o: np.ndarray) -> np.ndarray:
+        """Boolean mask: which (s[i], r[i], o[i]) are graph triples;
+        out-of-range ids are never members."""
         s, r, o = (np.asarray(a, dtype=np.int64) for a in (s, r, o))
         valid = ((0 <= s) & (s < self.n_entities) & (0 <= o) & (o < self.n_entities)
                  & (0 <= r) & (r < self.n_relations))
-        return valid & lookup_sorted(self._keys, self._pack(s, r, o))[1]
+        return valid & self.contains_keys(self.pack(s, r, o))
 
     def object_ranges(self, r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows ``[lo, hi)`` of ``rel_s``/``rel_o`` holding the triples

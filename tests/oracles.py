@@ -282,3 +282,32 @@ def random_graph(rng, n_entities, n_relations, n_triples):
             Triple(int(rng.integers(n_entities)), int(rng.integers(n_relations)), int(rng.integers(n_entities)))
         )
     return triples
+
+
+def sample_negatives_loop(kg, triples, n, rng, max_retries=100):
+    """``embedding.sample_negatives`` as a loop over id rows, with
+    membership from a Python set of the graph's triples: every round writes
+    the pending candidates' replacements into their rows and looks each row
+    up.  Makes the same RNG draws in the same order."""
+    graph = set(map(tuple, kg.ids.tolist()))
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    src = np.repeat(triples, n, axis=0)
+    if len(src) == 0:
+        return src, 0
+    positions = [p for p, size in ((0, kg.n_entities), (1, kg.n_relations), (2, kg.n_entities))
+                 if size > 1]
+    if not positions:
+        return src[:0], len(triples)
+    pos = np.asarray(positions)[rng.integers(len(positions), size=len(src))]
+    high = np.where(pos == 1, kg.n_relations, kg.n_entities)
+    cand = src.copy()
+    pending = np.arange(len(src))
+    for _ in range(max_retries):
+        p = pos[pending]
+        repl = rng.integers(high[pending])
+        cand[pending, p] = repl
+        member = np.array([tuple(row) in graph for row in cand[pending].tolist()], dtype=bool)
+        pending = pending[(repl == src[pending, p]) | member]
+        if len(pending) == 0:
+            break
+    return np.delete(cand, pending, axis=0), len(set((pending // n).tolist()))

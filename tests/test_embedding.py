@@ -16,7 +16,7 @@ from iterkg.embedding import (
 from iterkg.evaluation import rank_side
 from iterkg.kg import KnowledgeGraph, Triple, Vocabulary
 
-from oracles import dense_block_matrix
+from oracles import dense_block_matrix, sample_negatives_loop
 
 
 def tiny_kg(n_ent=5, n_rel=2):
@@ -271,6 +271,86 @@ def test_batched_sampler_rows_are_one_position_corruptions_outside_the_graph(
     assert n_exhausted == int(np.sum(per_source < n))
     if kg.n_relations == 1:
         assert not np.any(differs[np.arange(len(negs)), owner, 1])
+
+
+@st.composite
+def oracle_case(draw):
+    """A sparse or a dense graph (every possible triple but a few) and
+    in-range sources, graph triples or not, repeats allowed."""
+    n_ent, n_rel = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    full = [(s, r, o) for s in range(n_ent) for r in range(n_rel) for o in range(n_ent)]
+    if draw(st.booleans()):
+        missing = draw(st.sets(st.sampled_from(full), max_size=3))
+        triples = [t for t in full if t not in missing]
+    else:
+        triples = draw(st.lists(st.sampled_from(full), max_size=40))
+    sources = np.array(draw(st.lists(st.sampled_from(full), max_size=8)), dtype=np.int64)
+    kg = KnowledgeGraph([Triple(*t) for t in triples],
+                        Vocabulary(f"e{i}" for i in range(n_ent)),
+                        Vocabulary(f"r{i}" for i in range(n_rel)))
+    return kg, sources.reshape(-1, 3)
+
+
+def assert_same_as_loop(kg, sources, n, seed, max_retries=100):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    negs, n_exhausted = sample_negatives(kg, sources, n, rng, max_retries)
+    want, want_exhausted = sample_negatives_loop(kg, sources, n, oracle_rng, max_retries)
+    assert negs.dtype == np.int64 and negs.shape == want.shape
+    assert np.array_equal(negs, want)
+    assert n_exhausted == want_exhausted
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    return n_exhausted
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=oracle_case(), n=st.integers(0, 6), max_retries=st.integers(0, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_sampler_draws_as_the_loop_oracle(case, n, max_retries, seed):
+    # same negatives, exhausted count and generator state, one-relation,
+    # one-entity and dense graphs, small retry budgets, n = 0, no sources
+    kg, sources = case
+    assert_same_as_loop(kg, sources, n, seed, max_retries)
+
+
+def test_sampler_draws_as_the_loop_oracle_at_minibatch_size():
+    # thousands of candidates; the dense small graph exhausts some sources
+    rng = np.random.default_rng(4)
+    for n_ent, n_rel, n_triples, retries in ((200, 8, 2500, 100), (4, 2, 30, 3)):
+        triples = [Triple(*t) for t in rng.integers((n_ent, n_rel, n_ent), size=(n_triples, 3)).tolist()]
+        kg = KnowledgeGraph(triples, Vocabulary(f"e{i}" for i in range(n_ent)),
+                            Vocabulary(f"r{i}" for i in range(n_rel)))
+        exhausted = [assert_same_as_loop(kg, kg.ids[rng.integers(len(kg), size=512)], 6, seed, retries)
+                     for seed in range(5)]
+        assert all(exhausted) == (retries == 3)
+
+
+def test_sampler_refuses_overflowing_keys():
+    # 2**32 entities squared times 3 relations passes int64
+    kg = KnowledgeGraph([Triple(0, 0, 1)], range(2**32), range(3))
+    with pytest.raises(OverflowError):
+        sample_negatives(kg, np.array([[0, 0, 1]]), 2, np.random.default_rng(0))
+
+
+def test_epochs_with_the_loop_sampler_give_the_same_model_bits(monkeypatch):
+    rng = np.random.default_rng(6)
+    kg = KnowledgeGraph([Triple(*t) for t in rng.integers((30, 4, 30), size=(300, 3)).tolist()],
+                        Vocabulary(f"e{i}" for i in range(30)), Vocabulary(f"r{i}" for i in range(4)))
+    cfg = TrainConfig(dim=8, n_scalars=4, n_negatives=3, batch_size=64, seed=2)
+    inputs = [LabeledTriple(t, 1.0) for t in kg.triples]
+
+    def two_epochs():
+        model, rng = init_model(30, 4, cfg), np.random.default_rng(9)
+        losses = [train_epoch(model, inputs, kg, cfg, rng) for _ in range(2)]
+        return model, losses, rng.bit_generator.state
+
+    model, losses, state = two_epochs()
+    monkeypatch.setattr(embedding, "sample_negatives", sample_negatives_loop)
+    want, want_losses, want_state = two_epochs()
+    assert losses == want_losses and state == want_state
+    for name in ("ent", "rel_scalars", "rel_rot"):
+        assert getattr(model, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("m_ent", "v_ent", "m_sc", "v_sc", "m_rot", "v_rot"):
+        assert getattr(model.opt, name).tobytes() == getattr(want.opt, name).tobytes(), name
 
 
 def finite_difference_check(model, batch, l1, h=1e-5, tol=1e-4):

@@ -119,6 +119,38 @@ class TestContainsMany:
             kg.contains_many(np.array([0]), np.array([0]), np.array([1]))
 
 
+class TestContainsKeys:
+    @settings(max_examples=150, deadline=None)
+    @given(case=graph_and_sizes(), data=st.data())
+    def test_matches_a_python_set(self, case, data):
+        # unsorted and ascending queries, duplicates, every key in range
+        kg, n_ent, n_rel = case
+        members = {(r * n_ent + s) * n_ent + o for s, r, o in kg.ids.tolist()}
+        queries = data.draw(st.lists(st.integers(0, n_rel * n_ent * n_ent - 1), max_size=60))
+        if data.draw(st.booleans()):
+            queries.sort()
+        got = kg.contains_keys(np.array(queries, dtype=np.int64))
+        assert got.dtype == bool and got.tolist() == [q in members for q in queries]
+        assert kg.contains_keys(kg.pack(*kg.ids.T)).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=graph_and_sizes(), data=st.data())
+    def test_contains_many_matches_a_python_set(self, case, data):
+        # out-of-range ids, which would pack onto in-range keys, are never members
+        kg, _, _ = case
+        graph = set(map(tuple, kg.ids.tolist()))
+        ids = st.integers(-3, 8) | st.integers(-2**40, 2**40)
+        queries = data.draw(st.lists(st.tuples(ids, ids, ids), max_size=40))
+        q = np.array(queries, dtype=np.int64).reshape(-1, 3)
+        assert kg.contains_many(*q.T).tolist() == [t in graph for t in queries]
+
+    def test_empty_graph(self):
+        kg = KnowledgeGraph([], Vocabulary("ab"), Vocabulary("r"))
+        assert not kg.contains_keys(np.array([3, 0, 2, 1, 0])).any()
+        assert not kg.contains_many(np.array([0, 2]), np.array([0, 0]), np.array([1, 0])).any()
+        assert kg.contains_keys(np.zeros(0, dtype=np.int64)).shape == (0,)
+
+
 def graph_with_pair_freqs(freqs):
     """Graph where entities 2i and 2i+1 each occur exactly freqs[i] times
     (edges within the pair, spread over distinct relations)."""

@@ -497,6 +497,23 @@ class TestCli:
         assert (tmp_path / "rules.csv").read_bytes() == (out / "axioms.csv").read_bytes()
         assert len(rules_out.read_text().splitlines()) > 1
 
+    def test_rules_reproduces_train_axioms_with_samples_per_relation(self, tmp_path, dataset_dir):
+        # the run samples 3 head triples per relation, not the derived 6
+        out = tmp_path / "run"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"data_dir = {dataset_dir}\nout_dir = {out}\n"
+            "dim = 8\nn_scalars = 8\niterations = 1\nepochs_per_iteration = 1\n"
+            "sparsity_threshold = 0.9\nsamples_per_relation = 3\nseed = 7\n",
+            encoding="utf-8",
+        )
+        assert cli_main(["train", "--config", str(cfg)]) == 0
+        argv = ["rules", "--ckpt", str(out / "ckpt_iter1.bin"), "--data", dataset_dir, "--seed", "7"]
+        assert cli_main(argv + ["--out", str(tmp_path / "derived.jsonl")]) == 0
+        assert cli_main(argv + ["--out", str(tmp_path / "rules.jsonl"), "--samples-per-relation", "3"]) == 0
+        assert (tmp_path / "rules.jsonl").read_bytes() == (out / "axioms.jsonl").read_bytes()
+        assert (tmp_path / "derived.jsonl").read_bytes() != (out / "axioms.jsonl").read_bytes()
+
     @pytest.mark.parametrize("n_ent,n_rel", [(500, 8), (50, 2)])
     @pytest.mark.parametrize("command", ["rules", "eval"])
     def test_checkpoint_of_another_graph_fails(self, tmp_path, dataset_dir, capsys,
