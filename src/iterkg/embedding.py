@@ -102,10 +102,8 @@ class TrainConfig:
 class AdamState:
     m_ent: np.ndarray
     v_ent: np.ndarray
-    m_sc: np.ndarray
-    v_sc: np.ndarray
-    m_rot: np.ndarray
-    v_rot: np.ndarray
+    m_rel: np.ndarray
+    v_rel: np.ndarray
     step: int = 0
 
 
@@ -114,18 +112,19 @@ class EmbeddingModel:
     """Entity vectors plus one block-diagonal matrix per relation.
 
     The entity table and its Adam moments are stored Fortran-ordered, so
-    training gathers and writes them column by column (see ``kernels``);
-    every constructor here keeps that layout.  An entity table of any other
-    layout gives the same values, only slower.  Relation matrices are
-    stored stacked: ``rel_scalars[r]`` is the scalar diagonal and
-    ``rel_rot[r]`` the (n_blocks, 2) rotation components of relation r,
-    which ``rel_blocks`` reads as complex numbers.  Training is the single
-    writer; scoring reads only.
+    training gathers and writes them column by column (see ``kernels``).
+    The relation table ``rel`` and its moments are C-ordered, in the
+    checkpoint's row layout: relation r's scalar diagonal, then each
+    block's (a, b).  Every constructor here keeps these layouts; others give
+    the same values, only slower.  ``rel_scalars``, ``rel_rot`` (the
+    (n_blocks, 2) pairs) and ``rel_blocks`` (the pairs as complex numbers,
+    which needs C-ordered rows) are writable views of ``rel``.  Training is
+    the single writer; scoring reads only.
     """
 
-    ent: np.ndarray        # (n_entities, dim), Fortran-ordered
-    rel_scalars: np.ndarray  # (n_relations, n_scalars)
-    rel_rot: np.ndarray      # (n_relations, n_blocks, 2)
+    ent: np.ndarray  # (n_entities, dim), Fortran-ordered
+    rel: np.ndarray  # (n_relations, dim), C-ordered
+    n_scalars: int
     opt: AdamState = field(repr=False, default=None)
 
     @property
@@ -134,50 +133,49 @@ class EmbeddingModel:
 
     @property
     def n_relations(self) -> int:
-        return self.rel_scalars.shape[0]
+        return self.rel.shape[0]
 
     @property
     def dim(self) -> int:
         return self.ent.shape[1]
 
     @property
-    def n_scalars(self) -> int:
-        return self.rel_scalars.shape[1]
+    def n_blocks(self) -> int:
+        return (self.rel.shape[1] - self.n_scalars) // 2
 
     @property
-    def n_blocks(self) -> int:
-        return self.rel_rot.shape[1]
+    def rel_scalars(self) -> np.ndarray:
+        return self.rel[:, : self.n_scalars]
+
+    @property
+    def rel_rot(self) -> np.ndarray:
+        return self.rel[:, self.n_scalars :].reshape(self.n_relations, -1, 2)
 
     @property
     def rel_blocks(self) -> np.ndarray:
-        """(n_relations, n_blocks) complex128 view a + ib of ``rel_rot``."""
-        return self.rel_rot.view(np.complex128)[..., 0]
+        """(n_relations, n_blocks) complex128 view a + ib of the blocks."""
+        return self.rel[:, self.n_scalars :].view(np.complex128)
 
     def copy(self) -> "EmbeddingModel":
         o = self.opt
-        return EmbeddingModel(
-            np.array(self.ent, order="F"), self.rel_scalars.copy(), self.rel_rot.copy(),
-            AdamState(np.array(o.m_ent, order="F"), np.array(o.v_ent, order="F"), o.m_sc.copy(),
-                      o.v_sc.copy(), o.m_rot.copy(), o.v_rot.copy(), o.step),
-        )
+        return EmbeddingModel(np.array(self.ent, order="F"), self.rel.copy(), self.n_scalars,
+                              AdamState(np.array(o.m_ent, order="F"), np.array(o.v_ent, order="F"),
+                                        o.m_rel.copy(), o.v_rel.copy(), o.step))
 
 
 def init_model(n_entities: int, n_relations: int, config: TrainConfig) -> EmbeddingModel:
     """Initialize all parameters i.i.d. uniform on (-0.1, 0.1), seeded; the
-    entity table is Fortran-ordered."""
+    entity table is Fortran-ordered and ``rel`` C-ordered."""
     if n_entities < 1 or n_relations < 1:
         raise ValueError("need at least one entity and one relation")
     rng = np.random.default_rng(config.seed)
     ns, nb = config.n_scalars, config.n_blocks
     ent = np.asfortranarray(rng.uniform(-0.1, 0.1, size=(n_entities, config.dim)))
-    sc = rng.uniform(-0.1, 0.1, size=(n_relations, ns))
-    rot = rng.uniform(-0.1, 0.1, size=(n_relations, nb, 2))
-    opt = AdamState(
-        m_ent=np.zeros_like(ent), v_ent=np.zeros_like(ent),
-        m_sc=np.zeros_like(sc), v_sc=np.zeros_like(sc),
-        m_rot=np.zeros_like(rot), v_rot=np.zeros_like(rot),
-    )
-    return EmbeddingModel(ent, sc, rot, opt)
+    rel = np.concatenate([rng.uniform(-0.1, 0.1, size=(n_relations, ns)),
+                          rng.uniform(-0.1, 0.1, size=(n_relations, 2 * nb))], axis=1)
+    opt = AdamState(m_ent=np.zeros_like(ent), v_ent=np.zeros_like(ent),
+                    m_rel=np.zeros_like(rel), v_rel=np.zeros_like(rel))
+    return EmbeddingModel(ent, rel, ns, opt)
 
 
 class StepBuffers(NamedTuple):
@@ -221,18 +219,16 @@ def _gather(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray,
 
     Each is a column-major (B, ·) view of a (·, B) array gathered column by
     column from the transposed tables, new or carved from the front of the
-    flat ``planes``; the relation columns lie in the layout of a relation
-    row, scalars then each block's (a, b).
+    flat ``planes``; the relation plane holds the rows of ``model.rel``,
+    returned as its scalars and each block's a and b.
     """
     _check_ids(model, s, r, o)
     d, ns = model.dim, model.n_scalars
     vs, vo, rel = kernels.carve_columns(planes, *[(len(s), d)] * 3)
     # the ids are in range, and "wrap" (unlike "raise") takes straight into
     # ``out``; it measured a little faster than "clip"
-    for table, ids, out in ((model.ent.T, s, vs.T), (model.ent.T, o, vo.T),
-                            (model.rel_scalars.T, r, rel.T[:ns]),
-                            (model.rel_rot.reshape(model.n_relations, -1).T, r, rel.T[ns:])):
-        np.take(table, ids, axis=1, out=out, mode="wrap")
+    for table, ids, out in ((model.ent, s, vs), (model.ent, o, vo), (model.rel, r, rel)):
+        np.take(table.T, ids, axis=1, out=out.T, mode="wrap")
     return vs, vo, rel[:, :ns], rel[:, ns::2], rel[:, ns + 1 :: 2]
 
 
@@ -321,25 +317,35 @@ def sample_negatives(
 
 @dataclass
 class SparseGrads:
-    """Gradients for the parameters touched by one batch."""
+    """Gradients for the parameters touched by one batch; ``rel_grad`` rows
+    are laid out like ``EmbeddingModel.rel``, and ``scalar_grad`` (nr,
+    n_scalars) and ``rot_grad`` (nr, n_blocks, 2) are views of them."""
 
-    ent_ids: np.ndarray    # (ne,) unique entity ids
-    ent_grad: np.ndarray   # (ne, dim)
-    rel_ids: np.ndarray    # (nr,) unique relation ids
-    scalar_grad: np.ndarray  # (nr, n_scalars)
-    rot_grad: np.ndarray     # (nr, n_blocks, 2)
+    ent_ids: np.ndarray   # (ne,) unique entity ids
+    ent_grad: np.ndarray  # (ne, dim)
+    rel_ids: np.ndarray   # (nr,) unique relation ids
+    rel_grad: np.ndarray  # (nr, dim)
+    n_scalars: int
+
+    @property
+    def scalar_grad(self) -> np.ndarray:
+        return self.rel_grad[:, : self.n_scalars]
+
+    @property
+    def rot_grad(self) -> np.ndarray:
+        return self.rel_grad[:, self.n_scalars :].reshape(len(self.rel_grad), -1, 2)
 
 
 def _column_major(table: np.ndarray) -> bool:
     """Whether ``table`` is a Fortran-ordered (and not also C-ordered)
     matrix, whose rows are read and written column by column."""
-    return table.ndim == 2 and table.flags.f_contiguous and not table.flags.c_contiguous
+    return table.flags.f_contiguous and not table.flags.c_contiguous
 
 
 def _row_buffers(scratch: Optional[np.ndarray], table: np.ndarray, k: int, count: int) -> list[np.ndarray]:
     """``count`` arrays for ``k`` rows of ``table``, laid out like it, carved
     from the flat ``scratch`` (new arrays when it is None)."""
-    shape = (k, *table.shape[1:])
+    shape = (k, table.shape[1])
     return (kernels.carve_columns if _column_major(table) else kernels.carve)(scratch, *[shape] * count)
 
 
@@ -396,14 +402,13 @@ def compute_loss_and_gradients(
     rel_ids, rel_inv = compact_ids(r, model.n_relations)
     es, eo = ent_inv[:B], ent_inv[B:]
 
-    grad_ent, grad_sc, grad_rot = kernels.accumulate_grads(
+    grad_ent, grad_rel = kernels.accumulate_grads(
         vs, vo, msc, ma, mb, rho, es, eo, rel_inv, len(ent_ids), len(rel_ids), work=work)
 
     if l1_weight > 0:
         scratch = None if buffers is None else buffers.scratch
         norm = 0.0
-        for param, ids, grad in ((model.ent, ent_ids, grad_ent), (model.rel_scalars, rel_ids, grad_sc),
-                                 (model.rel_rot, rel_ids, grad_rot)):
+        for param, ids, grad in ((model.ent, ent_ids, grad_ent), (model.rel, rel_ids, grad_rel)):
             rows, sign = _row_buffers(scratch, param, len(ids), 2)
             _take_rows(param, ids, rows)
             np.sign(rows, out=sign)
@@ -412,7 +417,7 @@ def compute_loss_and_gradients(
             norm += np.abs(rows, out=rows).sum()
         loss += l1_weight * float(norm)
 
-    return loss, SparseGrads(ent_ids, grad_ent, rel_ids, grad_sc, grad_rot)
+    return loss, SparseGrads(ent_ids, grad_ent, rel_ids, grad_rel, model.n_scalars)
 
 
 def adam_update(model: EmbeddingModel, grads: SparseGrads, config: TrainConfig,
@@ -425,7 +430,7 @@ def adam_update(model: EmbeddingModel, grads: SparseGrads, config: TrainConfig,
     planes of the largest gradient) when given, else allocated.  A
     Fortran-ordered table is read and written column by column.
     """
-    for g in (grads.ent_grad, grads.scalar_grad, grads.rot_grad):
+    for g in (grads.ent_grad, grads.rel_grad):
         if not np.all(np.isfinite(g)):
             raise ValueError("non-finite gradient: refusing to update")
     for ids, n in ((grads.ent_ids, model.n_entities), (grads.rel_ids, model.n_relations)):
@@ -461,8 +466,7 @@ def adam_update(model: EmbeddingModel, grads: SparseGrads, config: TrainConfig,
         _put_rows(param, ids, rows)
 
     _apply(model.ent, opt.m_ent, opt.v_ent, grads.ent_ids, grads.ent_grad)
-    _apply(model.rel_scalars, opt.m_sc, opt.v_sc, grads.rel_ids, grads.scalar_grad)
-    _apply(model.rel_rot, opt.m_rot, opt.v_rot, grads.rel_ids, grads.rot_grad)
+    _apply(model.rel, opt.m_rel, opt.v_rel, grads.rel_ids, grads.rel_grad)
 
 
 def train_epoch(

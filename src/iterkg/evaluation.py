@@ -168,7 +168,7 @@ def rank_side(model: EmbeddingModel, known: np.ndarray, test: np.ndarray,
         # a candidate is ahead when it scores higher, or the same with a smaller id
         tie_row, tie_id = np.divmod(np.flatnonzero(scores == true_score[:, None]), n_ent)
         ties = np.bincount(tie_row[tie_id < true[tie_row]], minlength=len(block))
-        raw[lo : lo + BLOCK] = 1 + np.count_nonzero(scores > true_score[:, None], axis=1) + ties
+        raw[lo : lo + BLOCK] = 1 + (scores > true_score[:, None]).sum(axis=1, dtype=np.int32) + ties
         base = _side_keys(block, side, n_ent) - true
         owner, pos = expand_ranges(np.searchsorted(keys, base), np.searchsorted(keys, base + n_ent))
         known_id = keys[pos] - base[owner]

@@ -182,7 +182,6 @@ def inject_triples(
     scored: ScoredPool,
     sparse: set[int],
     config: InjectionConfig,
-    restrict_sparse: bool = True,
 ) -> Injection:
     """Infer soft-labeled triples from axioms above the score threshold.
 
@@ -194,8 +193,7 @@ def inject_triples(
     truncated: a single axiom flooding the input would skew the training
     distribution.  Its heads are never listed, and the number of axioms
     skipped this way is logged at INFO level.  Heads are then filtered to
-    those touching a sparse entity (disable via ``restrict_sparse`` to
-    inspect the unfiltered inference), merged across axioms keeping the
+    those touching a sparse entity, merged across axioms keeping the
     maximum score (the first such axiom in input order labels the triple;
     its sources are every contributing axiom in input order), and labeled
     with ``solve_head_truth``'s expression, applied to the scores.  One DEBUG
@@ -209,11 +207,10 @@ def inject_triples(
     join = join_rules(kg, table, cap)
     over = join.n_heads > cap
     cand, x, y = join.heads.T
-    if restrict_sparse:
-        is_sparse = np.zeros(kg.n_entities, dtype=bool)
-        is_sparse[[e for e in sparse if 0 <= e < kg.n_entities]] = True
-        near = is_sparse[x] | is_sparse[y]
-        cand, x, y = cand[near], x[near], y[near]
+    is_sparse = np.zeros(kg.n_entities, dtype=bool)
+    is_sparse[[e for e in sparse if 0 <= e < kg.n_entities]] = True
+    near = is_sparse[x] | is_sparse[y]
+    cand, x, y = cand[near], x[near], y[near]
     if over.any():
         log.info("skipped %d axioms inferring more than max_inferred_per_axiom=%d heads",
                  int(over.sum()), cap)

@@ -146,10 +146,10 @@ def accumulate_grads(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent: int, n_rel: in
     rows by one ``np.bincount``: for each column the subject's, then the
     object's, then the relation's.  The temporaries and the gradients are carved from
     ``work`` (at least ``work_size(B, d, n_ent, n_rel)`` elements) when
-    given.  Returns ``(grad_ent, grad_sc, grad_rot)``: ``grad_ent`` is
-    Fortran-ordered, like the entity table; ``grad_rot`` has shape
-    (n_rel, n_blocks, 2), the layout of ``rel_rot``, and ``grad_sc`` and
-    ``grad_rot`` are views of one C-ordered (n_rel, d) array.
+    given.  Returns ``(grad_ent, grad_rel)``: ``grad_ent`` (n_ent, d) is
+    Fortran-ordered, like the entity table, and ``grad_rel`` (n_rel, d) is
+    C-ordered with the row layout of ``EmbeddingModel.rel``: the scalar
+    slots, then each block's (a, b).
     """
     ns, (B, d) = msc.shape[1], vs.shape
     cx, cy, t, grad_ent, grad_rel = carve(work, (B,), (B,), (B,), (d, n_ent), (n_rel, d))
@@ -177,4 +177,4 @@ def accumulate_grads(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent: int, n_rel: in
             _block(a, b, v[:, x], v[:, y], cx, cy, transpose, t)
             scatter(grad, idx, x, cx)
             scatter(grad, idx, y, cy)
-    return grad_ent, grad_rel[:, :ns], grad_rel[:, ns:].reshape(n_rel, ma.shape[1], 2)
+    return grad_ent, grad_rel

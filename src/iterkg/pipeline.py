@@ -148,18 +148,16 @@ def save_checkpoint(model: EmbeddingModel, path: str) -> None:
     opt = model.opt
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        for ent, sc, rot in ((model.ent, model.rel_scalars, model.rel_rot),
-                             (opt.m_ent, opt.m_sc, opt.m_rot), (opt.v_ent, opt.v_sc, opt.v_rot)):
-            rel = np.concatenate([sc, rot.reshape(len(sc), -1)], axis=1)
-            fh.write(np.ascontiguousarray(ent, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(rel, dtype="<f8").tobytes())
+        for table in (model.ent, model.rel, opt.m_ent, opt.m_rel, opt.v_ent, opt.v_rel):
+            fh.write(np.ascontiguousarray(table, dtype="<f8").tobytes())
         fh.write(np.array([opt.step], dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str, expect_layout: Optional[tuple[int, int]] = None) -> EmbeddingModel:
-    """The model ``save_checkpoint`` wrote, its entity table and moments
-    Fortran-ordered as ``init_model`` makes them; a malformed file, or a
-    layout other than ``expect_layout``, raises ``CheckpointError``."""
+    """The model ``save_checkpoint`` wrote, in the layouts ``init_model``
+    makes; a malformed file (among them a header with a negative scalar or
+    block count, or no entities or relations), or a layout other than
+    ``expect_layout``, raises ``CheckpointError``."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").rstrip("\n")
         fields = header.split(" ")
@@ -169,8 +167,8 @@ def load_checkpoint(path: str, expect_layout: Optional[tuple[int, int]] = None) 
             dim, n_sc, n_bl, n_ent, n_rel = (int(x) for x in fields[2:])
         except ValueError:
             raise CheckpointError(f"{path}: malformed header {header!r}") from None
-        if dim != n_sc + 2 * n_bl:
-            raise CheckpointError(f"{path}: inconsistent layout in header")
+        if min(n_sc, n_bl) < 0 or min(n_ent, n_rel) < 1 or dim != n_sc + 2 * n_bl:
+            raise CheckpointError(f"{path}: invalid layout or size in header {header!r}")
         if expect_layout is not None and (n_sc, n_bl) != tuple(expect_layout):
             raise CheckpointError(
                 f"{path}: layout {(n_sc, n_bl)} does not match configured {tuple(expect_layout)}"
@@ -180,12 +178,10 @@ def load_checkpoint(path: str, expect_layout: Optional[tuple[int, int]] = None) 
     if len(payload) != expected:
         raise CheckpointError(f"{path}: expected {expected} payload bytes, found {len(payload)}")
     flat = np.frombuffer(payload, dtype="<f8")
-    arrays = []
-    for group in np.split(flat[:-1], 3):  # parameters, first moments, second moments
-        ent, rel = group[: n_ent * dim].reshape(n_ent, dim), group[n_ent * dim :].reshape(n_rel, dim)
-        arrays += [np.array(ent, order="F"), rel[:, :n_sc].copy(), rel[:, n_sc:].reshape(n_rel, n_bl, 2).copy()]
-    ent, sc, rot, m_ent, m_sc, m_rot, v_ent, v_sc, v_rot = arrays
-    return EmbeddingModel(ent, sc, rot, AdamState(m_ent, v_ent, m_sc, v_sc, m_rot, v_rot, int(flat[-1])))
+    groups = flat[:-1].reshape(3, -1)  # parameters, first moments, second moments
+    ent, m_ent, v_ent = (np.array(g[: n_ent * dim].reshape(n_ent, dim), order="F") for g in groups)
+    rel, m_rel, v_rel = (g[n_ent * dim :].reshape(n_rel, dim).copy() for g in groups)
+    return EmbeddingModel(ent, rel, n_sc, AdamState(m_ent, v_ent, m_rel, v_rel, int(flat[-1])))
 
 
 def check_graph_size(model: EmbeddingModel, kg: KnowledgeGraph, path: str) -> None:

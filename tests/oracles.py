@@ -74,7 +74,7 @@ def accumulate_grads_loops(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent, n_rel):
     """Gradient scatter one example and one coordinate at a time.
 
     Same signature and result as ``iterkg.kernels.accumulate_grads``:
-    ``(grad_ent, grad_sc, grad_rot)``.  Each term is the model's factors
+    ``(grad_ent, grad_rel)``.  Each term is the model's factors
     times rho, added in example order, and the entity gradient is the
     subject part plus the object part: the kernels' additions and
     multiplications, so an all-scalar layout matches them bit for bit.
@@ -110,7 +110,7 @@ def accumulate_grads_loops(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent, n_rel):
             sx, sy = vs[i, x], vs[i, y]
             grad_obj[e_o, x] += (a * sx + b * sy) * g
             grad_obj[e_o, y] += (a * sy - b * sx) * g
-    return grad_subj + grad_obj, grad_sc, grad_rot
+    return grad_subj + grad_obj, np.concatenate([grad_sc, grad_rot.reshape(n_rel, -1)], axis=1)
 
 
 def enumerate_supports(triples, axiom, n_entities):

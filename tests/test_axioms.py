@@ -202,7 +202,7 @@ class TestRawScores:
         ax = Axiom(AxiomType.SUB_PROPERTY_CHAIN, (0, 1, 2))
         before = score_axiom_raw(m, ax)
         perm = np.random.default_rng(0).permutation(m.n_scalars)
-        m.rel_scalars = m.rel_scalars[:, perm]
+        m.rel_scalars[:] = m.rel_scalars[:, perm]
         assert score_axiom_raw(m, ax) == pytest.approx(before, abs=1e-12)
 
 
@@ -236,8 +236,8 @@ def random_axiom(rng, t, n_rel):
 def test_residuals_match_dense_and_block_algebra(layout, n_rel, extra, seed):
     ns, nb = layout
     rng = np.random.default_rng(seed)
-    m = EmbeddingModel(np.zeros((1, ns + 2 * nb)), rng.normal(size=(n_rel, ns)),
-                       rng.normal(size=(n_rel, nb, 2)))
+    sc, rot = rng.normal(size=(n_rel, ns)), rng.normal(size=(n_rel, 2 * nb))
+    m = EmbeddingModel(np.zeros((1, ns + 2 * nb)), np.concatenate([sc, rot], axis=1), ns)
     # every type, then enough more axioms to fill more than one block
     kinds = list(AxiomType)
     types = kinds + [kinds[i] for i in rng.integers(len(kinds), size=SCORE_BLOCK + extra)]
@@ -328,8 +328,8 @@ def test_array_scores_and_order_match_the_object_path(n_rel, picks, levels, seed
     rng = np.random.default_rng(seed)
     axioms = sorted({random_axiom(np.random.default_rng(p), TYPES[p % len(TYPES)], n_rel) for p in picks},
                     key=Axiom.sort_key)
-    m = EmbeddingModel(np.zeros((1, 4)), rng.integers(levels, size=(n_rel, 2)).astype(float),
-                       rng.integers(levels, size=(n_rel, 1, 2)).astype(float))
+    sc, rot = rng.integers(levels, size=(n_rel, 2)), rng.integers(levels, size=(n_rel, 2))
+    m = EmbeddingModel(np.zeros((1, 4)), np.concatenate([sc, rot], axis=1).astype(float), 2)
     pool = pool_of(axioms)
     scored = induce_axioms(m, pool)
     want = object_path_scores(pool, axiom_residuals(m, pool.table).tolist())

@@ -15,6 +15,7 @@ from iterkg.embedding import (
 )
 from iterkg.evaluation import rank_side
 from iterkg.kg import KnowledgeGraph, Triple, Vocabulary
+from iterkg.pipeline import load_checkpoint, save_checkpoint
 
 from oracles import dense_block_matrix, sample_negatives_loop
 
@@ -63,7 +64,7 @@ class TestInit:
     def test_optimizer_zeroed(self):
         m = init_model(4, 2, TrainConfig(dim=8, seed=0))
         assert m.opt.step == 0
-        assert not m.opt.m_ent.any() and not m.opt.v_rot.any()
+        assert not m.opt.m_ent.any() and not m.opt.v_rel.any()
 
     def test_entity_table_fortran_ordered_from_the_same_stream(self):
         cfg = TrainConfig(dim=8, n_scalars=4, seed=3)
@@ -72,15 +73,45 @@ class TestInit:
         for arr, shape in ((m.ent, (6, 8)), (m.rel_scalars, (3, 4)), (m.rel_rot, (3, 2, 2))):
             assert arr.tobytes() == rng.uniform(-0.1, 0.1, size=shape).tobytes()
         assert all(a.flags.f_contiguous and not a.flags.c_contiguous for a in (m.ent, m.opt.m_ent, m.opt.v_ent))
+        assert all(a.flags.c_contiguous for a in (m.rel, m.opt.m_rel, m.opt.v_rel))
 
     def test_copy_is_fortran_ordered_and_independent(self):
         m = init_model(6, 3, TrainConfig(dim=8, seed=3))
-        m.ent = np.ascontiguousarray(m.ent)  # a caller's C-ordered table
+        # a caller's C-ordered entity table and Fortran-ordered relation table
+        m.ent, m.rel = np.ascontiguousarray(m.ent), np.asfortranarray(m.rel)
         for c in (m.copy(), m.copy().copy()):
+            assert c.n_scalars == m.n_scalars
             for name, got, was in (("ent", c.ent, m.ent), ("m_ent", c.opt.m_ent, m.opt.m_ent),
-                                   ("v_ent", c.opt.v_ent, m.opt.v_ent)):
-                assert got.flags.f_contiguous and not got.flags.c_contiguous, name
+                                   ("v_ent", c.opt.v_ent, m.opt.v_ent), ("rel", c.rel, m.rel),
+                                   ("m_rel", c.opt.m_rel, m.opt.m_rel), ("v_rel", c.opt.v_rel, m.opt.v_rel)):
+                fortran = name.endswith("ent")
+                assert got.flags.f_contiguous == fortran and got.flags.c_contiguous != fortran, name
                 assert np.array_equal(got, was) and not np.shares_memory(got, was), name
+
+
+@pytest.mark.parametrize("source", ["init", "copy", "checkpoint"])
+def test_relation_views_write_through(tmp_path, source):
+    """``rel`` is C-ordered in every model made here, and its scalar, block
+    and complex views (and those of a gradient's ``rel_grad``) are views:
+    a write through one lands in the table."""
+    model = init_model(6, 3, TrainConfig(dim=10, n_scalars=4, seed=1))
+    if source == "copy":
+        model = model.copy()
+    elif source == "checkpoint":
+        save_checkpoint(model, tmp_path / "m.bin")
+        model = load_checkpoint(tmp_path / "m.bin")
+    rel = model.rel
+    assert rel.shape == (3, 10) and rel.flags.c_contiguous and rel.flags.writeable
+    model.rel_scalars[1] = 5.0
+    model.rel_rot[1, 0] = [6.0, 7.0]
+    model.rel_blocks[2, 1] = 8.0 + 9.0j
+    assert np.array_equal(rel[1, :6], [5.0] * 4 + [6.0, 7.0]) and np.array_equal(rel[2, 6:8], [8.0, 9.0])
+    assert model.rel_rot.shape == (3, 3, 2) and model.rel_blocks.shape == (3, 3)
+    _, grads = compute_loss_and_gradients(model, TripleBatch.of([[0, 1, 2], [3, 2, 4]], [1.0, 0.0]), 0.0)
+    grads.scalar_grad[0] = 1.0
+    grads.rot_grad[1, 2] = [2.0, 3.0]
+    assert np.array_equal(grads.rel_grad[0, :4], [1.0] * 4) and np.array_equal(grads.rel_grad[1, 8:], [2.0, 3.0])
+    assert grads.scalar_grad.shape == (2, 4) and grads.rot_grad.shape == (2, 3, 2)
 
 
 class TestScore:
@@ -347,9 +378,9 @@ def test_epochs_with_the_loop_sampler_give_the_same_model_bits(monkeypatch):
     monkeypatch.setattr(embedding, "sample_negatives", sample_negatives_loop)
     want, want_losses, want_state = two_epochs()
     assert losses == want_losses and state == want_state
-    for name in ("ent", "rel_scalars", "rel_rot"):
+    for name in ("ent", "rel"):
         assert getattr(model, name).tobytes() == getattr(want, name).tobytes(), name
-    for name in ("m_ent", "v_ent", "m_sc", "v_sc", "m_rot", "v_rot"):
+    for name in ("m_ent", "v_ent", "m_rel", "v_rel"):
         assert getattr(model.opt, name).tobytes() == getattr(want.opt, name).tobytes(), name
 
 
@@ -440,11 +471,10 @@ class TestAdam:
         return TrainConfig(dim=4, n_scalars=2, learning_rate=lr, seed=0)
 
     def grads_for(self, model, ent_g=0.0, sc_g=0.0):
-        return SparseGrads(
-            ent_ids=np.array([0]), ent_grad=np.full((1, model.dim), ent_g),
-            rel_ids=np.array([0]), scalar_grad=np.full((1, model.n_scalars), sc_g),
-            rot_grad=np.zeros((1, model.n_blocks, 2)),
-        )
+        rel_grad = np.zeros((1, model.dim))
+        rel_grad[:, : model.n_scalars] = sc_g
+        return SparseGrads(ent_ids=np.array([0]), ent_grad=np.full((1, model.dim), ent_g),
+                           rel_ids=np.array([0]), rel_grad=rel_grad, n_scalars=model.n_scalars)
 
     def test_zero_gradient_no_move(self):
         m = init_model(3, 1, self.cfg())
@@ -597,9 +627,9 @@ def test_train_epoch_bit_identical_to_unbuffered_steps(n_scalars):
     assert len(inputs) % cfg.batch_size and chunks[-1][0] < cfg.batch_size  # a short last chunk
     assert any(n_negs == 0 for _, n_negs in chunks)  # a chunk made only of injected triples
     assert model.opt.step == ref.opt.step
-    for name in ("ent", "rel_scalars", "rel_rot"):
+    for name in ("ent", "rel"):
         assert getattr(model, name).tobytes() == getattr(ref, name).tobytes()
-    for name in ("m_ent", "v_ent", "m_sc", "v_sc", "m_rot", "v_rot"):
+    for name in ("m_ent", "v_ent", "m_rel", "v_rel"):
         assert getattr(model.opt, name).tobytes() == getattr(ref.opt, name).tobytes()
 
 
@@ -661,31 +691,39 @@ def strided(a):
 
 
 @pytest.mark.parametrize("n_scalars", [0, 4, 8])
-@pytest.mark.parametrize("layout", [np.ascontiguousarray, strided])
-def test_other_entity_table_layouts_give_the_same_results(n_scalars, layout):
-    """A caller may assign a C-ordered or a strided entity table (and
-    moments): losses, gradients, trained parameters and ranks come out the
-    same, bit for bit, and training writes into the caller's arrays."""
+@pytest.mark.parametrize("ent_layout, rel_layout", [(np.ascontiguousarray, np.asfortranarray),
+                                                    (strided, strided)], ids=["ascontiguousarray", "strided"])
+def test_other_entity_table_layouts_give_the_same_results(n_scalars, ent_layout, rel_layout):
+    """A caller may assign a C-ordered or a strided entity table and a
+    Fortran-ordered or strided relation table (and their moments): losses,
+    gradients, trained parameters and ranks come out the same, bit for bit,
+    and training writes into the caller's arrays."""
     rng = np.random.default_rng(0)
     kg = random_kg(rng, 12, 3, 60)
     cfg = TrainConfig(dim=8, n_scalars=n_scalars, batch_size=16, n_negatives=2, l1_weight=1e-3,
                       learning_rate=0.05, seed=2)
     model, other = init_model(12, 3, cfg), init_model(12, 3, cfg)
-    other.ent, other.opt.m_ent, other.opt.v_ent = (layout(a) for a in
-                                                   (other.ent, other.opt.m_ent, other.opt.v_ent))
-    tables = (other.ent, other.opt.m_ent, other.opt.v_ent)
+    o = other.opt
+    other.ent, o.m_ent, o.v_ent = (ent_layout(a) for a in (other.ent, o.m_ent, o.v_ent))
+    other.rel, o.m_rel, o.v_rel = (rel_layout(a) for a in (other.rel, o.m_rel, o.v_rel))
+    assert not other.rel.flags.c_contiguous
+
+    def tables(m):
+        return m.ent, m.opt.m_ent, m.opt.v_ent, m.rel, m.opt.m_rel, m.opt.v_rel
+
+    before = tables(other)
     batch = TripleBatch(kg.ids, rng.uniform(size=len(kg)))
     (loss, grads), (other_loss, other_grads) = (compute_loss_and_gradients(m, batch, cfg.l1_weight)
                                                 for m in (model, other))
     assert loss == other_loss
-    for name in ("ent_ids", "ent_grad", "rel_ids", "scalar_grad", "rot_grad"):
+    for name in ("ent_ids", "ent_grad", "rel_ids", "rel_grad"):
         assert getattr(grads, name).tobytes() == getattr(other_grads, name).tobytes(), name
     for m in (model, other):
         for epoch in range(2):
             train_epoch(m, TripleBatch(kg.ids, np.ones(len(kg))), kg, cfg, np.random.default_rng(epoch))
-    assert all(a is b for a, b in zip(tables, (other.ent, other.opt.m_ent, other.opt.v_ent)))
-    for get in (lambda m: m.ent, lambda m: m.opt.m_ent, lambda m: m.opt.v_ent, lambda m: m.rel_rot):
-        assert get(model).tobytes() == get(other).tobytes()
+    assert all(a is b for a, b in zip(before, tables(other)))
+    for a, b in zip(tables(model), tables(other)):
+        assert a.tobytes() == b.tobytes()
     for side in ("subject", "object"):
         for a, b in zip(rank_side(model, kg.ids, kg.ids, side), rank_side(other, kg.ids, kg.ids, side)):
             assert np.array_equal(a, b)
@@ -736,8 +774,7 @@ def test_adam_writes_a_fortran_table_like_a_c_ordered_one(dim):
                                                    (other.ent, other.opt.m_ent, other.opt.v_ent))
     for _ in range(3):
         ids = np.sort(rng.choice(30, size=17, replace=False))
-        grads = SparseGrads(ids, rng.normal(size=(17, dim)), np.arange(3), rng.normal(size=(3, dim // 2)),
-                            rng.normal(size=(3, dim // 4, 2)))
+        grads = SparseGrads(ids, rng.normal(size=(17, dim)), np.arange(3), rng.normal(size=(3, dim)), dim // 2)
         for m in (model, other):
             adam_update(m, grads, cfg)
     assert model.ent.flags.f_contiguous and other.ent.flags.c_contiguous

@@ -224,7 +224,7 @@ class TestInjection:
         ax = scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.95)
         out = inject_triples(kg, scored_pool([ax]), {0}, self.config())
         assert [it.triple for it in out] == [Triple(1, 0, 0)]
-        unfiltered = inject_triples(kg, scored_pool([ax]), {0}, self.config(), restrict_sparse=False)
+        unfiltered = inject_triples(kg, scored_pool([ax]), set(range(kg.n_entities)), self.config())
         assert len(unfiltered) == 2
 
     def test_planted_inverse_recovers_ten_held_out_pairs(self):

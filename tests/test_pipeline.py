@@ -41,7 +41,7 @@ def small_config(dataset_dir, out_dir, iterations=2, seed=11):
 
 
 def randomize_adam(model, rng):
-    for name in ("m_ent", "v_ent", "m_sc", "v_sc", "m_rot", "v_rot"):
+    for name in ("m_ent", "v_ent", "m_rel", "v_rel"):
         arr = getattr(model.opt, name)
         arr[:] = rng.normal(size=arr.shape)
 
@@ -56,10 +56,12 @@ class TestCheckpoint:
         back = load_checkpoint(path)
         for arr in (back.ent, back.opt.m_ent, back.opt.v_ent):
             assert arr.flags.f_contiguous and not arr.flags.c_contiguous and arr.flags.writeable
+        for arr in (back.rel, back.opt.m_rel, back.opt.v_rel):
+            assert arr.flags.c_contiguous and arr.flags.writeable
+        assert back.n_scalars == m.n_scalars
         assert np.array_equal(back.ent, m.ent)
-        assert np.array_equal(back.rel_scalars, m.rel_scalars)
-        assert np.array_equal(back.rel_rot, m.rel_rot)
-        for name in ("m_ent", "v_ent", "m_sc", "v_sc", "m_rot", "v_rot"):
+        assert np.array_equal(back.rel, m.rel)
+        for name in ("m_ent", "v_ent", "m_rel", "v_rel"):
             assert np.array_equal(getattr(back.opt, name), getattr(m.opt, name)), name
         assert back.opt.step == 17
         # and the on-disk bytes are reproducible
@@ -75,8 +77,8 @@ class TestCheckpoint:
         m.opt.step = 9
         o = m.opt
         values = []
-        for ent, sc, rot in ((m.ent, m.rel_scalars, m.rel_rot), (o.m_ent, o.m_sc, o.m_rot),
-                             (o.v_ent, o.v_sc, o.v_rot)):
+        for ent, rel in ((m.ent, m.rel), (o.m_ent, o.m_rel), (o.v_ent, o.v_rel)):
+            sc, rot = rel[:, :4], rel[:, 4:].reshape(2, 3, 2)
             values += [x for row in ent for x in row]
             for r in range(2):
                 values += list(sc[r])
@@ -108,6 +110,15 @@ class TestCheckpoint:
         save_checkpoint(m, path)
         with pytest.raises(CheckpointError):
             load_checkpoint(path, expect_layout=(8, 4))
+
+    @pytest.mark.parametrize("fields", ["8 -2 5 3 2", "8 4 2 0 2", "8 4 2 3 0"])
+    def test_negative_counts_or_no_rows_rejected(self, tmp_path, fields):
+        # payloads of the size the header implies
+        dim, _, _, n_ent, n_rel = map(int, fields.split())
+        path = tmp_path / "m.bin"
+        path.write_bytes(f"ITERE-CKPT v1 {fields}\n".encode() + bytes(8 * (3 * (n_ent + n_rel) * dim + 1)))
+        with pytest.raises(CheckpointError, match="header"):
+            load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -243,7 +254,7 @@ class TestRunIterations:
             run_iterations(dataclasses.replace(part, iterations=2))
             resumed = run_iterations(part, resume=os.path.join(part.out_dir, "ckpt_iter2.bin"))
             assert np.array_equal(resumed.model.ent, full_run.model.ent)
-            assert np.array_equal(resumed.model.rel_rot, full_run.model.rel_rot)
+            assert np.array_equal(resumed.model.rel, full_run.model.rel)
             assert resumed.records[-1].to_dict() == full_run.records[-1].to_dict()
             for name in ("report.json", "records.jsonl"):
                 assert (tmp_path / f"part{union}" / name).read_bytes() == \

@@ -89,7 +89,7 @@ def test_joins_match_enumeration(case):
         assert {tuple(g.head) for g in ground_axiom(kg, ax)} == oracle_heads, ax
         config = InjectionConfig(score_threshold=0.5, max_inferred_per_axiom=cap)
         one = ScoredPool(axiom_table([ax]), *np.zeros((4, 1)), np.ones(1))
-        injected = inject_triples(kg, one, set(), config, restrict_sparse=False)
+        injected = inject_triples(kg, one, set(range(kg.n_entities)), config)
         want_heads = oracle_heads if len(oracle_heads) <= cap else set()
         assert {tuple(it.triple) for it in injected} == want_heads, ax
 
@@ -124,7 +124,8 @@ def test_batched_joins_match_per_axiom_enumeration(case):
                 kg.triples, ax, n_ent), ax
 
     config = InjectionConfig(score_threshold=threshold, max_inferred_per_axiom=cap)
-    got = with_budget(budget, inject_triples, kg, scored, sparse, config, restrict_sparse=restrict)
+    # every entity counts as sparse when the filter is off
+    got = with_budget(budget, inject_triples, kg, scored, sparse if restrict else set(range(n_ent)), config)
     want = inject_by_enumeration(kg.triples, list(scored), sparse, threshold, cap, n_ent, restrict)
     assert list(got) == want
     # the pipeline's per-type counts and union read the arrays alone
