@@ -33,8 +33,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import kernels
 from .embedding import EmbeddingModel
-from .kg import KnowledgeGraph, Vocabulary, expand_ranges, lookup_sorted, sorted_distinct
+from .kg import KnowledgeGraph, Vocabulary, distinct_rows, expand_ranges, lookup_sorted, sorted_distinct
 
 log = logging.getLogger(__name__)
 
@@ -272,14 +273,6 @@ def _rows(t: AxiomType, *rels: np.ndarray) -> np.ndarray:
     """Candidate-table rows of type ``t`` over columns of relation ids."""
     n = len(rels[0])
     return np.stack([np.full(n, _TYPE_ORDER[t]), *rels, *[np.full(n, -1)] * (3 - len(rels))], axis=1)
-
-
-def _unique_rows(table: np.ndarray) -> np.ndarray:
-    """The distinct rows of a candidate table, in ascending order."""
-    table = table[np.lexsort(table.T[::-1])]
-    first = np.ones(len(table), dtype=bool)
-    first[1:] = (table[1:] != table[:-1]).any(axis=1)
-    return table[first]
 
 
 def _read_slots(table: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -524,9 +517,9 @@ def candidate_table(kg: KnowledgeGraph, k: int, rng: np.random.Generator) -> np.
         own, p = expand_ranges(lo[part], hi[part])
         mid, first = kg.pair_key(p)
         own2, p2 = expand_ranges(*kg.pair_ranges(mid, e2[own]))
-        parts.append(_unique_rows(_rows(AxiomType.SUB_PROPERTY_CHAIN, first[own2], kg.pair_key(p2)[1],
-                                        r[own[own2]])))
-    return _unique_rows(np.concatenate(parts))
+        parts.append(distinct_rows(_rows(AxiomType.SUB_PROPERTY_CHAIN, first[own2], kg.pair_key(p2)[1],
+                                         r[own[own2]])))
+    return distinct_rows(np.concatenate(parts))
 
 
 def generate_pool(kg: KnowledgeGraph, config: PoolConfig, rng: np.random.Generator) -> Pool:
@@ -562,22 +555,25 @@ def axiom_residuals(model: EmbeddingModel, table: np.ndarray) -> np.ndarray:
     """Frobenius distance between the two sides of each axiom's matrix
     equation, per row of a candidate table.
 
-    Reads the ``EQUATIONS`` slots of each row over the stacked relation
-    arrays plus one identity row, ``SCORE_BLOCK`` axioms at a time: scalars
-    multiply, 2x2 blocks multiply as the complex numbers a + ib of
-    ``rel_blocks``, and each block's (a, b) deltas count twice, as in its
-    dense form [[a, -b], [b, a]].
+    Reads the ``EQUATIONS`` slots of each row over the relation table's
+    scalars, a and b (``kernels.relation_parts``), each copied once with an
+    identity row appended, ``SCORE_BLOCK`` axioms at a time.  Scalars
+    multiply, blocks multiply by ``kernels.block_product``, and each block's
+    (a, b) deltas count twice, as in its dense form [[a, -b], [b, a]]: the
+    arithmetic of ``blocks.BlockDiagMatrix``, bit for bit.
     """
-    n_rel = model.n_relations
-    sc = np.concatenate([model.rel_scalars, np.ones((1, model.n_scalars))])
-    rot = np.concatenate([model.rel_blocks, np.ones((1, model.n_blocks), dtype=np.complex128)])
+    ns, nb = model.n_scalars, model.n_blocks
+    sc, ra, rb = (np.concatenate([part, np.full((1, part.shape[1]), one)])
+                  for part, one in zip(kernels.relation_parts(model.rel, ns), (1.0, 1.0, 0.0)))
     slots = _read_slots(table, _EQUATION_SLOTS)
-    slots[slots < 0] = n_rel
+    slots[slots < 0] = model.n_relations
     out = np.empty(len(slots))
     for lo in range(0, len(slots), SCORE_BLOCK):
         a, b, c = slots[lo : lo + SCORE_BLOCK].T
         ds = sc[a] * sc[b] - sc[c]
-        dr = (rot[a] * rot[b] - rot[c]).view(np.float64)  # (a, b) deltas of each block
+        pa, pb, t = (np.empty((len(a), nb)) for _ in range(3))
+        kernels.block_product(ra[a], rb[a], ra[b], rb[b], pa, pb, False, t)
+        dr = np.stack([pa - ra[c], pb - rb[c]], axis=2).reshape(len(a), -1)  # (a, b) deltas in row layout
         out[lo : lo + SCORE_BLOCK] = np.sqrt(np.sum(ds * ds, axis=1) + 2.0 * np.sum(dr * dr, axis=1))
     return out
 

@@ -5,8 +5,8 @@ d = n_scalars + 2 * n_blocks.  The first n_scalars diagonal entries are free
 reals; each following 2x2 diagonal block is [[a, -b], [b, a]], i.e. the real
 representation of the complex number a + bi.  Products and Frobenius norms
 therefore reduce to complex multiplication and componentwise sums.  This is
-the reference algebra the tests check; the pipeline no longer uses it and
-scores axioms on stacked arrays (``iterkg.axioms.axiom_residuals``).
+the reference algebra the tests check axiom scoring
+(``iterkg.axioms.axiom_residuals``) against; the pipeline does not use it.
 """
 
 from __future__ import annotations

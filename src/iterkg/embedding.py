@@ -116,10 +116,9 @@ class EmbeddingModel:
     The relation table ``rel`` and its moments are C-ordered, in the
     checkpoint's row layout: relation r's scalar diagonal, then each
     block's (a, b).  Every constructor here keeps these layouts; others give
-    the same values, only slower.  ``rel_scalars``, ``rel_rot`` (the
-    (n_blocks, 2) pairs) and ``rel_blocks`` (the pairs as complex numbers,
-    which needs C-ordered rows) are writable views of ``rel``.  Training is
-    the single writer; scoring reads only.
+    the same values, only slower.  ``rel_scalars`` and ``rel_rot`` (the
+    (n_blocks, 2) pairs) are writable views of ``rel``.  Training is the
+    single writer; scoring reads only.
     """
 
     ent: np.ndarray  # (n_entities, dim), Fortran-ordered
@@ -150,11 +149,6 @@ class EmbeddingModel:
     @property
     def rel_rot(self) -> np.ndarray:
         return self.rel[:, self.n_scalars :].reshape(self.n_relations, -1, 2)
-
-    @property
-    def rel_blocks(self) -> np.ndarray:
-        """(n_relations, n_blocks) complex128 view a + ib of the blocks."""
-        return self.rel[:, self.n_scalars :].view(np.complex128)
 
     def copy(self) -> "EmbeddingModel":
         o = self.opt
@@ -220,16 +214,15 @@ def _gather(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray,
     Each is a column-major (B, ·) view of a (·, B) array gathered column by
     column from the transposed tables, new or carved from the front of the
     flat ``planes``; the relation plane holds the rows of ``model.rel``,
-    returned as its scalars and each block's a and b.
+    returned as ``kernels.relation_parts``.
     """
     _check_ids(model, s, r, o)
-    d, ns = model.dim, model.n_scalars
-    vs, vo, rel = kernels.carve_columns(planes, *[(len(s), d)] * 3)
+    vs, vo, rel = kernels.carve_columns(planes, *[(len(s), model.dim)] * 3)
     # the ids are in range, and "wrap" (unlike "raise") takes straight into
     # ``out``; it measured a little faster than "clip"
     for table, ids, out in ((model.ent, s, vs), (model.ent, o, vo), (model.rel, r, rel)):
         np.take(table.T, ids, axis=1, out=out.T, mode="wrap")
-    return vs, vo, rel[:, :ns], rel[:, ns::2], rel[:, ns + 1 :: 2]
+    return vs, vo, *kernels.relation_parts(rel, model.n_scalars)
 
 
 def raw_scores(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray) -> np.ndarray:

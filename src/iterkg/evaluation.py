@@ -109,16 +109,9 @@ def candidate_scores(model: EmbeddingModel, t: Triple, side: str) -> np.ndarray:
     score(e, r, o) = v_e . (M_r v_o) and score(s, r, e) = v_e . (M_r^T v_s),
     so each side reduces to one matrix-vector product over the entity table.
     """
-    w = kernels.relation_matvec(*_relation(model, t.relation), model.ent[t[_columns(side)[0]]],
-                                side == "object")
+    w = kernels.relation_matvec(*kernels.relation_parts(model.rel[t.relation], model.n_scalars),
+                                model.ent[t[_columns(side)[0]]], side == "object")
     return model.ent @ w
-
-
-def _relation(model: EmbeddingModel, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(scalars, a, b) of relation ``r``, an id or an id array, as
-    ``kernels.relation_matvec`` reads them."""
-    rot = model.rel_rot[r]
-    return model.rel_scalars[r], rot[..., 0], rot[..., 1]
 
 
 def _columns(side: str) -> tuple[int, int]:
@@ -162,7 +155,8 @@ def rank_side(model: EmbeddingModel, known: np.ndarray, test: np.ndarray,
     for lo in range(0, len(test), BLOCK):
         block = test[lo : lo + BLOCK]
         r, true = block[:, 1], block[:, ranked]
-        w = kernels.relation_matvec(*_relation(model, r), model.ent[block[:, kept]], side == "object")
+        w = kernels.relation_matvec(*kernels.relation_parts(model.rel[r], model.n_scalars),
+                                    model.ent[block[:, kept]], side == "object")
         scores = w @ model.ent.T
         true_score = scores[np.arange(len(block)), true]
         # a candidate is ahead when it scores higher, or the same with a smaller id

@@ -180,10 +180,13 @@ def ground_axiom(kg: KnowledgeGraph, axiom: Axiom) -> list[Grounding]:
 def inject_triples(
     kg: KnowledgeGraph,
     scored: ScoredPool,
-    sparse: set[int],
+    sparse: np.ndarray,
     config: InjectionConfig,
 ) -> Injection:
     """Infer soft-labeled triples from axioms above the score threshold.
+
+    ``sparse`` is a boolean mask over the graph's entities
+    (``kg.sparse_entities``); any other array raises ValueError.
 
     Reads the table and score arrays of ``scored`` (``induce_axioms``'
     result): the axioms above the threshold are joined with the graph
@@ -201,15 +204,17 @@ def inject_triples(
     by the sparse filter (per axiom) and the axioms over the cap.  The
     result holds arrays sorted by triple ids and builds no ``Triple``.
     """
+    sparse = np.asarray(sparse)
+    if sparse.dtype != bool or sparse.shape != (kg.n_entities,):
+        raise ValueError(f"sparse must be a boolean mask over the graph's {kg.n_entities} entities, "
+                         f"got {sparse.dtype} of shape {sparse.shape}")
     grounded = scored.score > config.score_threshold
     table, score = scored.table[grounded], scored.score[grounded]
     cap = config.max_inferred_per_axiom
     join = join_rules(kg, table, cap)
     over = join.n_heads > cap
     cand, x, y = join.heads.T
-    is_sparse = np.zeros(kg.n_entities, dtype=bool)
-    is_sparse[[e for e in sparse if 0 <= e < kg.n_entities]] = True
-    near = is_sparse[x] | is_sparse[y]
+    near = sparse[x] | sparse[y]
     cand, x, y = cand[near], x[near], y[near]
     if over.any():
         log.info("skipped %d axioms inferring more than max_inferred_per_axiom=%d heads",

@@ -24,11 +24,11 @@ same values; this one is faster.
 
 Blocks.  A block [[a, -b], [b, a]] maps the pair (x, y) to
 (a x - b y, a y + b x), and its transpose to (a x + b y, a y - b x): the
-formulas of ``blocks.py``, applied to the columns ``v[:, ns::2]`` and
-``v[:, ns+1::2]`` one block column at a time (``_block``).  These real
-products replaced complex128 views of the (x, y) pairs, which need each
-pair adjacent in memory, as a column-major plane does not have it; ranking
-calls ``relation_matvec`` with the same formulas on its row-major arrays.
+formulas of ``blocks.py``, in real arithmetic on arrays of any layout
+(``block_product``).  Training and ranking apply it to the columns
+``v[:, ns::2]`` and ``v[:, ns+1::2]`` one block column at a time; axiom
+scoring applies it to a block's (a, b) in place of (x, y), which multiplies
+two blocks.  ``relation_parts`` splits relation rows into scalars, a and b.
 All-scalar layouts do the diagonal model's arithmetic bit for bit.
 
 Batch-gathered inputs share one naming:
@@ -95,11 +95,17 @@ def carve_columns(work, *shapes) -> list[np.ndarray]:
     return [a.T for a in carve(work, *(shape[::-1] for shape in shapes))]
 
 
-def _block(a, b, x, y, ox, oy, transpose: bool, t) -> None:
+def relation_parts(rel, n_scalars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(scalars, a, b): views of the relation rows ``rel`` (..., d), laid
+    out like ``EmbeddingModel.rel``."""
+    return rel[..., :n_scalars], rel[..., n_scalars::2], rel[..., n_scalars + 1 :: 2]
+
+
+def block_product(a, b, x, y, ox, oy, transpose: bool, t) -> None:
     """(ox, oy) = the blocks [[a, -b], [b, a]] applied to the pairs (x, y),
-    or their transposes: ``blocks.py``'s product formulas, for one block
-    column.  ``t`` is a temporary of the broadcast shape; the outputs must
-    not overlap the inputs."""
+    or their transposes: ``blocks.py``'s product formulas, elementwise over
+    broadcast arrays.  ``t`` is a temporary of the broadcast shape; the
+    outputs must not overlap the inputs."""
     first, second = (np.add, np.subtract) if transpose else (np.subtract, np.add)
     first(np.multiply(a, x, out=ox), np.multiply(b, y, out=t), out=ox)
     second(np.multiply(a, y, out=oy), np.multiply(b, x, out=t), out=oy)
@@ -115,7 +121,7 @@ def bilinear_scores(vs, vo, msc, ma, mb, *, work=None) -> np.ndarray:
     blocks.fill(0.0)
     for k in range(ma.shape[1]):
         x, y = ns + 2 * k, ns + 2 * k + 1
-        _block(ma[:, k], mb[:, k], vo[:, x], vo[:, y], px, py, False, t)
+        block_product(ma[:, k], mb[:, k], vo[:, x], vo[:, y], px, py, False, t)
         blocks += np.multiply(vs[:, x], px, out=px)
         blocks += np.multiply(vs[:, y], py, out=py)
     f += blocks
@@ -132,7 +138,7 @@ def relation_matvec(msc, ma, mb, v, transpose: bool = False) -> np.ndarray:
     t = np.empty(np.broadcast_shapes(ma.shape, v[..., ns::2].shape)[:-1])
     for k in range(ma.shape[-1]):
         x, y = ns + 2 * k, ns + 2 * k + 1
-        _block(ma[..., k], mb[..., k], v[..., x], v[..., y], out[..., x], out[..., y], transpose, t)
+        block_product(ma[..., k], mb[..., k], v[..., x], v[..., y], out[..., x], out[..., y], transpose, t)
     return out
 
 
@@ -174,7 +180,7 @@ def accumulate_grads(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent: int, n_rel: in
         for a, b, v, grad, idx, transpose in ((ma[:, k], mb[:, k], vo, grad_ent, es, False),
                                               (ma[:, k], mb[:, k], vs, grad_ent, eo, True),
                                               (vo[:, x], vo[:, y], vs, grad_rel, rr, True)):
-            _block(a, b, v[:, x], v[:, y], cx, cy, transpose, t)
+            block_product(a, b, v[:, x], v[:, y], cx, cy, transpose, t)
             scatter(grad, idx, x, cx)
             scatter(grad, idx, y, cy)
     return grad_ent, grad_rel

@@ -132,6 +132,15 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
     return values[np.diff(values, prepend=values[:1] - 1) != 0]
 
 
+def distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-d integer array, in ascending lexicographic
+    order (first column first)."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[first]
+
+
 def compact_ids(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(ids, return_inverse=True)`` for ids in [0, n), from a
     mark table over ``n`` instead of a sort: the sorted distinct ids, and
@@ -356,11 +365,11 @@ def entity_sparsity(kg: KnowledgeGraph) -> SparsityTable:
     return SparsityTable(freq=freq, freq_min=fmin, freq_max=fmax, sparsity=sparsity)
 
 
-def sparse_entities(table: SparsityTable, threshold: float) -> set[int]:
-    """Entities with sparsity strictly above ``threshold``."""
+def sparse_entities(table: SparsityTable, threshold: float) -> np.ndarray:
+    """Boolean mask over the entity ids: sparsity strictly above ``threshold``."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"sparsity threshold must lie in [0, 1], got {threshold}")
-    return set(np.flatnonzero(table.sparsity > threshold).tolist())
+    return table.sparsity > threshold
 
 
 def sparsify_eval_split(
@@ -376,7 +385,7 @@ def sparsify_eval_split(
     for t in split:
         if not (0 <= t.subject < n and 0 <= t.object < n):
             raise VocabularyError(f"split triple {t} references an entity outside the train vocabulary")
-        if t.subject in sparse or t.object in sparse:
+        if sparse[t.subject] or sparse[t.object]:
             kept.append(t)
     return kept
 

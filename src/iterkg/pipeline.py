@@ -26,7 +26,7 @@ from .evaluation import (  # noqa: F401 (head_coverage: perfbench wraps this mod
     head_coverage, link_prediction, summarize_rules,
 )
 from .injection import Injection, InjectionConfig, inject_triples, read_injected_tsv, write_injected_tsv
-from .kg import KnowledgeGraph, entity_sparsity, load_dataset, sorted_distinct, sparse_entities
+from .kg import KnowledgeGraph, distinct_rows, entity_sparsity, load_dataset, sparse_entities
 
 log = logging.getLogger(__name__)
 
@@ -237,15 +237,7 @@ def _injected_per_type(injected: Injection) -> dict[str, int]:
     return dict(zip([t.value for t in TYPES], has_type.sum(axis=0).tolist()))
 
 
-def _distinct_rows(kg: KnowledgeGraph, rows: np.ndarray) -> np.ndarray:
-    """The distinct (s, r, o) rows of an id array of ``kg``, sorted, from their packed keys."""
-    n_rel, n_ent = kg.n_relations, kg.n_entities
-    key = sorted_distinct((rows[:, 0] * n_rel + rows[:, 1]) * n_ent + rows[:, 2])
-    s, rest = np.divmod(key, n_rel * n_ent)
-    return np.stack([s, *np.divmod(rest, n_ent)], axis=1)
-
-
-def _inject(kg: KnowledgeGraph, scored: ScoredPool, sparse: set[int],
+def _inject(kg: KnowledgeGraph, scored: ScoredPool, sparse: np.ndarray,
             config: InjectionConfig) -> Injection:
     """``inject_triples``, with a WARNING when the injected triples outnumber
     the graph's: the next epoch trains on every one of them."""
@@ -271,7 +263,7 @@ def _read_earlier(kg: KnowledgeGraph, out_dir: str, iterations: int):
     if [rec.iteration for rec in records] != list(range(1, iterations + 1)):
         raise CheckpointError(f"{paths[0]} does not hold the records of iterations 1..{iterations}")
     rows = [read_injected_tsv(path, kg.entities, kg.relations) for path in paths[1:]]
-    return records, _distinct_rows(kg, np.concatenate(rows))
+    return records, distinct_rows(np.concatenate(rows))
 
 
 def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> PipelineResult:
@@ -330,7 +322,7 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
         ]
         scored = induce_axioms(model, pool)
         injected = _inject(kg, scored, sparse, config.injection)
-        injected_union = _distinct_rows(kg, np.concatenate([injected_union, injected.ids]))
+        injected_union = distinct_rows(np.concatenate([injected_union, injected.ids]))
 
         ranked = None
         if config.eval_every and it % config.eval_every == 0 and test:
@@ -366,7 +358,7 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
         "n_train": len(kg),
         "n_valid": len(valid),
         "n_test": len(test),
-        "n_sparse_entities": len(sparse),
+        "n_sparse_entities": int(np.count_nonzero(sparse)),
         "pool_size": len(pool),
         "injected_final": len(injected),
         "injected_union": len(injected_union),

@@ -242,6 +242,14 @@ def enumerate_head_coverage(triples, axiom, n_entities):
     return len(covered) / len(head_pairs)
 
 
+def entity_mask(n_entities, ids):
+    """The boolean mask over ``n_entities`` entity ids that marks ``ids``:
+    a sparse-entity set as ``kg.sparse_entities`` returns it."""
+    mask = np.zeros(n_entities, dtype=bool)
+    mask[list(ids)] = True
+    return mask
+
+
 def inject_by_enumeration(triples, scored, sparse, threshold, cap, n_entities, restrict_sparse=True):
     """Injection one axiom at a time from ``enumerate_groundings``: skip an
     axiom above ``cap`` distinct heads, keep heads touching ``sparse``, and

@@ -252,10 +252,7 @@ def test_residuals_match_dense_and_block_algebra(layout, n_rel, extra, seed):
         assert raw == pytest.approx(np.linalg.norm(lhs - rhs), abs=1e-10), ax
         lhs, rhs = equation_sides(ax, blocks, BlockDiagMatrix.multiply,
                                   BlockDiagMatrix.identity(ns, nb))
-        # the complex block product may fuse multiply-adds: a few ulp apart
-        # from the real-arithmetic reference, and equal without blocks
-        want = lhs.frobenius_diff(rhs)
-        assert raw == (want if nb == 0 else pytest.approx(want, rel=1e-12, abs=1e-12)), ax
+        assert raw == lhs.frobenius_diff(rhs), ax
     assert score_axiom_raw(m, axioms[-1]) == got[-1]
 
 

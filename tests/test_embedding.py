@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iterkg import embedding, kernels
+from iterkg.axioms import TYPES, PoolConfig, generate_pool, induce_axioms
 from iterkg.embedding import (
     LabeledTriple, SparseGrads, StepBuffers, TrainConfig, TripleBatch, adam_update,
     compute_loss_and_gradients, init_model, raw_scores, sample_negatives, score_triple, score_triples,
@@ -91,9 +92,9 @@ class TestInit:
 
 @pytest.mark.parametrize("source", ["init", "copy", "checkpoint"])
 def test_relation_views_write_through(tmp_path, source):
-    """``rel`` is C-ordered in every model made here, and its scalar, block
-    and complex views (and those of a gradient's ``rel_grad``) are views:
-    a write through one lands in the table."""
+    """``rel`` is C-ordered in every model made here, and its scalar and
+    block views (and those of a gradient's ``rel_grad``) are views: a write
+    through one lands in the table."""
     model = init_model(6, 3, TrainConfig(dim=10, n_scalars=4, seed=1))
     if source == "copy":
         model = model.copy()
@@ -104,9 +105,9 @@ def test_relation_views_write_through(tmp_path, source):
     assert rel.shape == (3, 10) and rel.flags.c_contiguous and rel.flags.writeable
     model.rel_scalars[1] = 5.0
     model.rel_rot[1, 0] = [6.0, 7.0]
-    model.rel_blocks[2, 1] = 8.0 + 9.0j
+    model.rel_rot[2, 1] = [8.0, 9.0]
     assert np.array_equal(rel[1, :6], [5.0] * 4 + [6.0, 7.0]) and np.array_equal(rel[2, 6:8], [8.0, 9.0])
-    assert model.rel_rot.shape == (3, 3, 2) and model.rel_blocks.shape == (3, 3)
+    assert model.rel_rot.shape == (3, 3, 2)
     _, grads = compute_loss_and_gradients(model, TripleBatch.of([[0, 1, 2], [3, 2, 4]], [1.0, 0.0]), 0.0)
     grads.scalar_grad[0] = 1.0
     grads.rot_grad[1, 2] = [2.0, 3.0]
@@ -696,8 +697,8 @@ def strided(a):
 def test_other_entity_table_layouts_give_the_same_results(n_scalars, ent_layout, rel_layout):
     """A caller may assign a C-ordered or a strided entity table and a
     Fortran-ordered or strided relation table (and their moments): losses,
-    gradients, trained parameters and ranks come out the same, bit for bit,
-    and training writes into the caller's arrays."""
+    gradients, trained parameters, ranks and the scored axiom pool come out
+    the same, bit for bit, and training writes into the caller's arrays."""
     rng = np.random.default_rng(0)
     kg = random_kg(rng, 12, 3, 60)
     cfg = TrainConfig(dim=8, n_scalars=n_scalars, batch_size=16, n_negatives=2, l1_weight=1e-3,
@@ -727,6 +728,11 @@ def test_other_entity_table_layouts_give_the_same_results(n_scalars, ent_layout,
     for side in ("subject", "object"):
         for a, b in zip(rank_side(model, kg.ids, kg.ids, side), rank_side(other, kg.ids, kg.ids, side)):
             assert np.array_equal(a, b)
+    pool = generate_pool(kg, PoolConfig(), np.random.default_rng(3))
+    scored, other_scored = induce_axioms(model, pool), induce_axioms(other, pool)
+    assert set(pool.table[:, 0].tolist()) == set(range(len(TYPES)))  # every axiom type
+    for name in ("table", "raw", "score"):
+        assert getattr(scored, name).tobytes() == getattr(other_scored, name).tobytes(), name
 
 
 @pytest.mark.parametrize("n_scalars", [0, 4, 8])

@@ -13,7 +13,7 @@ from iterkg.injection import (
 )
 from iterkg.kg import KnowledgeGraph, Triple, Vocabulary
 
-from oracles import enumerate_groundings, random_graph
+from oracles import entity_mask, enumerate_groundings, random_graph
 
 unit = st.floats(0.0, 1.0)
 
@@ -146,7 +146,7 @@ class TestInjection:
     def test_below_threshold_contributes_nothing(self):
         kg = graph([(0, 0, 1)])
         ax = scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.5)
-        out = inject_triples(kg, scored_pool([ax]), {0, 1}, self.config())
+        out = inject_triples(kg, scored_pool([ax]), entity_mask(kg.n_entities, [0, 1]), self.config())
         assert len(out) == 0 and list(out) == []
 
     def test_duplicate_heads_merge_on_max_score(self):
@@ -155,7 +155,7 @@ class TestInjection:
         # inverse of (r0 <- r1)
         axioms = [scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.92),
                   scored(Axiom(AxiomType.INVERSE, (0, 1)), 0.96)]
-        out = inject_triples(kg, scored_pool(axioms), {0, 1}, self.config())
+        out = inject_triples(kg, scored_pool(axioms), entity_mask(kg.n_entities, [0, 1]), self.config())
         merged = [it for it in out if it.triple == Triple(1, 0, 0)]
         assert len(merged) == 1
         assert merged[0].truth == pytest.approx(0.96)
@@ -165,22 +165,24 @@ class TestInjection:
         triples = [(i, 0, i + 1) for i in range(10)]
         kg = graph(triples)
         ax = scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.95)
-        assert len(inject_triples(kg, scored_pool([ax]), set(range(11)), self.config(cap=5))) == 0
-        assert len(inject_triples(kg, scored_pool([ax]), set(range(11)), self.config(cap=10))) == 10
+        every = entity_mask(kg.n_entities, range(11))
+        assert len(inject_triples(kg, scored_pool([ax]), every, self.config(cap=5))) == 0
+        assert len(inject_triples(kg, scored_pool([ax]), every, self.config(cap=10))) == 10
 
     def test_cap_skips_are_logged_once_per_call(self, caplog):
         kg = graph([(i, 0, i + 1) for i in range(10)] + [(0, 1, 1)])
         axioms = [scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.95),       # 10 heads: over
                   scored(Axiom(AxiomType.TRANSITIVE, (0,)), 0.95),      # 9 heads: over
                   scored(Axiom(AxiomType.SYMMETRIC, (1,)), 0.95)]       # 1 head: kept
+        every = entity_mask(kg.n_entities, range(11))
         with caplog.at_level("INFO", logger="iterkg.injection"):
-            out = inject_triples(kg, scored_pool(axioms), set(range(11)), self.config(cap=5))
+            out = inject_triples(kg, scored_pool(axioms), every, self.config(cap=5))
         assert [it.triple for it in out] == [Triple(1, 1, 0)]
         assert [r.getMessage() for r in caplog.records] == [
             "skipped 2 axioms inferring more than max_inferred_per_axiom=5 heads"]
         caplog.clear()
         with caplog.at_level("INFO", logger="iterkg.injection"):
-            inject_triples(kg, scored_pool(axioms), set(range(11)), self.config(cap=10))
+            inject_triples(kg, scored_pool(axioms), every, self.config(cap=10))
         assert not caplog.records
 
     def test_cap_applies_before_heads_are_materialized(self, monkeypatch):
@@ -197,11 +199,11 @@ class TestInjection:
         for name in ("Triple", "InferredTriple"):
             cls = getattr(injection, name)
             monkeypatch.setattr(injection, name, lambda *a, cls=cls: built.append(cls) or cls(*a))
-        ax = scored(Axiom(AxiomType.TRANSITIVE, (0,)), 0.95)
-        assert len(inject_triples(kg, scored_pool([ax]), set(range(200)), self.config(cap=5))) == 0
+        ax, every = scored(Axiom(AxiomType.TRANSITIVE, (0,)), 0.95), entity_mask(kg.n_entities, range(200))
+        assert len(inject_triples(kg, scored_pool([ax]), every, self.config(cap=5))) == 0
         assert len(listed) > 1 and sum(listed) <= 5
         listed.clear()
-        out = inject_triples(kg, scored_pool([ax]), set(range(200)), self.config(cap=198))
+        out = inject_triples(kg, scored_pool([ax]), every, self.config(cap=198))
         assert len(out) == 198 and sum(listed) == 198
         assert built == []
         assert len(list(out)) == 198
@@ -214,7 +216,7 @@ class TestInjection:
                   scored(Axiom(AxiomType.SYMMETRIC, (1,)), 0.95),       # 1 head, sparse
                   scored(Axiom(AxiomType.INVERSE, (1, 0)), 0.5)]        # below threshold
         with caplog.at_level("DEBUG", logger="iterkg.injection"):
-            out = inject_triples(kg, scored_pool(axioms), {0}, self.config(cap=9))
+            out = inject_triples(kg, scored_pool(axioms), entity_mask(kg.n_entities, [0]), self.config(cap=9))
         assert [it.triple for it in out] == [Triple(0, 0, 2), Triple(1, 1, 0)]
         debug = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
         assert debug == ["axioms_grounded=3 heads_proposed=10 heads_kept=2 axioms_over_cap=1"]
@@ -222,10 +224,20 @@ class TestInjection:
     def test_sparse_filter(self):
         kg = graph([(0, 0, 1), (2, 0, 3)])
         ax = scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.95)
-        out = inject_triples(kg, scored_pool([ax]), {0}, self.config())
+        out = inject_triples(kg, scored_pool([ax]), entity_mask(kg.n_entities, [0]), self.config())
         assert [it.triple for it in out] == [Triple(1, 0, 0)]
-        unfiltered = inject_triples(kg, scored_pool([ax]), set(range(kg.n_entities)), self.config())
+        unfiltered = inject_triples(kg, scored_pool([ax]), entity_mask(kg.n_entities, range(kg.n_entities)),
+                                    self.config())
         assert len(unfiltered) == 2
+
+    def test_sparse_must_be_a_mask_over_the_graphs_entities(self):
+        # an id set, an id array or a mask of another length is refused,
+        # not read as far as it fits
+        kg = graph([(0, 0, 1)])
+        ax = scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.95)
+        for sparse in (entity_mask(3, [0, 2]), entity_mask(1, [0]), {0, 1}, np.array([0, 1])):
+            with pytest.raises(ValueError, match="boolean mask over the graph's 2 entities"):
+                inject_triples(kg, scored_pool([ax]), sparse, self.config())
 
     def test_planted_inverse_recovers_ten_held_out_pairs(self):
         pairs = [(i, 20 + i) for i in range(20)]
@@ -233,7 +245,7 @@ class TestInjection:
         train += [(b, 1, a) for a, b in pairs[:10]]    # half the mirrors present
         kg = graph(train)
         ax = scored(Axiom(AxiomType.INVERSE, (1, 0)), 0.93)
-        out = inject_triples(kg, scored_pool([ax]), set(range(40)), self.config())
+        out = inject_triples(kg, scored_pool([ax]), entity_mask(kg.n_entities, range(40)), self.config())
         assert {it.triple for it in out} == {Triple(b, 1, a) for a, b in pairs[10:]}
         assert len(out) == 10
         assert all(it.truth == 0.93 for it in out)
@@ -243,8 +255,9 @@ class TestInjection:
         kg = graph(random_graph(rng, 15, 3, 70), 15, 3)
         axioms = [scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.95),
                   scored(Axiom(AxiomType.TRANSITIVE, (1,)), 0.97)]
-        out1 = inject_triples(kg, scored_pool(axioms), set(range(15)), self.config())
-        out2 = inject_triples(kg, scored_pool(axioms), set(range(15)), self.config())
+        every = entity_mask(kg.n_entities, range(15))
+        out1 = inject_triples(kg, scored_pool(axioms), every, self.config())
+        out2 = inject_triples(kg, scored_pool(axioms), every, self.config())
         assert list(out1) == list(out2)
         for it in out1:
             assert not kg.contains(*it.triple)
@@ -253,7 +266,7 @@ class TestInjection:
     def test_tsv_round_trip(self, tmp_path):
         kg = graph([(0, 0, 1)])
         ax = scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.95)
-        out = inject_triples(kg, scored_pool([ax]), {0, 1}, self.config())
+        out = inject_triples(kg, scored_pool([ax]), entity_mask(kg.n_entities, [0, 1]), self.config())
         path = tmp_path / "injected.tsv"
         write_injected_tsv(path, out, kg.entities, kg.relations)
         assert path.read_text() == "e1\tr0\te0\t0.95\t1\n"

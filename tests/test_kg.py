@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from iterkg.kg import (
     KnowledgeGraph, ParseError, Triple, Vocabulary, VocabularyError,
-    compact_ids, entity_sparsity, load_triples, sorted_distinct, sparse_entities, sparsify_eval_split,
+    compact_ids, distinct_rows, entity_sparsity, load_triples, sorted_distinct, sparse_entities,
+    sparsify_eval_split,
 )
 
-from oracles import random_graph
+from oracles import entity_mask, random_graph
 
 
 def write(tmp_path, text, name="triples.txt"):
@@ -200,9 +201,9 @@ class TestSparseSplit:
 
     def test_threshold_examples(self):
         table = self.table()
-        assert sparse_entities(table, 0.995) == {0, 1}
-        assert sparse_entities(table, 1.0) == set()
-        assert sparse_entities(table, 0.0) == {0, 1, 2, 3}
+        for threshold, ids in ((0.995, [0, 1]), (1.0, []), (0.0, [0, 1, 2, 3])):
+            mask = sparse_entities(table, threshold)
+            assert mask.dtype == bool and np.array_equal(mask, entity_mask(6, ids)), threshold
 
     def test_filtering(self):
         table = self.table()
@@ -224,6 +225,17 @@ def test_sorted_distinct_is_np_unique(values):
     got = sorted_distinct(arr)
     assert got.dtype == np.int64 and got.tobytes() == np.unique(arr).tobytes()
     assert sorted_distinct(arr.reshape(-1, 1)).tobytes() == got.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(-1, 3) | st.integers(-2**62, 2**62), min_size=4, max_size=4),
+                     max_size=40))
+def test_distinct_rows_is_np_unique_over_rows(rows):
+    """Candidate-table rows (with -1 entries) and id triples, repeats included."""
+    arr = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    for table in (arr, arr[:, 1:]):
+        got = distinct_rows(table)
+        assert got.dtype == np.int64 and got.tolist() == sorted(map(list, set(map(tuple, table.tolist()))))
 
 
 @settings(max_examples=80, deadline=None)

@@ -20,12 +20,12 @@ from iterkg.axioms import (
 )
 from iterkg.evaluation import head_coverage
 from iterkg.injection import InjectionConfig, ground_axiom, inject_triples
-from iterkg.kg import KnowledgeGraph, Triple, Vocabulary
-from iterkg.pipeline import _distinct_rows, _injected_per_type
+from iterkg.kg import KnowledgeGraph, Triple, Vocabulary, distinct_rows
+from iterkg.pipeline import _injected_per_type
 
 from oracles import (
-    enumerate_groundings, enumerate_head_coverage, enumerate_supports, inject_by_enumeration,
-    random_graph,
+    entity_mask, enumerate_groundings, enumerate_head_coverage, enumerate_supports,
+    inject_by_enumeration, random_graph,
 )
 
 
@@ -89,7 +89,7 @@ def test_joins_match_enumeration(case):
         assert {tuple(g.head) for g in ground_axiom(kg, ax)} == oracle_heads, ax
         config = InjectionConfig(score_threshold=0.5, max_inferred_per_axiom=cap)
         one = ScoredPool(axiom_table([ax]), *np.zeros((4, 1)), np.ones(1))
-        injected = inject_triples(kg, one, set(range(kg.n_entities)), config)
+        injected = inject_triples(kg, one, entity_mask(kg.n_entities, range(kg.n_entities)), config)
         want_heads = oracle_heads if len(oracle_heads) <= cap else set()
         assert {tuple(it.triple) for it in injected} == want_heads, ax
 
@@ -125,14 +125,15 @@ def test_batched_joins_match_per_axiom_enumeration(case):
 
     config = InjectionConfig(score_threshold=threshold, max_inferred_per_axiom=cap)
     # every entity counts as sparse when the filter is off
-    got = with_budget(budget, inject_triples, kg, scored, sparse if restrict else set(range(n_ent)), config)
+    mask = entity_mask(n_ent, sparse if restrict else range(n_ent))
+    got = with_budget(budget, inject_triples, kg, scored, mask, config)
     want = inject_by_enumeration(kg.triples, list(scored), sparse, threshold, cap, n_ent, restrict)
     assert list(got) == want
     # the pipeline's per-type counts and union read the arrays alone
     assert _injected_per_type(got) == {
         t.value: sum(any(ax.type is t for ax in it.sources) for it in want) for t in AxiomType}
     doubled = np.concatenate([got.ids[::-1], got.ids])
-    assert _distinct_rows(kg, doubled).tolist() == [list(it.triple) for it in want]
+    assert distinct_rows(doubled).tolist() == [list(it.triple) for it in want]
 
 
 @settings(max_examples=200, deadline=None)
