@@ -315,8 +315,9 @@ class RuleJoin:
     ``support`` counts supports (assignments under which head and body are
     graph triples) and ``covered`` the head triples some support extends.
     When a cap was given, ``n_heads`` counts the distinct heads the body
-    proposes that are absent from the graph, and ``heads`` lists them as
-    rows ``(candidate, x, y)`` for the candidates with at most ``cap``.
+    proposes that are absent from the graph, and ``heads`` lists those with
+    a sparse end (subject or object) as rows ``(candidate, x, y)``, for the
+    candidates with at most ``cap``.
     """
 
     support: np.ndarray
@@ -334,16 +335,22 @@ class RuleJoin:
         self.heads.append(np.stack([cand, x, y], axis=1))
 
     def add_heads(self, cands: np.ndarray, own: np.ndarray, x: np.ndarray, y: np.ndarray,
-                  cap: int) -> None:
+                  cap: int, sparse: np.ndarray) -> None:
         """Count the distinct new heads ``(x, y)`` of ``cands[own]`` and list
-        those of candidates still within the cap."""
+        those with a ``sparse`` end, of candidates still within the cap."""
         keep = self.count_heads(cands, np.bincount(own, minlength=len(cands)), cap)[own]
+        keep &= sparse[x] | sparse[y]
         self.list_heads(cands[own[keep]], x[keep], y[keep])
 
 
-def join_rules(kg: KnowledgeGraph, table: np.ndarray, cap: int | None = None) -> RuleJoin:
-    """Support, head coverage and (given ``cap``) new heads of every
-    candidate of ``table``, in array passes over the sorted graph.
+def join_rules(kg: KnowledgeGraph, table: np.ndarray, cap: int | None = None,
+               sparse: np.ndarray | None = None) -> RuleJoin:
+    """Support, head coverage and (given ``cap`` and ``sparse``) new heads of
+    every candidate of ``table``, in array passes over the sorted graph.
+
+    ``sparse`` is a boolean mask over the graph's entities: every distinct
+    new head counts toward the cap, but only heads with a sparse subject or
+    object are listed.  ``cap`` and ``sparse`` come together or not at all.
 
     Each pass builds at most about ``ROW_BUDGET`` body rows:
 
@@ -356,18 +363,22 @@ def join_rules(kg: KnowledgeGraph, table: np.ndarray, cap: int | None = None) ->
       body pair once for every candidate sharing it, keyed by their end
       pair and counted with ``np.unique``, and looks each candidate's head
       triples up in them (pivoting on the head).  Passes split only between
-      first-atom subjects x, so every count adds up across passes.
+      first-atom subjects x, so every count adds up across passes.  Heads
+      are listed from the distinct path ends: all of them when x is sparse,
+      else only the sparse ones.
 
     A candidate whose new heads exceed ``cap`` keeps counting but stops
     listing them; its earlier rows are dropped at the end.
     """
+    if (cap is None) != (sparse is None):
+        raise ValueError("cap and sparse come together")
     n = len(table)
     head, b1, b2, flip = _rule_columns(table)
     out = RuleJoin(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
                    None if cap is None else np.zeros(n, dtype=np.int64))
-    _join_loops(kg, np.flatnonzero(b1 < 0), head, out, cap)
-    _join_edges(kg, np.flatnonzero((b1 >= 0) & (b2 < 0)), head, b1, flip, out, cap)
-    _join_paths(kg, np.flatnonzero(b2 >= 0), head, b1, b2, out, cap)
+    _join_loops(kg, np.flatnonzero(b1 < 0), head, out, cap, sparse)
+    _join_edges(kg, np.flatnonzero((b1 >= 0) & (b2 < 0)), head, b1, flip, out, cap, sparse)
+    _join_paths(kg, np.flatnonzero(b2 >= 0), head, b1, b2, out, cap, sparse)
     if cap is not None:
         heads = np.concatenate(out.heads) if out.heads else np.zeros((0, 3), dtype=np.int64)
         out.heads = heads[out.n_heads[heads[:, 0]] <= cap]
@@ -375,7 +386,7 @@ def join_rules(kg: KnowledgeGraph, table: np.ndarray, cap: int | None = None) ->
 
 
 def _join_loops(kg: KnowledgeGraph, rows: np.ndarray, rel: np.ndarray, out: RuleJoin,
-                cap: int | None) -> None:
+                cap: int | None, sparse: np.ndarray | None) -> None:
     n_ent = kg.n_entities
     for part in _slices(kg.relation_sizes(rel[rows])):
         cands, r = rows[part], rel[rows[part]]
@@ -385,11 +396,11 @@ def _join_loops(kg: KnowledgeGraph, rows: np.ndarray, rel: np.ndarray, out: Rule
         if cap is not None:
             own, e = np.divmod(sorted_distinct(np.concatenate([own * n_ent + s, own * n_ent + o])), n_ent)
             new = ~kg.contains_many(e, r[own], e)
-            out.add_heads(cands, own[new], e[new], e[new], cap)
+            out.add_heads(cands, own[new], e[new], e[new], cap, sparse)
 
 
 def _join_edges(kg: KnowledgeGraph, rows: np.ndarray, head: np.ndarray, body: np.ndarray,
-                flip: np.ndarray, out: RuleJoin, cap: int | None) -> None:
+                flip: np.ndarray, out: RuleJoin, cap: int | None, sparse: np.ndarray | None) -> None:
     src, dst = body[rows], head[rows]
     if cap is None:  # supports are the pairs of both relations: read the smaller
         swap = kg.relation_sizes(dst) < kg.relation_sizes(src)
@@ -402,11 +413,11 @@ def _join_edges(kg: KnowledgeGraph, rows: np.ndarray, head: np.ndarray, body: np
         present = kg.contains_many(x, dst[part][own], y)
         out.support[cands] = out.covered[cands] = np.bincount(own[present], minlength=len(cands))
         if cap is not None:
-            out.add_heads(cands, own[~present], x[~present], y[~present], cap)
+            out.add_heads(cands, own[~present], x[~present], y[~present], cap, sparse)
 
 
 def _join_paths(kg: KnowledgeGraph, rows: np.ndarray, head: np.ndarray, b1: np.ndarray,
-                b2: np.ndarray, out: RuleJoin, cap: int | None) -> None:
+                b2: np.ndarray, out: RuleJoin, cap: int | None, sparse: np.ndarray | None) -> None:
     n_ent = kg.n_entities
     # group the candidates by body pair: each group's paths are built once
     rows = rows[np.lexsort((b2[rows], b1[rows]))]
@@ -428,6 +439,7 @@ def _join_paths(kg: KnowledgeGraph, rows: np.ndarray, head: np.ndarray, b1: np.n
             seg_first = np.flatnonzero(new_seg[part]) + part.start
             seg_x, seg_g = x[seg_first], grp[seg_first]
             ends, n_paths = np.unique(seg_of[own] * n_ent + kg.rel_o[pos2], return_counts=True)
+            del own, pos2  # one entry per path: dead once the ends are counted
             # every candidate of a segment's group probes its head triples (x, h, *)
             pair_seg, at = expand_ranges(group_start[seg_g], group_end[seg_g])
             probe, hpos = expand_ranges(*kg.object_ranges(head[rows[at]], seg_x[pair_seg]))
@@ -443,11 +455,20 @@ def _join_paths(kg: KnowledgeGraph, rows: np.ndarray, head: np.ndarray, b1: np.n
             n_new = n_seg_ends[pair_seg] - np.bincount(hit_pair, minlength=len(pair_seg))
             counts = np.bincount(at, weights=n_new, minlength=len(rows)).astype(np.int64)
             emit = np.flatnonzero(out.count_heads(rows, counts, cap)[at] & (n_new > 0))
-            # list the ends of the emitted pairs that no head triple hit; both
-            # codes ascend (pairs in order, ends ascending within a pair)
-            seg_end0 = (np.cumsum(n_seg_ends) - n_seg_ends)[pair_seg[emit]]
-            e_own, upos = expand_ranges(seg_end0, seg_end0 + n_seg_ends[pair_seg[emit]])
-            pairs = emit[e_own]
+            # list the ends of the emitted pairs that no head triple hit, from
+            # a CSR of each emitting segment's listable ends: all of them when
+            # its x is sparse, else the sparse ones.  Both codes ascend (pairs
+            # in order, ends ascending within a pair)
+            seg = pair_seg[emit]  # ascending
+            need = sorted_distinct(seg)
+            seg_end0 = np.cumsum(n_seg_ends) - n_seg_ends
+            of_need, at_end = expand_ranges(seg_end0[need], seg_end0[need] + n_seg_ends[need])
+            keep = sparse[seg_x[need]][of_need] | sparse[ends[at_end] % n_ent]
+            n_listable = np.zeros(len(seg_first), dtype=np.int64)
+            n_listable[need] = np.bincount(of_need[keep], minlength=len(need))
+            listable, list_start = at_end[keep], np.cumsum(n_listable) - n_listable
+            e_own, k = expand_ranges(list_start[seg], list_start[seg] + n_listable[seg])
+            pairs, upos = emit[e_own], listable[k]
             new = ~lookup_sorted(hit_pair * len(ends) + where, pairs * len(ends) + upos)[1]
             pairs, upos = pairs[new], upos[new]
             out.list_heads(rows[at[pairs]], seg_x[pair_seg[pairs]], ends[upos] % n_ent)

@@ -179,23 +179,25 @@ class StepBuffers(NamedTuple):
     Every minibatch reuses them, across epochs when the caller keeps them
     (``run_iterations`` keeps one set per run): ``_gather`` carves the
     examples' (dim, B) subject, object and relation columns from the front
-    of ``planes``, the kernels carve their intermediates and the gradients
-    from ``work``, and the L1 term and Adam theirs from ``scratch``.  A
-    view of a buffer is valid until the next minibatch.
+    of ``planes``, and the kernels carve their intermediates and the
+    gradients from ``work``.  The gathered columns are dead once
+    ``kernels.accumulate_grads`` returns, so the L1 term and Adam carve
+    their parameter rows from the front of ``planes`` too, which is sized
+    for whichever of the two uses is larger.  A view of a buffer is valid
+    until the next minibatch.
     """
 
     rows: int
-    planes: np.ndarray   # flat: three (dim, rows) planes of gathered columns
-    work: np.ndarray     # flat: kernel intermediates, then the gradients
-    scratch: np.ndarray  # flat: three parameter-row planes for L1 and Adam
+    planes: np.ndarray  # flat: three (dim, rows) planes of gathered columns, later L1/Adam rows
+    work: np.ndarray    # flat: kernel intermediates, then the gradients
 
     @classmethod
     def empty(cls, model: EmbeddingModel, rows: int) -> StepBuffers:
         """Buffers for minibatches of up to ``rows`` examples."""
         d = model.dim
         ent_rows, rel_rows = min(model.n_entities, 2 * rows), min(model.n_relations, rows)
-        return cls(rows, np.empty(3 * rows * d), np.empty(kernels.work_size(rows, d, ent_rows, rel_rows)),
-                   np.empty(3 * max(ent_rows, rel_rows) * d))
+        return cls(rows, np.empty(3 * max(rows, ent_rows, rel_rows) * d),
+                   np.empty(kernels.work_size(rows, d, ent_rows, rel_rows)))
 
 
 def _check_ids(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray) -> None:
@@ -399,7 +401,7 @@ def compute_loss_and_gradients(
         vs, vo, msc, ma, mb, rho, es, eo, rel_inv, len(ent_ids), len(rel_ids), work=work)
 
     if l1_weight > 0:
-        scratch = None if buffers is None else buffers.scratch
+        scratch = None if buffers is None else buffers.planes  # the gathered columns are dead
         norm = 0.0
         for param, ids, grad in ((model.ent, ent_ids, grad_ent), (model.rel, rel_ids, grad_rel)):
             rows, sign = _row_buffers(scratch, param, len(ids), 2)
@@ -506,7 +508,7 @@ def train_epoch(
         expanded = chunk + TripleBatch(negs, np.zeros(len(negs)))
         n_exhausted += short
         loss, grads = compute_loss_and_gradients(model, expanded, config.l1_weight, buffers=buffers)
-        adam_update(model, grads, config, scratch=buffers.scratch)
+        adam_update(model, grads, config, scratch=buffers.planes)
         total += loss * len(expanded)
         count += len(expanded)
     if n_exhausted:

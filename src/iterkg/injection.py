@@ -4,9 +4,9 @@ An axiom whose normalized score clears the threshold is grounded over the
 graph: every body instantiation found in the triple set proposes a head
 triple not yet present.  Injection joins all such axioms at once
 (``axioms.join_rules``), which counts each axiom's distinct heads before it
-lists any, and builds no ``Grounding``; ``ground_axiom`` lists every
-instantiation of one axiom with its body, for audits.  Heads touching at
-least one sparse entity survive, duplicates across axioms merge onto the
+lists any, lists only heads touching at least one sparse entity, and builds
+no ``Grounding``; ``ground_axiom`` lists every instantiation of one axiom
+with its body, for audits.  Duplicates across axioms merge onto the
 best contributing score, and each surviving triple receives a truth value
 derived through product t-norm fuzzy logic: solving
 pi(body => head) = s_axiom with unit body truths gives pi(head) = s_axiom
@@ -195,14 +195,16 @@ def inject_triples(
     ``max_inferred_per_axiom`` of them is skipped outright rather than
     truncated: a single axiom flooding the input would skew the training
     distribution.  Its heads are never listed, and the number of axioms
-    skipped this way is logged at INFO level.  Heads are then filtered to
-    those touching a sparse entity, merged across axioms keeping the
-    maximum score (the first such axiom in input order labels the triple;
-    its sources are every contributing axiom in input order), and labeled
-    with ``solve_head_truth``'s expression, applied to the scores.  One DEBUG
-    line per call counts the axioms grounded, the heads proposed and kept
-    by the sparse filter (per axiom) and the axioms over the cap.  The
-    result holds arrays sorted by triple ids and builds no ``Triple``.
+    skipped this way is logged at INFO level.  Every new head counts toward
+    the cap, but the join lists only those touching a sparse entity.  They
+    are merged across axioms keeping the maximum score (the first such
+    axiom in input order labels the triple; its sources are every
+    contributing axiom in input order), and labeled with
+    ``solve_head_truth``'s expression, applied to the scores.  One DEBUG
+    line per call counts the axioms grounded, the heads proposed by the
+    axioms within the cap, those listed (with a sparse end) and the axioms
+    over the cap.  The result holds arrays sorted by triple ids and builds
+    no ``Triple``.
     """
     sparse = np.asarray(sparse)
     if sparse.dtype != bool or sparse.shape != (kg.n_entities,):
@@ -211,11 +213,9 @@ def inject_triples(
     grounded = scored.score > config.score_threshold
     table, score = scored.table[grounded], scored.score[grounded]
     cap = config.max_inferred_per_axiom
-    join = join_rules(kg, table, cap)
+    join = join_rules(kg, table, cap, sparse)
     over = join.n_heads > cap
     cand, x, y = join.heads.T
-    near = sparse[x] | sparse[y]
-    cand, x, y = cand[near], x[near], y[near]
     if over.any():
         log.info("skipped %d axioms inferring more than max_inferred_per_axiom=%d heads",
                  int(over.sum()), cap)

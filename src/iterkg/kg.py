@@ -132,13 +132,15 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
     return values[np.diff(values, prepend=values[:1] - 1) != 0]
 
 
-def distinct_rows(rows: np.ndarray) -> np.ndarray:
+def distinct_rows(rows: np.ndarray, return_index: bool = False):
     """The distinct rows of a 2-d integer array, in ascending lexicographic
-    order (first column first)."""
-    rows = rows[np.lexsort(rows.T[::-1])]
+    order (first column first).  With ``return_index``, also the input
+    position of each one's first occurrence, as ``np.unique`` gives it."""
+    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep input order
+    rows = rows[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[first]
+    return (rows[first], order[first]) if return_index else rows[first]
 
 
 def compact_ids(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,22 +200,17 @@ class KnowledgeGraph:
         if bad.any():
             t = Triple(*ids[np.argmax(bad)].tolist())
             raise ValueError(f"triple {t} out of vocabulary bounds ({n_ent} entities, {n_rel} relations)")
-        # stable: the first of equal rows is the earliest occurrence
-        order = np.lexsort((ids[:, 2], ids[:, 0], ids[:, 1]))
-        rows = ids[order]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        dropped = len(ids) - int(first.sum())
+        rows, first = distinct_rows(ids[:, [1, 0, 2]], return_index=True)  # (r, s, o)
+        dropped = len(ids) - len(rows)
         if dropped:
             log.info("dropped %d duplicate triples", dropped)
 
         self.entities = entities
         self.relations = relations
-        self.ids: np.ndarray = ids[np.sort(order[first])]
-        rows = rows[first]
-        self.rel_s: np.ndarray = rows[:, 0].copy()
+        self.ids: np.ndarray = ids[np.sort(first)]
+        self.rel_s: np.ndarray = rows[:, 1].copy()
         self.rel_o: np.ndarray = rows[:, 2].copy()
-        self.rel_start: np.ndarray = np.searchsorted(rows[:, 1], np.arange(n_rel + 1))
+        self.rel_start: np.ndarray = np.searchsorted(rows[:, 0], np.arange(n_rel + 1))
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -608,30 +608,46 @@ def reference_epoch(model, inputs, kg, cfg, rng):
 
 
 @pytest.mark.parametrize("n_scalars", [0, 4, 8])
-def test_train_epoch_bit_identical_to_unbuffered_steps(n_scalars):
-    kg = tiny_kg(n_ent=7, n_rel=3)
-    cfg = TrainConfig(dim=8, n_scalars=n_scalars, n_negatives=2, batch_size=3,
-                      l1_weight=1e-3, learning_rate=0.05, seed=4)
-    rng = np.random.default_rng(5)
-    # injected triples (not in the graph) train on their soft label alone
-    injected = [row for row in map(tuple, rng.integers((7, 3, 7), size=(40, 3)).tolist())
-                if not kg.contains(*row)][:14]
-    inputs = TripleBatch.of([list(t) for t in kg.triples] + [list(t) for t in injected],
-                            [1.0] * len(kg) + list(rng.uniform(0.2, 0.9, len(injected))))
-    model, ref = init_model(7, 3, cfg), init_model(7, 3, cfg)
-    # one set of buffers, larger than a minibatch, dirty from the epoch before
-    buffers = StepBuffers.empty(model, 4 * cfg.batch_size * (1 + cfg.n_negatives))
-    for epoch in range(3):
-        loss = train_epoch(model, inputs, kg, cfg, np.random.default_rng(epoch), buffers)
-        want, chunks = reference_epoch(ref, inputs, kg, cfg, np.random.default_rng(epoch))
-        assert loss == want
-    assert len(inputs) % cfg.batch_size and chunks[-1][0] < cfg.batch_size  # a short last chunk
-    assert any(n_negs == 0 for _, n_negs in chunks)  # a chunk made only of injected triples
-    assert model.opt.step == ref.opt.step
-    for name in ("ent", "rel"):
-        assert getattr(model, name).tobytes() == getattr(ref, name).tobytes()
-    for name in ("m_ent", "v_ent", "m_rel", "v_rel"):
-        assert getattr(model.opt, name).tobytes() == getattr(ref.opt, name).tobytes()
+def test_train_epoch_bit_identical_to_unbuffered_steps(monkeypatch, n_scalars):
+    steps = []
+    real_adam = embedding.adam_update
+
+    def adam_update(model, grads, config, *, scratch=None):
+        steps.append((len(grads.ent_ids), scratch))
+        real_adam(model, grads, config, scratch=scratch)
+
+    monkeypatch.setattr(embedding, "adam_update", adam_update)
+    # one set of buffers, dirty from the epoch before: larger than a
+    # minibatch, or just a minibatch of a model with more entities than
+    # examples, whose L1 and Adam rows then outgrow the gathered planes
+    for n_ent, n_negatives, scale in ((7, 2, 4), (30, 1, 1)):
+        kg = tiny_kg(n_ent=n_ent, n_rel=3)
+        cfg = TrainConfig(dim=8, n_scalars=n_scalars, n_negatives=n_negatives, batch_size=3,
+                          l1_weight=1e-3, learning_rate=0.05, seed=4)
+        rng = np.random.default_rng(5)
+        # injected triples (not in the graph) train on their soft label alone
+        injected = [row for row in map(tuple, rng.integers((n_ent, 3, n_ent), size=(40, 3)).tolist())
+                    if not kg.contains(*row)][:14]
+        inputs = TripleBatch.of([list(t) for t in kg.triples] + [list(t) for t in injected],
+                                [1.0] * len(kg) + list(rng.uniform(0.2, 0.9, len(injected))))
+        model, ref = init_model(n_ent, 3, cfg), init_model(n_ent, 3, cfg)
+        buffers = StepBuffers.empty(model, scale * cfg.batch_size * (1 + cfg.n_negatives))
+        steps.clear()
+        for epoch in range(3):
+            loss = train_epoch(model, inputs, kg, cfg, np.random.default_rng(epoch), buffers)
+            want, chunks = reference_epoch(ref, inputs, kg, cfg, np.random.default_rng(epoch))
+            assert loss == want
+        assert len(inputs) % cfg.batch_size and chunks[-1][0] < cfg.batch_size  # a short last chunk
+        assert any(n_negs == 0 for _, n_negs in chunks)  # a chunk made only of injected triples
+        # the L1 term and Adam carve their rows from the gathered planes
+        assert all(np.shares_memory(scratch, buffers.planes) for _, scratch in steps)
+        if scale == 1:
+            assert max(n for n, _ in steps) > buffers.rows
+        assert model.opt.step == ref.opt.step
+        for name in ("ent", "rel"):
+            assert getattr(model, name).tobytes() == getattr(ref, name).tobytes()
+        for name in ("m_ent", "v_ent", "m_rel", "v_rel"):
+            assert getattr(model.opt, name).tobytes() == getattr(ref.opt, name).tobytes()
 
 
 @pytest.mark.parametrize("n_scalars", [0, 32, 64])

@@ -236,6 +236,10 @@ def test_distinct_rows_is_np_unique_over_rows(rows):
     for table in (arr, arr[:, 1:]):
         got = distinct_rows(table)
         assert got.dtype == np.int64 and got.tolist() == sorted(map(list, set(map(tuple, table.tolist()))))
+        # with the first input position of each, as np.unique gives it
+        got, first = distinct_rows(table, return_index=True)
+        want, want_first = np.unique(table.reshape(-1, table.shape[1]), axis=0, return_index=True)
+        assert got.tolist() == want.tolist() and first.tolist() == want_first.tolist()
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,6 +1,7 @@
 """Checkpoints, config parsing, the iteration loop, and the CLI surface."""
 
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -15,7 +16,7 @@ from iterkg.cli import main as cli_main
 from iterkg.embedding import StepBuffers, TrainConfig, init_model
 from iterkg.evaluation import head_coverage
 from iterkg.injection import InjectionConfig, read_injected_tsv
-from iterkg.kg import KnowledgeGraph, load_dataset
+from iterkg.kg import KnowledgeGraph, entity_sparsity, load_dataset, sparse_entities
 from iterkg.pipeline import (
     CheckpointError, PipelineConfig, build_config, load_checkpoint, read_config_file,
     run_iterations, save_checkpoint,
@@ -366,19 +367,31 @@ class TestRunIterations:
     def test_train_and_rules_join_the_pool_once(self, tmp_path, dataset_dir, monkeypatch):
         # head coverage comes from the pool's own join: a run makes one
         # uncapped join (the pool) and one capped join per injection round,
-        # `iterkg rules` the pool's join alone
-        calls = []
+        # `iterkg rules` the pool's join alone; each takes the same arguments
+        # as the real join, whatever their order, and a capped join gets the
+        # run's sparse-entity mask, so the join itself lists only the heads
+        # injection keeps
+        calls, masks = [], []
         join_rules = axioms.join_rules
+        signature = inspect.signature(join_rules)
 
-        def counting(kg, table, cap=None):
-            calls.append(cap)
-            return join_rules(kg, table, cap)
+        def counting(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs).arguments
+            calls.append(bound.get("cap"))
+            masks.append(bound.get("sparse"))
+            return join_rules(*args, **kwargs)
 
         for mod in (axioms, injection, evaluation):
             monkeypatch.setattr(mod, "join_rules", counting)
         cfg = small_config(dataset_dir, tmp_path / "run", iterations=2)
         run_iterations(cfg)
         assert calls == [None, 2000, 2000]
+        train, _, _, ents, rels = load_dataset(dataset_dir)
+        sparse = sparse_entities(entity_sparsity(KnowledgeGraph(train, ents, rels)),
+                                 cfg.injection.sparsity_threshold)
+        assert 0 < np.count_nonzero(sparse) < len(sparse)
+        assert masks[0] is None
+        assert all(np.array_equal(mask, sparse) for mask in masks[1:])
         calls.clear()
         assert cli_main(["rules", "--ckpt", str(tmp_path / "run" / "ckpt_iter2.bin"), "--data", dataset_dir,
                          "--out", str(tmp_path / "rules.jsonl")]) == 0

@@ -10,6 +10,7 @@ row budget of a join pass.
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,6 +135,28 @@ def test_batched_joins_match_per_axiom_enumeration(case):
         t.value: sum(any(ax.type is t for ax in it.sources) for it in want) for t in AxiomType}
     doubled = np.concatenate([got.ids[::-1], got.ids])
     assert distinct_rows(doubled).tolist() == [list(it.triple) for it in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_batches())
+def test_join_lists_only_new_heads_with_a_sparse_end(case):
+    # the cap counts every distinct new head; the listing keeps those with
+    # a masked subject or object, of the axioms within the cap (the drawn
+    # cap, and one no axiom exceeds)
+    kg, scored, sparse, _, cap, _, budget = case
+    axs = [sa.axiom for sa in scored]
+    n_ent = kg.n_entities
+    new = [{head for head, _ in enumerate_groundings(kg.triples, ax, n_ent)} for ax in axs]
+    drawn = entity_mask(n_ent, sparse)
+    masks = np.ones(n_ent, dtype=bool), np.zeros(n_ent, dtype=bool), drawn, ~drawn
+    for mask, limit in itertools.product(masks, (cap, n_ent * n_ent)):
+        join = with_budget(budget, join_rules, kg, axiom_table(axs), limit, mask)
+        assert join.n_heads.tolist() == [len(heads) for heads in new]
+        want = sorted((i, x, y) for i, heads in enumerate(new) if len(heads) <= limit
+                      for x, _, y in heads if mask[x] or mask[y])
+        assert sorted(map(tuple, join.heads.tolist())) == want
+    with pytest.raises(ValueError, match="together"):
+        join_rules(kg, axiom_table(axs), cap)
 
 
 @settings(max_examples=200, deadline=None)
