@@ -4,7 +4,7 @@ OWL2 object-property axioms, with axiom-guided completion of sparse entities."""
 from .blocks import BlockDiagMatrix
 from .kg import (
     KnowledgeGraph, ParseError, SparsityTable, Triple, Vocabulary, VocabularyError,
-    entity_sparsity, load_dataset, load_triples, sparse_entities, sparsify_eval_split,
+    entity_sparsity, load_dataset, load_splits, load_triples, sparse_entities, sparsify_eval_split,
 )
 from .embedding import (
     EmbeddingModel, LabeledTriple, TrainConfig, TripleBatch, adam_update,

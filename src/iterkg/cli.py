@@ -13,7 +13,8 @@ import numpy as np
 from .axioms import PoolConfig, csv_mirror_path, generate_pool, induce_axioms, write_axioms
 from .evaluation import head_coverage, link_prediction  # noqa: F401 (perfbench wraps head_coverage here)
 from .injection import read_injected_tsv
-from .kg import KnowledgeGraph, entity_sparsity, load_dataset, sparsify_eval_split
+from .kg import KnowledgeGraph, entity_sparsity, load_splits, sparsify_eval_split
+from .kg import load_dataset  # noqa: F401 (perfbench wraps this module's name)
 from .pipeline import (
     build_config, check_graph_size, coerce_config_value, load_checkpoint, phase_rng,
     read_config_file, run_iterations,
@@ -21,19 +22,15 @@ from .pipeline import (
 
 
 def _cmd_sparsify(args) -> int:
-    train, valid, test, entities, relations = load_dataset(args.data)
-    kg = KnowledgeGraph(train, entities, relations)
-    table = entity_sparsity(kg)
+    train, valid, test, entities, relations = load_splits(args.data)
+    table = entity_sparsity(KnowledgeGraph(train, entities, relations))
+    ent, rel = entities.names, relations.names
     os.makedirs(args.out, exist_ok=True)
     shutil.copyfile(os.path.join(args.data, "train.txt"), os.path.join(args.out, "train.txt"))
     for name, split in (("valid.txt", valid), ("test.txt", test)):
         kept = sparsify_eval_split(table, split, args.theta)
         with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
-            for t in kept:
-                fh.write(
-                    f"{entities.name_of(t.subject)}\t{relations.name_of(t.relation)}"
-                    f"\t{entities.name_of(t.object)}\n"
-                )
+            fh.writelines(f"{ent[s]}\t{rel[r]}\t{ent[o]}\n" for s, r, o in kept.tolist())
         print(f"{name}: kept {len(kept)}/{len(split)}")
     return 0
 
@@ -53,7 +50,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_rules(args) -> int:
     csv_mirror_path(args.out)
-    train, _, _, entities, relations = load_dataset(args.data)
+    train, _, _, entities, relations = load_splits(args.data)
     kg = KnowledgeGraph(train, entities, relations)
     model = load_checkpoint(args.ckpt)
     check_graph_size(model, kg, args.ckpt)
@@ -69,12 +66,12 @@ def _cmd_rules(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    train, valid, test, entities, relations = load_dataset(args.data)
+    train, valid, test, entities, relations = load_splits(args.data)
     kg = KnowledgeGraph(train, entities, relations)
     model = load_checkpoint(args.ckpt)
     check_graph_size(model, kg, args.ckpt)
     table = entity_sparsity(kg)
-    known = np.concatenate([kg.ids, np.array(valid + test, dtype=np.int64).reshape(-1, 3)])
+    known = np.concatenate([kg.ids, valid, test])
     report = link_prediction(model, known, test, table.freq)
     if args.with_axioms:
         report = report.credit(read_injected_tsv(args.with_axioms, entities, relations))

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from .axioms import Axiom, ScoredPool, body_assignments, head_relations, join_rules
-from .kg import KnowledgeGraph, Triple, Vocabulary
+from .kg import KnowledgeGraph, Triple, Vocabulary, _read_ids
 
 log = logging.getLogger(__name__)
 
@@ -250,11 +250,4 @@ def write_injected_tsv(path: str, inferred: Injection, entities: Vocabulary, rel
 
 def read_injected_tsv(path: str, entities: Vocabulary, relations: Vocabulary) -> np.ndarray:
     """The (n, 3) int64 ids of a ``write_injected_tsv`` dump, in file order."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-            rows.append((entities.id_of(fields[0]), relations.id_of(fields[1]), entities.id_of(fields[2])))
-    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+    return _read_ids(path, 5, entities.id_of, relations.id_of)

@@ -59,14 +59,11 @@ NUMBA_ACTIVE = False
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function, from ``e = exp(-|x|)``, which
+    never overflows: ``1 / (1 + e)`` where x >= 0, else ``e / (1 + e)``."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def work_size(rows: int, dim: int, ent_rows: int, rel_rows: int) -> int:

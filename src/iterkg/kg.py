@@ -1,7 +1,7 @@
 """Triple store: vocabularies, sorted id arrays, entity sparsity, eval splits.
 
-Graphs are loaded from tab-separated files (subject TAB relation TAB object,
-one triple per line) and sorted into int64 arrays once at construction.
+Graphs are parsed from tab-separated files (subject TAB relation TAB object,
+one triple per line) into int64 id arrays and sorted once at construction.
 All query methods return results in ascending-id order so downstream
 sampling and pool generation are reproducible regardless of input file
 ordering.
@@ -9,7 +9,6 @@ ordering.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import os
 from dataclasses import dataclass
@@ -78,12 +77,30 @@ class Vocabulary:
         return iter(self._names)
 
 
+def _read_ids(path: str | os.PathLike, n_fields: int, entity_id, relation_id) -> np.ndarray:
+    """The (n, 3) int64 ids of the first three fields, subject, relation and
+    object, of each line of a TSV file of ``n_fields`` fields, mapped by
+    ``entity_id``/``relation_id``; errors name ``path:lineno``."""
+    ids: list[int] = []
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) != n_fields:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(fields)}")
+                ids += (entity_id(fields[0]), relation_id(fields[1]), entity_id(fields[2]))
+        except VocabularyError as exc:
+            raise VocabularyError(f"{path}:{lineno}: {exc}") from None
+    return np.array(ids, dtype=np.int64).reshape(-1, 3)
+
+
 def load_triples(
     path: str | os.PathLike,
     entities: Optional[Vocabulary] = None,
     relations: Optional[Vocabulary] = None,
-) -> tuple[list[Triple], Vocabulary, Vocabulary]:
-    """Parse a TSV triple file.
+) -> tuple[np.ndarray, Vocabulary, Vocabulary]:
+    """Parse a TSV triple file into (n, 3) int64 (s, r, o) ids, in file order.
 
     Without a supplied vocabulary, unseen strings extend fresh vocabularies
     in file order.  With supplied vocabularies, unseen strings raise
@@ -92,29 +109,12 @@ def load_triples(
     """
     if (entities is None) != (relations is None):
         raise ValueError("supply both vocabularies or neither")
-    fixed = entities is not None
-    if not fixed:
+    if entities is None:
         entities, relations = Vocabulary(), Vocabulary()
-    triples: list[Triple] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            s_name, r_name, o_name = fields
-            if fixed:
-                try:
-                    s, r, o = entities.id_of(s_name), relations.id_of(r_name), entities.id_of(o_name)
-                except VocabularyError as exc:
-                    raise VocabularyError(f"{path}:{lineno}: {exc}") from None
-            else:
-                s = entities.add(s_name)
-                r = relations.add(r_name)
-                o = entities.add(o_name)
-            triples.append(Triple(s, r, o))
-    return triples, entities, relations
+        ids = _read_ids(path, 3, entities.add, relations.add)
+    else:
+        ids = _read_ids(path, 3, entities.id_of, relations.id_of)
+    return ids, entities, relations
 
 
 def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,12 +191,10 @@ class KnowledgeGraph:
     Do not mutate after construction.
     """
 
-    def __init__(self, triples: Sequence[Triple], entities: Vocabulary, relations: Vocabulary):
+    def __init__(self, triples: np.ndarray | Sequence[Triple], entities: Vocabulary, relations: Vocabulary):
         n_ent, n_rel = len(entities), len(relations)
-        flat = itertools.chain.from_iterable(triples)
-        ids = np.fromiter(flat, dtype=np.int64, count=3 * len(triples)).reshape(-1, 3)
-        bad = ((ids < 0).any(axis=1) | (ids[:, 0] >= n_ent) | (ids[:, 1] >= n_rel)
-               | (ids[:, 2] >= n_ent))
+        ids = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        bad = ((ids < 0) | (ids >= (n_ent, n_rel, n_ent))).any(axis=1)
         if bad.any():
             t = Triple(*ids[np.argmax(bad)].tolist())
             raise ValueError(f"triple {t} out of vocabulary bounds ({n_ent} entities, {n_rel} relations)")
@@ -370,27 +368,26 @@ def sparse_entities(table: SparsityTable, threshold: float) -> np.ndarray:
 
 
 def sparsify_eval_split(
-    table: SparsityTable, split: Sequence[Triple], threshold: float
-) -> list[Triple]:
-    """Keep only triples whose subject or object is a sparse entity.
+    table: SparsityTable, split: np.ndarray | Sequence[Triple], threshold: float
+) -> np.ndarray:
+    """The (n, 3) int64 rows of ``split`` whose subject or object is sparse.
 
     Order is preserved; re-filtering the result is a no-op.
     """
-    sparse = sparse_entities(table, threshold)
-    n = len(table.sparsity)
-    kept = []
-    for t in split:
-        if not (0 <= t.subject < n and 0 <= t.object < n):
-            raise VocabularyError(f"split triple {t} references an entity outside the train vocabulary")
-        if sparse[t.subject] or sparse[t.object]:
-            kept.append(t)
-    return kept
+    split = np.asarray(split, dtype=np.int64).reshape(-1, 3)
+    ends = split[:, [0, 2]]
+    outside = ((ends < 0) | (ends >= len(table.sparsity))).any(axis=1)
+    if outside.any():
+        raise VocabularyError(f"split triple {tuple(split[np.argmax(outside)].tolist())} "
+                              "references an entity outside the train vocabulary")
+    return split[sparse_entities(table, threshold)[ends].any(axis=1)]
 
 
-def load_dataset(
+def load_splits(
     data_dir: str | os.PathLike,
-) -> tuple[list[Triple], list[Triple], list[Triple], Vocabulary, Vocabulary]:
-    """Load train.txt / valid.txt / test.txt from a dataset directory.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Vocabulary, Vocabulary]:
+    """Load train.txt / valid.txt / test.txt from a dataset directory as
+    (n, 3) int64 id arrays.
 
     The train split defines the vocabularies; valid and test are parsed
     against them and error on unseen names.
@@ -398,4 +395,14 @@ def load_dataset(
     train, entities, relations = load_triples(os.path.join(data_dir, "train.txt"))
     valid, _, _ = load_triples(os.path.join(data_dir, "valid.txt"), entities, relations)
     test, _, _ = load_triples(os.path.join(data_dir, "test.txt"), entities, relations)
+    return train, valid, test, entities, relations
+
+
+def load_dataset(
+    data_dir: str | os.PathLike,
+) -> tuple[list[Triple], list[Triple], list[Triple], Vocabulary, Vocabulary]:
+    """``load_splits`` with each split as a list of ``Triple``, for tests
+    and audits; the pipeline and the CLI use the id arrays."""
+    *splits, entities, relations = load_splits(data_dir)
+    train, valid, test = (list(map(Triple._make, split.tolist())) for split in splits)
     return train, valid, test, entities, relations

@@ -26,7 +26,8 @@ from .evaluation import (  # noqa: F401 (head_coverage: perfbench wraps this mod
     head_coverage, link_prediction, summarize_rules,
 )
 from .injection import Injection, InjectionConfig, inject_triples, read_injected_tsv, write_injected_tsv
-from .kg import KnowledgeGraph, distinct_rows, entity_sparsity, load_dataset, sparse_entities
+from .kg import KnowledgeGraph, distinct_rows, entity_sparsity, load_splits, sparse_entities
+from .kg import load_dataset  # noqa: F401 (perfbench wraps this module's name)
 
 log = logging.getLogger(__name__)
 
@@ -149,8 +150,8 @@ def save_checkpoint(model: EmbeddingModel, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         for table in (model.ent, model.rel, opt.m_ent, opt.m_rel, opt.v_ent, opt.v_rel):
-            fh.write(np.ascontiguousarray(table, dtype="<f8").tobytes())
-        fh.write(np.array([opt.step], dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(table, dtype="<f8"))  # through the buffer, no bytes copy
+        fh.write(np.array([opt.step], dtype="<f8"))
 
 
 def load_checkpoint(path: str, expect_layout: Optional[tuple[int, int]] = None) -> EmbeddingModel:
@@ -285,14 +286,16 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
             done = int(base.replace("ckpt_iter", "").replace(".bin", ""))
         except ValueError:
             raise CheckpointError(f"cannot infer iteration from {base!r}; expected ckpt_iter<N>.bin") from None
+        if done < 1:
+            raise CheckpointError(f"{base!r} names iteration {done}; checkpoints start at iteration 1")
     if done >= config.iterations:
         raise ValueError(f"checkpoint already covers all {config.iterations} iterations")
-    train, valid, test, entities, relations = load_dataset(config.data_dir)
+    train, valid, test, entities, relations = load_splits(config.data_dir)
     kg = KnowledgeGraph(train, entities, relations)
     records, injected_union = _read_earlier(kg, os.path.dirname(resume or ""), done)
     table = entity_sparsity(kg)
     sparse = sparse_entities(table, config.injection.sparsity_threshold)
-    known = np.concatenate([kg.ids, np.array(valid + test, dtype=np.int64).reshape(-1, 3)])
+    known = np.concatenate([kg.ids, valid, test])
 
     os.makedirs(config.out_dir, exist_ok=True)
 
@@ -325,7 +328,7 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
         injected_union = distinct_rows(np.concatenate([injected_union, injected.ids]))
 
         ranked = None
-        if config.eval_every and it % config.eval_every == 0 and test:
+        if config.eval_every and it % config.eval_every == 0 and len(test):
             ranked = link_prediction(model, known, test, table.freq)
         record = IterationRecord(
             iteration=it,
@@ -363,7 +366,7 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
         "injected_final": len(injected),
         "injected_union": len(injected_union),
     }
-    if test:
+    if len(test):
         # the final model is ranked once: by the last iteration's evaluation, if it made one
         plain = link_prediction(model, known, test, table.freq) if ranked is None else ranked
         report["link_prediction"] = plain.to_dict()

@@ -30,6 +30,18 @@ def dense_block_matrix(scalars, rotations):
     return out
 
 
+def sigmoid_two_branch(x):
+    """The logistic function as two masked branches: ``1 / (1 + exp(-x))``
+    where x >= 0, ``exp(x) / (1 + exp(x))`` elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def bilinear_scores_loops(vs, vo, msc, ma, mb):
     """vs[i]^T M_r[i] vo[i] one example and one coordinate at a time:
     the scalar slots' (vs * m) * vo summed in order, plus the block

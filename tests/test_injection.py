@@ -1,5 +1,7 @@
 """Fuzzy-truth composition, grounding, and soft-labeled triple injection."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from iterkg.injection import (
     And, Atom, Implies, InjectionConfig, Not, Or, ground_axiom, inject_triples,
     read_injected_tsv, solve_head_truth, truth_value, write_injected_tsv,
 )
-from iterkg.kg import KnowledgeGraph, Triple, Vocabulary
+from iterkg.kg import KnowledgeGraph, ParseError, Triple, Vocabulary, VocabularyError
 
 from oracles import entity_mask, enumerate_groundings, random_graph
 
@@ -272,3 +274,15 @@ class TestInjection:
         assert path.read_text() == "e1\tr0\te0\t0.95\t1\n"
         back = read_injected_tsv(path, kg.entities, kg.relations)
         assert back.dtype == np.int64 and back.tolist() == out.ids.tolist() == [[1, 0, 0]]
+
+    @pytest.mark.parametrize("line, error, message", [
+        ("e0\tr0\tnobody\t0.9\t1\n", VocabularyError, "unknown name: 'nobody'"),
+        ("e0\tr9\te1\t0.9\t1\n", VocabularyError, "unknown name: 'r9'"),
+        ("e0\tr0\te1\t0.9\n", ParseError, "expected 5 tab-separated fields, got 4"),
+    ], ids=["unknown-entity", "unknown-relation", "four-fields"])
+    def test_bad_dump_line_names_path_and_line(self, tmp_path, line, error, message):
+        kg = graph([(0, 0, 1)])
+        path = tmp_path / "injected.tsv"
+        path.write_text("e1\tr0\te0\t0.95\t1\n" + line)
+        with pytest.raises(error, match=f"^{re.escape(str(path))}:2: {re.escape(message)}$"):
+            read_injected_tsv(path, kg.entities, kg.relations)

@@ -14,6 +14,7 @@ from iterkg import kernels
 
 from oracles import (
     accumulate_grads_loops, bilinear_scores_loops, dense_block_matrix, relation_matvec_loops,
+    sigmoid_two_branch,
 )
 
 # layouts (n_scalars, n_blocks) with at least one coordinate: pure scalar
@@ -65,6 +66,23 @@ def test_sigmoid_stable_and_bounded():
     assert np.all(np.isfinite(y))
     assert y[2] == 0.5
     assert np.all(np.diff(y) >= 0)
+
+
+EDGES = [0.0, -0.0, np.inf, -np.inf, 709.8, -709.8, 745.2, -745.2, 1e-320, -1e-320, 36.0, -36.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.lists(st.floats(allow_nan=False, width=64), max_size=40),
+       scale=st.sampled_from([0.01, 1.0, 30.0, 800.0]), seed=st.integers(0, 2**32 - 1))
+def test_sigmoid_bit_identical_to_two_branch_form(x, scale, seed):
+    """The mask-free form gives every bit of the two masked branches, on
+    drawn floats, normal draws at several scales and the edges of exp."""
+    normal = np.random.default_rng(seed).normal(scale=scale, size=64)
+    x = np.concatenate([x, normal, EDGES])[:, None]
+    got, want = kernels.sigmoid(x), sigmoid_two_branch(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(kernels.sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
 @settings(max_examples=60, deadline=None)

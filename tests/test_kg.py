@@ -1,5 +1,7 @@
 """Triple store: loading, indexing, sparsity, and eval-split filtering."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,10 @@ from hypothesis import strategies as st
 
 from iterkg.kg import (
     KnowledgeGraph, ParseError, Triple, Vocabulary, VocabularyError,
-    compact_ids, distinct_rows, entity_sparsity, load_triples, sorted_distinct, sparse_entities,
-    sparsify_eval_split,
+    compact_ids, distinct_rows, entity_sparsity, load_dataset, load_splits, load_triples,
+    sorted_distinct, sparse_entities, sparsify_eval_split,
 )
+from iterkg.synthetic import make_planted_dataset, write_dataset
 
 from oracles import entity_mask, random_graph
 
@@ -23,26 +26,44 @@ def write(tmp_path, text, name="triples.txt"):
 class TestLoadTriples:
     def test_single_line(self, tmp_path):
         triples, ents, rels = load_triples(write(tmp_path, "a\tr\tb\n"))
-        assert triples == [Triple(0, 0, 1)]
+        assert triples.dtype == np.int64 and triples.tolist() == [[0, 0, 1]]
         assert len(ents) == 2 and len(rels) == 1
 
     def test_empty_file(self, tmp_path):
         triples, ents, rels = load_triples(write(tmp_path, ""))
-        assert triples == [] and len(ents) == 0 and len(rels) == 0
+        assert triples.shape == (0, 3) and triples.dtype == np.int64
+        assert len(ents) == 0 and len(rels) == 0
 
     def test_malformed_line_reports_lineno(self, tmp_path):
-        with pytest.raises(ParseError, match=":1:"):
-            load_triples(write(tmp_path, "a\tr\n"))
+        path = write(tmp_path, "a\tr\tb\na\tr\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: expected 3 tab-separated fields, got 2$"):
+            load_triples(path)
 
     def test_fixed_vocabulary_rejects_unknown(self, tmp_path):
         _, ents, rels = load_triples(write(tmp_path, "a\tr\tb\n"))
-        with pytest.raises(VocabularyError):
-            load_triples(write(tmp_path, "a\tr\tc\n", "other.txt"), ents, rels)
+        path = write(tmp_path, "b\tr\ta\na\tr\tc\n", "other.txt")
+        with pytest.raises(VocabularyError, match=f"^{re.escape(str(path))}:2: unknown name: 'c'$"):
+            load_triples(path, ents, rels)
+        assert ents.names == ["a", "b"] and rels.names == ["r"]
 
     def test_fixed_vocabulary_reuses_ids(self, tmp_path):
         _, ents, rels = load_triples(write(tmp_path, "a\tr\tb\n"))
         triples, _, _ = load_triples(write(tmp_path, "b\tr\ta\n", "other.txt"), ents, rels)
-        assert triples == [Triple(1, 0, 0)]
+        assert triples.tolist() == [[1, 0, 0]]
+
+    def test_names_grow_the_vocabularies_in_file_order(self, tmp_path):
+        triples, ents, rels = load_triples(write(tmp_path, "c\tq\ta\na\tp\tb\nb\tq\tc\n"))
+        assert ents.names == ["c", "a", "b"] and rels.names == ["q", "p"]
+        assert triples.tolist() == [[0, 0, 1], [1, 1, 2], [2, 0, 0]]
+
+    def test_load_dataset_is_the_triple_view_of_load_splits(self, tmp_path):
+        write_dataset(make_planted_dataset(seed=7), tmp_path)
+        arrays, triples = load_splits(tmp_path), load_dataset(tmp_path)
+        for ids, listed in zip(arrays[:3], triples[:3]):
+            assert ids.dtype == np.int64 and ids.shape == (len(listed), 3) and len(listed)
+            assert all(type(t) is Triple for t in listed)
+            assert ids.tolist() == [list(t) for t in listed]
+        assert [v.names for v in arrays[3:]] == [v.names for v in triples[3:]]
 
     def test_vocabulary_round_trip(self, tmp_path):
         _, ents, _ = load_triples(write(tmp_path, "a\tr\tb\nc\tr\ta\n"))
@@ -55,11 +76,15 @@ class TestBuildGraph:
         ents, rels = Vocabulary("ab"), Vocabulary("r")
         kg = KnowledgeGraph([Triple(0, 0, 1), Triple(0, 0, 1)], ents, rels)
         assert len(kg) == 1
+        # an id array builds the same graph as the Triple list
+        ids = KnowledgeGraph(np.array([[0, 0, 1], [0, 0, 1]]), ents, rels).ids
+        assert ids.dtype == np.int64 and np.array_equal(ids, kg.ids)
 
     def test_out_of_range_id(self):
         ents, rels = Vocabulary("ab"), Vocabulary("r")
-        with pytest.raises(ValueError):
-            KnowledgeGraph([Triple(0, 0, 5)], ents, rels)
+        for bad in ([Triple(0, 0, 5)], np.array([[0, 1, 1]]), np.array([[-1, 0, 1]])):
+            with pytest.raises(ValueError, match="out of vocabulary bounds"):
+                KnowledgeGraph(bad, ents, rels)
 
     def test_all_queries_match_linear_scan(self):
         rng = np.random.default_rng(0)
@@ -207,15 +232,30 @@ class TestSparseSplit:
 
     def test_filtering(self):
         table = self.table()
-        split = [Triple(4, 0, 5), Triple(0, 0, 4), Triple(4, 0, 1), Triple(2, 0, 3)]
+        split = np.array([[4, 0, 5], [0, 0, 4], [4, 0, 1], [2, 0, 3], [1, 0, 0]])
         kept = sparsify_eval_split(table, split, 0.995)
-        assert kept == [Triple(0, 0, 4), Triple(4, 0, 1)]
-        assert sparsify_eval_split(table, kept, 0.995) == kept
-        assert sparsify_eval_split(table, split, 1.0) == []
+        assert kept.dtype == np.int64 and kept.tolist() == [[0, 0, 4], [4, 0, 1], [1, 0, 0]]
+        assert np.array_equal(sparsify_eval_split(table, kept, 0.995), kept)
+        assert sparsify_eval_split(table, split, 1.0).shape == (0, 3)
+        assert sparsify_eval_split(table, split[:0], 0.0).shape == (0, 3)
 
     def test_unknown_entity_errors(self):
-        with pytest.raises(VocabularyError):
-            sparsify_eval_split(self.table(), [Triple(50, 0, 0)], 0.5)
+        for bad in ([50, 0, 0], [0, 0, 6], [-1, 0, 0]):
+            with pytest.raises(VocabularyError, match="outside the train vocabulary"):
+                sparsify_eval_split(self.table(), np.array([[0, 0, 1], bad]), 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 5)), max_size=30),
+       threshold=st.sampled_from([0.0, 0.4, 0.5, 0.995, 1.0]))
+def test_sparsify_eval_split_is_the_per_triple_filter(rows, threshold):
+    """Array filtering keeps, in order, exactly the triples the per-triple
+    test keeps, and filtering its result again changes nothing."""
+    table = entity_sparsity(graph_with_pair_freqs([1, 51, 101]))
+    sparse = table.sparsity > threshold
+    kept = sparsify_eval_split(table, np.array(rows, dtype=np.int64).reshape(-1, 3), threshold)
+    assert kept.tolist() == [list(t) for t in rows if sparse[t[0]] or sparse[t[2]]]
+    assert np.array_equal(sparsify_eval_split(table, kept, threshold), kept)
 
 
 @settings(max_examples=60, deadline=None)

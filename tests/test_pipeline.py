@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import re
+import shutil
 import struct
 
 import numpy as np
@@ -16,7 +17,7 @@ from iterkg.cli import main as cli_main
 from iterkg.embedding import StepBuffers, TrainConfig, init_model
 from iterkg.evaluation import head_coverage
 from iterkg.injection import InjectionConfig, read_injected_tsv
-from iterkg.kg import KnowledgeGraph, entity_sparsity, load_dataset, sparse_entities
+from iterkg.kg import KnowledgeGraph, Triple, entity_sparsity, load_dataset, sparse_entities
 from iterkg.pipeline import (
     CheckpointError, PipelineConfig, build_config, load_checkpoint, read_config_file,
     run_iterations, save_checkpoint,
@@ -314,6 +315,19 @@ class TestRunIterations:
         with pytest.raises(ValueError, match="already covers all 1 iterations"):
             run_iterations(cfg, resume=str(tmp_path / "done" / "ckpt_iter1.bin"))
 
+    def test_checkpoint_below_iteration_1_refused_before_any_work(self, tmp_path, dataset_dir):
+        # a copy of ckpt_iter1.bin named for iteration 0 would retrain
+        # iterations 1..N from a trained model over the run's own files
+        cfg = small_config(dataset_dir, tmp_path / "run", iterations=2)
+        run_iterations(cfg)
+        out = tmp_path / "run"
+        for name in ("ckpt_iter0.bin", "ckpt_iter-1.bin"):
+            shutil.copyfile(out / "ckpt_iter1.bin", out / name)
+            before = {path.name: path.read_bytes() for path in out.iterdir()}
+            with pytest.raises(CheckpointError, match=re.escape(f"{name!r} names iteration {name[9:-4]}")):
+                run_iterations(cfg, resume=str(out / name))
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == before, name
+
     def test_axioms_union_mode(self, tmp_path, dataset_dir):
         cfg = small_config(dataset_dir, tmp_path / "union")
         cfg.axioms_union = True
@@ -363,6 +377,30 @@ class TestRunIterations:
         for extra in ([], ["--with-axioms", str(tmp_path / "runFalse" / "injected_iter2.tsv")]):
             assert cli_main(["eval", "--ckpt", ckpt, "--data", dataset_dir,
                              "--out", str(tmp_path / "eval.json"), *extra]) == 0
+
+    def test_splits_travel_as_id_arrays(self, tmp_path, dataset_dir, monkeypatch):
+        # a run, its resume, `iterkg rules`, `eval` and `sparsify` parse the
+        # splits into id arrays and build no Triple from them
+        def refuse(*args):
+            raise AssertionError("Triple built")
+
+        monkeypatch.setattr(Triple, "__new__", refuse)
+        monkeypatch.setattr(Triple, "_make", classmethod(refuse))
+        cfg = small_config(dataset_dir, tmp_path / "run", iterations=2)
+        cfg.eval_every = 1
+        result = run_iterations(cfg)
+        assert result.report["n_test"] and "link_prediction_with_axioms" in result.report
+        run_iterations(cfg, resume=str(tmp_path / "run" / "ckpt_iter1.bin"))
+        ckpt = str(tmp_path / "run" / "ckpt_iter2.bin")
+        for argv in (
+            ["rules", "--ckpt", ckpt, "--data", dataset_dir, "--out", str(tmp_path / "rules.jsonl")],
+            ["eval", "--ckpt", ckpt, "--data", dataset_dir, "--out", str(tmp_path / "eval.json"),
+             "--with-axioms", str(tmp_path / "run" / "injected_iter2.tsv")],
+            ["sparsify", "--data", dataset_dir, "--theta", "0.9", "--out", str(tmp_path / "sparse")],
+        ):
+            assert cli_main(argv) == 0, argv
+        with pytest.raises(AssertionError, match="Triple built"):
+            load_dataset(dataset_dir)
 
     def test_train_and_rules_join_the_pool_once(self, tmp_path, dataset_dir, monkeypatch):
         # head coverage comes from the pool's own join: a run makes one
