@@ -183,8 +183,10 @@ class StepBuffers(NamedTuple):
     gradients from ``work``.  The gathered columns are dead once
     ``kernels.accumulate_grads`` returns, so the L1 term and Adam carve
     their parameter rows from the front of ``planes`` too, which is sized
-    for whichever of the two uses is larger.  A view of a buffer is valid
-    until the next minibatch.
+    for whichever of the two uses is larger.  A table whose every row the
+    minibatch touches is read and updated in place instead of through
+    gathered rows; its intermediates still come from ``planes``.  A view
+    of a buffer is valid until the next minibatch.
     """
 
     rows: int
@@ -345,7 +347,10 @@ def _row_buffers(scratch: Optional[np.ndarray], table: np.ndarray, k: int, count
 
 
 def _take_rows(table: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``table[ids]`` for in-range ``ids``, into ``out`` (returned)."""
+    """``table[ids]`` for ascending, distinct, in-range ``ids``: ``table``
+    itself when they name every row, else a copy into ``out`` (returned)."""
+    if len(ids) == len(table):
+        return table
     if _column_major(table):
         np.take(table.T, ids, axis=1, out=out.T, mode="wrap")
     else:
@@ -354,9 +359,12 @@ def _take_rows(table: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarra
 
 
 def _put_rows(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
-    """``table[ids] = rows``.  A Fortran-ordered table is written
+    """``table[ids] = rows``; nothing to do when ``rows`` is ``table``
+    (``_take_rows`` of every row).  A Fortran-ordered table is written
     ``COLUMN_BLOCK`` of its contiguous columns at a time, with no index
     array."""
+    if rows is table:
+        return
     if not _column_major(table):
         table[ids] = rows
         return
@@ -372,11 +380,13 @@ def compute_loss_and_gradients(
     """Mean cross-entropy over the batch plus L1 on touched parameters.
 
     Gradients are analytic; the L1 term contributes a sign subgradient on
-    every parameter gathered by the batch (full entity rows and full
-    relation matrices).  An id outside the model raises ValueError.  With
-    ``buffers`` (at least len(batch) rows) the step's arrays are written
-    there instead of allocated, and the returned gradients are views of
-    them, valid until the buffers' next use; every value is the same.
+    every parameter touched by the batch (full entity rows and full
+    relation matrices), read from the table itself when the batch touches
+    every row of it, else from gathered rows.  An id outside the model
+    raises ValueError.  With ``buffers`` (at least len(batch) rows) the
+    step's arrays are written there instead of allocated, and the returned
+    gradients are views of them, valid until the buffers' next use; every
+    value is the same.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
@@ -405,11 +415,11 @@ def compute_loss_and_gradients(
         norm = 0.0
         for param, ids, grad in ((model.ent, ent_ids, grad_ent), (model.rel, rel_ids, grad_rel)):
             rows, sign = _row_buffers(scratch, param, len(ids), 2)
-            _take_rows(param, ids, rows)
+            rows = _take_rows(param, ids, rows)
             np.sign(rows, out=sign)
             sign *= l1_weight
             grad += sign
-            norm += np.abs(rows, out=rows).sum()
+            norm += np.abs(rows, out=sign).sum()
         loss += l1_weight * float(norm)
 
     return loss, SparseGrads(ent_ids, grad_ent, rel_ids, grad_rel, model.n_scalars)
@@ -423,13 +433,19 @@ def adam_update(model: EmbeddingModel, grads: SparseGrads, config: TrainConfig,
     correction uses the global step counter, incremented once per call.
     The row intermediates are carved from the flat ``scratch`` (three
     planes of the largest gradient) when given, else allocated.  A
-    Fortran-ordered table is read and written column by column.
+    Fortran-ordered table is read and written column by column.  A table
+    whose every row has a gradient (the relations of most minibatches) is
+    updated in place, with no gather or write-back; each element gets the
+    same operations in the same order either way.  Gradient rows must be
+    ascending and distinct, as ``compute_loss_and_gradients`` gives them.
     """
     for g in (grads.ent_grad, grads.rel_grad):
         if not np.all(np.isfinite(g)):
             raise ValueError("non-finite gradient: refusing to update")
     for ids, n in ((grads.ent_ids, model.n_entities), (grads.rel_ids, model.n_relations)):
-        if len(ids) and (ids.min() < 0 or ids.max() >= n):
+        if not (ids[1:] > ids[:-1]).all():
+            raise ValueError("gradient rows must be ascending and distinct")
+        if len(ids) and (ids[0] < 0 or ids[-1] >= n):
             raise ValueError(f"gradient rows outside the model's {n} rows")
     b1, b2, eps, lr = config.adam_beta1, config.adam_beta2, config.adam_eps, config.learning_rate
     opt = model.opt
@@ -439,12 +455,14 @@ def adam_update(model: EmbeddingModel, grads: SparseGrads, config: TrainConfig,
 
     def _apply(param, m, v, ids, grad):
         # m' = b1*m + (1-b1)*g, v' = b2*v + (1-b2)*g*g, and
-        # param -= lr * (m'/c1) / (sqrt(v'/c2) + eps), one operation at a time
-        m_rows, v_rows, t = _row_buffers(scratch, param, len(ids), 3)
-        _take_rows(m, ids, m_rows)
+        # param -= lr * (m'/c1) / (sqrt(v'/c2) + eps), one operation at a
+        # time.  When ids name every row the rows are the tables themselves,
+        # so sqrt(v'/c2) goes to the v buffer, not over the moments
+        m_buf, v_buf, t = _row_buffers(scratch, param, len(ids), 3)
+        m_rows = _take_rows(m, ids, m_buf)
         m_rows *= b1
         m_rows += np.multiply(grad, 1 - b1, out=t)
-        _take_rows(v, ids, v_rows)
+        v_rows = _take_rows(v, ids, v_buf)
         v_rows *= b2
         np.multiply(grad, 1 - b2, out=t)
         v_rows += np.multiply(t, grad, out=t)
@@ -452,11 +470,11 @@ def adam_update(model: EmbeddingModel, grads: SparseGrads, config: TrainConfig,
         _put_rows(v, ids, v_rows)
         np.divide(m_rows, c1, out=t)
         t *= lr
-        np.divide(v_rows, c2, out=v_rows)
-        np.sqrt(v_rows, out=v_rows)
-        v_rows += eps
-        t /= v_rows
-        rows = _take_rows(param, ids, m_rows)
+        den = np.divide(v_rows, c2, out=v_buf)
+        np.sqrt(den, out=den)
+        den += eps
+        t /= den
+        rows = _take_rows(param, ids, m_buf)
         rows -= t
         _put_rows(param, ids, rows)
 

@@ -19,6 +19,11 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
+# A graph whose packed-key space (n_ent**2 * n_rel keys) has at most this
+# many keys answers membership from one bit per key (at most 128 KB), with
+# one gather; a larger one binary-searches its sorted keys.
+DENSE_KEYS = 1 << 20
+
 
 class ParseError(ValueError):
     """Malformed line in a triple file."""
@@ -175,9 +180,10 @@ class KnowledgeGraph:
     ``rel_start[r]:rel_start[r + 1]``.  Three arrays are built on first use:
 
     - the packed keys ``(r*n_ent + s)*n_ent + o`` (``pack``) of the sorted
-      rows, which are sorted as they stand, so membership of packed keys
+      rows, which are sorted as they stand.  Membership of packed keys
       (``contains_keys``, and ``contains_many`` for id triples) is one
-      ``np.searchsorted``;
+      ``np.searchsorted`` into them, or, when the key space has at most
+      ``DENSE_KEYS`` keys, one gather from a bit table over that space;
     - a CSR over (relation, subject): offsets for all ``n_rel * n_ent``
       pairs, so the objects of any (s, r) are a gather
       (``object_ranges``);
@@ -235,8 +241,12 @@ class KnowledgeGraph:
 
     # -- packed keys -------------------------------------------------------
 
+    @property
+    def _n_keys(self) -> int:
+        return self.n_entities ** 2 * self.n_relations
+
     def _check_keys(self) -> None:
-        if self.n_entities ** 2 * self.n_relations > np.iinfo(np.int64).max:
+        if self._n_keys > np.iinfo(np.int64).max:
             raise OverflowError(
                 f"{self.n_entities} entities x {self.n_relations} relations overflow int64 triple keys")
 
@@ -253,6 +263,17 @@ class KnowledgeGraph:
         return self.pack(self.rel_s, r, self.rel_o)
 
     @cached_property
+    def _member_bits(self) -> Optional[np.ndarray]:
+        """One bit per packed key, set for the graph's triples (key k is bit
+        ``k % 8`` of byte ``k // 8``); None above ``DENSE_KEYS`` keys."""
+        if self._n_keys > DENSE_KEYS:
+            return None
+        # set in place: a bool per key would cost eight times the table
+        bits = np.zeros(self._n_keys // 8 + 1, dtype=np.uint8)
+        np.bitwise_or.at(bits, self._keys >> 3, np.left_shift(1, self._keys & 7).astype(np.uint8))
+        return bits
+
+    @cached_property
     def _csr(self) -> np.ndarray:
         pair = self._keys // self.n_entities  # r*n_ent + s
         return np.concatenate([[0], np.cumsum(np.bincount(pair, minlength=self.n_relations * self.n_entities))])
@@ -266,14 +287,22 @@ class KnowledgeGraph:
     # -- batched access ----------------------------------------------------
 
     def contains_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Boolean mask: which packed keys (``pack``) are graph triples.
+        """Boolean mask: which packed keys (``pack``) are graph triples;
+        keys outside ``[0, n_ent**2 * n_rel)`` are never members.
 
-        One ``np.searchsorted`` into the sorted key array, probed in
-        ascending order: queries not already ascending are probed through
-        their argsort, since ascending probes walk the key array forward
-        and random ones miss the cache and the branch predictor.
+        Up to ``DENSE_KEYS`` keys in the key space, one gather from the bit
+        table.  Above, one ``np.searchsorted`` into the sorted key array,
+        probed in ascending order: queries not already ascending are probed
+        through their argsort, since ascending probes walk the key array
+        forward and random ones miss the cache and the branch predictor.
         """
         keys = np.asarray(keys, dtype=np.int64)
+        bits = self._member_bits
+        if bits is not None:
+            inside = keys.view(np.uint64) < self._n_keys  # negative keys wrap above the space
+            byte = bits.take(keys >> 3, mode="clip")
+            np.right_shift(byte, (keys & 7).astype(np.uint8), out=byte)
+            return (byte & inside).view(bool)
         if len(keys) < 2 or (keys[1:] >= keys[:-1]).all():
             return lookup_sorted(self._keys, keys)[1]
         order = np.argsort(keys)

@@ -157,8 +157,12 @@ def save_checkpoint(model: EmbeddingModel, path: str) -> None:
 def load_checkpoint(path: str, expect_layout: Optional[tuple[int, int]] = None) -> EmbeddingModel:
     """The model ``save_checkpoint`` wrote, in the layouts ``init_model``
     makes; a malformed file (among them a header with a negative scalar or
-    block count, or no entities or relations), or a layout other than
-    ``expect_layout``, raises ``CheckpointError``."""
+    block count, or no entities or relations, or a payload of another size
+    than the header implies), or a layout other than ``expect_layout``,
+    raises ``CheckpointError``.  The payload's size is checked before any
+    of it is read, and each table is read straight into its array, so at
+    most one table (an entity table, on its way to Fortran order) is held
+    twice."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").rstrip("\n")
         fields = header.split(" ")
@@ -174,15 +178,23 @@ def load_checkpoint(path: str, expect_layout: Optional[tuple[int, int]] = None) 
             raise CheckpointError(
                 f"{path}: layout {(n_sc, n_bl)} does not match configured {tuple(expect_layout)}"
             )
-        payload = fh.read()
-    expected = (3 * (n_ent + n_rel) * dim + 1) * 8
-    if len(payload) != expected:
-        raise CheckpointError(f"{path}: expected {expected} payload bytes, found {len(payload)}")
-    flat = np.frombuffer(payload, dtype="<f8")
-    groups = flat[:-1].reshape(3, -1)  # parameters, first moments, second moments
-    ent, m_ent, v_ent = (np.array(g[: n_ent * dim].reshape(n_ent, dim), order="F") for g in groups)
-    rel, m_rel, v_rel = (g[n_ent * dim :].reshape(n_rel, dim).copy() for g in groups)
-    return EmbeddingModel(ent, rel, n_sc, AdamState(m_ent, v_ent, m_rel, v_rel, int(flat[-1])))
+        expected = (3 * (n_ent + n_rel) * dim + 1) * 8
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if found != expected:
+            raise CheckpointError(f"{path}: expected {expected} payload bytes, found {found}")
+
+        def table(rows: int) -> np.ndarray:
+            out = np.empty((rows, dim), dtype="<f8")
+            if fh.readinto(out) != out.nbytes:
+                raise CheckpointError(f"{path}: payload shrank while it was read")
+            return out
+
+        # parameters, first moments, second moments: each entity rows, then relation rows
+        ent, rel = np.asfortranarray(table(n_ent)), table(n_rel)
+        m_ent, m_rel = np.asfortranarray(table(n_ent)), table(n_rel)
+        v_ent, v_rel = np.asfortranarray(table(n_ent)), table(n_rel)
+        step = int(np.frombuffer(fh.read(8), dtype="<f8")[0])
+    return EmbeddingModel(ent, rel, n_sc, AdamState(m_ent, v_ent, m_rel, v_rel, step))
 
 
 def check_graph_size(model: EmbeddingModel, kg: KnowledgeGraph, path: str) -> None:

@@ -516,6 +516,17 @@ class TestAdam:
             adam_update(m, g, cfg)
         assert np.array_equal(m.ent, before.ent) and np.array_equal(m.rel_scalars, before.rel_scalars)
 
+    @pytest.mark.parametrize("ids", [[1, 0], [0, 0]])
+    def test_rows_not_ascending_and_distinct_rejected(self, ids):
+        # two rows of a two-row table would otherwise be read as the table itself
+        cfg = self.cfg()
+        m = init_model(2, 1, cfg)
+        before = m.copy()
+        g = SparseGrads(np.array(ids), np.ones((2, m.dim)), np.array([0]), np.ones((1, m.dim)), m.n_scalars)
+        with pytest.raises(ValueError, match="ascending and distinct"):
+            adam_update(m, g, cfg)
+        assert m.ent.tobytes() == before.ent.tobytes() and m.rel.tobytes() == before.rel.tobytes()
+
     def test_identical_streams_identical_trajectories(self):
         cfg = self.cfg()
         m1, m2 = init_model(3, 1, cfg), init_model(3, 1, cfg)
@@ -803,3 +814,66 @@ def test_adam_writes_a_fortran_table_like_a_c_ordered_one(dim):
     for get in (lambda m: m.ent, lambda m: m.opt.m_ent, lambda m: m.opt.v_ent):
         assert get(model).tobytes() == get(other).tobytes()
         assert not np.array_equal(get(model), get(init_model(30, 3, cfg)))
+
+
+@pytest.mark.parametrize("n_scalars", [0, 4, 8])
+def test_tables_a_batch_touches_whole_update_in_place_with_the_row_path_bits(monkeypatch, n_scalars):
+    """When a batch touches every row of a table, the L1 term and Adam read
+    and update that table in place: ``_take_rows`` hands back the table and
+    ``_put_rows`` has nothing to write.  The same batches on a model padded
+    with one untouched entity and relation, which gathers and writes back
+    rows, give the same loss, gradient, parameter and moment bits on the
+    shared rows, and leave the padding rows alone."""
+    copies = []
+    real_take, real_put = embedding._take_rows, embedding._put_rows
+
+    def take(table, ids, out):
+        rows = real_take(table, ids, out)
+        if rows is not table:
+            copies.append(len(table))
+        return rows
+
+    def put(table, ids, rows):
+        if rows is not table:
+            copies.append(len(table))
+        real_put(table, ids, rows)
+
+    monkeypatch.setattr(embedding, "_take_rows", take)
+    monkeypatch.setattr(embedding, "_put_rows", put)
+    n_ent, n_rel = 6, 3
+    cfg = TrainConfig(dim=8, n_scalars=n_scalars, learning_rate=0.05, seed=1)
+    model = init_model(n_ent, n_rel, cfg)
+    rng = np.random.default_rng(2)
+    for a in (model.opt.m_ent, model.opt.v_ent, model.opt.m_rel, model.opt.v_rel):
+        a[:] = rng.uniform(0.0, 0.01, size=a.shape)
+
+    def padded(a):
+        pad = np.vstack([a, rng.uniform(-0.1, 0.1, size=(1, a.shape[1]))])
+        return np.asfortranarray(pad) if a.flags.f_contiguous and not a.flags.c_contiguous else pad
+
+    def tables(m):
+        return m.ent, m.rel, m.opt.m_ent, m.opt.v_ent, m.opt.m_rel, m.opt.v_rel
+
+    other = embedding.EmbeddingModel(*map(padded, tables(model)[:2]), n_scalars,
+                                     embedding.AdamState(*map(padded, tables(model)[2:]), model.opt.step))
+    spare = [a[-1].copy() for a in tables(other)]
+    buffers = {id(m): StepBuffers.empty(m, 24) for m in (model, other)}
+
+    def step(m, batch):
+        loss, grads = compute_loss_and_gradients(m, batch, 1e-3, buffers=buffers[id(m)])
+        adam_update(m, grads, cfg, scratch=buffers[id(m)].planes)
+        return loss, [a.tobytes() for a in (grads.ent_ids, grads.ent_grad, grads.rel_ids, grads.rel_grad)]
+
+    for _ in range(3):
+        ids = np.stack([rng.permutation(np.resize(np.arange(n_ent), 24)), rng.integers(n_rel, size=24),
+                        rng.integers(n_ent, size=24)], axis=1)
+        ids[:n_rel, 1] = np.arange(n_rel)
+        batch = TripleBatch(ids, rng.uniform(size=24))
+        copies.clear()
+        want = step(model, batch)
+        assert copies == []
+        assert step(other, batch) == want
+        assert sorted(set(copies)) == [n_rel + 1, n_ent + 1]
+        for a, b in zip(tables(model), tables(other)):
+            assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b[:-1]).tobytes()
+    assert all(a[-1].tobytes() == b.tobytes() for a, b in zip(tables(other), spare))

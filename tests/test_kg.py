@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iterkg import kg as kg_module
 from iterkg.kg import (
     KnowledgeGraph, ParseError, Triple, Vocabulary, VocabularyError,
     compact_ids, distinct_rows, entity_sparsity, load_dataset, load_splits, load_triples,
@@ -113,24 +114,48 @@ def graph_and_sizes(draw):
     return kg, n_ent, n_rel
 
 
+def searches(mp):
+    """The list that each later ``iterkg.kg.lookup_sorted`` call (a binary
+    search of sorted keys) appends to, installed with ``mp``."""
+    calls, real = [], kg_module.lookup_sorted
+    mp.setattr(kg_module, "lookup_sorted", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def both_paths(kg):
+    """Copies of ``kg`` answering ``contains_keys`` from the bit table, then
+    from the sorted keys, each forced by monkeypatching ``DENSE_KEYS``.  Once
+    the caller is done with a copy, checks that it searched sorted keys on
+    the sorted path only."""
+    for bound, dense in ((1 << 20, True), (-1, False)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kg_module, "DENSE_KEYS", bound)
+            searched = searches(mp)
+            yield KnowledgeGraph(kg.ids, kg.entities, kg.relations)
+        assert bool(searched) != dense
+
+
 class TestContainsMany:
     @settings(max_examples=120, deadline=None)
     @given(case=graph_and_sizes(), order_seed=st.integers(0, 2**32 - 1))
     def test_matches_contains_on_every_id_triple(self, case, order_seed):
         # every in-range id triple, so queries below the smallest and above
         # the largest graph key are included, plus ids just out of range
-        kg, n_ent, n_rel = case
+        case_kg, n_ent, n_rel = case
         grid = np.array([(s, r, o) for s in range(-1, n_ent + 1) for r in range(-1, n_rel + 1)
                          for o in range(-1, n_ent + 1)], dtype=np.int64)
         grid = grid[np.random.default_rng(order_seed).permutation(len(grid))]
-        got = kg.contains_many(grid[:, 0], grid[:, 1], grid[:, 2])
-        assert got.dtype == bool and got.shape == (len(grid),)
-        assert got.tolist() == [kg.contains(*map(int, q)) for q in grid]
+        graph = set(map(tuple, case_kg.ids.tolist()))
+        for kg in both_paths(case_kg):
+            got = kg.contains_many(grid[:, 0], grid[:, 1], grid[:, 2])
+            assert got.dtype == bool and got.shape == (len(grid),)
+            assert got.tolist() == [kg.contains(*map(int, q)) for q in grid]
+            assert got.tolist() == [tuple(q) in graph for q in grid.tolist()]
 
     def test_empty_query(self):
-        kg = KnowledgeGraph([Triple(0, 0, 1)], Vocabulary("ab"), Vocabulary("r"))
         empty = np.zeros(0, dtype=np.int64)
-        assert kg.contains_many(empty, empty, empty).shape == (0,)
+        for kg in both_paths(KnowledgeGraph([Triple(0, 0, 1)], Vocabulary("ab"), Vocabulary("r"))):
+            assert kg.contains_many(empty, empty, empty).shape == (0,)
 
     def test_ids_rows_follow_triples(self):
         kg = KnowledgeGraph([Triple(1, 0, 0), Triple(0, 0, 1), Triple(1, 0, 0)],
@@ -149,32 +174,59 @@ class TestContainsKeys:
     @settings(max_examples=150, deadline=None)
     @given(case=graph_and_sizes(), data=st.data())
     def test_matches_a_python_set(self, case, data):
-        # unsorted and ascending queries, duplicates, every key in range
-        kg, n_ent, n_rel = case
-        members = {(r * n_ent + s) * n_ent + o for s, r, o in kg.ids.tolist()}
-        queries = data.draw(st.lists(st.integers(0, n_rel * n_ent * n_ent - 1), max_size=60))
+        # unsorted and ascending queries, duplicates, every key in range and
+        # keys outside the key space, negative ones among them
+        case_kg, n_ent, n_rel = case
+        members = {(r * n_ent + s) * n_ent + o for s, r, o in case_kg.ids.tolist()}
+        keys = st.integers(0, n_rel * n_ent * n_ent - 1) | st.integers(-2**40, 2**40)
+        queries = data.draw(st.lists(keys, max_size=60))
         if data.draw(st.booleans()):
             queries.sort()
-        got = kg.contains_keys(np.array(queries, dtype=np.int64))
-        assert got.dtype == bool and got.tolist() == [q in members for q in queries]
-        assert kg.contains_keys(kg.pack(*kg.ids.T)).all()
+        for kg in both_paths(case_kg):
+            got = kg.contains_keys(np.array(queries, dtype=np.int64))
+            assert got.dtype == bool and got.tolist() == [q in members for q in queries]
+            assert kg.contains_keys(kg.pack(*kg.ids.T)).all()
 
     @settings(max_examples=150, deadline=None)
     @given(case=graph_and_sizes(), data=st.data())
     def test_contains_many_matches_a_python_set(self, case, data):
         # out-of-range ids, which would pack onto in-range keys, are never members
-        kg, _, _ = case
-        graph = set(map(tuple, kg.ids.tolist()))
+        case_kg, _, _ = case
+        graph = set(map(tuple, case_kg.ids.tolist()))
         ids = st.integers(-3, 8) | st.integers(-2**40, 2**40)
         queries = data.draw(st.lists(st.tuples(ids, ids, ids), max_size=40))
         q = np.array(queries, dtype=np.int64).reshape(-1, 3)
-        assert kg.contains_many(*q.T).tolist() == [t in graph for t in queries]
+        for kg in both_paths(case_kg):
+            assert kg.contains_many(*q.T).tolist() == [t in graph for t in queries]
 
     def test_empty_graph(self):
-        kg = KnowledgeGraph([], Vocabulary("ab"), Vocabulary("r"))
-        assert not kg.contains_keys(np.array([3, 0, 2, 1, 0])).any()
-        assert not kg.contains_many(np.array([0, 2]), np.array([0, 0]), np.array([1, 0])).any()
-        assert kg.contains_keys(np.zeros(0, dtype=np.int64)).shape == (0,)
+        for kg in both_paths(KnowledgeGraph([], Vocabulary("ab"), Vocabulary("r"))):
+            assert not kg.contains_keys(np.array([3, 0, 2, 1, 0, -1, 4])).any()
+            assert not kg.contains_many(np.array([0, 2]), np.array([0, 0]), np.array([1, 0])).any()
+            assert kg.contains_keys(np.zeros(0, dtype=np.int64)).shape == (0,)
+
+
+@pytest.mark.parametrize("shape, dense", [(None, True), ((600, 237), False)], ids=["planted", "600x237"])
+def test_membership_path_follows_the_key_space(monkeypatch, shape, dense):
+    """The planted demo graph's 320,000 keys take the bit table; a 600-entity,
+    237-relation graph (85.3 million keys) binary-searches its sorted keys.
+    Both answer as a set of their triples does."""
+    if shape is None:
+        ds = make_planted_dataset()
+        ents, rels = Vocabulary(), Vocabulary()
+        ids = np.array([(ents.add(s), rels.add(r), ents.add(o)) for s, r, o in ds.train])
+    else:
+        ents, rels = (Vocabulary(f"{p}{i}" for i in range(n)) for p, n in zip("er", shape))
+        ids = random_graph(np.random.default_rng(0), *shape, 3000)
+    kg = KnowledgeGraph(ids, ents, rels)
+    assert (len(ents) ** 2 * len(rels) <= kg_module.DENSE_KEYS) == dense
+    searched = searches(monkeypatch)
+    rng = np.random.default_rng(1)
+    q = np.concatenate([kg.ids, rng.integers((len(ents), len(rels), len(ents)), size=(500, 3))])
+    got = kg.contains_many(*q.T)
+    assert bool(searched) != dense
+    graph = set(map(tuple, kg.ids.tolist()))
+    assert got.tolist() == [tuple(t) in graph for t in q.tolist()]
 
 
 def graph_with_pair_freqs(freqs):

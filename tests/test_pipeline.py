@@ -7,6 +7,7 @@ import os
 import re
 import shutil
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,41 @@ class TestCheckpoint:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra", [-1, 8])
+    def test_payload_of_another_size_rejected(self, tmp_path, extra):
+        m = init_model(3, 2, TrainConfig(dim=8, seed=0))
+        path = tmp_path / "m.bin"
+        save_checkpoint(m, path)
+        data = path.read_bytes()
+        path.write_bytes(data[:extra] if extra < 0 else data + bytes(extra))
+        payload = (3 * (3 + 2) * 8 + 1) * 8
+        with pytest.raises(CheckpointError, match=f"expected {payload} payload bytes, found {payload + extra}$"):
+            load_checkpoint(path)
+
+    def test_header_sized_beyond_the_file_rejected_before_reading(self, tmp_path):
+        # a header claiming 10**12 entity rows must not allocate them
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"ITERE-CKPT v1 8 4 2 1000000000000 2\n" + bytes(8))
+        with pytest.raises(CheckpointError, match="payload bytes, found 8$"):
+            load_checkpoint(path)
+
+    def test_load_holds_at_most_one_table_twice(self, tmp_path):
+        """The traced peak of a load is the model plus one table: the
+        payload is never held beside the arrays made from it."""
+        n_ent, n_rel, dim = 600, 600, 64
+        m = init_model(n_ent, n_rel, TrainConfig(dim=dim, seed=0))
+        path = tmp_path / "m.bin"
+        save_checkpoint(m, path)
+        model_bytes = 3 * (n_ent + n_rel) * dim * 8
+        tracemalloc.start()
+        try:
+            back = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.ent, m.ent) and np.array_equal(back.opt.v_rel, m.opt.v_rel)
+        assert peak < model_bytes + n_ent * dim * 8 + 2**16, peak / model_bytes
 
     def test_layout_mismatch_rejected(self, tmp_path):
         m = init_model(3, 2, TrainConfig(dim=8, seed=0))
