@@ -177,10 +177,12 @@ class StepBuffers(NamedTuple):
     examples of one model's shape.
 
     Every minibatch reuses them, across epochs when the caller keeps them
-    (``run_iterations`` keeps one set per run): ``_gather`` carves the
-    examples' (dim, B) subject, object and relation columns from the front
-    of ``planes``, and the kernels carve their intermediates and the
-    gradients from ``work``.  The gathered columns are dead once
+    (``run_iterations`` keeps one set while an iteration trains, and drops
+    it before the axioms are scored): ``_gather`` carves the examples'
+    (dim, B) subject and object columns and (n_scalars, B) relation
+    scalars from the front of ``planes``, and the kernels carve their
+    intermediates, the relations' block columns and the gradients from
+    ``work``.  The gathered columns are dead once
     ``kernels.accumulate_grads`` returns, so the L1 term and Adam carve
     their parameter rows from the front of ``planes`` too, which is sized
     for whichever of the two uses is larger.  A table whose every row the
@@ -190,7 +192,7 @@ class StepBuffers(NamedTuple):
     """
 
     rows: int
-    planes: np.ndarray  # flat: three (dim, rows) planes of gathered columns, later L1/Adam rows
+    planes: np.ndarray  # flat: gathered subject, object and scalar columns, later L1/Adam rows
     work: np.ndarray    # flat: kernel intermediates, then the gradients
 
     @classmethod
@@ -198,7 +200,7 @@ class StepBuffers(NamedTuple):
         """Buffers for minibatches of up to ``rows`` examples."""
         d = model.dim
         ent_rows, rel_rows = min(model.n_entities, 2 * rows), min(model.n_relations, rows)
-        return cls(rows, np.empty(3 * max(rows, ent_rows, rel_rows) * d),
+        return cls(rows, np.empty(max((2 * d + model.n_scalars) * rows, 3 * max(ent_rows, rel_rows) * d)),
                    np.empty(kernels.work_size(rows, d, ent_rows, rel_rows)))
 
 
@@ -213,20 +215,25 @@ def _check_ids(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarra
 
 def _gather(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray,
             planes: Optional[np.ndarray] = None):
-    """(vs, vo, msc, ma, mb) of the examples, after ``_check_ids``.
+    """The kernels' inputs ``(vs, vo, msc, ma, mb, r)`` for the examples,
+    after ``_check_ids``.
 
-    Each is a column-major (B, ·) view of a (·, B) array gathered column by
-    column from the transposed tables, new or carved from the front of the
-    flat ``planes``; the relation plane holds the rows of ``model.rel``,
-    returned as ``kernels.relation_parts``.
+    ``vs``, ``vo`` and ``msc`` are column-major (B, ·) views of (·, B)
+    arrays gathered column by column from the transposed entity table and
+    relation scalars, new or carved from the front of the flat ``planes``.
+    ``ma`` and ``mb`` are the blocks of the whole relation table
+    (``kernels.relation_parts``), which the kernels read per relation
+    through ``r``: no block is copied per example.
     """
     _check_ids(model, s, r, o)
-    vs, vo, rel = kernels.carve_columns(planes, *[(len(s), model.dim)] * 3)
+    msc_table, ma, mb = kernels.relation_parts(model.rel, model.n_scalars)
+    vs, vo, msc = kernels.carve_columns(planes, (len(s), model.dim), (len(s), model.dim),
+                                        (len(s), model.n_scalars))
     # the ids are in range, and "wrap" (unlike "raise") takes straight into
     # ``out``; it measured a little faster than "clip"
-    for table, ids, out in ((model.ent, s, vs), (model.ent, o, vo), (model.rel, r, rel)):
+    for table, ids, out in ((model.ent, s, vs), (model.ent, o, vo), (msc_table, r, msc)):
         np.take(table.T, ids, axis=1, out=out.T, mode="wrap")
-    return vs, vo, *kernels.relation_parts(rel, model.n_scalars)
+    return vs, vo, msc, ma, mb, r
 
 
 def raw_scores(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray) -> np.ndarray:
@@ -395,9 +402,9 @@ def compute_loss_and_gradients(
     s, r, o = batch.ids.T
     B = len(batch)
 
-    vs, vo, msc, ma, mb = _gather(model, s, r, o, None if buffers is None else buffers.planes)
+    gathered = _gather(model, s, r, o, None if buffers is None else buffers.planes)
     work = None if buffers is None else buffers.work
-    phi = kernels.sigmoid(kernels.bilinear_scores(vs, vo, msc, ma, mb, work=work))
+    phi = kernels.sigmoid(kernels.bilinear_scores(*gathered, work=work))
     ce = -labels * np.log(np.maximum(phi, LOG_CLAMP)) \
          - (1.0 - labels) * np.log(np.maximum(1.0 - phi, LOG_CLAMP))
     loss = float(np.mean(ce))
@@ -408,7 +415,7 @@ def compute_loss_and_gradients(
     es, eo = ent_inv[:B], ent_inv[B:]
 
     grad_ent, grad_rel = kernels.accumulate_grads(
-        vs, vo, msc, ma, mb, rho, es, eo, rel_inv, len(ent_ids), len(rel_ids), work=work)
+        *gathered, rho, es, eo, rel_inv, len(ent_ids), len(rel_ids), work=work)
 
     if l1_weight > 0:
         scratch = None if buffers is None else buffers.planes  # the gathered columns are dead
@@ -500,8 +507,9 @@ def train_epoch(
     input id outside the model, or a graph with more entities or relations
     than the model, raises ValueError before any parameter moves.  The
     minibatches share one ``StepBuffers``: ``buffers`` when given (a
-    caller keeps them across epochs; they must hold a full minibatch with
-    its negatives), else a set allocated for this call.
+    caller keeps them across epochs, as ``run_iterations`` does for one
+    iteration's; they must hold a full minibatch with its negatives), else
+    a set allocated for this call and freed when it returns.
     """
     if len(inputs) == 0:
         raise ValueError("no training inputs")

@@ -13,14 +13,14 @@ coordinate pair ``(n_scalars + 2j, n_scalars + 2j + 1)``.
 
 Column-major planes.  Training hands the kernels its per-example arrays as
 (B, ·) views of C-ordered (·, B) arrays (Fortran order), gathered column by
-column from the Fortran-ordered entity table (``EmbeddingModel.ent``).  The
-kernels work one column at a time: ``accumulate_grads`` computes each of
-the 3·dim gradient columns of the batch into a (B,) temporary, multiplies
-it by ``rho`` and sums it into its rows with one ``np.bincount``.  Every
-operand is then a contiguous column, and the temporaries stay in cache,
-where a C-ordered (B, dim) plane gives each ``np.bincount`` a strided
-column and every pass over a plane goes to memory.  Any layout gives the
-same values; this one is faster.
+column from the Fortran-ordered entity table (``EmbeddingModel.ent``) and
+the relations' scalar diagonals.  The kernels work one column at a time:
+``accumulate_grads`` computes each of the 3·dim gradient columns of the
+batch into a (B,) temporary, multiplies it by ``rho`` and sums it into its
+rows with one ``np.bincount``.  Every operand is then a contiguous column,
+and the temporaries stay in cache, where a C-ordered (B, dim) plane gives
+each ``np.bincount`` a strided column and every pass over a plane goes to
+memory.  Any layout gives the same values; this one is faster.
 
 Blocks.  A block [[a, -b], [b, a]] maps the pair (x, y) to
 (a x - b y, a y + b x), and its transpose to (a x + b y, a y - b x): the
@@ -31,21 +31,30 @@ scoring applies it to a block's (a, b) in place of (x, y), which multiplies
 two blocks.  ``relation_parts`` splits relation rows into scalars, a and b.
 All-scalar layouts do the diagonal model's arithmetic bit for bit.
 
-Batch-gathered inputs share one naming:
-  vs, vo : (B, d) subject / object vectors
-  msc    : (B, n_scalars) relation scalar diagonals
-  ma, mb : (B, n_blocks) relation block components a and b
+The training kernels' inputs share one naming:
+  vs, vo : (B, d) subject / object vectors of the examples
+  msc    : (B, n_scalars) the examples' relation scalar diagonals
+  ma, mb : (n, n_blocks) block components a and b of every relation
+           (``relation_parts`` of a relation table), not per example
+  r      : (B,) the examples' relation ids, rows of ``ma`` and ``mb``
+The blocks are read per relation: for block column k the kernels take
+``ma[r, k]`` and ``mb[r, k]`` into two (B,) temporaries with one
+``np.take`` each, so no (B, n_blocks) copy of the relations exists.  The
+ids must be in range: the takes use ``mode="wrap"``, which writes straight
+into its output where the default ``"raise"`` buffers it.
 
 Work buffers.  ``bilinear_scores`` and ``accumulate_grads`` take an
 optional keyword ``work``: a flat, contiguous float64 array that the caller
 owns and the kernel carves its temporaries from, front to back (``carve``;
 ``work_size`` elements for a batch).  ``accumulate_grads`` builds its
-gradients in ``work`` and returns views of them.  A kernel keeps no reference to a buffer, and the next call
-overwrites what it left there.  Training keeps one set of buffers per run
-(``embedding.StepBuffers``, kept by ``pipeline.run_iterations``) and every
-minibatch reuses their front, so a view of a buffer is valid only until
-the next minibatch.  Without buffers each call allocates fresh arrays; the
-arithmetic, and so every bit of every result, is the same either way.
+gradients in ``work`` and returns views of them.  A kernel keeps no
+reference to a buffer, and the next call overwrites what it left there.
+Training keeps one set of buffers while an iteration trains
+(``embedding.StepBuffers``, built by ``pipeline.run_iterations`` for the
+iteration's epochs) and every minibatch reuses their front, so a view of a
+buffer is valid only until the next minibatch.  Without buffers each call
+allocates fresh arrays; the arithmetic, and so every bit of every result,
+is the same either way.
 """
 
 from __future__ import annotations
@@ -68,9 +77,9 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def work_size(rows: int, dim: int, ent_rows: int, rel_rows: int) -> int:
     """Elements of ``work`` the kernels need for ``rows`` examples touching
-    ``ent_rows`` entities and ``rel_rows`` relations: four (rows,) columns,
+    ``ent_rows`` entities and ``rel_rows`` relations: six (rows,) columns,
     then ``accumulate_grads``' gradient rows."""
-    return 4 * rows + (ent_rows + rel_rows) * dim
+    return 6 * rows + (ent_rows + rel_rows) * dim
 
 
 def carve(work, *shapes) -> list[np.ndarray]:
@@ -108,17 +117,19 @@ def block_product(a, b, x, y, ox, oy, transpose: bool, t) -> None:
     second(np.multiply(a, y, out=oy), np.multiply(b, x, out=t), out=oy)
 
 
-def bilinear_scores(vs, vo, msc, ma, mb, *, work=None) -> np.ndarray:
+def bilinear_scores(vs, vo, msc, ma, mb, r, *, work=None) -> np.ndarray:
     """f_i = vs[i]^T M_r[i] vo[i]: the scalar slots' sum of products, plus
     the subject's block coordinates times those of M_r vo, summed block
     column by block column."""
     ns = msc.shape[1]
     f = np.einsum("ij,ij,ij->i", vs[:, :ns], msc, vo[:, :ns])
-    px, py, t, blocks = carve(work, *[f.shape] * 4)
+    a, b, px, py, t, blocks = carve(work, *[f.shape] * 6)
     blocks.fill(0.0)
     for k in range(ma.shape[1]):
         x, y = ns + 2 * k, ns + 2 * k + 1
-        block_product(ma[:, k], mb[:, k], vo[:, x], vo[:, y], px, py, False, t)
+        np.take(ma[:, k], r, out=a, mode="wrap")
+        np.take(mb[:, k], r, out=b, mode="wrap")
+        block_product(a, b, vo[:, x], vo[:, y], px, py, False, t)
         blocks += np.multiply(vs[:, x], px, out=px)
         blocks += np.multiply(vs[:, y], py, out=py)
     f += blocks
@@ -139,15 +150,16 @@ def relation_matvec(msc, ma, mb, v, transpose: bool = False) -> np.ndarray:
     return out
 
 
-def accumulate_grads(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent: int, n_rel: int, *, work=None):
+def accumulate_grads(vs, vo, msc, ma, mb, r, rho, es, eo, rr, n_ent: int, n_rel: int, *, work=None):
     """Scatter d(loss)/d(params) into compacted per-batch gradient rows.
 
     ``rho`` (B,) is each example's residual (phi - label) / B; ``es``/``eo``
     index rows of the (n_ent, d) entity gradient and ``rr`` rows of the
-    relation gradients.  Each gradient column is computed for the whole
-    batch into a (B,) temporary, multiplied by ``rho`` and summed into its
-    rows by one ``np.bincount``: for each column the subject's, then the
-    object's, then the relation's.  The temporaries and the gradients are carved from
+    relation gradients; ``r`` indexes the relation tables ``ma`` and ``mb``.
+    Each gradient column is computed for the whole batch into a (B,)
+    temporary, multiplied by ``rho`` and summed into its rows by one
+    ``np.bincount``: for each column the subject's, then the object's, then
+    the relation's.  The temporaries and the gradients are carved from
     ``work`` (at least ``work_size(B, d, n_ent, n_rel)`` elements) when
     given.  Returns ``(grad_ent, grad_rel)``: ``grad_ent`` (n_ent, d) is
     Fortran-ordered, like the entity table, and ``grad_rel`` (n_rel, d) is
@@ -155,7 +167,7 @@ def accumulate_grads(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent: int, n_rel: in
     slots, then each block's (a, b).
     """
     ns, (B, d) = msc.shape[1], vs.shape
-    cx, cy, t, grad_ent, grad_rel = carve(work, (B,), (B,), (B,), (d, n_ent), (n_rel, d))
+    a, b, cx, cy, t, grad_ent, grad_rel = carve(work, *[(B,)] * 5, (d, n_ent), (n_rel, d))
     grad_ent = grad_ent.T
     grad_ent.fill(0.0)
     grad_rel.fill(0.0)
@@ -174,10 +186,12 @@ def accumulate_grads(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent: int, n_rel: in
         scatter(grad_rel, rr, j, np.multiply(vs[:, j], vo[:, j], out=t))
     for k in range(ma.shape[1]):
         x, y = ns + 2 * k, ns + 2 * k + 1
-        for a, b, v, grad, idx, transpose in ((ma[:, k], mb[:, k], vo, grad_ent, es, False),
-                                              (ma[:, k], mb[:, k], vs, grad_ent, eo, True),
+        np.take(ma[:, k], r, out=a, mode="wrap")
+        np.take(mb[:, k], r, out=b, mode="wrap")
+        for p, q, v, grad, idx, transpose in ((a, b, vo, grad_ent, es, False),
+                                              (a, b, vs, grad_ent, eo, True),
                                               (vo[:, x], vo[:, y], vs, grad_rel, rr, True)):
-            block_product(a, b, v[:, x], v[:, y], cx, cy, transpose, t)
+            block_product(p, q, v[:, x], v[:, y], cx, cy, transpose, t)
             scatter(grad, idx, x, cx)
             scatter(grad, idx, y, cy)
     return grad_ent, grad_rel

@@ -138,10 +138,17 @@ def build_config(values: dict) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 
 
+CKPT_BLOCK_ROWS = 1024  # rows of a table written or read at a time
+
+
 def save_checkpoint(model: EmbeddingModel, path: str) -> None:
     """Header line, then little-endian float64: parameters (entity rows, then
     per relation the scalar diagonal and the rotation pairs), Adam first and
-    second moments in the same layout, and the step counter."""
+    second moments in the same layout, and the step counter.  Each table
+    is written ``CKPT_BLOCK_ROWS`` rows at a time through the buffer
+    protocol: a block of a C-ordered table as it is, one of a
+    Fortran-ordered table (the entity tables) as a row-ordered copy, so a
+    save holds at most one block beside the model."""
     header = (
         f"{CKPT_MAGIC} {model.dim} {model.n_scalars} {model.n_blocks} "
         f"{model.n_entities} {model.n_relations}\n"
@@ -150,7 +157,8 @@ def save_checkpoint(model: EmbeddingModel, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         for table in (model.ent, model.rel, opt.m_ent, opt.m_rel, opt.v_ent, opt.v_rel):
-            fh.write(np.ascontiguousarray(table, dtype="<f8"))  # through the buffer, no bytes copy
+            for start in range(0, len(table), CKPT_BLOCK_ROWS):
+                fh.write(np.ascontiguousarray(table[start : start + CKPT_BLOCK_ROWS], dtype="<f8"))
         fh.write(np.array([opt.step], dtype="<f8"))
 
 
@@ -160,9 +168,9 @@ def load_checkpoint(path: str, expect_layout: Optional[tuple[int, int]] = None) 
     block count, or no entities or relations, or a payload of another size
     than the header implies), or a layout other than ``expect_layout``,
     raises ``CheckpointError``.  The payload's size is checked before any
-    of it is read, and each table is read straight into its array, so at
-    most one table (an entity table, on its way to Fortran order) is held
-    twice."""
+    of it is read.  Each table is read ``CKPT_BLOCK_ROWS`` rows at a time
+    into one row-ordered block and copied from there into its array, so a
+    load holds the model plus that block."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").rstrip("\n")
         fields = header.split(" ")
@@ -182,17 +190,21 @@ def load_checkpoint(path: str, expect_layout: Optional[tuple[int, int]] = None) 
         found = os.fstat(fh.fileno()).st_size - fh.tell()
         if found != expected:
             raise CheckpointError(f"{path}: expected {expected} payload bytes, found {found}")
+        block = np.empty((min(max(n_ent, n_rel), CKPT_BLOCK_ROWS), dim), dtype="<f8")
 
-        def table(rows: int) -> np.ndarray:
-            out = np.empty((rows, dim), dtype="<f8")
-            if fh.readinto(out) != out.nbytes:
-                raise CheckpointError(f"{path}: payload shrank while it was read")
+        def table(rows: int, order: str) -> np.ndarray:
+            out = np.empty((rows, dim), dtype="<f8", order=order)
+            for start in range(0, rows, len(block)):
+                part = block[: rows - start]
+                if fh.readinto(part) != part.nbytes:
+                    raise CheckpointError(f"{path}: payload shrank while it was read")
+                out[start : start + len(part)] = part
             return out
 
         # parameters, first moments, second moments: each entity rows, then relation rows
-        ent, rel = np.asfortranarray(table(n_ent)), table(n_rel)
-        m_ent, m_rel = np.asfortranarray(table(n_ent)), table(n_rel)
-        v_ent, v_rel = np.asfortranarray(table(n_ent)), table(n_rel)
+        ent, rel = table(n_ent, "F"), table(n_rel, "C")
+        m_ent, m_rel = table(n_ent, "F"), table(n_rel, "C")
+        v_ent, v_rel = table(n_ent, "F"), table(n_rel, "C")
         step = int(np.frombuffer(fh.read(8), dtype="<f8")[0])
     return EmbeddingModel(ent, rel, n_sc, AdamState(m_ent, v_ent, m_rel, v_rel, step))
 
@@ -322,8 +334,6 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
         injected = _inject(kg, induce_axioms(model, pool), sparse, config.injection)
 
     graph_batch = TripleBatch(kg.ids, np.ones(len(kg)))
-    # every epoch of the run reuses one set: a full minibatch with its negatives
-    buffers = StepBuffers.empty(model, config.train.batch_size * (1 + config.train.n_negatives))
     records_path = os.path.join(config.out_dir, "records.jsonl")
     with open(records_path, "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(rec.to_dict(), sort_keys=True) + "\n" for rec in records)
@@ -331,10 +341,14 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
     for it in range(done + 1, config.iterations + 1):
         rng = phase_rng(config.seed, it, "train")
         inputs = graph_batch + TripleBatch(injected.ids, injected.truth) if injected else graph_batch
+        # the iteration's epochs share one set, sized for a full minibatch with
+        # its negatives; it is freed before scoring, injection and ranking run
+        buffers = StepBuffers.empty(model, config.train.batch_size * (1 + config.train.n_negatives))
         losses = [
             train_epoch(model, inputs, kg, config.train, rng, buffers)
             for _ in range(config.train.epochs_per_iteration)
         ]
+        del buffers
         scored = induce_axioms(model, pool)
         injected = _inject(kg, scored, sparse, config.injection)
         injected_union = distinct_rows(np.concatenate([injected_union, injected.ids]))

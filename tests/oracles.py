@@ -85,11 +85,13 @@ def relation_matvec_loops(msc, ma, mb, v, transpose=False):
 def accumulate_grads_loops(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent, n_rel):
     """Gradient scatter one example and one coordinate at a time.
 
-    Same signature and result as ``iterkg.kernels.accumulate_grads``:
-    ``(grad_ent, grad_rel)``.  Each term is the model's factors
-    times rho, added in example order, and the entity gradient is the
-    subject part plus the object part: the kernels' additions and
-    multiplications, so an all-scalar layout matches them bit for bit.
+    The result of ``iterkg.kernels.accumulate_grads``, ``(grad_ent,
+    grad_rel)``, with the relation blocks given per example: ``ma`` and
+    ``mb`` are (B, n_blocks), the kernel's tables indexed by its relation
+    ids.  Each term is the model's factors times rho, added in example
+    order, and the entity gradient is the subject part plus the object
+    part: the kernels' additions and multiplications, so they match bit
+    for bit.
     """
     B, d = vs.shape
     ns, nb = msc.shape[1], ma.shape[1]

@@ -28,18 +28,32 @@ def columns(a):
     return np.asfortranarray(a)
 
 
-def make_batch(rng, B, ns, nb, n_rel):
+def relation_table(rng, n_rel, d, order="C"):
+    """A relation table (n_rel, d): C-ordered like ``EmbeddingModel.rel``,
+    Fortran-ordered, or a strided view into a larger array."""
+    if order == "strided":
+        return rng.normal(size=(2 * n_rel, d + 3))[::2, 1 : d + 1]
+    return np.asarray(rng.normal(size=(n_rel, d)), order=order)
+
+
+def make_batch(rng, B, ns, nb, n_rel, order="C"):
     """(vs, vo, msc, ma, mb, r) as training hands them to the kernels:
-    column-major (B, ·) arrays, the relation's scalars and block components
-    views of one plane in the layout of a relation row."""
+    column-major (B, ·) vectors and relation scalars, the blocks of the
+    whole relation table (``relation_parts``), and relation ids with a
+    repeat."""
     d = ns + 2 * nb
-    rel = rng.normal(size=(n_rel, d))
+    rel = relation_table(rng, n_rel, d, order)
     r = rng.integers(n_rel, size=B)
     if B > 1:
         r[1] = r[0]  # a repeated relation
-    rows = columns(rel[r])
+    _, ma, mb = kernels.relation_parts(rel, ns)
     vs, vo = columns(rng.normal(size=(B, d))), columns(rng.normal(size=(B, d)))
-    return vs, vo, rows[:, :ns], rows[:, ns::2], rows[:, ns + 1 :: 2], r
+    return vs, vo, columns(rel[r, :ns]), ma, mb, r
+
+
+def per_example(ma, mb, r):
+    """The relation blocks of each example, as the loops take them."""
+    return ma[r], mb[r]
 
 
 def entity_ids(rng, B, n_ent):
@@ -51,13 +65,10 @@ def entity_ids(rng, B, n_ent):
     return es, eo
 
 
-def assert_matches(got, want, bitwise):
-    """Equal bit for bit, or within 1e-12: the same products, summed in
-    another order, differ by a few ulp per added term."""
-    if bitwise:
-        assert got.shape == want.shape and np.ascontiguousarray(got).tobytes() == want.tobytes()
-    else:
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+def assert_matches(got, want):
+    """Equal bit for bit: the kernels make the loops' products and sums, in
+    the same order."""
+    assert got.shape == want.shape and np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 def test_sigmoid_stable_and_bounded():
@@ -89,18 +100,16 @@ def test_sigmoid_bit_identical_to_two_branch_form(x, scale, seed):
 @given(layout=layouts, B=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
 def test_scores_and_matvecs_match_loops(layout, B, seed):
     """Scores and both matrix-vector products against the per-example
-    loops, on column-major inputs with a repeated relation; all-scalar
-    layouts bit for bit."""
+    loops, on column-major inputs with a repeated relation, bit for bit."""
     ns, nb = layout
     rng = np.random.default_rng(seed)
-    vs, vo, msc, ma, mb, _ = make_batch(rng, B, ns, nb, 3)
-    bitwise = nb == 0
-    assert_matches(kernels.bilinear_scores(vs, vo, msc, ma, mb), bilinear_scores_loops(vs, vo, msc, ma, mb),
-                   bitwise)
+    vs, vo, msc, ma, mb, r = make_batch(rng, B, ns, nb, 3)
+    ea, eb = per_example(ma, mb, r)
+    assert_matches(kernels.bilinear_scores(vs, vo, msc, ma, mb, r), bilinear_scores_loops(vs, vo, msc, ea, eb))
     for transpose in (False, True):
-        got = kernels.relation_matvec(msc, ma, mb, vo, transpose)
+        got = kernels.relation_matvec(msc, ea, eb, vo, transpose)
         assert got.flags.f_contiguous
-        assert_matches(got, relation_matvec_loops(msc, ma, mb, vo, transpose), bitwise)
+        assert_matches(got, relation_matvec_loops(msc, ea, eb, vo, transpose))
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,19 +117,18 @@ def test_scores_and_matvecs_match_loops(layout, B, seed):
        seed=st.integers(0, 2**32 - 1))
 def test_accumulate_grads_matches_loops(layout, B, n_ent, n_rel, seed):
     """Both gradients against the per-example loops, on column-major
-    inputs with repeated subject, object and relation ids; all-scalar
-    layouts bit for bit."""
+    inputs with repeated subject, object and relation ids, bit for bit."""
     ns, nb = layout
     rng = np.random.default_rng(seed)
-    vs, vo, msc, ma, mb, rr = make_batch(rng, B, ns, nb, n_rel)
+    vs, vo, msc, ma, mb, r = make_batch(rng, B, ns, nb, n_rel)
     rho = rng.normal(size=B) / B
     es, eo = entity_ids(rng, B, n_ent)
-    got = kernels.accumulate_grads(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent, n_rel)
-    want = accumulate_grads_loops(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent, n_rel)
+    got = kernels.accumulate_grads(vs, vo, msc, ma, mb, r, rho, es, eo, r, n_ent, n_rel)
+    want = accumulate_grads_loops(vs, vo, msc, *per_example(ma, mb, r), rho, es, eo, r, n_ent, n_rel)
     assert [g.shape for g in got] == [(n_ent, ns + 2 * nb), (n_rel, ns + 2 * nb)]
     assert got[0].flags.f_contiguous and got[1].flags.c_contiguous
     for g, w in zip(got, want):
-        assert_matches(g, w, nb == 0)
+        assert_matches(g, w)
 
 
 @settings(max_examples=40, deadline=None)
@@ -133,7 +141,7 @@ def test_all_scalar_layout_is_the_scalar_formula_bit_for_bit(ns, B, n_ent, n_rel
     vs, vo, msc, ma, mb, rr = make_batch(rng, B, ns, 0, n_rel)
     rho = rng.normal(size=B) / B
     es, eo = entity_ids(rng, B, n_ent)
-    scores = kernels.bilinear_scores(vs, vo, msc, ma, mb)
+    scores = kernels.bilinear_scores(vs, vo, msc, ma, mb, rr)
     assert scores.tobytes() == np.einsum("ij,ij,ij->i", *map(np.ascontiguousarray, (vs, msc, vo))).tobytes()
 
     def scatter(idx, rows, n):
@@ -141,7 +149,7 @@ def test_all_scalar_layout_is_the_scalar_formula_bit_for_bit(ns, B, n_ent, n_rel
         np.add.at(out, idx, rows * rho[:, None])
         return out
 
-    grad_ent, grad_rel = kernels.accumulate_grads(vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent, n_rel)
+    grad_ent, grad_rel = kernels.accumulate_grads(vs, vo, msc, ma, mb, rr, rho, es, eo, rr, n_ent, n_rel)
     want_ent = scatter(es, msc * vo, n_ent) + scatter(eo, msc * vs, n_ent)
     assert np.ascontiguousarray(grad_ent).tobytes() == want_ent.tobytes()
     assert grad_rel.tobytes() == scatter(rr, vs * vo, n_rel).tobytes()
@@ -153,7 +161,8 @@ def test_relation_matvec_matches_dense(layout, B, seed):
     """One relation per row, or one for all rows, or one row alone."""
     ns, nb = layout
     rng = np.random.default_rng(seed)
-    _, v, msc, ma, mb, _ = make_batch(rng, B, ns, nb, 3)
+    _, v, msc, ma, mb, r = make_batch(rng, B, ns, nb, 3)
+    ma, mb = per_example(ma, mb, r)
     for i in range(B):
         dense = dense_block_matrix(msc[i], np.stack([ma[i], mb[i]], axis=1))
         np.testing.assert_allclose(kernels.relation_matvec(msc[i], ma[i], mb[i], v[i]),
@@ -175,12 +184,13 @@ def test_row_major_inputs_give_the_same_bits(layout, B, seed):
     es, eo = entity_ids(rng, B, 4)
     args = (vs, vo, msc, ma, mb)
     rows = tuple(np.ascontiguousarray(a) for a in args)
-    assert kernels.bilinear_scores(*rows).tobytes() == kernels.bilinear_scores(*args).tobytes()
+    assert kernels.bilinear_scores(*rows, rr).tobytes() == kernels.bilinear_scores(*args, rr).tobytes()
+    ea, eb = per_example(ma, mb, rr)
     for transpose in (False, True):
-        assert (kernels.relation_matvec(*rows[2:], vo.copy(order="C"), transpose).tobytes()
-                == kernels.relation_matvec(msc, ma, mb, vo, transpose).tobytes())
-    for g, f in zip(kernels.accumulate_grads(*rows, rho, es, eo, rr, 4, 3),
-                    kernels.accumulate_grads(*args, rho, es, eo, rr, 4, 3)):
+        assert (kernels.relation_matvec(rows[2], ea.copy(), eb.copy(), vo.copy(order="C"), transpose).tobytes()
+                == kernels.relation_matvec(msc, columns(ea), columns(eb), vo, transpose).tobytes())
+    for g, f in zip(kernels.accumulate_grads(*rows, rr, rho, es, eo, rr, 4, 3),
+                    kernels.accumulate_grads(*args, rr, rho, es, eo, rr, 4, 3)):
         assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(f).tobytes()
 
 
@@ -201,21 +211,51 @@ def test_kernels_with_work_buffer_are_bit_identical(layout, B, extra, n_ent, n_r
     ns, nb = layout
     d = ns + 2 * nb
     rng = np.random.default_rng(seed)
-    vs, vo, msc, ma, mb, rr = make_batch(rng, B, ns, nb, n_rel)
+    vs, vo, msc, ma, mb, r = make_batch(rng, B, ns, nb, n_rel)
     rho = rng.normal(size=B) / B
     es, eo = entity_ids(rng, B, n_ent)
-    args = (vs, vo, msc, ma, mb, rho, es, eo, rr, n_ent, n_rel)
+    args = (vs, vo, msc, ma, mb, r, rho, es, eo, r, n_ent, n_rel)
     # a buffer sized for a longer batch, dirty from a previous use
     work = dirty(kernels.work_size(B + extra, d, n_ent + extra, n_rel + extra))
 
-    scores = kernels.bilinear_scores(vs, vo, msc, ma, mb, work=work)
-    assert scores.tobytes() == kernels.bilinear_scores(vs, vo, msc, ma, mb).tobytes()
+    scores = kernels.bilinear_scores(vs, vo, msc, ma, mb, r, work=work)
+    assert scores.tobytes() == kernels.bilinear_scores(vs, vo, msc, ma, mb, r).tobytes()
 
     got = kernels.accumulate_grads(*args, work=work)
     fresh = kernels.accumulate_grads(*args)
     for g, f in zip(got, fresh):
         assert g.size == 0 or np.shares_memory(g, work)
         assert g.shape == f.shape and g.tobytes() == f.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(layout=split_layouts, order=st.sampled_from(["C", "F", "strided"]), B=st.integers(1, 16),
+       extra=st.integers(0, 5), n_ent=st.integers(1, 6), n_rel=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_relation_tables_and_ids_match_the_loops_on_indexed_rows(layout, order, B, extra, n_ent, n_rel,
+                                                                  seed):
+    """Given the whole relation table's blocks and the examples' relation
+    ids, both kernels equal the per-example loops handed the indexed
+    (B, n_blocks) arrays bit for bit: with no blocks, no scalars or both,
+    repeated relation ids, a C-ordered, Fortran-ordered or strided table,
+    and a work buffer left dirty by a longer batch.  As in training, the
+    relation gradient's rows are the compacted ids, not the table's."""
+    ns, nb = layout
+    d = ns + 2 * nb
+    rng = np.random.default_rng(seed)
+    vs, vo, msc, ma, mb, r = make_batch(rng, B, ns, nb, n_rel, order)
+    rel_ids, rr = np.unique(r, return_inverse=True)
+    rho = rng.normal(size=B) / B
+    es, eo = entity_ids(rng, B, n_ent)
+    ea, eb = per_example(ma, mb, r)
+    assert ea.shape == eb.shape == (B, nb)
+    args = (vs, vo, msc, ma, mb, r, rho, es, eo, rr, n_ent, len(rel_ids))
+    want_scores = bilinear_scores_loops(vs, vo, msc, ea, eb)
+    want_grads = accumulate_grads_loops(vs, vo, msc, ea, eb, rho, es, eo, rr, n_ent, len(rel_ids))
+    for work in (None, dirty(kernels.work_size(B + extra, d, n_ent + extra, n_rel + extra))):
+        assert_matches(kernels.bilinear_scores(*args[:6], work=work), want_scores)
+        for got, want in zip(kernels.accumulate_grads(*args, work=work), want_grads):
+            assert_matches(got, want)
 
 
 def test_carve_lays_arrays_end_to_end():

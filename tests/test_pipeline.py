@@ -8,6 +8,7 @@ import re
 import shutil
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -125,22 +126,36 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="payload bytes, found 8$"):
             load_checkpoint(path)
 
-    def test_load_holds_at_most_one_table_twice(self, tmp_path):
-        """The traced peak of a load is the model plus one table: the
-        payload is never held beside the arrays made from it."""
-        n_ent, n_rel, dim = 600, 600, 64
+    def test_load_and_save_hold_the_model_plus_one_block(self, tmp_path):
+        """The traced peak of a load is the model plus one block of
+        ``CKPT_BLOCK_ROWS`` rows, and a save holds no more than one block:
+        no table is ever held twice.  The entity tables span several
+        blocks, the last one partial, and the bytes are the tables' rows
+        in order."""
+        n_ent, n_rel, dim = 2 * pipeline.CKPT_BLOCK_ROWS + 37, 50, 24
         m = init_model(n_ent, n_rel, TrainConfig(dim=dim, seed=0))
+        randomize_adam(m, np.random.default_rng(0))
         path = tmp_path / "m.bin"
-        save_checkpoint(m, path)
-        model_bytes = 3 * (n_ent + n_rel) * dim * 8
+        block_bytes = pipeline.CKPT_BLOCK_ROWS * dim * 8
         tracemalloc.start()
         try:
+            save_checkpoint(m, path)
+            _, saved = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
             back = load_checkpoint(path)
-            _, peak = tracemalloc.get_traced_memory()
+            _, loaded = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.array_equal(back.ent, m.ent) and np.array_equal(back.opt.v_rel, m.opt.v_rel)
-        assert peak < model_bytes + n_ent * dim * 8 + 2**16, peak / model_bytes
+        def tables(model):
+            return model.ent, model.rel, model.opt.m_ent, model.opt.m_rel, model.opt.v_ent, model.opt.v_rel
+
+        payload = b"".join(t.tobytes() for t in tables(m)) + struct.pack("<d", m.opt.step)
+        assert path.read_bytes().split(b"\n", 1)[1] == payload
+        for got, want in zip(tables(back), tables(m)):
+            assert got.flags.f_contiguous == want.flags.f_contiguous and got.tobytes("A") == want.tobytes("A")
+        model_bytes = 3 * (n_ent + n_rel) * dim * 8
+        assert saved < block_bytes + 2**16, saved / block_bytes
+        assert loaded < model_bytes + block_bytes + 2**16, loaded / model_bytes
 
     def test_layout_mismatch_rejected(self, tmp_path):
         m = init_model(3, 2, TrainConfig(dim=8, seed=0))
@@ -248,17 +263,36 @@ class TestRunIterations:
         assert [rec.to_dict() for rec in r1.records] == [rec.to_dict() for rec in r2.records]
         assert (tmp_path / "a/report.json").read_bytes() == (tmp_path / "b/report.json").read_bytes()
 
-    def test_one_set_of_step_buffers_per_run(self, tmp_path, dataset_dir, monkeypatch):
+    def test_step_buffers_live_only_while_an_iteration_trains(self, tmp_path, dataset_dir, monkeypatch):
+        """Each iteration builds one set of step buffers for its epochs and
+        drops it before the axioms are scored: no set is reachable while
+        ``induce_axioms``, ``inject_triples`` or ``link_prediction`` run."""
         made, empty = [], StepBuffers.empty.__func__
 
         def counting(cls, model, rows):
-            made.append(rows)
-            return empty(cls, model, rows)
+            buffers = empty(cls, model, rows)
+            made.append((rows, weakref.ref(buffers.planes), weakref.ref(buffers.work)))
+            return buffers
+
+        calls = []
+
+        def checking(name):
+            real = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                assert all(ref() is None for _, *refs in made for ref in refs), name
+                return real(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, wrapper)
 
         monkeypatch.setattr(StepBuffers, "empty", classmethod(counting))
-        cfg = small_config(dataset_dir, tmp_path / "bufs")
+        for name in ("induce_axioms", "inject_triples", "link_prediction"):
+            checking(name)
+        cfg = small_config(dataset_dir, tmp_path / "bufs", iterations=3)
+        cfg.eval_every = 1
         run_iterations(cfg)
-        assert made == [cfg.train.batch_size * (1 + cfg.train.n_negatives)]
+        assert [rows for rows, *_ in made] == [cfg.train.batch_size * (1 + cfg.train.n_negatives)] * 3
+        assert calls == ["induce_axioms", "inject_triples", "link_prediction"] * 3
 
     def test_threshold_one_disables_injection(self, tmp_path, dataset_dir):
         cfg = small_config(dataset_dir, tmp_path / "noinj", iterations=1)
