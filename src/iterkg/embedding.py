@@ -24,7 +24,7 @@ from .kg import KnowledgeGraph, Triple, compact_ids
 log = logging.getLogger(__name__)
 
 LOG_CLAMP = 1e-12  # floor for log arguments in the cross-entropy
-# Adam writes a Fortran-ordered table this many columns at a time
+# Adam writes a table this many columns at a time
 # (_put_rows): fewer cost more numpy calls per write, and more stride across
 # too much memory per row at (14,541 x 200)
 COLUMN_BLOCK = 16
@@ -111,18 +111,17 @@ class AdamState:
 class EmbeddingModel:
     """Entity vectors plus one block-diagonal matrix per relation.
 
-    The entity table and its Adam moments are stored Fortran-ordered, so
-    training gathers and writes them column by column (see ``kernels``).
-    The relation table ``rel`` and its moments are C-ordered, in the
-    checkpoint's row layout: relation r's scalar diagonal, then each
-    block's (a, b).  Every constructor here keeps these layouts; others give
-    the same values, only slower.  ``rel_scalars`` and ``rel_rot`` (the
-    (n_blocks, 2) pairs) are writable views of ``rel``.  Training is the
-    single writer; scoring reads only.
+    Every table (``ent``, ``rel`` and their Adam moments) is stored
+    Fortran-ordered, so training gathers and writes it column by column
+    (see ``kernels``).  A row of ``rel`` holds relation r's scalar
+    diagonal, then each block's (a, b).  Every constructor here keeps this
+    layout; others give the same values, only slower.  ``rel_scalars`` and
+    ``rel_rot`` (the (n_blocks, 2) pairs) are writable views of ``rel``.
+    Training is the single writer; scoring reads only.
     """
 
     ent: np.ndarray  # (n_entities, dim), Fortran-ordered
-    rel: np.ndarray  # (n_relations, dim), C-ordered
+    rel: np.ndarray  # (n_relations, dim), Fortran-ordered
     n_scalars: int
     opt: AdamState = field(repr=False, default=None)
 
@@ -152,21 +151,21 @@ class EmbeddingModel:
 
     def copy(self) -> "EmbeddingModel":
         o = self.opt
-        return EmbeddingModel(np.array(self.ent, order="F"), self.rel.copy(), self.n_scalars,
-                              AdamState(np.array(o.m_ent, order="F"), np.array(o.v_ent, order="F"),
-                                        o.m_rel.copy(), o.v_rel.copy(), o.step))
+        ent, rel, m_ent, v_ent, m_rel, v_rel = (np.array(a, order="F") for a in
+                                                (self.ent, self.rel, o.m_ent, o.v_ent, o.m_rel, o.v_rel))
+        return EmbeddingModel(ent, rel, self.n_scalars, AdamState(m_ent, v_ent, m_rel, v_rel, o.step))
 
 
 def init_model(n_entities: int, n_relations: int, config: TrainConfig) -> EmbeddingModel:
-    """Initialize all parameters i.i.d. uniform on (-0.1, 0.1), seeded; the
-    entity table is Fortran-ordered and ``rel`` C-ordered."""
+    """Initialize all parameters i.i.d. uniform on (-0.1, 0.1), seeded;
+    every table is Fortran-ordered."""
     if n_entities < 1 or n_relations < 1:
         raise ValueError("need at least one entity and one relation")
     rng = np.random.default_rng(config.seed)
     ns, nb = config.n_scalars, config.n_blocks
     ent = np.asfortranarray(rng.uniform(-0.1, 0.1, size=(n_entities, config.dim)))
-    rel = np.concatenate([rng.uniform(-0.1, 0.1, size=(n_relations, ns)),
-                          rng.uniform(-0.1, 0.1, size=(n_relations, 2 * nb))], axis=1)
+    rel = np.asfortranarray(np.concatenate([rng.uniform(-0.1, 0.1, size=(n_relations, ns)),
+                                            rng.uniform(-0.1, 0.1, size=(n_relations, 2 * nb))], axis=1))
     opt = AdamState(m_ent=np.zeros_like(ent), v_ent=np.zeros_like(ent),
                     m_rel=np.zeros_like(rel), v_rel=np.zeros_like(rel))
     return EmbeddingModel(ent, rel, ns, opt)
@@ -184,11 +183,12 @@ class StepBuffers(NamedTuple):
     intermediates, the relations' block columns and the gradients from
     ``work``.  The gathered columns are dead once
     ``kernels.accumulate_grads`` returns, so the L1 term and Adam carve
-    their parameter rows from the front of ``planes`` too, which is sized
-    for whichever of the two uses is larger.  A table whose every row the
-    minibatch touches is read and updated in place instead of through
-    gathered rows; its intermediates still come from ``planes``.  A view
-    of a buffer is valid until the next minibatch.
+    their parameter rows, column-major like every table, from the front of
+    ``planes`` too, which is sized for whichever of the two uses is
+    larger.  A table whose every row the minibatch touches is read and
+    updated in place instead of through gathered rows; its intermediates
+    still come from ``planes``.  A view of a buffer is valid until the
+    next minibatch.
     """
 
     rows: int
@@ -321,9 +321,10 @@ def sample_negatives(
 
 @dataclass
 class SparseGrads:
-    """Gradients for the parameters touched by one batch; ``rel_grad`` rows
-    are laid out like ``EmbeddingModel.rel``, and ``scalar_grad`` (nr,
-    n_scalars) and ``rot_grad`` (nr, n_blocks, 2) are views of them."""
+    """Gradients for the parameters touched by one batch, Fortran-ordered
+    like the tables; ``rel_grad`` rows are laid out like
+    ``EmbeddingModel.rel``, and ``scalar_grad`` (nr, n_scalars) and
+    ``rot_grad`` (nr, n_blocks, 2) are views of them."""
 
     ent_ids: np.ndarray   # (ne,) unique entity ids
     ent_grad: np.ndarray  # (ne, dim)
@@ -340,40 +341,21 @@ class SparseGrads:
         return self.rel_grad[:, self.n_scalars :].reshape(len(self.rel_grad), -1, 2)
 
 
-def _column_major(table: np.ndarray) -> bool:
-    """Whether ``table`` is a Fortran-ordered (and not also C-ordered)
-    matrix, whose rows are read and written column by column."""
-    return table.flags.f_contiguous and not table.flags.c_contiguous
-
-
-def _row_buffers(scratch: Optional[np.ndarray], table: np.ndarray, k: int, count: int) -> list[np.ndarray]:
-    """``count`` arrays for ``k`` rows of ``table``, laid out like it, carved
-    from the flat ``scratch`` (new arrays when it is None)."""
-    shape = (k, table.shape[1])
-    return (kernels.carve_columns if _column_major(table) else kernels.carve)(scratch, *[shape] * count)
-
-
 def _take_rows(table: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``table[ids]`` for ascending, distinct, in-range ``ids``: ``table``
-    itself when they name every row, else a copy into ``out`` (returned)."""
+    itself when they name every row, else a copy into ``out`` (returned),
+    taken column by column."""
     if len(ids) == len(table):
         return table
-    if _column_major(table):
-        np.take(table.T, ids, axis=1, out=out.T, mode="wrap")
-    else:
-        np.take(table, ids, axis=0, out=out, mode="wrap")
+    np.take(table.T, ids, axis=1, out=out.T, mode="wrap")
     return out
 
 
 def _put_rows(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
     """``table[ids] = rows``; nothing to do when ``rows`` is ``table``
-    (``_take_rows`` of every row).  A Fortran-ordered table is written
-    ``COLUMN_BLOCK`` of its contiguous columns at a time, with no index
-    array."""
+    (``_take_rows`` of every row).  The table is written ``COLUMN_BLOCK``
+    of its columns at a time, with no index array."""
     if rows is table:
-        return
-    if not _column_major(table):
-        table[ids] = rows
         return
     columns, values = table.T, rows.T
     for j in range(0, len(columns), COLUMN_BLOCK):
@@ -421,7 +403,7 @@ def compute_loss_and_gradients(
         scratch = None if buffers is None else buffers.planes  # the gathered columns are dead
         norm = 0.0
         for param, ids, grad in ((model.ent, ent_ids, grad_ent), (model.rel, rel_ids, grad_rel)):
-            rows, sign = _row_buffers(scratch, param, len(ids), 2)
+            rows, sign = kernels.carve_columns(scratch, *[(len(ids), model.dim)] * 2)
             rows = _take_rows(param, ids, rows)
             np.sign(rows, out=sign)
             sign *= l1_weight
@@ -439,8 +421,8 @@ def adam_update(model: EmbeddingModel, grads: SparseGrads, config: TrainConfig,
     Moment accumulators of untouched parameters are left as-is; bias
     correction uses the global step counter, incremented once per call.
     The row intermediates are carved from the flat ``scratch`` (three
-    planes of the largest gradient) when given, else allocated.  A
-    Fortran-ordered table is read and written column by column.  A table
+    planes of the largest gradient) when given, else allocated.  Tables
+    are read and written column by column.  A table
     whose every row has a gradient (the relations of most minibatches) is
     updated in place, with no gather or write-back; each element gets the
     same operations in the same order either way.  Gradient rows must be
@@ -465,7 +447,7 @@ def adam_update(model: EmbeddingModel, grads: SparseGrads, config: TrainConfig,
         # param -= lr * (m'/c1) / (sqrt(v'/c2) + eps), one operation at a
         # time.  When ids name every row the rows are the tables themselves,
         # so sqrt(v'/c2) goes to the v buffer, not over the moments
-        m_buf, v_buf, t = _row_buffers(scratch, param, len(ids), 3)
+        m_buf, v_buf, t = kernels.carve_columns(scratch, *[(len(ids), model.dim)] * 3)
         m_rows = _take_rows(m, ids, m_buf)
         m_rows *= b1
         m_rows += np.multiply(grad, 1 - b1, out=t)

@@ -11,10 +11,13 @@ Entity vectors are laid out to match the dense block pattern: coordinates
 ``[0, n_scalars)`` align with the scalar diagonal, then block j occupies the
 coordinate pair ``(n_scalars + 2j, n_scalars + 2j + 1)``.
 
-Column-major planes.  Training hands the kernels its per-example arrays as
-(B, ·) views of C-ordered (·, B) arrays (Fortran order), gathered column by
-column from the Fortran-ordered entity table (``EmbeddingModel.ent``) and
-the relations' scalar diagonals.  The kernels work one column at a time:
+Column-major planes.  Every parameter table (``EmbeddingModel``) is
+Fortran-ordered, and so are the gradients ``accumulate_grads`` returns.
+Training hands the kernels its per-example arrays as (B, ·) views of
+C-ordered (·, B) arrays (Fortran order), gathered column by column from
+the entity table and the relations' scalar diagonals, and the kernels take
+each relation block column, a contiguous column of the relation table,
+per example.  The kernels work one column at a time:
 ``accumulate_grads`` computes each of the 3·dim gradient columns of the
 batch into a (B,) temporary, multiplies it by ``rho`` and sums it into its
 rows with one ``np.bincount``.  Every operand is then a contiguous column,
@@ -161,14 +164,14 @@ def accumulate_grads(vs, vo, msc, ma, mb, r, rho, es, eo, rr, n_ent: int, n_rel:
     ``np.bincount``: for each column the subject's, then the object's, then
     the relation's.  The temporaries and the gradients are carved from
     ``work`` (at least ``work_size(B, d, n_ent, n_rel)`` elements) when
-    given.  Returns ``(grad_ent, grad_rel)``: ``grad_ent`` (n_ent, d) is
-    Fortran-ordered, like the entity table, and ``grad_rel`` (n_rel, d) is
-    C-ordered with the row layout of ``EmbeddingModel.rel``: the scalar
-    slots, then each block's (a, b).
+    given.  Returns ``(grad_ent, grad_rel)``, (n_ent, d) and (n_rel, d),
+    Fortran-ordered like the tables; a row of ``grad_rel`` is laid out like
+    one of ``EmbeddingModel.rel``: the scalar slots, then each block's
+    (a, b).
     """
     ns, (B, d) = msc.shape[1], vs.shape
-    a, b, cx, cy, t, grad_ent, grad_rel = carve(work, *[(B,)] * 5, (d, n_ent), (n_rel, d))
-    grad_ent = grad_ent.T
+    a, b, cx, cy, t, grad_ent, grad_rel = carve(work, *[(B,)] * 5, (d, n_ent), (d, n_rel))
+    grad_ent, grad_rel = grad_ent.T, grad_rel.T
     grad_ent.fill(0.0)
     grad_rel.fill(0.0)
 

@@ -145,10 +145,9 @@ def save_checkpoint(model: EmbeddingModel, path: str) -> None:
     """Header line, then little-endian float64: parameters (entity rows, then
     per relation the scalar diagonal and the rotation pairs), Adam first and
     second moments in the same layout, and the step counter.  Each table
-    is written ``CKPT_BLOCK_ROWS`` rows at a time through the buffer
-    protocol: a block of a C-ordered table as it is, one of a
-    Fortran-ordered table (the entity tables) as a row-ordered copy, so a
-    save holds at most one block beside the model."""
+    is written ``CKPT_BLOCK_ROWS`` rows at a time, each block as a
+    row-ordered copy of the Fortran-ordered table, so a save holds at most
+    one block beside the model."""
     header = (
         f"{CKPT_MAGIC} {model.dim} {model.n_scalars} {model.n_blocks} "
         f"{model.n_entities} {model.n_relations}\n"
@@ -163,14 +162,15 @@ def save_checkpoint(model: EmbeddingModel, path: str) -> None:
 
 
 def load_checkpoint(path: str, expect_layout: Optional[tuple[int, int]] = None) -> EmbeddingModel:
-    """The model ``save_checkpoint`` wrote, in the layouts ``init_model``
-    makes; a malformed file (among them a header with a negative scalar or
-    block count, or no entities or relations, or a payload of another size
-    than the header implies), or a layout other than ``expect_layout``,
-    raises ``CheckpointError``.  The payload's size is checked before any
-    of it is read.  Each table is read ``CKPT_BLOCK_ROWS`` rows at a time
-    into one row-ordered block and copied from there into its array, so a
-    load holds the model plus that block."""
+    """The model ``save_checkpoint`` wrote, every table Fortran-ordered as
+    ``init_model`` makes them; a malformed file (among them a header with a
+    negative scalar or block count, or no entities or relations, or a
+    payload of another size than the header implies), or a layout other
+    than ``expect_layout``, raises ``CheckpointError``.  The payload's size
+    is checked before any of it is read.  Each table is read
+    ``CKPT_BLOCK_ROWS`` rows at a time into one row-ordered block and
+    copied from there into its array, so a load holds the model plus that
+    block."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").rstrip("\n")
         fields = header.split(" ")
@@ -192,8 +192,8 @@ def load_checkpoint(path: str, expect_layout: Optional[tuple[int, int]] = None) 
             raise CheckpointError(f"{path}: expected {expected} payload bytes, found {found}")
         block = np.empty((min(max(n_ent, n_rel), CKPT_BLOCK_ROWS), dim), dtype="<f8")
 
-        def table(rows: int, order: str) -> np.ndarray:
-            out = np.empty((rows, dim), dtype="<f8", order=order)
+        def table(rows: int) -> np.ndarray:
+            out = np.empty((rows, dim), dtype="<f8", order="F")
             for start in range(0, rows, len(block)):
                 part = block[: rows - start]
                 if fh.readinto(part) != part.nbytes:
@@ -202,9 +202,7 @@ def load_checkpoint(path: str, expect_layout: Optional[tuple[int, int]] = None) 
             return out
 
         # parameters, first moments, second moments: each entity rows, then relation rows
-        ent, rel = table(n_ent, "F"), table(n_rel, "C")
-        m_ent, m_rel = table(n_ent, "F"), table(n_rel, "C")
-        v_ent, v_rel = table(n_ent, "F"), table(n_rel, "C")
+        ent, rel, m_ent, m_rel, v_ent, v_rel = (table(n) for n in (n_ent, n_rel) * 3)
         step = int(np.frombuffer(fh.read(8), dtype="<f8")[0])
     return EmbeddingModel(ent, rel, n_sc, AdamState(m_ent, v_ent, m_rel, v_rel, step))
 

@@ -73,28 +73,27 @@ class TestInit:
         rng = np.random.default_rng(3)
         for arr, shape in ((m.ent, (6, 8)), (m.rel_scalars, (3, 4)), (m.rel_rot, (3, 2, 2))):
             assert arr.tobytes() == rng.uniform(-0.1, 0.1, size=shape).tobytes()
-        assert all(a.flags.f_contiguous and not a.flags.c_contiguous for a in (m.ent, m.opt.m_ent, m.opt.v_ent))
-        assert all(a.flags.c_contiguous for a in (m.rel, m.opt.m_rel, m.opt.v_rel))
+        assert all(a.flags.f_contiguous and not a.flags.c_contiguous
+                   for a in (m.ent, m.opt.m_ent, m.opt.v_ent, m.rel, m.opt.m_rel, m.opt.v_rel))
 
     def test_copy_is_fortran_ordered_and_independent(self):
         m = init_model(6, 3, TrainConfig(dim=8, seed=3))
-        # a caller's C-ordered entity table and Fortran-ordered relation table
-        m.ent, m.rel = np.ascontiguousarray(m.ent), np.asfortranarray(m.rel)
+        # a caller's C-ordered entity and relation tables
+        m.ent, m.rel = np.ascontiguousarray(m.ent), np.ascontiguousarray(m.rel)
         for c in (m.copy(), m.copy().copy()):
             assert c.n_scalars == m.n_scalars
             for name, got, was in (("ent", c.ent, m.ent), ("m_ent", c.opt.m_ent, m.opt.m_ent),
                                    ("v_ent", c.opt.v_ent, m.opt.v_ent), ("rel", c.rel, m.rel),
                                    ("m_rel", c.opt.m_rel, m.opt.m_rel), ("v_rel", c.opt.v_rel, m.opt.v_rel)):
-                fortran = name.endswith("ent")
-                assert got.flags.f_contiguous == fortran and got.flags.c_contiguous != fortran, name
+                assert got.flags.f_contiguous and not got.flags.c_contiguous, name
                 assert np.array_equal(got, was) and not np.shares_memory(got, was), name
 
 
 @pytest.mark.parametrize("source", ["init", "copy", "checkpoint"])
 def test_relation_views_write_through(tmp_path, source):
-    """``rel`` is C-ordered in every model made here, and its scalar and
-    block views (and those of a gradient's ``rel_grad``) are views: a write
-    through one lands in the table."""
+    """``rel`` is Fortran-ordered in every model made here, and so is a
+    gradient's ``rel_grad``; their scalar and block views are views: a
+    write through one lands in the table."""
     model = init_model(6, 3, TrainConfig(dim=10, n_scalars=4, seed=1))
     if source == "copy":
         model = model.copy()
@@ -102,13 +101,14 @@ def test_relation_views_write_through(tmp_path, source):
         save_checkpoint(model, tmp_path / "m.bin")
         model = load_checkpoint(tmp_path / "m.bin")
     rel = model.rel
-    assert rel.shape == (3, 10) and rel.flags.c_contiguous and rel.flags.writeable
+    assert rel.shape == (3, 10) and rel.flags.f_contiguous and not rel.flags.c_contiguous and rel.flags.writeable
     model.rel_scalars[1] = 5.0
     model.rel_rot[1, 0] = [6.0, 7.0]
     model.rel_rot[2, 1] = [8.0, 9.0]
     assert np.array_equal(rel[1, :6], [5.0] * 4 + [6.0, 7.0]) and np.array_equal(rel[2, 6:8], [8.0, 9.0])
     assert model.rel_rot.shape == (3, 3, 2)
     _, grads = compute_loss_and_gradients(model, TripleBatch.of([[0, 1, 2], [3, 2, 4]], [1.0, 0.0]), 0.0)
+    assert grads.rel_grad.flags.f_contiguous and not grads.rel_grad.flags.c_contiguous
     grads.scalar_grad[0] = 1.0
     grads.rot_grad[1, 2] = [2.0, 3.0]
     assert np.array_equal(grads.rel_grad[0, :4], [1.0] * 4) and np.array_equal(grads.rel_grad[1, 8:], [2.0, 3.0])
@@ -719,22 +719,21 @@ def strided(a):
 
 
 @pytest.mark.parametrize("n_scalars", [0, 4, 8])
-@pytest.mark.parametrize("ent_layout, rel_layout", [(np.ascontiguousarray, np.asfortranarray),
-                                                    (strided, strided)], ids=["ascontiguousarray", "strided"])
-def test_other_entity_table_layouts_give_the_same_results(n_scalars, ent_layout, rel_layout):
-    """A caller may assign a C-ordered or a strided entity table and a
-    Fortran-ordered or strided relation table (and their moments): losses,
-    gradients, trained parameters, ranks and the scored axiom pool come out
-    the same, bit for bit, and training writes into the caller's arrays."""
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, strided], ids=["ascontiguousarray", "strided"])
+def test_other_entity_table_layouts_give_the_same_results(n_scalars, layout):
+    """A caller may assign C-ordered or strided entity and relation tables
+    (and their moments): losses, gradients, trained parameters, ranks and
+    the scored axiom pool come out the same, bit for bit, and training
+    writes into the caller's arrays."""
     rng = np.random.default_rng(0)
     kg = random_kg(rng, 12, 3, 60)
     cfg = TrainConfig(dim=8, n_scalars=n_scalars, batch_size=16, n_negatives=2, l1_weight=1e-3,
                       learning_rate=0.05, seed=2)
     model, other = init_model(12, 3, cfg), init_model(12, 3, cfg)
     o = other.opt
-    other.ent, o.m_ent, o.v_ent = (ent_layout(a) for a in (other.ent, o.m_ent, o.v_ent))
-    other.rel, o.m_rel, o.v_rel = (rel_layout(a) for a in (other.rel, o.m_rel, o.v_rel))
-    assert not other.rel.flags.c_contiguous
+    other.ent, o.m_ent, o.v_ent, other.rel, o.m_rel, o.v_rel = (
+        layout(a) for a in (other.ent, o.m_ent, o.v_ent, other.rel, o.m_rel, o.v_rel))
+    assert not other.ent.flags.f_contiguous and not other.rel.flags.f_contiguous
 
     def tables(m):
         return m.ent, m.opt.m_ent, m.opt.v_ent, m.rel, m.opt.m_rel, m.opt.v_rel
@@ -848,8 +847,7 @@ def test_tables_a_batch_touches_whole_update_in_place_with_the_row_path_bits(mon
         a[:] = rng.uniform(0.0, 0.01, size=a.shape)
 
     def padded(a):
-        pad = np.vstack([a, rng.uniform(-0.1, 0.1, size=(1, a.shape[1]))])
-        return np.asfortranarray(pad) if a.flags.f_contiguous and not a.flags.c_contiguous else pad
+        return np.asfortranarray(np.vstack([a, rng.uniform(-0.1, 0.1, size=(1, a.shape[1]))]))
 
     def tables(m):
         return m.ent, m.rel, m.opt.m_ent, m.opt.v_ent, m.opt.m_rel, m.opt.v_rel

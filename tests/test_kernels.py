@@ -28,15 +28,16 @@ def columns(a):
     return np.asfortranarray(a)
 
 
-def relation_table(rng, n_rel, d, order="C"):
-    """A relation table (n_rel, d): C-ordered like ``EmbeddingModel.rel``,
-    Fortran-ordered, or a strided view into a larger array."""
+def relation_table(rng, n_rel, d, order="F"):
+    """A relation table (n_rel, d): Fortran-ordered like
+    ``EmbeddingModel.rel``, C-ordered, or a strided view into a larger
+    array."""
     if order == "strided":
         return rng.normal(size=(2 * n_rel, d + 3))[::2, 1 : d + 1]
     return np.asarray(rng.normal(size=(n_rel, d)), order=order)
 
 
-def make_batch(rng, B, ns, nb, n_rel, order="C"):
+def make_batch(rng, B, ns, nb, n_rel, order="F"):
     """(vs, vo, msc, ma, mb, r) as training hands them to the kernels:
     column-major (B, ·) vectors and relation scalars, the blocks of the
     whole relation table (``relation_parts``), and relation ids with a
@@ -126,7 +127,7 @@ def test_accumulate_grads_matches_loops(layout, B, n_ent, n_rel, seed):
     got = kernels.accumulate_grads(vs, vo, msc, ma, mb, r, rho, es, eo, r, n_ent, n_rel)
     want = accumulate_grads_loops(vs, vo, msc, *per_example(ma, mb, r), rho, es, eo, r, n_ent, n_rel)
     assert [g.shape for g in got] == [(n_ent, ns + 2 * nb), (n_rel, ns + 2 * nb)]
-    assert got[0].flags.f_contiguous and got[1].flags.c_contiguous
+    assert all(g.flags.f_contiguous for g in got)
     for g, w in zip(got, want):
         assert_matches(g, w)
 
