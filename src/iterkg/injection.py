@@ -84,9 +84,10 @@ def solve_head_truth(body_truths: Sequence[float], grounding_truth: float) -> fl
     """Invert pi(body => head) = grounding_truth for the head truth.
 
     With product conjunction over the body (truth P) the implication equals
-    1 - P + P * head, so head = (grounding_truth - 1 + P) / P, clamped to
+    1 - P + P * head, so head = (grounding_truth - (1 - P)) / P, clamped to
     [0, 1].  Graph triples have truth 1, making the head truth equal the
-    grounding truth exactly.
+    grounding truth exactly: 1 - P is then 0, where the order
+    (grounding_truth - 1 + P) would round (0.1 - 1 + 1 is not 0.1).
     """
     p = 1.0
     for bt in body_truths:
@@ -97,7 +98,7 @@ def solve_head_truth(body_truths: Sequence[float], grounding_truth: float) -> fl
         raise ValueError(f"grounding truth {grounding_truth} outside [0, 1]")
     if p == 0.0:
         raise ValueError("head truth undefined: body truth product is zero")
-    return min(1.0, max(0.0, (grounding_truth - 1.0 + p) / p))
+    return min(1.0, max(0.0, (grounding_truth - (1.0 - p)) / p))
 
 
 @dataclass(frozen=True)
@@ -199,12 +200,13 @@ def inject_triples(
     the cap, but the join lists only those touching a sparse entity.  They
     are merged across axioms keeping the maximum score (the first such
     axiom in input order labels the triple; its sources are every
-    contributing axiom in input order), and labeled with
-    ``solve_head_truth``'s expression, applied to the scores.  One DEBUG
-    line per call counts the axioms grounded, the heads proposed by the
-    axioms within the cap, those listed (with a sparse end) and the axioms
-    over the cap.  The result holds arrays sorted by triple ids and builds
-    no ``Triple``.
+    contributing axiom in input order), and labeled with that score
+    itself: ``solve_head_truth``'s value for body triples of the graph
+    (truth 1) and a score in [0, 1], as ``normalize_scores`` makes it.
+    One DEBUG line per call counts the axioms grounded, the heads proposed
+    by the axioms within the cap, those listed (with a sparse end) and the
+    axioms over the cap.  The result holds arrays sorted by triple ids and
+    builds no ``Triple``.
     """
     sparse = np.asarray(sparse)
     if sparse.dtype != bool or sparse.shape != (kg.n_entities,):
@@ -233,10 +235,8 @@ def inject_triples(
     bounds = np.append(first, len(key))
     top = np.repeat(np.maximum.reduceat(score[cand], first), np.diff(bounds))
     best = cand[np.minimum.reduceat(np.where(score[cand] == top, np.arange(len(key)), len(key)), first)]
-    p = 1.0  # solve_head_truth element-wise; body triples are graph triples, of truth 1
-    truth = np.clip((score - 1.0 + p) / p, 0.0, 1.0)
     ids = np.stack([x[order], r[order], y[order]], axis=1)[first]
-    return Injection(ids, truth[best], cand, bounds, table)
+    return Injection(ids, score[best], cand, bounds, table)
 
 
 def write_injected_tsv(path: str, inferred: Injection, entities: Vocabulary, relations: Vocabulary) -> None:

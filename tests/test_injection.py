@@ -58,6 +58,7 @@ class TestSolveHeadTruth:
     def test_unit_bodies_return_grounding_truth(self):
         assert solve_head_truth([1.0, 1.0], 0.8) == pytest.approx(0.8)
         assert solve_head_truth([1.0], 1.0) == 1.0
+        assert solve_head_truth([1.0, 1.0], 0.1) == 0.1  # bit for bit
 
     def test_soft_bodies_example(self):
         head = solve_head_truth([0.9, 0.9], 0.9)
@@ -162,6 +163,13 @@ class TestInjection:
         assert len(merged) == 1
         assert merged[0].truth == pytest.approx(0.96)
         assert len(merged[0].sources) == 2
+
+    def test_truth_is_the_pooled_score_bit_for_bit(self):
+        # (0.1 - 1 + 1) is 0.09999999999999998 in float64; the head is labeled 0.1
+        kg = graph([(0, 0, 1)])
+        ax = scored(Axiom(AxiomType.SYMMETRIC, (0,)), 0.1)
+        out = inject_triples(kg, scored_pool([ax]), entity_mask(kg.n_entities, [0, 1]), self.config(0.0))
+        assert out.ids.tolist() == [[1, 0, 0]] and out.truth.tolist() == [0.1]
 
     def test_cap_skips_whole_axiom(self):
         triples = [(i, 0, i + 1) for i in range(10)]
