@@ -577,14 +577,17 @@ def axiom_residuals(model: EmbeddingModel, table: np.ndarray) -> np.ndarray:
     equation, per row of a candidate table.
 
     Reads the ``EQUATIONS`` slots of each row over the relation table's
-    scalars, a and b (``kernels.relation_parts``), each copied once with an
-    identity row appended, ``SCORE_BLOCK`` axioms at a time.  Scalars
-    multiply, blocks multiply by ``kernels.block_product``, and each block's
-    (a, b) deltas count twice, as in its dense form [[a, -b], [b, a]]: the
-    arithmetic of ``blocks.BlockDiagMatrix``, bit for bit.
+    scalars, a and b (``kernels.relation_parts``), each copied once, in row
+    order, with an identity row appended, ``SCORE_BLOCK`` axioms at a
+    time.  Scalars multiply, blocks multiply by ``kernels.block_product``,
+    and each block's (a, b) deltas count twice, as in its dense form
+    [[a, -b], [b, a]]: the arithmetic of ``blocks.BlockDiagMatrix``, bit
+    for bit.
     """
     ns, nb = model.n_scalars, model.n_blocks
-    sc, ra, rb = (np.concatenate([part, np.full((1, part.shape[1]), one)])
+    # row order, since the slots gather rows (the relation table is column-major)
+    sc, ra, rb = (np.concatenate([part, np.full((1, part.shape[1]), one)],
+                                 out=np.empty((model.n_relations + 1, part.shape[1])))
                   for part, one in zip(kernels.relation_parts(model.rel, ns), (1.0, 1.0, 0.0)))
     slots = _read_slots(table, _EQUATION_SLOTS)
     slots[slots < 0] = model.n_relations
