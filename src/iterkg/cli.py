@@ -12,11 +12,11 @@ import numpy as np
 
 from .axioms import PoolConfig, csv_mirror_path, generate_pool, induce_axioms, write_axioms
 from .evaluation import head_coverage, link_prediction  # noqa: F401 (perfbench wraps head_coverage here)
-from .injection import read_injected_tsv
+from .injection import InjectionConfig, read_injected_tsv
 from .kg import KnowledgeGraph, entity_sparsity, load_splits, sparsify_eval_split
 from .kg import load_dataset  # noqa: F401 (perfbench wraps this module's name)
 from .pipeline import (
-    build_config, check_graph_size, coerce_config_value, load_checkpoint, phase_rng,
+    PipelineConfig, build_config, check_graph_size, coerce_config_value, load_checkpoint, phase_rng,
     read_config_file, run_iterations,
 )
 
@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sparsify", help="filter valid/test to triples touching sparse entities")
     p.add_argument("--data", required=True, help="dataset directory with train/valid/test.txt")
-    p.add_argument("--theta", type=float, default=0.995, help="sparsity threshold")
+    p.add_argument("--theta", type=float, default=InjectionConfig.sparsity_threshold,
+                   help="sparsity threshold")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=_cmd_sparsify)
 
@@ -112,12 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output .jsonl path (a .csv mirror is written too)")
-    p.add_argument("--min-axiom-prob", type=float, default=0.5)
-    p.add_argument("--include-prob", type=float, default=0.95)
+    p.add_argument("--min-axiom-prob", type=float, default=PoolConfig.min_axiom_prob)
+    p.add_argument("--include-prob", type=float, default=PoolConfig.include_prob)
     p.add_argument("--samples-per-relation", type=int, metavar="N",
                    help="head triples sampled per relation for the pool, as the run's "
                         "samples_per_relation key (default: derived from the two probabilities)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.set_defaults(func=_cmd_rules)
 
     p = sub.add_parser("eval", help="link-prediction metrics for a checkpoint")

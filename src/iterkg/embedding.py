@@ -28,6 +28,8 @@ LOG_CLAMP = 1e-12  # floor for log arguments in the cross-entropy
 # (_put_rows): fewer cost more numpy calls per write, and more stride across
 # too much memory per row at (14,541 x 200)
 COLUMN_BLOCK = 16
+# Adam's moment decay rates and the epsilon of its denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class LabeledTriple(NamedTuple):
@@ -74,9 +76,6 @@ class TrainConfig:
     epochs_per_iteration: int = 10
     seed: int = 0
     n_scalars: Optional[int] = None  # defaults to dim / 2
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.dim <= 0 or self.dim % 2 != 0:
@@ -92,6 +91,8 @@ class TrainConfig:
             raise ValueError("learning rate, batch size and negative count must be positive")
         if self.l1_weight < 0:
             raise ValueError("l1_weight must be non-negative")
+        if self.epochs_per_iteration < 1:
+            raise ValueError("epochs_per_iteration must be >= 1")
 
     @property
     def n_blocks(self) -> int:
@@ -175,13 +176,12 @@ class StepBuffers(NamedTuple):
     """Work arrays of training steps, for minibatches of up to ``rows``
     examples of one model's shape.
 
-    Every minibatch reuses them, across epochs when the caller keeps them
-    (``run_iterations`` keeps one set while an iteration trains, and drops
-    it before the axioms are scored): ``_gather`` carves the examples'
-    (dim, B) subject and object columns and (n_scalars, B) relation
-    scalars from the front of ``planes``, and the kernels carve their
-    intermediates, the relations' block columns and the gradients from
-    ``work``.  The gathered columns are dead once
+    ``train_epoch`` builds one set per call, which every minibatch of the
+    epoch reuses and which is freed when it returns: ``_gather`` carves
+    the examples' (dim, B) subject and object columns and (n_scalars, B)
+    relation scalars from the front of ``planes``, and the kernels carve
+    their intermediates, the relations' block columns and the gradients
+    from ``work``.  The gathered columns are dead once
     ``kernels.accumulate_grads`` returns, so the L1 term and Adam carve
     their parameter rows, column-major like every table, from the front of
     ``planes`` too, which is sized for whichever of the two uses is
@@ -227,8 +227,7 @@ def _gather(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray,
     """
     _check_ids(model, s, r, o)
     msc_table, ma, mb = kernels.relation_parts(model.rel, model.n_scalars)
-    vs, vo, msc = kernels.carve_columns(planes, (len(s), model.dim), (len(s), model.dim),
-                                        (len(s), model.n_scalars))
+    vs, vo, msc = kernels.carve(planes, (len(s), model.dim), (len(s), model.dim), (len(s), model.n_scalars))
     # the ids are in range, and "wrap" (unlike "raise") takes straight into
     # ``out``; it measured a little faster than "clip"
     for table, ids, out in ((model.ent, s, vs), (model.ent, o, vo), (msc_table, r, msc)):
@@ -372,10 +371,10 @@ def compute_loss_and_gradients(
     every parameter touched by the batch (full entity rows and full
     relation matrices), read from the table itself when the batch touches
     every row of it, else from gathered rows.  An id outside the model
-    raises ValueError.  With ``buffers`` (at least len(batch) rows) the
-    step's arrays are written there instead of allocated, and the returned
-    gradients are views of them, valid until the buffers' next use; every
-    value is the same.
+    raises ValueError.  With ``buffers`` the step's arrays are written
+    there instead of allocated, and the returned gradients are views of
+    them, valid until the buffers' next use; every value is the same.
+    Buffers for fewer than len(batch) examples raise ValueError.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
@@ -383,6 +382,8 @@ def compute_loss_and_gradients(
     labels = batch.labels
     s, r, o = batch.ids.T
     B = len(batch)
+    if buffers is not None and buffers.rows < B:
+        raise ValueError(f"step buffers for {buffers.rows} examples; the batch has {B}")
 
     gathered = _gather(model, s, r, o, None if buffers is None else buffers.planes)
     work = None if buffers is None else buffers.work
@@ -403,7 +404,7 @@ def compute_loss_and_gradients(
         scratch = None if buffers is None else buffers.planes  # the gathered columns are dead
         norm = 0.0
         for param, ids, grad in ((model.ent, ent_ids, grad_ent), (model.rel, rel_ids, grad_rel)):
-            rows, sign = kernels.carve_columns(scratch, *[(len(ids), model.dim)] * 2)
+            rows, sign = kernels.carve(scratch, *[(len(ids), model.dim)] * 2)
             rows = _take_rows(param, ids, rows)
             np.sign(rows, out=sign)
             sign *= l1_weight
@@ -436,7 +437,7 @@ def adam_update(model: EmbeddingModel, grads: SparseGrads, config: TrainConfig,
             raise ValueError("gradient rows must be ascending and distinct")
         if len(ids) and (ids[0] < 0 or ids[-1] >= n):
             raise ValueError(f"gradient rows outside the model's {n} rows")
-    b1, b2, eps, lr = config.adam_beta1, config.adam_beta2, config.adam_eps, config.learning_rate
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, config.learning_rate
     opt = model.opt
     opt.step += 1
     c1 = 1.0 - b1 ** opt.step
@@ -447,7 +448,7 @@ def adam_update(model: EmbeddingModel, grads: SparseGrads, config: TrainConfig,
         # param -= lr * (m'/c1) / (sqrt(v'/c2) + eps), one operation at a
         # time.  When ids name every row the rows are the tables themselves,
         # so sqrt(v'/c2) goes to the v buffer, not over the moments
-        m_buf, v_buf, t = kernels.carve_columns(scratch, *[(len(ids), model.dim)] * 3)
+        m_buf, v_buf, t = kernels.carve(scratch, *[(len(ids), model.dim)] * 3)
         m_rows = _take_rows(m, ids, m_buf)
         m_rows *= b1
         m_rows += np.multiply(grad, 1 - b1, out=t)
@@ -477,7 +478,6 @@ def train_epoch(
     kg: KnowledgeGraph,
     config: TrainConfig,
     rng: np.random.Generator,
-    buffers: Optional[StepBuffers] = None,
 ) -> float:
     """One pass over the labeled inputs; returns the mean batch loss.
 
@@ -488,10 +488,8 @@ def train_epoch(
     ``n_negatives`` were found are counted and logged as a warning.  An
     input id outside the model, or a graph with more entities or relations
     than the model, raises ValueError before any parameter moves.  The
-    minibatches share one ``StepBuffers``: ``buffers`` when given (a
-    caller keeps them across epochs, as ``run_iterations`` does for one
-    iteration's; they must hold a full minibatch with its negatives), else
-    a set allocated for this call and freed when it returns.
+    minibatches share one ``StepBuffers``, sized for a full minibatch with
+    its negatives, allocated for this call and freed when it returns.
     """
     if len(inputs) == 0:
         raise ValueError("no training inputs")
@@ -500,11 +498,7 @@ def train_epoch(
         raise ValueError(f"graph of {kg.n_entities} entities and {kg.n_relations} relations "
                          f"is larger than the model's {model.n_entities} and {model.n_relations}")
     _check_ids(model, *inputs.ids.T)
-    rows = min(len(inputs), config.batch_size) * (1 + config.n_negatives)
-    if buffers is None:
-        buffers = StepBuffers.empty(model, rows)
-    elif buffers.rows < rows:
-        raise ValueError(f"step buffers for {buffers.rows} examples; a minibatch needs {rows}")
+    buffers = StepBuffers.empty(model, min(len(inputs), config.batch_size) * (1 + config.n_negatives))
     order = rng.permutation(len(inputs))
     in_graph = kg.contains_many(*inputs.ids.T)
     total, count = 0.0, 0

@@ -48,14 +48,14 @@ into its output where the default ``"raise"`` buffers it.
 
 Work buffers.  ``bilinear_scores`` and ``accumulate_grads`` take an
 optional keyword ``work``: a flat, contiguous float64 array that the caller
-owns and the kernel carves its temporaries from, front to back (``carve``;
-``work_size`` elements for a batch).  ``accumulate_grads`` builds its
-gradients in ``work`` and returns views of them.  A kernel keeps no
-reference to a buffer, and the next call overwrites what it left there.
-Training keeps one set of buffers while an iteration trains
-(``embedding.StepBuffers``, built by ``pipeline.run_iterations`` for the
-iteration's epochs) and every minibatch reuses their front, so a view of a
-buffer is valid only until the next minibatch.  Without buffers each call
+owns and the kernel carves its temporaries from, front to back (``carve``,
+which lays them out Fortran-ordered like the tables; ``work_size`` elements
+for a batch).  ``accumulate_grads`` builds its gradients in ``work`` and
+returns views of them.  A kernel keeps no reference to a buffer, and the
+next call overwrites what it left there.  Each ``embedding.train_epoch``
+call builds one set of buffers (``embedding.StepBuffers``) and every
+minibatch of the epoch reuses their front, so a view of a buffer is valid
+only until the next minibatch.  Without buffers each call
 allocates fresh arrays; the arithmetic, and so every bit of every result,
 is the same either way.
 """
@@ -86,22 +86,17 @@ def work_size(rows: int, dim: int, ent_rows: int, rel_rows: int) -> int:
 
 
 def carve(work, *shapes) -> list[np.ndarray]:
-    """Contiguous float64 arrays of ``shapes``, laid end to end from the
-    front of the flat buffer ``work``; new arrays when ``work`` is None."""
+    """Fortran-ordered float64 arrays of ``shapes``, like every parameter
+    table, laid end to end from the front of the flat buffer ``work``; new
+    arrays when ``work`` is None."""
     if work is None:
-        return [np.empty(shape) for shape in shapes]
+        return [np.empty(shape, order="F") for shape in shapes]
     flat, arrays, at = work.reshape(-1), [], 0
     for shape in shapes:
         n = math.prod(shape)
-        arrays.append(flat[at : at + n].reshape(shape))
+        arrays.append(flat[at : at + n].reshape(shape, order="F"))
         at += n
     return arrays
-
-
-def carve_columns(work, *shapes) -> list[np.ndarray]:
-    """``carve``, Fortran-ordered: the transposes of C arrays of the
-    reversed shapes, so that each column is contiguous."""
-    return [a.T for a in carve(work, *(shape[::-1] for shape in shapes))]
 
 
 def relation_parts(rel, n_scalars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,8 +165,7 @@ def accumulate_grads(vs, vo, msc, ma, mb, r, rho, es, eo, rr, n_ent: int, n_rel:
     (a, b).
     """
     ns, (B, d) = msc.shape[1], vs.shape
-    a, b, cx, cy, t, grad_ent, grad_rel = carve(work, *[(B,)] * 5, (d, n_ent), (d, n_rel))
-    grad_ent, grad_rel = grad_ent.T, grad_rel.T
+    a, b, cx, cy, t, grad_ent, grad_rel = carve(work, *[(B,)] * 5, (n_ent, d), (n_rel, d))
     grad_ent.fill(0.0)
     grad_rel.fill(0.0)
 

@@ -19,9 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .axioms import TYPES, Pool, PoolConfig, ScoredPool, generate_pool, induce_axioms, write_axioms
-from .embedding import (
-    AdamState, EmbeddingModel, StepBuffers, TrainConfig, TripleBatch, init_model, train_epoch,
-)
+from .embedding import AdamState, EmbeddingModel, TrainConfig, TripleBatch, init_model, train_epoch
 from .evaluation import (  # noqa: F401 (head_coverage: perfbench wraps this module's name)
     head_coverage, link_prediction, summarize_rules,
 )
@@ -65,7 +63,7 @@ class PipelineConfig:
 
 def _parse_axioms_union(raw: str) -> bool:
     if raw.lower() not in ("1", "true", "yes", "0", "false", "no"):
-        raise ValueError(f"axioms_union must be true/false, 1/0 or yes/no, got {raw!r}")
+        raise ValueError(f"expected true/false, 1/0 or yes/no, got {raw!r}")
     return raw.lower() in ("1", "true", "yes")
 
 
@@ -89,13 +87,19 @@ _CONFIG_KEYS = {
 
 
 def coerce_config_value(key: str, raw: str):
+    """``raw`` parsed as the value of config key ``key``; an unknown key or a
+    value its parser rejects raises a ValueError that names the key."""
     if key not in _CONFIG_KEYS:
         raise ValueError(f"unknown config key {key!r}")
-    return _CONFIG_KEYS[key][2](raw)
+    try:
+        return _CONFIG_KEYS[key][2](raw)
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
 
 
 def read_config_file(path: str) -> dict:
-    """Parse a flat key=value config file ('#' starts a comment)."""
+    """Parse a flat key=value config file ('#' starts a comment); an error
+    names the file and line."""
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -106,9 +110,10 @@ def read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, raw = line.partition("=")
             key, raw = key.strip(), raw.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = coerce_config_value(key, raw)
+            try:
+                values[key] = coerce_config_value(key, raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -339,14 +344,8 @@ def run_iterations(config: PipelineConfig, resume: Optional[str] = None) -> Pipe
     for it in range(done + 1, config.iterations + 1):
         rng = phase_rng(config.seed, it, "train")
         inputs = graph_batch + TripleBatch(injected.ids, injected.truth) if injected else graph_batch
-        # the iteration's epochs share one set, sized for a full minibatch with
-        # its negatives; it is freed before scoring, injection and ranking run
-        buffers = StepBuffers.empty(model, config.train.batch_size * (1 + config.train.n_negatives))
-        losses = [
-            train_epoch(model, inputs, kg, config.train, rng, buffers)
-            for _ in range(config.train.epochs_per_iteration)
-        ]
-        del buffers
+        losses = [train_epoch(model, inputs, kg, config.train, rng)
+                  for _ in range(config.train.epochs_per_iteration)]
         scored = induce_axioms(model, pool)
         injected = _inject(kg, scored, sparse, config.injection)
         injected_union = distinct_rows(np.concatenate([injected_union, injected.ids]))

@@ -48,6 +48,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(dim=8, n_scalars=3)
 
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_fewer_than_one_epoch_rejected(self, epochs):
+        # no epoch means no loss to record: the mean of none is NaN
+        with pytest.raises(ValueError, match="epochs_per_iteration"):
+            TrainConfig(epochs_per_iteration=epochs)
+
 
 class TestInit:
     def test_deterministic(self):
@@ -466,6 +472,17 @@ class TestLossAndGradients:
         with pytest.raises(ValueError, match="outside the model"):
             compute_loss_and_gradients(m, TripleBatch.of([[0, 0, 1], row], [1.0, 1.0]), 0.0)
 
+    def test_buffers_smaller_than_the_batch_rejected(self):
+        m = init_model(5, 2, TrainConfig(dim=8, seed=1))
+        batch = TripleBatch.of([[0, 0, 1], [1, 1, 2], [4, 0, 3]], [1.0, 0.0, 0.5])
+        with pytest.raises(ValueError, match="step buffers for 2 examples; the batch has 3"):
+            compute_loss_and_gradients(m, batch, 1e-3, buffers=StepBuffers.empty(m, 2))
+        want = compute_loss_and_gradients(m, batch, 1e-3)
+        got = compute_loss_and_gradients(m, batch, 1e-3, buffers=StepBuffers.empty(m, 3))
+        assert got[0] == want[0]
+        assert got[1].ent_grad.tobytes() == want[1].ent_grad.tobytes()
+        assert got[1].rel_grad.tobytes() == want[1].rel_grad.tobytes()
+
 
 class TestAdam:
     def cfg(self, lr=0.01):
@@ -582,14 +599,6 @@ class TestTrainEpoch:
                      (m.rel_rot, before.rel_rot), (m.opt.m_ent, before.opt.m_ent)):
             assert np.array_equal(a, b)
 
-    def test_buffers_smaller_than_a_minibatch_rejected(self):
-        kg = tiny_kg()
-        cfg = TrainConfig(dim=8, seed=1, batch_size=4, n_negatives=2)
-        m = init_model(5, 2, cfg)
-        with pytest.raises(ValueError, match="step buffers"):
-            train_epoch(m, [LabeledTriple(t, 1.0) for t in kg.triples], kg, cfg,
-                        np.random.default_rng(0), StepBuffers.empty(m, 11))
-
     def test_graph_larger_than_model_rejected(self):
         kg = tiny_kg()
         cfg = TrainConfig(dim=8, seed=1)
@@ -620,18 +629,23 @@ def reference_epoch(model, inputs, kg, cfg, rng):
 
 @pytest.mark.parametrize("n_scalars", [0, 4, 8])
 def test_train_epoch_bit_identical_to_unbuffered_steps(monkeypatch, n_scalars):
-    steps = []
-    real_adam = embedding.adam_update
+    steps, made = [], []
+    real_adam, empty = embedding.adam_update, StepBuffers.empty.__func__
 
     def adam_update(model, grads, config, *, scratch=None):
-        steps.append((len(grads.ent_ids), scratch))
+        steps.append((len(grads.ent_ids), scratch, made[-1]))
         real_adam(model, grads, config, scratch=scratch)
 
+    def recording(cls, model, rows):
+        made.append(empty(cls, model, rows))
+        return made[-1]
+
     monkeypatch.setattr(embedding, "adam_update", adam_update)
-    # one set of buffers, dirty from the epoch before: larger than a
-    # minibatch, or just a minibatch of a model with more entities than
-    # examples, whose L1 and Adam rows then outgrow the gathered planes
-    for n_ent, n_negatives, scale in ((7, 2, 4), (30, 1, 1)):
+    monkeypatch.setattr(StepBuffers, "empty", classmethod(recording))
+    # each epoch's own buffers; with 30 entities a minibatch touches more
+    # entities than it has examples, and the L1 and Adam rows outgrow the
+    # gathered planes
+    for n_ent, n_negatives in ((7, 2), (30, 1)):
         kg = tiny_kg(n_ent=n_ent, n_rel=3)
         cfg = TrainConfig(dim=8, n_scalars=n_scalars, n_negatives=n_negatives, batch_size=3,
                           l1_weight=1e-3, learning_rate=0.05, seed=4)
@@ -642,18 +656,20 @@ def test_train_epoch_bit_identical_to_unbuffered_steps(monkeypatch, n_scalars):
         inputs = TripleBatch.of([list(t) for t in kg.triples] + [list(t) for t in injected],
                                 [1.0] * len(kg) + list(rng.uniform(0.2, 0.9, len(injected))))
         model, ref = init_model(n_ent, 3, cfg), init_model(n_ent, 3, cfg)
-        buffers = StepBuffers.empty(model, scale * cfg.batch_size * (1 + cfg.n_negatives))
         steps.clear()
+        made.clear()
         for epoch in range(3):
-            loss = train_epoch(model, inputs, kg, cfg, np.random.default_rng(epoch), buffers)
+            loss = train_epoch(model, inputs, kg, cfg, np.random.default_rng(epoch))
             want, chunks = reference_epoch(ref, inputs, kg, cfg, np.random.default_rng(epoch))
             assert loss == want
         assert len(inputs) % cfg.batch_size and chunks[-1][0] < cfg.batch_size  # a short last chunk
         assert any(n_negs == 0 for _, n_negs in chunks)  # a chunk made only of injected triples
-        # the L1 term and Adam carve their rows from the gathered planes
-        assert all(np.shares_memory(scratch, buffers.planes) for _, scratch in steps)
-        if scale == 1:
-            assert max(n for n, _ in steps) > buffers.rows
+        rows = cfg.batch_size * (1 + cfg.n_negatives)
+        assert [buffers.rows for buffers in made] == [rows] * 3
+        # the L1 term and Adam carve their rows from the epoch's gathered planes
+        assert all(np.shares_memory(scratch, buffers.planes) for _, scratch, buffers in steps)
+        if n_ent == 30:
+            assert max(n for n, _, _ in steps) > rows
         assert model.opt.step == ref.opt.step
         for name in ("ent", "rel"):
             assert getattr(model, name).tobytes() == getattr(ref, name).tobytes()

@@ -262,12 +262,12 @@ def test_relation_tables_and_ids_match_the_loops_on_indexed_rows(layout, order, 
 def test_carve_lays_arrays_end_to_end():
     work = np.arange(20.0)
     a, b = kernels.carve(work, (2, 3), (4,))
-    assert a.tolist() == [[0, 1, 2], [3, 4, 5]] and b.tolist() == [6, 7, 8, 9]
-    assert all(np.shares_memory(x, work) and x.flags.c_contiguous for x in (a, b))
-    assert [x.shape for x in kernels.carve(None, (2, 3), (0, 4))] == [(2, 3), (0, 4)]
-    c, e = kernels.carve_columns(work, (2, 3), (4,))
-    assert c.tolist() == [[0, 2, 4], [1, 3, 5]] and e.tolist() == [6, 7, 8, 9]
-    assert c.flags.f_contiguous and not c.flags.c_contiguous and np.shares_memory(c, work)
+    assert a.tolist() == [[0, 2, 4], [1, 3, 5]] and b.tolist() == [6, 7, 8, 9]
+    assert all(np.shares_memory(x, work) and x.flags.f_contiguous for x in (a, b))
+    fresh = kernels.carve(None, (2, 3), (0, 4), (4,))
+    assert [x.shape for x in fresh] == [(2, 3), (0, 4), (4,)]
+    assert all(x.flags.f_contiguous and x.dtype == np.float64 for x in fresh)
+    assert not (a.flags.c_contiguous or fresh[0].flags.c_contiguous)
 
 
 def test_training_and_ranking_import_nothing_beyond_numpy():

@@ -15,6 +15,7 @@ import pytest
 
 from iterkg import axioms, evaluation, injection, pipeline
 from iterkg.axioms import Axiom, AxiomType, PoolConfig
+from iterkg.cli import build_parser
 from iterkg.cli import main as cli_main
 from iterkg.embedding import StepBuffers, TrainConfig, init_model
 from iterkg.evaluation import head_coverage
@@ -203,6 +204,35 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             read_config_file(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("dim = abc", "config key 'dim': invalid literal for int() with base 10: 'abc'"),
+        ("l1_weight = x", "config key 'l1_weight': could not convert string to float: 'x'"),
+        ("no_such_key = 1", "unknown config key 'no_such_key'"),
+    ], ids=["int", "float", "unknown-key"])
+    def test_bad_line_names_its_key_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"iterations = 2\n# a comment\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
+            read_config_file(path)
+
+    def test_bad_override_names_its_key(self, tmp_path, dataset_dir, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data_dir = {dataset_dir}\nout_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+        assert cli_main(["train", "--config", str(cfg), "--set", "dim=abc"]) == 1
+        assert capsys.readouterr().err == \
+            "error: config key 'dim': invalid literal for int() with base 10: 'abc'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_defaults_are_the_dataclass_defaults(self):
+        parser = build_parser()
+        rules = parser.parse_args(["rules", "--ckpt", "c", "--data", "d", "--out", "o"])
+        pool = PoolConfig()
+        assert (rules.min_axiom_prob, rules.include_prob, rules.samples_per_relation) == \
+            (pool.min_axiom_prob, pool.include_prob, pool.samples_per_relation)
+        assert rules.seed == PipelineConfig("d", "o").seed
+        sparsify = parser.parse_args(["sparsify", "--data", "d", "--out", "o"])
+        assert sparsify.theta == InjectionConfig().sparsity_threshold
+
     def test_defaults_are_the_dataclass_defaults(self):
         assert build_config({"data_dir": "d", "out_dir": "o"}) == PipelineConfig("d", "o")
 
@@ -262,9 +292,9 @@ class TestRunIterations:
         assert (tmp_path / "a/report.json").read_bytes() == (tmp_path / "b/report.json").read_bytes()
 
     def test_step_buffers_live_only_while_an_iteration_trains(self, tmp_path, dataset_dir, monkeypatch):
-        """Each iteration builds one set of step buffers for its epochs and
-        drops it before the axioms are scored: no set is reachable while
-        ``induce_axioms``, ``inject_triples`` or ``link_prediction`` run."""
+        """Each ``train_epoch`` call builds one set of step buffers and frees
+        it when it returns: no set is reachable while ``induce_axioms``,
+        ``inject_triples`` or ``link_prediction`` run."""
         made, empty = [], StepBuffers.empty.__func__
 
         def counting(cls, model, rows):
@@ -288,8 +318,10 @@ class TestRunIterations:
             checking(name)
         cfg = small_config(dataset_dir, tmp_path / "bufs", iterations=3)
         cfg.eval_every = 1
-        run_iterations(cfg)
-        assert [rows for rows, *_ in made] == [cfg.train.batch_size * (1 + cfg.train.n_negatives)] * 3
+        res = run_iterations(cfg)
+        assert len(res.kg) > cfg.train.batch_size
+        assert [rows for rows, *_ in made] == \
+            [cfg.train.batch_size * (1 + cfg.train.n_negatives)] * (3 * cfg.train.epochs_per_iteration)
         assert calls == ["induce_axioms", "inject_triples", "link_prediction"] * 3
 
     def test_threshold_one_disables_injection(self, tmp_path, dataset_dir):
