@@ -87,14 +87,15 @@ def work_size(rows: int, dim: int, ent_rows: int, rel_rows: int) -> int:
 
 def carve(work, *shapes) -> list[np.ndarray]:
     """Fortran-ordered float64 arrays of ``shapes``, like every parameter
-    table, laid end to end from the front of the flat buffer ``work``; new
-    arrays when ``work`` is None."""
+    table (the transposes of C arrays of the reversed shapes), laid end to
+    end from the front of the flat buffer ``work``; new arrays when
+    ``work`` is None."""
     if work is None:
-        return [np.empty(shape, order="F") for shape in shapes]
+        return [np.empty(shape[::-1]).T for shape in shapes]
     flat, arrays, at = work.reshape(-1), [], 0
     for shape in shapes:
         n = math.prod(shape)
-        arrays.append(flat[at : at + n].reshape(shape, order="F"))
+        arrays.append(flat[at : at + n].reshape(shape[::-1]).T)
         at += n
     return arrays
 
