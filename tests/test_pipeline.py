@@ -15,8 +15,7 @@ import pytest
 
 from iterkg import axioms, evaluation, injection, pipeline
 from iterkg.axioms import Axiom, AxiomType, PoolConfig
-from iterkg.cli import build_parser
-from iterkg.cli import main as cli_main
+from iterkg.cli import build_parser, main as cli_main
 from iterkg.embedding import StepBuffers, TrainConfig, init_model
 from iterkg.evaluation import head_coverage
 from iterkg.injection import InjectionConfig, read_injected_tsv
