@@ -213,10 +213,7 @@ class PoolConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.min_axiom_prob <= 1:
-            raise ValueError("min_axiom_prob must lie in (0, 1]")
-        if not 0 < self.include_prob < 1:
-            raise ValueError("include_prob must lie in (0, 1)")
+        min_sample_size(self.min_axiom_prob, self.include_prob)  # range checks
         if self.samples_per_relation is not None and self.samples_per_relation < 1:
             raise ValueError("samples_per_relation must be >= 1")
 
@@ -249,8 +246,7 @@ def sample_size_grid_sup(
     The function increases monotonically toward -ln(1-t)/p, so the grid
     maximum sits at the largest N; expm1 keeps it accurate there.
     """
-    if not 0 < min_axiom_prob <= 1 or not 0 < include_prob < 1:
-        raise ValueError("parameters out of range")
+    min_sample_size(min_axiom_prob, include_prob)  # range checks
     n = np.logspace(0.0, math.log10(n_max), grid_points)
     f = -n * np.expm1(math.log(1.0 - include_prob) / (min_axiom_prob * n))
     return float(f.max())

@@ -198,11 +198,11 @@ def inject_triples(
     distribution.  Its heads are never listed, and the number of axioms
     skipped this way is logged at INFO level.  Every new head counts toward
     the cap, but the join lists only those touching a sparse entity.  They
-    are merged across axioms keeping the maximum score (the first such
-    axiom in input order labels the triple; its sources are every
-    contributing axiom in input order), and labeled with that score
-    itself: ``solve_head_truth``'s value for body triples of the graph
-    (truth 1) and a score in [0, 1], as ``normalize_scores`` makes it.
+    are merged across axioms: a triple is labeled with the highest score
+    among its source axioms (every contributing axiom, in input order),
+    and that score is its truth itself: ``solve_head_truth``'s value for
+    body triples of the graph (truth 1) and a score in [0, 1], as
+    ``normalize_scores`` makes it.
     One DEBUG line per call counts the axioms grounded, the heads proposed
     by the axioms within the cap, those listed (with a sparse end) and the
     axioms over the cap.  The result holds arrays sorted by triple ids and
@@ -225,18 +225,14 @@ def inject_triples(
               len(table), int(join.n_heads[~over].sum()), len(cand), int(over.sum()))
 
     # one run of rows per triple, runs sorted like (s, r, o) tuples and
-    # axioms in input order within a run; the run's first top-scoring axiom
-    # labels the triple
+    # axioms in input order within a run; the run's top score labels the triple
     r = head_relations(table)[cand]
     key = (x * kg.n_relations + r) * kg.n_entities + y
     order = np.lexsort((cand, key))
-    cand, key = cand[order], key[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    bounds = np.append(first, len(key))
-    top = np.repeat(np.maximum.reduceat(score[cand], first), np.diff(bounds))
-    best = cand[np.minimum.reduceat(np.where(score[cand] == top, np.arange(len(key)), len(key)), first)]
-    ids = np.stack([x[order], r[order], y[order]], axis=1)[first]
-    return Injection(ids, score[best], cand, bounds, table)
+    cand = cand[order]
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    ids = np.stack([x, r, y], axis=1)[order[first]]
+    return Injection(ids, np.maximum.reduceat(score[cand], first), cand, np.append(first, len(cand)), table)
 
 
 def write_injected_tsv(path: str, inferred: Injection, entities: Vocabulary, relations: Vocabulary) -> None:

@@ -292,9 +292,9 @@ class KnowledgeGraph:
 
         Up to ``DENSE_KEYS`` keys in the key space, one gather from the bit
         table.  Above, one ``np.searchsorted`` into the sorted key array,
-        probed in ascending order: queries not already ascending are probed
-        through their argsort, since ascending probes walk the key array
-        forward and random ones miss the cache and the branch predictor.
+        probed in ascending order through the queries' argsort: ascending
+        probes walk the key array forward, and random ones miss the cache
+        and the branch predictor.
         """
         keys = np.asarray(keys, dtype=np.int64)
         bits = self._member_bits
@@ -303,8 +303,6 @@ class KnowledgeGraph:
             byte = bits.take(keys >> 3, mode="clip")
             np.right_shift(byte, (keys & 7).astype(np.uint8), out=byte)
             return (byte & inside).view(bool)
-        if len(keys) < 2 or (keys[1:] >= keys[:-1]).all():
-            return lookup_sorted(self._keys, keys)[1]
         order = np.argsort(keys)
         found = np.empty(len(keys), dtype=bool)
         found[order] = lookup_sorted(self._keys, keys[order])[1]
@@ -359,15 +357,13 @@ class KnowledgeGraph:
 class SparsityTable:
     """Per-entity train frequency and min-max-normalized sparsity.
 
-    sparsity(e) = 1 - (freq(e) - freq_min) / (freq_max - freq_min), so the
+    sparsity(e) = 1 - (freq(e) - min freq) / (max freq - min freq), so the
     rarest entity scores 1 and the most frequent scores 0.  When all
     frequencies coincide the formula is 0/0; every sparsity is defined as 0
     (a uniform graph has no sparse part).
     """
 
     freq: np.ndarray
-    freq_min: int
-    freq_max: int
     sparsity: np.ndarray
 
 
@@ -386,7 +382,7 @@ def entity_sparsity(kg: KnowledgeGraph) -> SparsityTable:
         sparsity = np.zeros(kg.n_entities, dtype=np.float64)
     else:
         sparsity = 1.0 - (freq - fmin) / float(fmax - fmin)
-    return SparsityTable(freq=freq, freq_min=fmin, freq_max=fmax, sparsity=sparsity)
+    return SparsityTable(freq=freq, sparsity=sparsity)
 
 
 def sparse_entities(table: SparsityTable, threshold: float) -> np.ndarray:

@@ -31,7 +31,7 @@ log = logging.getLogger(__name__)
 
 CKPT_MAGIC = "ITERE-CKPT v1"
 
-_PHASES = {"init": 0, "pool": 1, "train": 2}
+_PHASES = {"pool": 1, "train": 2}
 
 
 class CheckpointError(RuntimeError):
@@ -169,10 +169,10 @@ def save_checkpoint(model: EmbeddingModel, path: str) -> None:
 def load_checkpoint(path: str, expect_layout: Optional[tuple[int, int]] = None) -> EmbeddingModel:
     """The model ``save_checkpoint`` wrote, every table Fortran-ordered as
     ``init_model`` makes them; a malformed file (among them a header with a
-    negative scalar or block count, or no entities or relations, or a
-    payload of another size than the header implies), or a layout other
-    than ``expect_layout``, raises ``CheckpointError``.  The payload's size
-    is checked before any of it is read.  Each table is read
+    negative scalar or block count, or no dimensions, entities or
+    relations, or a payload of another size than the header implies), or
+    a layout other than ``expect_layout``, raises ``CheckpointError``.  The
+    payload's size is checked before any of it is read.  Each table is read
     ``CKPT_BLOCK_ROWS`` rows at a time into one row-ordered block and
     copied from there into its array, so a load holds the model plus that
     block."""
@@ -185,7 +185,7 @@ def load_checkpoint(path: str, expect_layout: Optional[tuple[int, int]] = None) 
             dim, n_sc, n_bl, n_ent, n_rel = (int(x) for x in fields[2:])
         except ValueError:
             raise CheckpointError(f"{path}: malformed header {header!r}") from None
-        if min(n_sc, n_bl) < 0 or min(n_ent, n_rel) < 1 or dim != n_sc + 2 * n_bl:
+        if min(n_sc, n_bl) < 0 or min(dim, n_ent, n_rel) < 1 or dim != n_sc + 2 * n_bl:
             raise CheckpointError(f"{path}: invalid layout or size in header {header!r}")
         if expect_layout is not None and (n_sc, n_bl) != tuple(expect_layout):
             raise CheckpointError(
@@ -286,8 +286,13 @@ def _read_earlier(kg: KnowledgeGraph, out_dir: str, iterations: int):
     for path in paths:
         if not os.path.exists(path):
             raise CheckpointError(f"{path} is missing; resuming needs what every earlier iteration wrote")
+    records = []
     with open(paths[0], encoding="utf-8") as fh:
-        records = [IterationRecord(**json.loads(line)) for line in fh.readlines()[:iterations]]
+        for lineno, line in enumerate(fh.readlines()[:iterations], start=1):
+            try:
+                records.append(IterationRecord(**json.loads(line)))
+            except (ValueError, TypeError) as exc:  # bad JSON, or not the record's fields
+                raise CheckpointError(f"{paths[0]}:{lineno}: not an iteration record ({exc})") from None
     if [rec.iteration for rec in records] != list(range(1, iterations + 1)):
         raise CheckpointError(f"{paths[0]} does not hold the records of iterations 1..{iterations}")
     rows = [read_injected_tsv(path, kg.entities, kg.relations) for path in paths[1:]]

@@ -15,7 +15,7 @@ from iterkg.injection import (
 )
 from iterkg.kg import KnowledgeGraph, ParseError, Triple, Vocabulary, VocabularyError
 
-from oracles import entity_mask, enumerate_groundings, random_graph
+from oracles import entity_mask, enumerate_groundings, inject_by_enumeration, random_graph
 
 unit = st.floats(0.0, 1.0)
 
@@ -163,6 +163,22 @@ class TestInjection:
         assert len(merged) == 1
         assert merged[0].truth == pytest.approx(0.96)
         assert len(merged[0].sources) == 2
+
+    @pytest.mark.parametrize("scores", [(0.95, 0.95, 0.93), (0.92, 0.96, 0.93)], ids=["tie", "later-higher"])
+    def test_merged_heads_match_enumeration(self, scores):
+        # symmetric r0 and inverse (r0 <- r1) both infer (1, 0, 0) and (3, 0, 2),
+        # the inverse alone (5, 0, 4); symmetric r1 infers heads of r1 only
+        kg = graph([(0, 0, 1), (0, 1, 1), (2, 0, 3), (2, 1, 3), (4, 1, 5)])
+        axs = [Axiom(AxiomType.SYMMETRIC, (0,)), Axiom(AxiomType.INVERSE, (0, 1)),
+               Axiom(AxiomType.SYMMETRIC, (1,))]
+        pool = scored_pool([scored(ax, score) for ax, score in zip(axs, scores)])
+        every = range(kg.n_entities)
+        out = inject_triples(kg, pool, entity_mask(kg.n_entities, every), self.config())
+        want = inject_by_enumeration(kg.triples, list(pool), set(every), 0.9, 1000, kg.n_entities)
+        assert list(out) == want
+        merged = [it for it in out if len(it.sources) == 2]
+        assert [it.triple for it in merged] == [Triple(1, 0, 0), Triple(3, 0, 2)]
+        assert all(it.sources == tuple(axs[:2]) and it.truth == max(scores[:2]) for it in merged)
 
     def test_truth_is_the_pooled_score_bit_for_bit(self):
         # (0.1 - 1 + 1) is 0.09999999999999998 in float64; the head is labeled 0.1

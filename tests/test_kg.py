@@ -174,14 +174,16 @@ class TestContainsKeys:
     @settings(max_examples=150, deadline=None)
     @given(case=graph_and_sizes(), data=st.data())
     def test_matches_a_python_set(self, case, data):
-        # unsorted and ascending queries, duplicates, every key in range and
-        # keys outside the key space, negative ones among them
+        # queries as drawn, ascending or descending, with repeated keys, every
+        # key in range and keys outside the key space, negative ones among them
         case_kg, n_ent, n_rel = case
         members = {(r * n_ent + s) * n_ent + o for s, r, o in case_kg.ids.tolist()}
         keys = st.integers(0, n_rel * n_ent * n_ent - 1) | st.integers(-2**40, 2**40)
         queries = data.draw(st.lists(keys, max_size=60))
-        if data.draw(st.booleans()):
-            queries.sort()
+        queries += queries[: data.draw(st.integers(0, len(queries)))]
+        order = data.draw(st.sampled_from(["drawn", "ascending", "descending"]))
+        if order != "drawn":
+            queries.sort(reverse=order == "descending")
         for kg in both_paths(case_kg):
             got = kg.contains_keys(np.array(queries, dtype=np.int64))
             assert got.dtype == bool and got.tolist() == [q in members for q in queries]

@@ -162,9 +162,10 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path, expect_layout=(8, 4))
 
-    @pytest.mark.parametrize("fields", ["8 -2 5 3 2", "8 4 2 0 2", "8 4 2 3 0"])
+    @pytest.mark.parametrize("fields", ["8 -2 5 3 2", "8 4 2 0 2", "8 4 2 3 0", "0 0 0 200 8"])
     def test_negative_counts_or_no_rows_rejected(self, tmp_path, fields):
-        # payloads of the size the header implies
+        # payloads of the size the header implies; a model of no dimensions
+        # has rows but no parameters
         dim, _, _, n_ent, n_rel = map(int, fields.split())
         path = tmp_path / "m.bin"
         path.write_bytes(f"ITERE-CKPT v1 {fields}\n".encode() + bytes(8 * (3 * (n_ent + n_rel) * dim + 1)))
@@ -394,6 +395,16 @@ class TestRunIterations:
             path.write_text(path.read_text().splitlines(keepends=True)[0])
         with pytest.raises(CheckpointError, match=re.escape(str(path))):
             run_iterations(cfg, resume=str(tmp_path / "gap" / "ckpt_iter2.bin"))
+
+    @pytest.mark.parametrize("line", ['{"iteration": 2, "extra": 1}', "[2]", '{"iteration": 2'],
+                             ids=["extra-key", "list", "bad-json"])
+    def test_malformed_record_names_file_and_line(self, tmp_path, dataset_dir, line):
+        cfg = small_config(dataset_dir, tmp_path / "bad", iterations=3)
+        run_iterations(dataclasses.replace(cfg, iterations=2))
+        path = tmp_path / "bad" / "records.jsonl"
+        path.write_text(path.read_text().splitlines(keepends=True)[0] + line + "\n")
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}:2: not an iteration record (")):
+            run_iterations(cfg, resume=str(tmp_path / "bad" / "ckpt_iter2.bin"))
 
     def test_resume_needs_every_earlier_injected_dump(self, tmp_path, dataset_dir):
         cfg = small_config(dataset_dir, tmp_path / "gap", iterations=3)
