@@ -230,12 +230,17 @@ def min_sample_size(min_axiom_prob: float, include_prob: float) -> int:
     support fraction is at least p with probability C((1-p)N, k) / C(N, k);
     requiring coverage probability above t for every N yields
     k > N - N (1-t)^(1/(pN)), whose supremum over N is -ln(1-t)/p.
+    Raises ValueError for p outside (0, 1], t outside (0, 1), or a p so
+    small that the bound overflows a float.
     """
     if not 0 < min_axiom_prob <= 1:
         raise ValueError("min_axiom_prob must lie in (0, 1]")
     if not 0 < include_prob < 1:
         raise ValueError("include_prob must lie in (0, 1)")
-    return math.ceil(-math.log(1.0 - include_prob) / min_axiom_prob)
+    bound = -math.log(1.0 - include_prob) / min_axiom_prob
+    if math.isinf(bound):
+        raise ValueError(f"min_axiom_prob {min_axiom_prob} is too small: the sample bound overflows")
+    return math.ceil(bound)
 
 
 def sample_size_grid_sup(

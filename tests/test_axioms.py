@@ -58,6 +58,8 @@ class TestSampleSizeBound:
             min_sample_size(0.0, 0.95)
         with pytest.raises(ValueError):
             min_sample_size(0.5, 1.0)
+        with pytest.raises(ValueError, match="bound overflows"):  # -ln(0.05) / 1e-320 is inf
+            min_sample_size(1e-320, 0.95)
 
 
 class TestAxiomType:
