@@ -396,13 +396,16 @@ class TestRunIterations:
         with pytest.raises(CheckpointError, match=re.escape(str(path))):
             run_iterations(cfg, resume=str(tmp_path / "gap" / "ckpt_iter2.bin"))
 
-    @pytest.mark.parametrize("line", ['{"iteration": 2, "extra": 1}', "[2]", '{"iteration": 2'],
-                             ids=["extra-key", "list", "bad-json"])
-    def test_malformed_record_names_file_and_line(self, tmp_path, dataset_dir, line):
+    @pytest.mark.parametrize("damage", ["extra-key", "list", "bad-json"])
+    def test_malformed_record_names_file_and_line(self, tmp_path, dataset_dir, damage):
         cfg = small_config(dataset_dir, tmp_path / "bad", iterations=3)
         run_iterations(dataclasses.replace(cfg, iterations=2))
         path = tmp_path / "bad" / "records.jsonl"
-        path.write_text(path.read_text().splitlines(keepends=True)[0] + line + "\n")
+        first, second = path.read_text().splitlines()
+        record = json.loads(second)
+        line = {"extra-key": json.dumps({**record, "extra": 1}), "list": json.dumps(list(record.values())),
+                "bad-json": second[:-1]}[damage]
+        path.write_text(f"{first}\n{line}\n")
         with pytest.raises(CheckpointError, match=re.escape(f"{path}:2: not an iteration record (")):
             run_iterations(cfg, resume=str(tmp_path / "bad" / "ckpt_iter2.bin"))
 
