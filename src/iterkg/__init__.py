@@ -8,8 +8,7 @@ from .kg import (
 )
 from .embedding import (
     EmbeddingModel, LabeledTriple, TrainConfig, TripleBatch, adam_update,
-    compute_loss_and_gradients, init_model, sample_negatives, score_triple, score_triples,
-    train_epoch,
+    compute_loss_and_gradients, init_model, sample_negatives, train_epoch,
 )
 from .axioms import (
     Axiom, AxiomType, Pool, PoolConfig, PooledAxiom, ScoredAxiom, ScoredPool, count_support_and_head,

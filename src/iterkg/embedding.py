@@ -240,15 +240,6 @@ def raw_scores(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarra
     return kernels.bilinear_scores(*_gather(model, s, r, o))
 
 
-def score_triples(model: EmbeddingModel, triples: Sequence[Triple]) -> np.ndarray:
-    arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    return kernels.sigmoid(raw_scores(model, arr[:, 0], arr[:, 1], arr[:, 2]))
-
-
-def score_triple(model: EmbeddingModel, t: Triple) -> float:
-    return float(score_triples(model, [t])[0])
-
-
 def sample_negatives(
     kg: KnowledgeGraph, triples: np.ndarray, n: int, rng: np.random.Generator,
     max_retries: int = 100,
@@ -273,8 +264,8 @@ def sample_negatives(
 
     Candidates are tested as packed keys (``kg.pack``): a source's key is
     packed once, and a candidate's key is its source's plus
-    ``(new - old) * w`` for the corrupted position's weight ``w``
-    (``n_ent``, ``n_ent**2`` and 1 for subject, relation and object).
+    ``(new - old) * w`` for the corrupted position's weight ``w`` in
+    ``kg.key_weights``.
 
     Returns ``(negatives, n_exhausted)``: the (k, 3) corruptions, grouped by
     source row in input order, and the number of source rows that got fewer
@@ -297,7 +288,7 @@ def sample_negatives(
     cell = np.arange(0, len(flat), 3) + pos
     old = flat[cell]
     base = np.repeat(kg.pack(*triples.T), n)
-    weight = np.array([n_ent, n_ent * n_ent, 1])[pos]
+    weight = kg.key_weights[pos]
     base -= old * weight
     high = np.array([n_ent, n_rel, n_ent])[pos]
     repl = rng.integers(high)

@@ -40,6 +40,8 @@ from .kg import KnowledgeGraph, Triple, expand_ranges, sorted_distinct
 log = logging.getLogger(__name__)
 
 HIT_LEVELS = (1, 3, 10)
+HC_THRESHOLD = 0.7  # a rule whose head coverage exceeds it is high quality
+SCORE_GRID = tuple(np.round(np.arange(0.0, 1.01, 0.1), 2))  # 0.0, 0.1, ..., 1.0
 
 # test triples per score matrix: 30 MB of float64 at 14,541 entities
 BLOCK = 256
@@ -213,27 +215,22 @@ def head_coverage(kg: KnowledgeGraph, axiom: Axiom) -> float:
     return int(join_rules(kg, axiom_table([axiom])).covered[0]) / n_head
 
 
-def summarize_rules(
-    hc_values: Sequence[float] | np.ndarray,
-    scores: Sequence[float] | np.ndarray,
-    hc_threshold: float = 0.7,
-    score_grid: Sequence[float] = tuple(np.round(np.arange(0.0, 1.01, 0.1), 2)),
-) -> dict:
+def summarize_rules(hc_values: Sequence[float] | np.ndarray, scores: Sequence[float] | np.ndarray) -> dict:
     """High-quality rule counts and score-threshold selection curves.
 
     ``hc_values[i]`` is the head coverage and ``scores[i]`` the score of
     pooled axiom i.  A rule is high quality when its head coverage exceeds
-    ``hc_threshold``.  For each grid threshold the summary reports the
-    fraction of the pool selected (score strictly above) and the fraction of
-    all high-quality rules that the selection contains.
+    ``HC_THRESHOLD``.  For each ``SCORE_GRID`` threshold the summary reports
+    the fraction of the pool selected (score strictly above) and the fraction
+    of all high-quality rules that the selection contains.
     """
     if len(hc_values) != len(scores):
         raise ValueError(f"{len(hc_values)} head-coverage values for {len(scores)} axioms")
     hcs, scores = np.asarray(hc_values, dtype=np.float64), np.asarray(scores, dtype=np.float64)
-    hq = hcs > hc_threshold
+    hq = hcs > HC_THRESHOLD
     n_hq = int(hq.sum())
     curve = []
-    for theta in score_grid:
+    for theta in SCORE_GRID:
         sel = scores > theta
         curve.append({
             "threshold": float(theta),
@@ -242,7 +239,7 @@ def summarize_rules(
         })
     return {
         "pool_size": len(scores),
-        "hc_threshold": hc_threshold,
+        "hc_threshold": HC_THRESHOLD,
         "high_quality_count": n_hq,
         "head_coverage": hcs.tolist(),
         "curve": curve,

@@ -258,6 +258,12 @@ class KnowledgeGraph:
         return (r * self.n_entities + s) * self.n_entities + o
 
     @cached_property
+    def key_weights(self) -> np.ndarray:
+        """Weights of subject, relation and object in a packed key: ``pack``
+        is linear, so they are the keys of the unit triples."""
+        return self.pack(*np.eye(3, dtype=np.int64))
+
+    @cached_property
     def _keys(self) -> np.ndarray:
         r = np.repeat(np.arange(self.n_relations), np.diff(self.rel_start))
         return self.pack(self.rel_s, r, self.rel_o)

@@ -98,8 +98,8 @@ def coerce_config_value(key: str, raw: str):
 
 
 def read_config_file(path: str) -> dict:
-    """Parse a flat key=value config file ('#' starts a comment); an error
-    names the file and line."""
+    """Parse a flat key=value config file ('#' starts a comment).  An error,
+    such as a key set twice, names the file and line."""
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -110,6 +110,8 @@ def read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, raw = line.partition("=")
             key, raw = key.strip(), raw.strip()
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} repeated")
             try:
                 values[key] = coerce_config_value(key, raw)
             except ValueError as exc:

@@ -42,30 +42,31 @@ class PlantedDataset:
     planted: list[tuple[str, tuple[str, ...]]] = field(default_factory=list)
 
 
-def make_planted_dataset(
-    seed: int = 7,
-    inverse_layer: int = 26,
-    chain_layer: int = 34,
-    n_rare: int = 18,
-    n_misc: int = 28,
-    n_base_pairs: int = 250,
-    n_base_skew: int = 100,
-    n_chain_paths: int = 700,
-    n_chain_skew: int = 400,
-) -> PlantedDataset:
+# entities per island layer, rare and filler entities, edges drawn per island
+INVERSE_LAYER = 26
+CHAIN_LAYER = 34
+N_RARE = 18
+N_MISC = 28
+N_BASE_PAIRS = 250
+N_BASE_SKEW = 100
+N_CHAIN_PATHS = 700
+N_CHAIN_SKEW = 400
+
+
+def make_planted_dataset(seed: int = 7) -> PlantedDataset:
     rng = np.random.default_rng(seed)
 
     def entities(prefix, count):
         return [f"{prefix}{i:03d}" for i in range(count)]
 
-    base_src = entities("bs", inverse_layer)
-    base_dst = entities("bd", inverse_layer)
-    chain_l0 = entities("c0_", chain_layer)
-    chain_l1 = entities("c1_", chain_layer)
-    chain_l2 = entities("c2_", chain_layer)
-    rare = entities("rare", n_rare)
-    misc_src = entities("ms", n_misc // 2)
-    misc_dst = entities("md", n_misc - n_misc // 2)
+    base_src = entities("bs", INVERSE_LAYER)
+    base_dst = entities("bd", INVERSE_LAYER)
+    chain_l0 = entities("c0_", CHAIN_LAYER)
+    chain_l1 = entities("c1_", CHAIN_LAYER)
+    chain_l2 = entities("c2_", CHAIN_LAYER)
+    rare = entities("rare", N_RARE)
+    misc_src = entities("ms", N_MISC // 2)
+    misc_dst = entities("md", N_MISC - N_MISC // 2)
 
     train: set[StrTriple] = set()
     valid: list[StrTriple] = []
@@ -79,7 +80,7 @@ def make_planted_dataset(
     # true mirrors (decoy), with a small sliver of mirrors for pool
     # admission
     base_pairs: list[tuple[str, str]] = []
-    for _ in range(n_base_pairs):
+    for _ in range(N_BASE_PAIRS):
         x, y = pick(base_src), pick(base_dst)
         train.add((x, "base", y))
         base_pairs.append((x, y))
@@ -87,7 +88,7 @@ def make_planted_dataset(
             train.add((y, "inv_of_base", x))
     # 40% of the skew edges mirror real base pairs so the pool sampler
     # reliably proposes the decoy; the rest contradict the inverse pattern
-    for k in range(n_base_skew):
+    for k in range(N_BASE_SKEW):
         if k % 5 < 2:
             x, y = base_pairs[int(rng.integers(len(base_pairs)))]
             train.add((y, "base_skew", x))
@@ -98,7 +99,7 @@ def make_planted_dataset(
     # chain_skew mostly avoids true path endpoints (decoy), with a small
     # sliver of closures for pool admission
     endpoints: list[tuple[str, str]] = []
-    for _ in range(n_chain_paths):
+    for _ in range(N_CHAIN_PATHS):
         x, y, z = pick(chain_l0), pick(chain_l1), pick(chain_l2)
         train.add((x, "hop_a", y))
         train.add((y, "hop_b", z))
@@ -106,7 +107,7 @@ def make_planted_dataset(
         if rng.random() < 0.98:
             train.add((x, "chain_head", z))
     # shuffled endpoint pairs; enough land on real paths for discovery
-    for _ in range(n_chain_skew):
+    for _ in range(N_CHAIN_SKEW):
         train.add((pick(chain_l0), "chain_skew", pick(chain_l2)))
 
     # rare entities: one incoming regularity each, its completion held out

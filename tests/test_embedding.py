@@ -11,8 +11,7 @@ from iterkg import embedding, kernels
 from iterkg.axioms import TYPES, PoolConfig, generate_pool, induce_axioms
 from iterkg.embedding import (
     LabeledTriple, SparseGrads, StepBuffers, TrainConfig, TripleBatch, adam_update,
-    compute_loss_and_gradients, init_model, raw_scores, sample_negatives, score_triple, score_triples,
-    train_epoch,
+    compute_loss_and_gradients, init_model, raw_scores, sample_negatives, train_epoch,
 )
 from iterkg.evaluation import rank_side
 from iterkg.kg import KnowledgeGraph, Triple, Vocabulary
@@ -125,7 +124,7 @@ class TestScore:
     def test_zero_subject_gives_half(self):
         m = init_model(3, 1, TrainConfig(dim=8, seed=1))
         m.ent[0] = 0.0
-        assert score_triple(m, Triple(0, 0, 1)) == pytest.approx(0.5)
+        assert kernels.sigmoid(raw_scores(m, *np.array([[0], [0], [1]])))[0] == pytest.approx(0.5)
 
     def test_identity_relation_unit_vector(self):
         m = init_model(2, 1, TrainConfig(dim=4, seed=1))
@@ -134,7 +133,7 @@ class TestScore:
         v = np.zeros(4)
         v[0] = 1.0
         m.ent[0] = m.ent[1] = v
-        assert score_triple(m, Triple(0, 0, 1)) == pytest.approx(0.7310585786300049)
+        assert kernels.sigmoid(raw_scores(m, *np.array([[0], [0], [1]])))[0] == pytest.approx(0.7310585786300049)
 
     def test_blockwise_equals_dense(self):
         rng = np.random.default_rng(2)
@@ -154,7 +153,8 @@ class TestScore:
         # float64 sigmoid saturates around |x| ~ 36; moderate parameters
         # keep the bilinear form well inside that range
         m = init_model(10, 4, TrainConfig(dim=12, seed=3))
-        phi = score_triples(m, [Triple(i % 10, i % 4, (i * 3) % 10) for i in range(40)])
+        i = np.arange(40)
+        phi = kernels.sigmoid(raw_scores(m, i % 10, i % 4, (i * 3) % 10))
         assert np.all(phi > 0) and np.all(phi < 1)
 
     def test_all_scalar_layout_is_trilinear_product(self):
@@ -428,7 +428,7 @@ class TestLossAndGradients:
     def test_cross_entropy_at_label_equals_binary_entropy(self):
         m = init_model(3, 1, TrainConfig(dim=4, seed=2))
         t = Triple(0, 0, 1)
-        phi = score_triple(m, t)
+        phi = float(kernels.sigmoid(raw_scores(m, *np.array([t]).T))[0])
         loss, _ = compute_loss_and_gradients(m, [LabeledTriple(t, phi)], 0.0)
         want = -phi * np.log(phi) - (1 - phi) * np.log(1 - phi)
         assert loss == pytest.approx(want, abs=1e-12)

@@ -378,22 +378,33 @@ class TestSummarizeRules:
     def hcs(self, kg):
         return [head_coverage(kg, ax) for ax in self.axioms]
 
+    @staticmethod
+    def point(summary, threshold):
+        return next(p for p in summary["curve"] if p["threshold"] == threshold)
+
+    def test_curve_thresholds_are_the_fixed_grid(self):
+        kg = graph([(0, 0, 1), (1, 0, 0), (2, 1, 3), (3, 1, 2)])
+        summary = summarize_rules(self.hcs(kg), self.scores)
+        assert [p["threshold"] for p in summary["curve"]] == [
+            0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+        assert summary["hc_threshold"] == 0.7
+
     def test_all_high_quality_counted(self):
         kg = graph([(0, 0, 1), (1, 0, 0), (2, 1, 3), (3, 1, 2)])
-        summary = summarize_rules(self.hcs(kg), self.scores, hc_threshold=0.7)
+        summary = summarize_rules(self.hcs(kg), self.scores)
         assert summary["high_quality_count"] == 2
 
     def test_strict_threshold_at_one_selects_nothing(self):
         kg = graph([(0, 0, 1), (1, 0, 0), (2, 1, 3), (3, 1, 2)])
-        summary = summarize_rules(self.hcs(kg), self.scores, score_grid=[1.0])
-        assert summary["curve"][0]["selected_fraction"] == 0.0
+        summary = summarize_rules(self.hcs(kg), self.scores)
+        assert self.point(summary, 1.0)["selected_fraction"] == 0.0
 
     def test_curve_matches_hand_enumeration(self):
         kg = graph([(0, 0, 1), (1, 0, 0), (2, 1, 3), (3, 1, 2), (4, 1, 5)])
         # HC: symmetric(r0)=1.0 (HQ), symmetric(r1)=2/3 (not HQ at 0.7)
-        summary = summarize_rules(self.hcs(kg), self.scores, hc_threshold=0.7, score_grid=[0.5])
+        summary = summarize_rules(self.hcs(kg), self.scores)
         assert summary["high_quality_count"] == 1
-        point = summary["curve"][0]
+        point = self.point(summary, 0.5)
         assert point["selected_fraction"] == 0.5  # only the score-1.0 axiom
         assert point["hq_coverage"] == 1.0        # and it is the HQ one
 

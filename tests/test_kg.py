@@ -208,6 +208,18 @@ class TestContainsKeys:
             assert kg.contains_keys(np.zeros(0, dtype=np.int64)).shape == (0,)
 
 
+@settings(max_examples=100, deadline=None)
+@given(n_ent=st.integers(1, 2**20), n_rel=st.integers(1, 2**10), seed=st.integers(0, 2**32 - 1))
+def test_pack_is_the_key_weights_sum(n_ent, n_rel, seed):
+    """``pack`` and ``embedding.sample_negatives`` read one set of position
+    weights: a key is the weighted sum of its ids, ``(r*n_ent + s)*n_ent + o``."""
+    kg = KnowledgeGraph([], range(n_ent), range(n_rel))
+    ids = np.random.default_rng(seed).integers((n_ent, n_rel, n_ent), size=(50, 3))
+    keys = kg.pack(*ids.T)
+    assert keys.dtype == np.int64 and np.array_equal(keys, ids @ kg.key_weights)
+    assert keys.tolist() == [(r * n_ent + s) * n_ent + o for s, r, o in ids.tolist()]
+
+
 @pytest.mark.parametrize("shape, dense", [(None, True), ((600, 237), False)], ids=["planted", "600x237"])
 def test_membership_path_follows_the_key_space(monkeypatch, shape, dense):
     """The planted demo graph's 320,000 keys take the bit table; a 600-entity,

@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from iterkg import axioms, evaluation, injection, pipeline
+from iterkg import axioms, cli, evaluation, injection, pipeline
 from iterkg.axioms import Axiom, AxiomType, PoolConfig
 from iterkg.cli import build_parser, main as cli_main
 from iterkg.embedding import StepBuffers, TrainConfig, init_model
@@ -208,7 +208,8 @@ class TestConfigFile:
         ("dim = abc", "config key 'dim': invalid literal for int() with base 10: 'abc'"),
         ("l1_weight = x", "config key 'l1_weight': could not convert string to float: 'x'"),
         ("no_such_key = 1", "unknown config key 'no_such_key'"),
-    ], ids=["int", "float", "unknown-key"])
+        ("iterations = 3", "config key 'iterations' repeated"),
+    ], ids=["int", "float", "unknown-key", "repeated-key"])
     def test_bad_line_names_its_key_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "bad.cfg"
         path.write_text(f"iterations = 2\n# a comment\n{line}\n", encoding="utf-8")
@@ -222,6 +223,20 @@ class TestConfigFile:
         assert capsys.readouterr().err == \
             "error: config key 'dim': invalid literal for int() with base 10: 'abc'\n"
         assert not (tmp_path / "out").exists()
+
+    def test_override_wins_over_the_file(self, tmp_path, dataset_dir, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data_dir = {dataset_dir}\nout_dir = {tmp_path / 'out'}\ndim = 16\n", encoding="utf-8")
+
+        class Ran(Exception):
+            pass
+
+        def run(config, resume):
+            raise Ran(config.train.dim)
+
+        monkeypatch.setattr(cli, "run_iterations", run)
+        with pytest.raises(Ran, match="^12$"):
+            cli_main(["train", "--config", str(cfg), "--set", "dim=8", "--set", "dim=12"])
 
     def test_cli_defaults_are_the_dataclass_defaults(self):
         parser = build_parser()
