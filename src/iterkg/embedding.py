@@ -13,6 +13,7 @@ All randomness flows through explicit numpy Generators.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -87,6 +88,9 @@ class TrainConfig:
                 f"invalid layout: dim={self.dim}, n_scalars={self.n_scalars} "
                 "(dim - n_scalars must be even; the default n_scalars=dim/2 needs dim % 4 == 0)"
             )
+        for name in ("learning_rate", "l1_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.n_negatives < 0:
             raise ValueError("learning rate, batch size and negative count must be positive")
         if self.l1_weight < 0:
@@ -155,6 +159,12 @@ class EmbeddingModel:
         ent, rel, m_ent, v_ent, m_rel, v_rel = (np.array(a, order="F") for a in
                                                 (self.ent, self.rel, o.m_ent, o.v_ent, o.m_rel, o.v_rel))
         return EmbeddingModel(ent, rel, self.n_scalars, AdamState(m_ent, v_ent, m_rel, v_rel, o.step))
+
+
+def all_finite(table: np.ndarray) -> bool:
+    """Whether every value of ``table`` is finite, read from its min and max
+    (both propagate NaN), so no boolean temporary of its size is built."""
+    return table.size == 0 or bool(np.isfinite(table.min()) and np.isfinite(table.max()))
 
 
 def init_model(n_entities: int, n_relations: int, config: TrainConfig) -> EmbeddingModel:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import kernels
 from .axioms import Axiom, axiom_table, join_rules
-from .embedding import EmbeddingModel
+from .embedding import EmbeddingModel, all_finite
 from .kg import KnowledgeGraph, Triple, expand_ranges, sorted_distinct
 
 log = logging.getLogger(__name__)
@@ -148,8 +148,12 @@ def rank_side(model: EmbeddingModel, known: np.ndarray, test: np.ndarray,
 
     ``known`` and ``test`` are (n, 3) id arrays; ``known`` may repeat rows.
     The filtered rank is the raw rank minus the known candidates scored
-    ahead of the true entity, which is never ahead of itself.
+    ahead of the true entity, which is never ahead of itself.  A model with
+    a non-finite parameter raises ``ValueError``: NaN compares neither
+    higher nor equal, so every true entity would rank first.
     """
+    if not (all_finite(model.ent) and all_finite(model.rel)):
+        raise ValueError("model has a non-finite parameter; refusing to rank it")
     kept, ranked = _columns(side)
     n_ent = model.n_entities
     keys = sorted_distinct(_side_keys(known, side, n_ent))

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .axioms import TYPES, Pool, PoolConfig, ScoredPool, generate_pool, induce_axioms, write_axioms
-from .embedding import AdamState, EmbeddingModel, TrainConfig, TripleBatch, init_model, train_epoch
+from .embedding import AdamState, EmbeddingModel, TrainConfig, TripleBatch, all_finite, init_model, train_epoch
 from .evaluation import (  # noqa: F401 (head_coverage: perfbench wraps this module's name)
     head_coverage, link_prediction, summarize_rules,
 )
@@ -173,11 +173,12 @@ def load_checkpoint(path: str, expect_layout: Optional[tuple[int, int]] = None) 
     ``init_model`` makes them; a malformed file (among them a header with a
     negative scalar or block count, or no dimensions, entities or
     relations, or a payload of another size than the header implies), or
-    a layout other than ``expect_layout``, raises ``CheckpointError``.  The
-    payload's size is checked before any of it is read.  Each table is read
-    ``CKPT_BLOCK_ROWS`` rows at a time into one row-ordered block and
-    copied from there into its array, so a load holds the model plus that
-    block."""
+    a layout other than ``expect_layout``, or a non-finite table value, or
+    an Adam step that is not an integer in [0, 2^53], raises
+    ``CheckpointError``.  The payload's size is checked before any of it is
+    read.  Each table is read ``CKPT_BLOCK_ROWS`` rows at a time into one
+    row-ordered block and copied from there into its array, so a load holds
+    the model plus that block."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").rstrip("\n")
         fields = header.split(" ")
@@ -205,13 +206,17 @@ def load_checkpoint(path: str, expect_layout: Optional[tuple[int, int]] = None) 
                 part = block[: rows - start]
                 if fh.readinto(part) != part.nbytes:
                     raise CheckpointError(f"{path}: payload shrank while it was read")
+                if not all_finite(part):
+                    raise CheckpointError(f"{path}: non-finite value in a parameter or Adam moment table")
                 out[start : start + len(part)] = part
             return out
 
         # parameters, first moments, second moments: each entity rows, then relation rows
         ent, rel, m_ent, m_rel, v_ent, v_rel = (table(n) for n in (n_ent, n_rel) * 3)
-        step = int(np.frombuffer(fh.read(8), dtype="<f8")[0])
-    return EmbeddingModel(ent, rel, n_sc, AdamState(m_ent, v_ent, m_rel, v_rel, step))
+        step = float(np.frombuffer(fh.read(8), dtype="<f8")[0])
+    if not (0 <= step <= 2**53 and step.is_integer()):
+        raise CheckpointError(f"{path}: Adam step {step!r} is not an integer in [0, 2^53]")
+    return EmbeddingModel(ent, rel, n_sc, AdamState(m_ent, v_ent, m_rel, v_rel, int(step)))
 
 
 def check_graph_size(model: EmbeddingModel, kg: KnowledgeGraph, path: str) -> None:

@@ -53,6 +53,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="epochs_per_iteration"):
             TrainConfig(epochs_per_iteration=epochs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["learning_rate", "l1_weight"])
+    def test_non_finite_hyperparameter_rejected(self, name, value):
+        # NaN fails every comparison, so a range check alone lets it through
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            TrainConfig(**{name: value})
+
 
 class TestInit:
     def test_deterministic(self):

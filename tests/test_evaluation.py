@@ -64,6 +64,16 @@ class TestRanking:
         self.model = init_model(8, 3, TrainConfig(dim=8, seed=1))
         self.known = set(self.kg.triples)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("table", ["ent", "rel"])
+    def test_non_finite_model_refused(self, table, value):
+        getattr(self.model, table)[2, 3] = value
+        t = self.kg.triples[0]
+        with pytest.raises(ValueError, match="non-finite parameter"):
+            link_prediction(self.model, self.known, [t])
+        with pytest.raises(ValueError, match="non-finite parameter"):
+            rank_entity_side(self.model, self.known, t, "object")
+
     def test_top_scored_entity_ranks_first(self):
         t = self.kg.triples[0]
         scores = candidate_scores(self.model, t, "subject")

@@ -178,6 +178,35 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("table", ["ent", "rel", "m_ent", "v_rel"])
+    def test_non_finite_table_rejected(self, tmp_path, table, value):
+        m = init_model(3, 2, TrainConfig(dim=8, seed=0))
+        randomize_adam(m, np.random.default_rng(0))
+        getattr(m if table in ("ent", "rel") else m.opt, table)[1, 5] = value
+        path = tmp_path / "m.bin"
+        save_checkpoint(m, path)
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: non-finite value")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("step", [-5.0, -1.0, 2.5, 2.0**53 + 2, 1e300, float("inf"), float("nan")])
+    def test_adam_step_outside_the_integers_rejected(self, tmp_path, step):
+        # a negative step flips the sign of Adam's bias correction on resume
+        m = init_model(3, 2, TrainConfig(dim=8, seed=0))
+        path = tmp_path / "m.bin"
+        save_checkpoint(m, path)
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", step))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: Adam step {step!r} is not an integer")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("step", [0, 1, 2**53])
+    def test_adam_step_bounds_accepted(self, tmp_path, step):
+        m = init_model(3, 2, TrainConfig(dim=8, seed=0))
+        m.opt.step = step
+        path = tmp_path / "m.bin"
+        save_checkpoint(m, path)
+        assert load_checkpoint(path).opt.step == step
+
 
 class TestConfigFile:
     def test_parse_and_build(self, tmp_path, dataset_dir):
@@ -745,6 +774,18 @@ class TestCli:
         )
         assert cli_main(["train", "--config", str(cfg)]) != 0
         assert "error" in capsys.readouterr().err
+
+    def test_eval_refuses_a_nan_checkpoint(self, tmp_path, dataset_dir, capsys):
+        # NaN scores neither above nor equal to anything: unchecked, every
+        # true entity would rank first and the report would read MRR 1.0
+        m = init_model(200, 8, TrainConfig(dim=8, n_scalars=8))
+        m.ent[:] = np.nan
+        ckpt = tmp_path / "nan.bin"
+        save_checkpoint(m, ckpt)
+        out = tmp_path / "eval.json"
+        assert cli_main(["eval", "--ckpt", str(ckpt), "--data", dataset_dir, "--out", str(out)]) == 1
+        assert f"{ckpt}: non-finite value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_fails(self, tmp_path, capsys):
         assert cli_main(["eval", "--ckpt", "/nonexistent.bin", "--data", str(tmp_path)]) != 0
