@@ -164,7 +164,7 @@ class EmbeddingModel:
 def all_finite(table: np.ndarray) -> bool:
     """Whether every value of ``table`` is finite, read from its min and max
     (both propagate NaN), so no boolean temporary of its size is built."""
-    return table.size == 0 or bool(np.isfinite(table.min()) and np.isfinite(table.max()))
+    return bool(np.isfinite(table.min()) and np.isfinite(table.max()))
 
 
 def init_model(n_entities: int, n_relations: int, config: TrainConfig) -> EmbeddingModel:

@@ -182,7 +182,6 @@ class TestCheckpoint:
     @pytest.mark.parametrize("table", ["ent", "rel", "m_ent", "v_rel"])
     def test_non_finite_table_rejected(self, tmp_path, table, value):
         m = init_model(3, 2, TrainConfig(dim=8, seed=0))
-        randomize_adam(m, np.random.default_rng(0))
         getattr(m if table in ("ent", "rel") else m.opt, table)[1, 5] = value
         path = tmp_path / "m.bin"
         save_checkpoint(m, path)
