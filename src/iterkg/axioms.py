@@ -99,7 +99,7 @@ _EQUATION_SLOTS = np.array([[-1 if i is None else i for i in EQUATIONS[t]] for t
 _FLIP = np.array([len(RULES[t]) == 2 and RULES[t][1][1] == Y for t in TYPES])
 
 SCORE_BLOCK = 512  # axioms scored per array pass; bounds the gathered rows
-ROW_BUDGET = 1 << 20  # body rows per join pass; bounds the arrays of a rule join
+ROW_BUDGET = 1 << 17  # body rows per join pass; bounds the arrays of a rule join
 
 
 class Axiom(tuple):

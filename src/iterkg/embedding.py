@@ -91,8 +91,12 @@ class TrainConfig:
         for name in ("learning_rate", "l1_weight"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.n_negatives < 0:
-            raise ValueError("learning rate, batch size and negative count must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.n_negatives < 0:
+            raise ValueError(f"n_negatives must be at least 0, got {self.n_negatives}")
         if self.l1_weight < 0:
             raise ValueError("l1_weight must be non-negative")
         if self.epochs_per_iteration < 1:

@@ -137,15 +137,13 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
     return values[np.diff(values, prepend=values[:1] - 1) != 0]
 
 
-def distinct_rows(rows: np.ndarray, return_index: bool = False):
+def distinct_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of a 2-d integer array, in ascending lexicographic
-    order (first column first).  With ``return_index``, also the input
-    position of each one's first occurrence, as ``np.unique`` gives it."""
-    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep input order
-    rows = rows[order]
+    order (first column first)."""
+    rows = rows[np.lexsort(rows.T[::-1])]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return (rows[first], order[first]) if return_index else rows[first]
+    return rows[first]
 
 
 def compact_ids(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -172,18 +170,20 @@ def lookup_sorted(keys: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
 class KnowledgeGraph:
     """Immutable triple set held as int64 arrays.
 
-    Duplicate triples are removed at construction (first occurrence kept);
-    ``ids`` holds the survivors in input order, ``triples`` the same as
-    ``Triple`` tuples.  The rule joins of ``iterkg.axioms`` read a second
-    copy sorted by (relation, subject, object): ``rel_s``/``rel_o`` are its
-    subject and object columns, and relation r's triples are the rows
-    ``rel_start[r]:rel_start[r + 1]``.  Three arrays are built on first use:
+    The constructor sorts the triples' packed keys ``(r*n_ent + s)*n_ent + o``
+    (``pack``) once, stably, and keeps the first key of each run of equal
+    keys: duplicate triples are removed, first occurrence kept.  ``ids``
+    holds the survivors in input order, ``triples`` the same as ``Triple``
+    tuples.  A graph whose keys overflow int64 is refused there, with
+    ``OverflowError``.  The sorted distinct keys are the store.  The rule
+    joins of ``iterkg.axioms`` read the triples in their (relation, subject,
+    object) order: ``rel_s``/``rel_o`` are the subject and object columns,
+    and relation r's triples are the rows ``rel_start[r]:rel_start[r + 1]``.
+    Membership of packed keys (``contains_keys``, and ``contains_many`` for
+    id triples) is one ``np.searchsorted`` into the sorted keys, or, when
+    the key space has at most ``DENSE_KEYS`` keys, one gather from a bit
+    table over that space.  Built on first use are that table and
 
-    - the packed keys ``(r*n_ent + s)*n_ent + o`` (``pack``) of the sorted
-      rows, which are sorted as they stand.  Membership of packed keys
-      (``contains_keys``, and ``contains_many`` for id triples) is one
-      ``np.searchsorted`` into them, or, when the key space has at most
-      ``DENSE_KEYS`` keys, one gather from a bit table over that space;
     - a CSR over (relation, subject): offsets for all ``n_rel * n_ent``
       pairs, so the objects of any (s, r) are a gather
       (``object_ranges``);
@@ -191,9 +191,7 @@ class KnowledgeGraph:
       out-edges of a subject (``out_ranges``) and the relations linking two
       entities (``pair_ranges``), for pool generation.
 
-    Building them on first use lets a graph whose keys overflow int64 be
-    constructed; its joins and membership queries refuse it.  ``triples_of``
-    and ``entity_occurs_with`` return ascending-id lists.
+    ``triples_of`` and ``entity_occurs_with`` return ascending-id lists.
     Do not mutate after construction.
     """
 
@@ -204,17 +202,23 @@ class KnowledgeGraph:
         if bad.any():
             t = Triple(*ids[np.argmax(bad)].tolist())
             raise ValueError(f"triple {t} out of vocabulary bounds ({n_ent} entities, {n_rel} relations)")
-        rows, first = distinct_rows(ids[:, [1, 0, 2]], return_index=True)  # (r, s, o)
-        dropped = len(ids) - len(rows)
+        self.entities = entities
+        self.relations = relations
+        if self._n_keys > np.iinfo(np.int64).max:
+            raise OverflowError(f"{n_ent} entities x {n_rel} relations overflow int64 triple keys")
+        keys = self.pack(*ids.T)
+        order = np.argsort(keys, kind="stable")  # equal keys keep input order
+        keys = keys[order]
+        first = np.diff(keys, prepend=keys[:1] - 1) != 0
+        self._keys: np.ndarray = keys[first]
+        dropped = len(ids) - len(self._keys)
         if dropped:
             log.info("dropped %d duplicate triples", dropped)
 
-        self.entities = entities
-        self.relations = relations
-        self.ids: np.ndarray = ids[np.sort(first)]
-        self.rel_s: np.ndarray = rows[:, 1].copy()
-        self.rel_o: np.ndarray = rows[:, 2].copy()
-        self.rel_start: np.ndarray = np.searchsorted(rows[:, 0], np.arange(n_rel + 1))
+        self.ids: np.ndarray = ids[np.sort(order[first])]
+        rel_sub, self.rel_o = np.divmod(self._keys, n_ent)  # r*n_ent + s, o
+        rel, self.rel_s = np.divmod(rel_sub, n_ent)
+        self.rel_start: np.ndarray = np.searchsorted(rel, np.arange(n_rel + 1))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -245,16 +249,11 @@ class KnowledgeGraph:
     def _n_keys(self) -> int:
         return self.n_entities ** 2 * self.n_relations
 
-    def _check_keys(self) -> None:
-        if self._n_keys > np.iinfo(np.int64).max:
-            raise OverflowError(
-                f"{self.n_entities} entities x {self.n_relations} relations overflow int64 triple keys")
-
     def pack(self, s, r, o):
         """Packed keys ``(r*n_ent + s)*n_ent + o`` of in-range id triples,
-        ordered as the triples sort by (relation, subject, object).  Raises
-        ``OverflowError`` when the graph's keys overflow int64."""
-        self._check_keys()
+        ordered as the triples sort by (relation, subject, object).  The
+        constructor refused a graph whose keys overflow int64, so every
+        in-range triple packs into an int64 key."""
         return (r * self.n_entities + s) * self.n_entities + o
 
     @cached_property
@@ -262,11 +261,6 @@ class KnowledgeGraph:
         """Weights of subject, relation and object in a packed key: ``pack``
         is linear, so they are the keys of the unit triples."""
         return self.pack(*np.eye(3, dtype=np.int64))
-
-    @cached_property
-    def _keys(self) -> np.ndarray:
-        r = np.repeat(np.arange(self.n_relations), np.diff(self.rel_start))
-        return self.pack(self.rel_s, r, self.rel_o)
 
     @cached_property
     def _member_bits(self) -> Optional[np.ndarray]:
@@ -286,7 +280,6 @@ class KnowledgeGraph:
 
     @cached_property
     def _pair_keys(self) -> np.ndarray:
-        self._check_keys()
         s, r, o = self.ids.T
         return np.sort((s * self.n_entities + o) * self.n_relations + r)
 

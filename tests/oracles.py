@@ -256,6 +256,20 @@ def enumerate_head_coverage(triples, axiom, n_entities):
     return len(covered) / len(head_pairs)
 
 
+def graph_arrays(triples, n_entities, n_relations):
+    """A ``KnowledgeGraph``'s arrays from ``np.unique`` over its
+    (relation, subject, object) rows: ``ids`` (each distinct triple's first
+    occurrence, in input order), ``rel_s``, ``rel_o``, ``rel_start`` (the
+    first row of each relation and the row count) and ``_keys``, the packed
+    key ``(r*n_ent + s)*n_ent + o`` of each distinct row, from Python ints."""
+    rows = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    distinct, first = np.unique(rows[:, [1, 0, 2]], axis=0, return_index=True)
+    keys = [(r * n_entities + s) * n_entities + o for r, s, o in distinct.tolist()]
+    return {"ids": rows[np.sort(first)], "rel_s": distinct[:, 1], "rel_o": distinct[:, 2],
+            "rel_start": np.array([np.count_nonzero(distinct[:, 0] < r) for r in range(n_relations + 1)]),
+            "_keys": np.array(keys, dtype=np.int64)}
+
+
 def entity_mask(n_entities, ids):
     """The boolean mask over ``n_entities`` entity ids that marks ``ids``:
     a sparse-entity set as ``kg.sparse_entities`` returns it."""

@@ -60,6 +60,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value, rule", [
+        ("learning_rate", 0.0, "positive"), ("learning_rate", -0.01, "positive"),
+        ("batch_size", 0, "at least 1"), ("batch_size", -3, "at least 1"),
+        ("n_negatives", -1, "at least 0"),
+    ])
+    def test_out_of_range_hyperparameter_rejected(self, name, value, rule):
+        with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {value}$"):
+            TrainConfig(**{name: value})
+
+    def test_no_negatives_accepted(self):
+        assert TrainConfig(n_negatives=0).n_negatives == 0
+
 
 class TestInit:
     def test_deterministic(self):
@@ -367,13 +379,6 @@ def test_sampler_draws_as_the_loop_oracle_at_minibatch_size():
         exhausted = [assert_same_as_loop(kg, kg.ids[rng.integers(len(kg), size=512)], 6, seed, retries)
                      for seed in range(5)]
         assert all(exhausted) == (retries == 3)
-
-
-def test_sampler_refuses_overflowing_keys():
-    # 2**32 entities squared times 3 relations passes int64
-    kg = KnowledgeGraph([Triple(0, 0, 1)], range(2**32), range(3))
-    with pytest.raises(OverflowError):
-        sample_negatives(kg, np.array([[0, 0, 1]]), 2, np.random.default_rng(0))
 
 
 def test_epochs_with_the_loop_sampler_give_the_same_model_bits(monkeypatch):

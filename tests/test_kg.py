@@ -15,7 +15,7 @@ from iterkg.kg import (
 )
 from iterkg.synthetic import make_planted_dataset, write_dataset
 
-from oracles import entity_mask, random_graph
+from oracles import entity_mask, graph_arrays, random_graph
 
 
 def write(tmp_path, text, name="triples.txt"):
@@ -103,6 +103,20 @@ class TestBuildGraph:
             occurs = sorted({e for t in uniq if t.relation == r for e in (t.subject, t.object)})
             assert kg.entity_occurs_with(r) == occurs
 
+    @settings(max_examples=150, deadline=None)
+    @given(n_ent=st.integers(1, 6), n_rel=st.integers(1, 3), data=st.data())
+    def test_arrays_match_np_unique(self, n_ent, n_rel, data):
+        """Repeated triples, a graph of one triple repeated, and the empty
+        graph."""
+        ids = st.tuples(st.integers(0, n_ent - 1), st.integers(0, n_rel - 1), st.integers(0, n_ent - 1))
+        drawn = data.draw(st.lists(ids, max_size=40))
+        ents, rels = Vocabulary(f"e{i}" for i in range(n_ent)), Vocabulary(f"r{i}" for i in range(n_rel))
+        for triples in (drawn, drawn[:1] * data.draw(st.integers(1, 5)), []):
+            kg = KnowledgeGraph(np.array(triples, dtype=np.int64).reshape(-1, 3), ents, rels)
+            for name, want in graph_arrays(triples, n_ent, n_rel).items():
+                got = getattr(kg, name)
+                assert got.dtype == np.int64 and got.tolist() == want.tolist(), name
+
 
 @st.composite
 def graph_and_sizes(draw):
@@ -164,10 +178,12 @@ class TestContainsMany:
         assert kg.ids.tolist() == [list(t) for t in kg.triples]
 
     def test_key_overflow_refused(self):
-        # 2**32 entities squared times 3 relations passes int64
-        kg = KnowledgeGraph([Triple(0, 0, 1)], range(2**32), range(3))
-        with pytest.raises(OverflowError):
-            kg.contains_many(np.array([0]), np.array([0]), np.array([1]))
+        # 2**32 entities squared times 3 relations passes int64: refused when
+        # built; 2**31 squared times 1 is 2**62 keys, and answers
+        with pytest.raises(OverflowError, match="^4294967296 entities x 3 relations overflow int64 triple keys$"):
+            KnowledgeGraph([Triple(0, 0, 1)], range(2**32), range(3))
+        kg = KnowledgeGraph([Triple(0, 0, 1)], range(2**31), range(1))
+        assert kg.contains_many(np.array([0, 1]), np.array([0, 0]), np.array([1, 2**31 - 1])).tolist() == [True, False]
 
 
 class TestContainsKeys:
@@ -342,10 +358,6 @@ def test_distinct_rows_is_np_unique_over_rows(rows):
     for table in (arr, arr[:, 1:]):
         got = distinct_rows(table)
         assert got.dtype == np.int64 and got.tolist() == sorted(map(list, set(map(tuple, table.tolist()))))
-        # with the first input position of each, as np.unique gives it
-        got, first = distinct_rows(table, return_index=True)
-        want, want_first = np.unique(table.reshape(-1, table.shape[1]), axis=0, return_index=True)
-        assert got.tolist() == want.tolist() and first.tolist() == want_first.tolist()
 
 
 @settings(max_examples=80, deadline=None)
