@@ -215,7 +215,7 @@ class PoolConfig:
     def __post_init__(self):
         min_sample_size(self.min_axiom_prob, self.include_prob)  # range checks
         if self.samples_per_relation is not None and self.samples_per_relation < 1:
-            raise ValueError("samples_per_relation must be >= 1")
+            raise ValueError(f"samples_per_relation must be at least 1, got {self.samples_per_relation}")
 
     def resolved_samples(self) -> int:
         if self.samples_per_relation is not None:
@@ -234,9 +234,9 @@ def min_sample_size(min_axiom_prob: float, include_prob: float) -> int:
     small that the bound overflows a float.
     """
     if not 0 < min_axiom_prob <= 1:
-        raise ValueError("min_axiom_prob must lie in (0, 1]")
+        raise ValueError(f"min_axiom_prob must lie in (0, 1], got {min_axiom_prob}")
     if not 0 < include_prob < 1:
-        raise ValueError("include_prob must lie in (0, 1)")
+        raise ValueError(f"include_prob must lie in (0, 1), got {include_prob}")
     bound = -math.log(1.0 - include_prob) / min_axiom_prob
     if math.isinf(bound):
         raise ValueError(f"min_axiom_prob {min_axiom_prob} is too small: the sample bound overflows")

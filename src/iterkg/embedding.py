@@ -98,9 +98,9 @@ class TrainConfig:
         if self.n_negatives < 0:
             raise ValueError(f"n_negatives must be at least 0, got {self.n_negatives}")
         if self.l1_weight < 0:
-            raise ValueError("l1_weight must be non-negative")
+            raise ValueError(f"l1_weight must be non-negative, got {self.l1_weight}")
         if self.epochs_per_iteration < 1:
-            raise ValueError("epochs_per_iteration must be >= 1")
+            raise ValueError(f"epochs_per_iteration must be at least 1, got {self.epochs_per_iteration}")
 
     @property
     def n_blocks(self) -> int:
@@ -188,21 +188,22 @@ def init_model(n_entities: int, n_relations: int, config: TrainConfig) -> Embedd
 
 class StepBuffers(NamedTuple):
     """Work arrays of training steps, for minibatches of up to ``rows``
-    examples of one model's shape.
+    examples of one model's shape: the only source of the arrays a step
+    carves, so ``empty`` alone decides their size.
 
     ``train_epoch`` builds one set per call, which every minibatch of the
-    epoch reuses and which is freed when it returns: ``_gather`` carves
-    the examples' (dim, B) subject and object columns and (n_scalars, B)
-    relation scalars from the front of ``planes``, and the kernels carve
-    their intermediates, the relations' block columns and the gradients
-    from ``work``.  The gathered columns are dead once
-    ``kernels.accumulate_grads`` returns, so the L1 term and Adam carve
-    their parameter rows, column-major like every table, from the front of
-    ``planes`` too, which is sized for whichever of the two uses is
-    larger.  A table whose every row the minibatch touches is read and
-    updated in place instead of through gathered rows; its intermediates
-    still come from ``planes``.  A view of a buffer is valid until the
-    next minibatch.
+    epoch reuses and which is freed when it returns; a step called with
+    none builds its own.  ``_gather`` carves the examples' (dim, B)
+    subject and object columns and (n_scalars, B) relation scalars from
+    the front of ``planes``, and the kernels carve their intermediates,
+    the relations' block columns and the gradients from ``work``.  The
+    gathered columns are dead once ``kernels.accumulate_grads`` returns,
+    so the L1 term and Adam carve their parameter rows, column-major like
+    every table, from the front of ``planes`` too, which is sized for
+    whichever of the two uses is larger.  A table whose every row the
+    minibatch touches is read and updated in place instead of through
+    gathered rows; its intermediates still come from ``planes``.  A view
+    of a buffer is valid until the next minibatch.
     """
 
     rows: int
@@ -227,14 +228,13 @@ def _check_ids(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarra
             raise ValueError(f"id outside the model's {n} {what}: {ids.min()}..{ids.max()}")
 
 
-def _gather(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray,
-            planes: Optional[np.ndarray] = None):
+def _gather(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray, planes: np.ndarray):
     """The kernels' inputs ``(vs, vo, msc, ma, mb, r)`` for the examples,
     after ``_check_ids``.
 
     ``vs``, ``vo`` and ``msc`` are column-major (B, ·) views of (·, B)
     arrays gathered column by column from the transposed entity table and
-    relation scalars, new or carved from the front of the flat ``planes``.
+    relation scalars, carved from the front of the flat ``planes``.
     ``ma`` and ``mb`` are the blocks of the whole relation table
     (``kernels.relation_parts``), which the kernels read per relation
     through ``r``: no block is copied per example.
@@ -250,8 +250,10 @@ def _gather(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray,
 
 
 def raw_scores(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Pre-sigmoid bilinear scores for index arrays."""
-    return kernels.bilinear_scores(*_gather(model, s, r, o))
+    """Pre-sigmoid bilinear scores for index arrays, in a new array; the
+    intermediates live in step buffers built for the call."""
+    buffers = StepBuffers.empty(model, len(s))
+    return kernels.bilinear_scores(*_gather(model, s, r, o, buffers.planes), work=buffers.work)
 
 
 def sample_negatives(
@@ -376,9 +378,10 @@ def compute_loss_and_gradients(
     every parameter touched by the batch (full entity rows and full
     relation matrices), read from the table itself when the batch touches
     every row of it, else from gathered rows.  An id outside the model
-    raises ValueError.  With ``buffers`` the step's arrays are written
-    there instead of allocated, and the returned gradients are views of
-    them, valid until the buffers' next use; every value is the same.
+    raises ValueError.  The step's arrays are carved from ``buffers``, or
+    from ``StepBuffers.empty(model, len(batch))`` built for the call when
+    none are given, and the returned gradients are views of them, valid
+    until the buffers' next use; every value is the same either way.
     Buffers for fewer than len(batch) examples raise ValueError.
     """
     if len(batch) == 0:
@@ -387,12 +390,13 @@ def compute_loss_and_gradients(
     labels = batch.labels
     s, r, o = batch.ids.T
     B = len(batch)
-    if buffers is not None and buffers.rows < B:
+    if buffers is None:
+        buffers = StepBuffers.empty(model, B)
+    if buffers.rows < B:
         raise ValueError(f"step buffers for {buffers.rows} examples; the batch has {B}")
 
-    gathered = _gather(model, s, r, o, None if buffers is None else buffers.planes)
-    work = None if buffers is None else buffers.work
-    phi = kernels.sigmoid(kernels.bilinear_scores(*gathered, work=work))
+    gathered = _gather(model, s, r, o, buffers.planes)
+    phi = kernels.sigmoid(kernels.bilinear_scores(*gathered, work=buffers.work))
     ce = -labels * np.log(np.maximum(phi, LOG_CLAMP)) \
          - (1.0 - labels) * np.log(np.maximum(1.0 - phi, LOG_CLAMP))
     loss = float(np.mean(ce))
@@ -403,13 +407,12 @@ def compute_loss_and_gradients(
     es, eo = ent_inv[:B], ent_inv[B:]
 
     grad_ent, grad_rel = kernels.accumulate_grads(
-        *gathered, rho, es, eo, rel_inv, len(ent_ids), len(rel_ids), work=work)
+        *gathered, rho, es, eo, rel_inv, len(ent_ids), len(rel_ids), work=buffers.work)
 
-    if l1_weight > 0:
-        scratch = None if buffers is None else buffers.planes  # the gathered columns are dead
+    if l1_weight > 0:  # the gathered columns are dead: the rows reuse their planes
         norm = 0.0
         for param, ids, grad in ((model.ent, ent_ids, grad_ent), (model.rel, rel_ids, grad_rel)):
-            rows, sign = kernels.carve(scratch, *[(len(ids), model.dim)] * 2)
+            rows, sign = kernels.carve(buffers.planes, *[(len(ids), model.dim)] * 2)
             rows = _take_rows(param, ids, rows)
             np.sign(rows, out=sign)
             sign *= l1_weight
@@ -420,15 +423,15 @@ def compute_loss_and_gradients(
     return loss, SparseGrads(ent_ids, grad_ent, rel_ids, grad_rel, model.n_scalars)
 
 
-def adam_update(model: EmbeddingModel, grads: SparseGrads, config: TrainConfig,
-                *, scratch: Optional[np.ndarray] = None) -> None:
+def adam_update(model: EmbeddingModel, grads: SparseGrads, config: TrainConfig, *, scratch: np.ndarray) -> None:
     """One sparse Adam step in place; only touched parameters move.
 
     Moment accumulators of untouched parameters are left as-is; bias
     correction uses the global step counter, incremented once per call.
-    The row intermediates are carved from the flat ``scratch`` (three
-    planes of the largest gradient) when given, else allocated.  Tables
-    are read and written column by column.  A table
+    The row intermediates are carved from the flat ``scratch``, at least
+    three planes of the larger gradient (``train_epoch`` passes its
+    ``StepBuffers.planes``).  Tables are read and written column by
+    column.  A table
     whose every row has a gradient (the relations of most minibatches) is
     updated in place, with no gather or write-back; each element gets the
     same operations in the same order either way.  Gradient rows must be

@@ -152,11 +152,11 @@ class InjectionConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.score_threshold <= 1.0:
-            raise ValueError("score_threshold must lie in [0, 1]")
+            raise ValueError(f"score_threshold must lie in [0, 1], got {self.score_threshold}")
         if self.max_inferred_per_axiom < 1:
-            raise ValueError("max_inferred_per_axiom must be >= 1")
+            raise ValueError(f"max_inferred_per_axiom must be at least 1, got {self.max_inferred_per_axiom}")
         if not 0.0 <= self.sparsity_threshold <= 1.0:
-            raise ValueError("sparsity_threshold must lie in [0, 1]")
+            raise ValueError(f"sparsity_threshold must lie in [0, 1], got {self.sparsity_threshold}")
 
 
 def ground_axiom(kg: KnowledgeGraph, axiom: Axiom) -> list[Grounding]:

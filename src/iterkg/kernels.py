@@ -28,11 +28,12 @@ memory.  Any layout gives the same values; this one is faster.
 Blocks.  A block [[a, -b], [b, a]] maps the pair (x, y) to
 (a x - b y, a y + b x), and its transpose to (a x + b y, a y - b x): the
 formulas of ``blocks.py``, in real arithmetic on arrays of any layout
-(``block_product``).  Training and ranking apply it to the columns
-``v[:, ns::2]`` and ``v[:, ns+1::2]`` one block column at a time; axiom
-scoring applies it to a block's (a, b) in place of (x, y), which multiplies
-two blocks.  ``relation_parts`` splits relation rows into scalars, a and b.
-All-scalar layouts do the diagonal model's arithmetic bit for bit.
+(``block_product``).  Training applies it to the columns ``v[:, ns::2]``
+and ``v[:, ns+1::2]`` one block column at a time, ranking to all of them
+in one call; axiom scoring applies it to a block's (a, b) in place of
+(x, y), which multiplies two blocks.  ``relation_parts`` splits relation
+rows into scalars, a and b.  All-scalar layouts do the diagonal model's
+arithmetic bit for bit.
 
 The training kernels' inputs share one naming:
   vs, vo : (B, d) subject / object vectors of the examples
@@ -46,18 +47,17 @@ The blocks are read per relation: for block column k the kernels take
 ids must be in range: the takes use ``mode="wrap"``, which writes straight
 into its output where the default ``"raise"`` buffers it.
 
-Work buffers.  ``bilinear_scores`` and ``accumulate_grads`` take an
-optional keyword ``work``: a flat, contiguous float64 array that the caller
-owns and the kernel carves its temporaries from, front to back (``carve``,
-which lays them out Fortran-ordered like the tables; ``work_size`` elements
-for a batch).  ``accumulate_grads`` builds its gradients in ``work`` and
-returns views of them.  A kernel keeps no reference to a buffer, and the
-next call overwrites what it left there.  Each ``embedding.train_epoch``
-call builds one set of buffers (``embedding.StepBuffers``) and every
-minibatch of the epoch reuses their front, so a view of a buffer is valid
-only until the next minibatch.  Without buffers each call
-allocates fresh arrays; the arithmetic, and so every bit of every result,
-is the same either way.
+Work buffers.  ``bilinear_scores`` and ``accumulate_grads`` take a
+keyword ``work``: a flat, contiguous float64 array that the caller owns
+and the kernel carves its temporaries from, front to back (``carve``,
+which lays them out Fortran-ordered like the tables; ``work_size``
+elements for a batch).  ``accumulate_grads`` builds its gradients in
+``work`` and returns views of them.  A kernel keeps no reference to a
+buffer, and the next call overwrites what it left there.  The buffers
+come from ``embedding.StepBuffers``: each ``embedding.train_epoch`` call
+builds one set and every minibatch of the epoch reuses their front, so a
+view of a buffer is valid only until the next minibatch.  Any buffer
+large enough gives the same bits: nothing is read before it is written.
 """
 
 from __future__ import annotations
@@ -86,12 +86,9 @@ def work_size(rows: int, dim: int, ent_rows: int, rel_rows: int) -> int:
 
 
 def carve(work, *shapes) -> list[np.ndarray]:
-    """Fortran-ordered float64 arrays of ``shapes``, like every parameter
-    table (the transposes of C arrays of the reversed shapes), laid end to
-    end from the front of the flat buffer ``work``; new arrays when
-    ``work`` is None."""
-    if work is None:
-        return [np.empty(shape[::-1]).T for shape in shapes]
+    """Fortran-ordered arrays of ``shapes``, like every parameter table
+    (the transposes of C arrays of the reversed shapes), laid end to end
+    from the front of the flat buffer ``work``."""
     flat, arrays, at = work.reshape(-1), [], 0
     for shape in shapes:
         n = math.prod(shape)
@@ -116,7 +113,7 @@ def block_product(a, b, x, y, ox, oy, transpose: bool, t) -> None:
     second(np.multiply(a, y, out=oy), np.multiply(b, x, out=t), out=oy)
 
 
-def bilinear_scores(vs, vo, msc, ma, mb, r, *, work=None) -> np.ndarray:
+def bilinear_scores(vs, vo, msc, ma, mb, r, *, work) -> np.ndarray:
     """f_i = vs[i]^T M_r[i] vo[i]: the scalar slots' sum of products, plus
     the subject's block coordinates times those of M_r vo, summed block
     column by block column."""
@@ -138,18 +135,17 @@ def bilinear_scores(vs, vo, msc, ma, mb, r, *, work=None) -> np.ndarray:
 def relation_matvec(msc, ma, mb, v, transpose: bool = False) -> np.ndarray:
     """M_r v (or M_r^T v) for rows of ``v`` of shape (..., d), as a new
     array.  Relation arrays broadcast against ``v``: one relation for many
-    vectors, or one per row."""
+    vectors, or one per row; one ``block_product`` does every block."""
     ns = msc.shape[-1]
     out = np.empty_like(v)
     np.multiply(msc, v[..., :ns], out=out[..., :ns])
-    t = np.empty(np.broadcast_shapes(ma.shape, v[..., ns::2].shape)[:-1])
-    for k in range(ma.shape[-1]):
-        x, y = ns + 2 * k, ns + 2 * k + 1
-        block_product(ma[..., k], mb[..., k], v[..., x], v[..., y], out[..., x], out[..., y], transpose, t)
+    x, y = v[..., ns::2], v[..., ns + 1 :: 2]
+    t = np.empty(np.broadcast_shapes(ma.shape, x.shape))
+    block_product(ma, mb, x, y, out[..., ns::2], out[..., ns + 1 :: 2], transpose, t)
     return out
 
 
-def accumulate_grads(vs, vo, msc, ma, mb, r, rho, es, eo, rr, n_ent: int, n_rel: int, *, work=None):
+def accumulate_grads(vs, vo, msc, ma, mb, r, rho, es, eo, rr, n_ent: int, n_rel: int, *, work):
     """Scatter d(loss)/d(params) into compacted per-batch gradient rows.
 
     ``rho`` (B,) is each example's residual (phi - label) / B; ``es``/``eo``
@@ -159,8 +155,8 @@ def accumulate_grads(vs, vo, msc, ma, mb, r, rho, es, eo, rr, n_ent: int, n_rel:
     temporary, multiplied by ``rho`` and summed into its rows by one
     ``np.bincount``: for each column the subject's, then the object's, then
     the relation's.  The temporaries and the gradients are carved from
-    ``work`` (at least ``work_size(B, d, n_ent, n_rel)`` elements) when
-    given.  Returns ``(grad_ent, grad_rel)``, (n_ent, d) and (n_rel, d),
+    ``work`` (at least ``work_size(B, d, n_ent, n_rel)`` elements).
+    Returns ``(grad_ent, grad_rel)``, (n_ent, d) and (n_rel, d),
     Fortran-ordered like the tables; a row of ``grad_rel`` is laid out like
     one of ``EmbeddingModel.rel``: the scalar slots, then each block's
     (a, b).

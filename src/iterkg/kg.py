@@ -349,7 +349,7 @@ class KnowledgeGraph:
 
     def entity_occurs_with(self, r: int) -> list[int]:
         block = slice(self.rel_start[r], self.rel_start[r + 1])
-        return np.union1d(self.rel_s[block], self.rel_o[block]).tolist()
+        return sorted_distinct(np.concatenate([self.rel_s[block], self.rel_o[block]])).tolist()
 
 
 @dataclass(frozen=True)

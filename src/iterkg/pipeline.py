@@ -56,9 +56,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
         if self.eval_every < 0:
-            raise ValueError("eval_every must be >= 0")
+            raise ValueError(f"eval_every must be at least 0, got {self.eval_every}")
 
 
 def _parse_axioms_union(raw: str) -> bool:

@@ -20,6 +20,12 @@ from iterkg.pipeline import load_checkpoint, save_checkpoint
 from oracles import dense_block_matrix, sample_negatives_loop
 
 
+def adam_scratch(model, grads):
+    """A fresh ``scratch`` for ``adam_update``: three planes of the larger
+    gradient, NaN until written."""
+    return np.full(3 * max(len(grads.ent_ids), len(grads.rel_ids)) * model.dim, np.nan)
+
+
 def tiny_kg(n_ent=5, n_rel=2):
     ents = Vocabulary(f"e{i}" for i in range(n_ent))
     rels = Vocabulary(f"r{i}" for i in range(n_rel))
@@ -490,7 +496,10 @@ class TestLossAndGradients:
         with pytest.raises(ValueError, match="step buffers for 2 examples; the batch has 3"):
             compute_loss_and_gradients(m, batch, 1e-3, buffers=StepBuffers.empty(m, 2))
         want = compute_loss_and_gradients(m, batch, 1e-3)
-        got = compute_loss_and_gradients(m, batch, 1e-3, buffers=StepBuffers.empty(m, 3))
+        buffers = StepBuffers.empty(m, 3)
+        for dirty in (buffers.planes, buffers.work):
+            dirty.fill(np.nan)
+        got = compute_loss_and_gradients(m, batch, 1e-3, buffers=buffers)
         assert got[0] == want[0]
         assert got[1].ent_grad.tobytes() == want[1].ent_grad.tobytes()
         assert got[1].rel_grad.tobytes() == want[1].rel_grad.tobytes()
@@ -509,21 +518,24 @@ class TestAdam:
     def test_zero_gradient_no_move(self):
         m = init_model(3, 1, self.cfg())
         before = m.ent.copy()
-        adam_update(m, self.grads_for(m), self.cfg())
+        g = self.grads_for(m)
+        adam_update(m, g, self.cfg(), scratch=adam_scratch(m, g))
         np.testing.assert_array_equal(m.ent, before)
 
     def test_first_step_is_signed_lr(self):
         cfg = self.cfg(lr=0.01)
         m = init_model(3, 1, cfg)
         before = float(m.rel_scalars[0, 0])
-        adam_update(m, self.grads_for(m, sc_g=0.37), cfg)
+        g = self.grads_for(m, sc_g=0.37)
+        adam_update(m, g, cfg, scratch=adam_scratch(m, g))
         assert m.rel_scalars[0, 0] == pytest.approx(before - 0.01, rel=1e-6)
 
     def test_untouched_parameters_stay(self):
         cfg = self.cfg()
         m = init_model(3, 1, cfg)
         before = m.ent[1:].copy()
-        adam_update(m, self.grads_for(m, ent_g=1.0), cfg)
+        g = self.grads_for(m, ent_g=1.0)
+        adam_update(m, g, cfg, scratch=adam_scratch(m, g))
         np.testing.assert_array_equal(m.ent[1:], before)
 
     def test_nan_gradient_fails_fast(self):
@@ -532,7 +544,7 @@ class TestAdam:
         g = self.grads_for(m)
         g.ent_grad[0, 0] = np.nan
         with pytest.raises(ValueError):
-            adam_update(m, g, cfg)
+            adam_update(m, g, cfg, scratch=adam_scratch(m, g))
 
     @pytest.mark.parametrize("field, bad", [("ent_ids", -1), ("ent_ids", 3), ("rel_ids", 1)])
     def test_rows_outside_the_model_rejected(self, field, bad):
@@ -542,7 +554,7 @@ class TestAdam:
         g = self.grads_for(m, ent_g=1.0, sc_g=1.0)
         setattr(g, field, np.array([bad]))
         with pytest.raises(ValueError, match="outside the model"):
-            adam_update(m, g, cfg)
+            adam_update(m, g, cfg, scratch=adam_scratch(m, g))
         assert np.array_equal(m.ent, before.ent) and np.array_equal(m.rel_scalars, before.rel_scalars)
 
     @pytest.mark.parametrize("ids", [[1, 0], [0, 0]])
@@ -553,7 +565,7 @@ class TestAdam:
         before = m.copy()
         g = SparseGrads(np.array(ids), np.ones((2, m.dim)), np.array([0]), np.ones((1, m.dim)), m.n_scalars)
         with pytest.raises(ValueError, match="ascending and distinct"):
-            adam_update(m, g, cfg)
+            adam_update(m, g, cfg, scratch=adam_scratch(m, g))
         assert m.ent.tobytes() == before.ent.tobytes() and m.rel.tobytes() == before.rel.tobytes()
 
     def test_identical_streams_identical_trajectories(self):
@@ -562,8 +574,8 @@ class TestAdam:
         rng = np.random.default_rng(1)
         for _ in range(20):
             g = self.grads_for(m1, ent_g=float(rng.normal()), sc_g=float(rng.normal()))
-            adam_update(m1, g, cfg)
-            adam_update(m2, g, cfg)
+            adam_update(m1, g, cfg, scratch=adam_scratch(m1, g))
+            adam_update(m2, g, cfg, scratch=adam_scratch(m2, g))
         assert np.array_equal(m1.ent, m2.ent)
         assert m1.opt.step == m2.opt.step == 20
 
@@ -621,8 +633,9 @@ class TestTrainEpoch:
 
 def reference_epoch(model, inputs, kg, cfg, rng):
     """``train_epoch`` spelled out: each minibatch through
-    ``compute_loss_and_gradients`` and ``adam_update`` without buffers.
-    Returns the mean loss and each chunk's (examples, negatives)."""
+    ``compute_loss_and_gradients`` with buffers of its own and
+    ``adam_update`` with a fresh scratch.  Returns the mean loss and each
+    chunk's (examples, negatives)."""
     order = rng.permutation(len(inputs))
     in_graph = kg.contains_many(*inputs.ids.T)
     total, count, chunks = 0.0, 0, []
@@ -632,7 +645,7 @@ def reference_epoch(model, inputs, kg, cfg, rng):
         negs, _ = sample_negatives(kg, chunk.ids[in_graph[idx]], cfg.n_negatives, rng)
         expanded = chunk + TripleBatch(negs, np.zeros(len(negs)))
         loss, grads = compute_loss_and_gradients(model, expanded, cfg.l1_weight)
-        adam_update(model, grads, cfg)
+        adam_update(model, grads, cfg, scratch=adam_scratch(model, grads))
         total += loss * len(expanded)
         count += len(expanded)
         chunks.append((len(chunk), len(negs)))
@@ -644,7 +657,7 @@ def test_train_epoch_bit_identical_to_unbuffered_steps(monkeypatch, n_scalars):
     steps, made = [], []
     real_adam, empty = embedding.adam_update, StepBuffers.empty.__func__
 
-    def adam_update(model, grads, config, *, scratch=None):
+    def adam_update(model, grads, config, *, scratch):
         steps.append((len(grads.ent_ids), scratch, made[-1]))
         real_adam(model, grads, config, scratch=scratch)
 
@@ -669,15 +682,17 @@ def test_train_epoch_bit_identical_to_unbuffered_steps(monkeypatch, n_scalars):
                                 [1.0] * len(kg) + list(rng.uniform(0.2, 0.9, len(injected))))
         model, ref = init_model(n_ent, 3, cfg), init_model(n_ent, 3, cfg)
         steps.clear()
-        made.clear()
+        epochs = []
         for epoch in range(3):
+            made.clear()
             loss = train_epoch(model, inputs, kg, cfg, np.random.default_rng(epoch))
+            epochs.extend(made)
             want, chunks = reference_epoch(ref, inputs, kg, cfg, np.random.default_rng(epoch))
             assert loss == want
         assert len(inputs) % cfg.batch_size and chunks[-1][0] < cfg.batch_size  # a short last chunk
         assert any(n_negs == 0 for _, n_negs in chunks)  # a chunk made only of injected triples
         rows = cfg.batch_size * (1 + cfg.n_negatives)
-        assert [buffers.rows for buffers in made] == [rows] * 3
+        assert [buffers.rows for buffers in epochs] == [rows] * 3
         # the L1 term and Adam carve their rows from the epoch's gathered planes
         assert all(np.shares_memory(scratch, buffers.planes) for _, scratch, buffers in steps)
         if n_ent == 30:
@@ -836,7 +851,7 @@ def test_adam_writes_a_fortran_table_like_a_c_ordered_one(dim):
         ids = np.sort(rng.choice(30, size=17, replace=False))
         grads = SparseGrads(ids, rng.normal(size=(17, dim)), np.arange(3), rng.normal(size=(3, dim)), dim // 2)
         for m in (model, other):
-            adam_update(m, grads, cfg)
+            adam_update(m, grads, cfg, scratch=adam_scratch(m, grads))
     assert model.ent.flags.f_contiguous and other.ent.flags.c_contiguous
     for get in (lambda m: m.ent, lambda m: m.opt.m_ent, lambda m: m.opt.v_ent):
         assert get(model).tobytes() == get(other).tobytes()

@@ -1,6 +1,11 @@
 """Fuzzy-truth composition, grounding, and soft-labeled triple injection."""
 
+import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -310,3 +315,29 @@ class TestInjection:
         path.write_text("e1\tr0\te0\t0.95\t1\n" + line)
         with pytest.raises(error, match=f"^{re.escape(str(path))}:2: {re.escape(message)}$"):
             read_injected_tsv(path, kg.entities, kg.relations)
+
+
+def test_grounding_imports_no_numpy_ma():
+    """Grounding an axiom of every type, reflexive first, loads no
+    ``numpy.ma``: under numpy 2.4 a plain ``np.unique`` (behind
+    ``np.union1d``) imports it, which costs a process milliseconds and
+    about a megabyte."""
+    script = textwrap.dedent("""
+        import json, sys
+        from iterkg.axioms import Axiom, AxiomType
+        from iterkg.injection import ground_axiom
+        from iterkg.kg import KnowledgeGraph, Triple, Vocabulary
+
+        kg = KnowledgeGraph([Triple(0, 0, 1), Triple(1, 0, 2), Triple(2, 1, 0), Triple(1, 1, 1)],
+                            Vocabulary(["e0", "e1", "e2"]), Vocabulary(["r0", "r1"]))
+        loaded = []
+        for t in AxiomType:
+            ground_axiom(kg, Axiom(t, [0, 1, 1][: t.arity]))
+            loaded.append("numpy.ma" in sys.modules)
+        print(json.dumps(loaded))
+    """)
+    src = os.path.dirname(os.path.dirname(injection.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert json.loads(done.stdout) == [False] * len(AxiomType)

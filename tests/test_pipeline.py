@@ -326,6 +326,18 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             build_config(values)
 
+    @pytest.mark.parametrize("key, value, rule", [
+        ("l1_weight", -1e-05, "be non-negative"), ("epochs_per_iteration", 0, "be at least 1"),
+        ("samples_per_relation", 0, "be at least 1"), ("min_axiom_prob", 0.0, "lie in (0, 1]"),
+        ("min_axiom_prob", 1.5, "lie in (0, 1]"), ("include_prob", 1.0, "lie in (0, 1)"),
+        ("score_threshold", 1.5, "lie in [0, 1]"), ("max_inferred_per_axiom", 0, "be at least 1"),
+        ("sparsity_threshold", -0.25, "lie in [0, 1]"), ("iterations", 0, "be at least 1"),
+        ("eval_every", -1, "be at least 0"),
+    ])
+    def test_out_of_range_value_named_with_its_field(self, key, value, rule):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{key} must {rule}, got {value}')}$"):
+            build_config({"data_dir": "d", "out_dir": "o", key: value})
+
 
 class TestRunIterations:
     def test_deterministic_records_and_report(self, tmp_path, dataset_dir):
