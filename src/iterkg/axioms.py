@@ -207,6 +207,8 @@ class ScoredPool(Pool):
 
 @dataclass
 class PoolConfig:
+    """``generate_pool`` draws from its ``rng`` argument, not from ``seed``."""
+
     min_axiom_prob: float = 0.5   # lower bound on support/head_size for target axioms
     include_prob: float = 0.95    # required probability of covering all such axioms
     samples_per_relation: int | None = None  # override the derived bound
@@ -486,7 +488,8 @@ def body_assignments(kg: KnowledgeGraph, axiom: Axiom) -> tuple[np.ndarray, np.n
     """
     head, b1, b2, flip = (int(v[0]) for v in _rule_columns(axiom_table([axiom])))
     if b1 < 0:
-        e = np.array(kg.entity_occurs_with(head), dtype=np.int64)
+        block = slice(kg.rel_start[head], kg.rel_start[head + 1])
+        e = sorted_distinct(np.concatenate([kg.rel_s[block], kg.rel_o[block]]))
         return e, np.full(len(e), -1), e
     block = slice(kg.rel_start[b1], kg.rel_start[b1 + 1])
     s, o = kg.rel_s[block], kg.rel_o[block]

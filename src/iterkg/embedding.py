@@ -215,7 +215,7 @@ class StepBuffers(NamedTuple):
         """Buffers for minibatches of up to ``rows`` examples."""
         d = model.dim
         ent_rows, rel_rows = min(model.n_entities, 2 * rows), min(model.n_relations, rows)
-        return cls(rows, np.empty(max((2 * d + model.n_scalars) * rows, 3 * max(ent_rows, rel_rows) * d)),
+        return cls(rows, np.empty(max(_gathered_size(model, rows), 3 * max(ent_rows, rel_rows) * d)),
                    np.empty(kernels.work_size(rows, d, ent_rows, rel_rows)))
 
 
@@ -226,6 +226,11 @@ def _check_ids(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarra
                          (r, model.n_relations, "relations")):
         if len(ids) and (ids.min() < 0 or ids.max() >= n):
             raise ValueError(f"id outside the model's {n} {what}: {ids.min()}..{ids.max()}")
+
+
+def _gathered_size(model: EmbeddingModel, rows: int) -> int:
+    """Elements of ``_gather``'s subject, object and scalar columns."""
+    return (2 * model.dim + model.n_scalars) * rows
 
 
 def _gather(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray, planes: np.ndarray):
@@ -251,9 +256,9 @@ def _gather(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray, 
 
 def raw_scores(model: EmbeddingModel, s: np.ndarray, r: np.ndarray, o: np.ndarray) -> np.ndarray:
     """Pre-sigmoid bilinear scores for index arrays, in a new array; the
-    intermediates live in step buffers built for the call."""
-    buffers = StepBuffers.empty(model, len(s))
-    return kernels.bilinear_scores(*_gather(model, s, r, o, buffers.planes), work=buffers.work)
+    intermediates live in arrays built for the call, sized for scoring alone."""
+    planes, work = np.empty(_gathered_size(model, len(s))), np.empty(kernels.work_size(len(s), model.dim, 0, 0))
+    return kernels.bilinear_scores(*_gather(model, s, r, o, planes), work=work)
 
 
 def sample_negatives(

@@ -53,11 +53,11 @@ and the kernel carves its temporaries from, front to back (``carve``,
 which lays them out Fortran-ordered like the tables; ``work_size``
 elements for a batch).  ``accumulate_grads`` builds its gradients in
 ``work`` and returns views of them.  A kernel keeps no reference to a
-buffer, and the next call overwrites what it left there.  The buffers
-come from ``embedding.StepBuffers``: each ``embedding.train_epoch`` call
-builds one set and every minibatch of the epoch reuses their front, so a
-view of a buffer is valid only until the next minibatch.  Any buffer
-large enough gives the same bits: nothing is read before it is written.
+buffer, and the next call overwrites what it left there.  In training the
+buffers come from ``embedding.StepBuffers``: each ``train_epoch`` call
+builds one set that every minibatch reuses, so a view is valid only until
+the next minibatch; ``raw_scores`` builds its own.  Any buffer large
+enough gives the same bits: nothing is read before it is written.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 # A graph whose packed-key space (n_ent**2 * n_rel keys) has at most this
-# many keys answers membership from one bit per key (at most 128 KB), with
+# many keys answers membership from one bool per key (at most 1 MB), with
 # one gather; a larger one binary-searches its sorted keys.
 DENSE_KEYS = 1 << 20
 
@@ -181,18 +181,16 @@ class KnowledgeGraph:
     and relation r's triples are the rows ``rel_start[r]:rel_start[r + 1]``.
     Membership of packed keys (``contains_keys``, and ``contains_many`` for
     id triples) is one ``np.searchsorted`` into the sorted keys, or, when
-    the key space has at most ``DENSE_KEYS`` keys, one gather from a bit
+    the key space has at most ``DENSE_KEYS`` keys, one gather from a bool
     table over that space.  Built on first use are that table and
 
     - a CSR over (relation, subject): offsets for all ``n_rel * n_ent``
-      pairs, so the objects of any (s, r) are a gather
-      (``object_ranges``);
+      pairs, so the objects of any (s, r) are a gather (``object_ranges``);
     - the sorted keys ``(s*n_ent + o)*n_rel + r``, whose runs are the
       out-edges of a subject (``out_ranges``) and the relations linking two
       entities (``pair_ranges``), for pool generation.
 
-    ``triples_of`` and ``entity_occurs_with`` return ascending-id lists.
-    Do not mutate after construction.
+    ``triples_of`` returns an ascending-id list.  Do not mutate a graph.
     """
 
     def __init__(self, triples: np.ndarray | Sequence[Triple], entities: Vocabulary, relations: Vocabulary):
@@ -263,15 +261,14 @@ class KnowledgeGraph:
         return self.pack(*np.eye(3, dtype=np.int64))
 
     @cached_property
-    def _member_bits(self) -> Optional[np.ndarray]:
-        """One bit per packed key, set for the graph's triples (key k is bit
-        ``k % 8`` of byte ``k // 8``); None above ``DENSE_KEYS`` keys."""
+    def _members(self) -> Optional[np.ndarray]:
+        """One bool per packed key, True for the graph's triples, and a spare
+        False to clip to in an empty key space; None above ``DENSE_KEYS`` keys."""
         if self._n_keys > DENSE_KEYS:
             return None
-        # set in place: a bool per key would cost eight times the table
-        bits = np.zeros(self._n_keys // 8 + 1, dtype=np.uint8)
-        np.bitwise_or.at(bits, self._keys >> 3, np.left_shift(1, self._keys & 7).astype(np.uint8))
-        return bits
+        members = np.zeros(self._n_keys + 1, dtype=bool)
+        members[self._keys] = True
+        return members
 
     @cached_property
     def _csr(self) -> np.ndarray:
@@ -289,19 +286,15 @@ class KnowledgeGraph:
         """Boolean mask: which packed keys (``pack``) are graph triples;
         keys outside ``[0, n_ent**2 * n_rel)`` are never members.
 
-        Up to ``DENSE_KEYS`` keys in the key space, one gather from the bit
+        Up to ``DENSE_KEYS`` keys in the key space, one gather from the bool
         table.  Above, one ``np.searchsorted`` into the sorted key array,
         probed in ascending order through the queries' argsort: ascending
         probes walk the key array forward, and random ones miss the cache
         and the branch predictor.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        bits = self._member_bits
-        if bits is not None:
-            inside = keys.view(np.uint64) < self._n_keys  # negative keys wrap above the space
-            byte = bits.take(keys >> 3, mode="clip")
-            np.right_shift(byte, (keys & 7).astype(np.uint8), out=byte)
-            return (byte & inside).view(bool)
+        if self._members is not None:  # a negative key, read as uint64, lies above the space
+            return self._members.take(keys, mode="clip") & (keys.view(np.uint64) < self._n_keys)
         order = np.argsort(keys)
         found = np.empty(len(keys), dtype=bool)
         found[order] = lookup_sorted(self._keys, keys[order])[1]
@@ -346,10 +339,6 @@ class KnowledgeGraph:
     def triples_of(self, r: int) -> list[Triple]:
         block = slice(self.rel_start[r], self.rel_start[r + 1])
         return [Triple(s, r, o) for s, o in zip(self.rel_s[block].tolist(), self.rel_o[block].tolist())]
-
-    def entity_occurs_with(self, r: int) -> list[int]:
-        block = slice(self.rel_start[r], self.rel_start[r + 1])
-        return sorted_distinct(np.concatenate([self.rel_s[block], self.rel_o[block]])).tolist()
 
 
 @dataclass(frozen=True)

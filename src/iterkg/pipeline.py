@@ -59,6 +59,8 @@ class PipelineConfig:
             raise ValueError(f"iterations must be at least 1, got {self.iterations}")
         if self.eval_every < 0:
             raise ValueError(f"eval_every must be at least 0, got {self.eval_every}")
+        if self.train.seed != self.seed:
+            raise ValueError(f"train.seed {self.train.seed} differs from seed {self.seed}")
 
 
 def _parse_axioms_union(raw: str) -> bool:

@@ -190,6 +190,24 @@ class TestScore:
         got = float(raw_scores(m, np.array([s]), np.array([r]), np.array([o]))[0])
         assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("n_scalars", [0, 8, 32])
+    def test_scoring_allocates_no_training_rows(self, n_scalars):
+        """Scoring B examples allocates their gathered subject, object and
+        scalar columns and at most eight (B,) columns, the kernel's six and
+        the scores among them; no gradient, L1 or Adam rows, which here
+        would nearly double it."""
+        n_ent, dim, B = 400, 32, 400
+        m = init_model(n_ent, 5, TrainConfig(dim=dim, n_scalars=n_scalars, seed=0))
+        s, r, o = np.random.default_rng(0).integers((n_ent, 5, n_ent), size=(B, 3)).T
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            raw_scores(m, s, r, o)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 8 * (2 * dim + n_scalars + 8) * B + 8192
+
 
 def single_relation_kg(n_ent=200, n_triples=1000, seed=3):
     rng = np.random.default_rng(seed)

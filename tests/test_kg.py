@@ -100,8 +100,6 @@ class TestBuildGraph:
             assert kg.contains(s, r, o) == (Triple(s, r, o) in uniq)
         for r in range(n_rel):
             assert kg.triples_of(r) == sorted(t for t in uniq if t.relation == r)
-            occurs = sorted({e for t in uniq if t.relation == r for e in (t.subject, t.object)})
-            assert kg.entity_occurs_with(r) == occurs
 
     @settings(max_examples=150, deadline=None)
     @given(n_ent=st.integers(1, 6), n_rel=st.integers(1, 3), data=st.data())
@@ -137,7 +135,7 @@ def searches(mp):
 
 
 def both_paths(kg):
-    """Copies of ``kg`` answering ``contains_keys`` from the bit table, then
+    """Copies of ``kg`` answering ``contains_keys`` from the bool table, then
     from the sorted keys, each forced by monkeypatching ``DENSE_KEYS``.  Once
     the caller is done with a copy, checks that it searched sorted keys on
     the sorted path only."""
@@ -223,6 +221,11 @@ class TestContainsKeys:
             assert not kg.contains_many(np.array([0, 2]), np.array([0, 0]), np.array([1, 0])).any()
             assert kg.contains_keys(np.zeros(0, dtype=np.int64)).shape == (0,)
 
+    def test_empty_key_space(self):
+        # no entities, so no keys: the bool table has its spare slot only
+        for kg in both_paths(KnowledgeGraph([], Vocabulary(), Vocabulary("r"))):
+            assert kg.contains_keys(np.array([-1, 0, 1, 2**40])).tolist() == [False] * 4
+
 
 @settings(max_examples=100, deadline=None)
 @given(n_ent=st.integers(1, 2**20), n_rel=st.integers(1, 2**10), seed=st.integers(0, 2**32 - 1))
@@ -238,7 +241,7 @@ def test_pack_is_the_key_weights_sum(n_ent, n_rel, seed):
 
 @pytest.mark.parametrize("shape, dense", [(None, True), ((600, 237), False)], ids=["planted", "600x237"])
 def test_membership_path_follows_the_key_space(monkeypatch, shape, dense):
-    """The planted demo graph's 320,000 keys take the bit table; a 600-entity,
+    """The planted demo graph's 320,000 keys take the bool table; a 600-entity,
     237-relation graph (85.3 million keys) binary-searches its sorted keys.
     Both answer as a set of their triples does."""
     if shape is None:

@@ -279,6 +279,12 @@ class TestConfigFile:
     def test_defaults_are_the_dataclass_defaults(self):
         assert build_config({"data_dir": "d", "out_dir": "o"}) == PipelineConfig("d", "o")
 
+    def test_training_seed_must_be_the_run_seed(self):
+        # the initial model is drawn from train.seed, the phase streams from seed
+        with pytest.raises(ValueError, match="^train.seed 0 differs from seed 7$"):
+            PipelineConfig("d", "o", seed=7)
+        assert build_config({"data_dir": "d", "out_dir": "o", "seed": 7}).train.seed == 7
+
     def test_every_key_reaches_its_field(self):
         values = {
             "data_dir": "d", "out_dir": "o", "iterations": 3, "eval_every": 2, "seed": 5,
